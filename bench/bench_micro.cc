@@ -351,6 +351,34 @@ void BM_MlpPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpPredict);
 
+// One record's relevance scoring at the T-AB shape: 39 decision units x
+// 144 features (mean ++ |diff| of 72-d embeddings) through the scorer's
+// {64, 32} network in a single batched PredictRows pass.
+void BM_MlpPredictRows(benchmark::State& state) {
+  constexpr size_t kUnits = 39;
+  constexpr size_t kFeatures = 144;
+  Rng rng(4);
+  la::Matrix x(64, kFeatures);
+  std::vector<double> y(64);
+  for (size_t i = 0; i < 64; ++i) {
+    for (size_t j = 0; j < kFeatures; ++j) x.At(i, j) = rng.Uniform(-1, 1);
+    y[i] = rng.Uniform(-1, 1);
+  }
+  nn::MlpOptions options;
+  options.hidden = {64, 32};
+  options.epochs = 2;
+  nn::Mlp mlp(options);
+  mlp.Fit(x, y);
+  std::vector<double> out(kUnits);
+  for (auto _ : state) {
+    mlp.PredictRows(x.data().data(), kUnits, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kUnits));
+}
+BENCHMARK(BM_MlpPredictRows);
+
 void BM_CsvRoundTrip(benchmark::State& state) {
   const data::Dataset dataset = data::GenerateById("S-FZ", 42, 0.2);
   for (auto _ : state) {

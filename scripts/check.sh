@@ -149,7 +149,8 @@ serve_telemetry_check() {
 # The serve benchmarks put the telemetry on/off pair into the report so
 # the <=2% overhead budget is visible in the BENCH_micro.json
 # trajectory, and serve_telemetry_check proves a live session exports
-# valid artifacts.
+# valid artifacts. BM_MlpPredict / BM_MlpPredictRows gate the relevance
+# scorer's inference (one row, and one 39-unit record in one batch).
 run_perf_report() {
   name=perf-report
   if [ "$ONLY" != all ] && [ "$ONLY" != "$name" ]; then
@@ -165,7 +166,7 @@ run_perf_report() {
         --target bench_micro bench_blocking wym_cli wym_serve_bin \
         >> "$log" 2>&1 \
      && "$build/bench/bench_micro" --json="$report" \
-        --benchmark_filter='BM_Dot|BM_UnitGeneration_Cached|BM_ServePredict' \
+        --benchmark_filter='BM_Dot|BM_UnitGeneration_Cached|BM_ServePredict|BM_MlpPredict' \
         --benchmark_min_time=0.01 >> "$log" 2>&1 \
      && "$build/tools/wym_cli" validate-report --file "$report" \
         >> "$log" 2>&1 \

@@ -1,8 +1,10 @@
 #include "core/relevance_scorer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/random.h"
@@ -21,11 +23,47 @@ std::string UnitKey(const DecisionUnit& unit) {
   return (a <= b) ? a + "\x1f" + b : b + "\x1f" + a;
 }
 
-const la::Vec& EmbeddingOrZero(const TokenizedEntity& entity, size_t index,
-                               const la::Vec& zero) {
-  if (entity.embeddings.empty()) return zero;
+/// Embedding dimension of an encoded record (either side may be empty).
+size_t EmbeddingDim(const TokenizedRecord& record) {
+  WYM_CHECK(!record.left.embeddings.empty() ||
+            !record.right.embeddings.empty())
+      << "UnitFeatures needs at least one encoded entity";
+  return record.left.embeddings.empty() ? record.right.embeddings[0].size()
+                                        : record.left.embeddings[0].size();
+}
+
+/// Embedding `index` of `entity`, or nullptr for an entity without
+/// embeddings (it reads as the zero [UNP] vector).
+const float* EmbeddingOrNull(const TokenizedEntity& entity, size_t index,
+                             size_t dim) {
+  if (entity.embeddings.empty()) return nullptr;
   WYM_CHECK_LT(index, entity.embeddings.size());
-  return entity.embeddings[index];
+  WYM_CHECK_EQ(entity.embeddings[index].size(), dim);
+  return entity.embeddings[index].data();
+}
+
+/// The one unit-feature fill behind Fit, Score and UnitFeatures: writes
+/// mean ++ |diff| of the unit's two token embeddings (a missing side is
+/// the zero [UNP] embedding) to row[0, 2 * dim). Mean and difference are
+/// formed in float, then widened; trained models depend on this exact
+/// rounding.
+void FillUnitFeatures(const TokenizedRecord& record, const DecisionUnit& unit,
+                      double* row) {
+  const size_t dim = EmbeddingDim(record);
+  const float* left = nullptr;
+  const float* right = nullptr;
+  if (unit.paired || unit.unpaired_side == Side::kLeft) {
+    left = EmbeddingOrNull(record.left, unit.left.position, dim);
+  }
+  if (unit.paired || unit.unpaired_side == Side::kRight) {
+    right = EmbeddingOrNull(record.right, unit.right.position, dim);
+  }
+  for (size_t i = 0; i < dim; ++i) {
+    const float a = left != nullptr ? left[i] : 0.0f;
+    const float b = right != nullptr ? right[i] : 0.0f;
+    row[i] = 0.5f * (a + b);
+    row[dim + i] = std::fabs(a - b);
+  }
 }
 
 }  // namespace
@@ -35,31 +73,8 @@ RelevanceScorer::RelevanceScorer(Options options)
 
 std::vector<double> RelevanceScorer::UnitFeatures(
     const TokenizedRecord& record, const DecisionUnit& unit) {
-  WYM_CHECK(!record.left.embeddings.empty() ||
-            !record.right.embeddings.empty())
-      << "UnitFeatures needs at least one encoded entity";
-  const size_t dim = record.left.embeddings.empty()
-                         ? record.right.embeddings[0].size()
-                         : record.left.embeddings[0].size();
-  la::Vec zero = la::Zeros(dim);
-
-  const la::Vec* left = &zero;
-  const la::Vec* right = &zero;
-  if (unit.paired) {
-    left = &EmbeddingOrZero(record.left, unit.left.position, zero);
-    right = &EmbeddingOrZero(record.right, unit.right.position, zero);
-  } else if (unit.unpaired_side == Side::kLeft) {
-    left = &EmbeddingOrZero(record.left, unit.left.position, zero);
-  } else {
-    right = &EmbeddingOrZero(record.right, unit.right.position, zero);
-  }
-
-  const la::Vec mean = la::MeanOf(*left, *right);
-  const la::Vec diff = la::AbsDiff(*left, *right);
-  std::vector<double> features;
-  features.reserve(2 * dim);
-  for (float v : mean) features.push_back(v);
-  for (float v : diff) features.push_back(v);
+  std::vector<double> features(2 * EmbeddingDim(record));
+  FillUnitFeatures(record, unit, features.data());
   return features;
 }
 
@@ -113,27 +128,32 @@ void RelevanceScorer::Fit(
   }
   Rng rng(options_.seed);
 
-  std::vector<std::vector<double>> rows;
+  // Pick the training occurrences first so the feature rows can be
+  // written straight into the training matrix.
+  std::vector<std::pair<size_t, size_t>> picked;  // (record, unit)
   std::vector<double> y;
-  rows.reserve(std::min(total_units, options_.max_training_units) + 64);
+  picked.reserve(std::min(total_units, options_.max_training_units) + 64);
   for (size_t r = 0; r < records.size(); ++r) {
-    for (const auto& unit : units_per_record[r]) {
+    for (size_t u = 0; u < units_per_record[r].size(); ++u) {
       if (keep_probability < 1.0 && !rng.Bernoulli(keep_probability)) {
         continue;
       }
-      const Aggregate& agg = targets[UnitKey(unit)];
-      rows.push_back(UnitFeatures(records[r], unit));
+      const Aggregate& agg = targets[UnitKey(units_per_record[r][u])];
+      picked.emplace_back(r, u);
       y.push_back(agg.sum / static_cast<double>(agg.count));
     }
   }
-  if (rows.empty()) {
+  if (picked.empty()) {
     fitted_ = true;
     return;
   }
 
-  la::Matrix x(rows.size(), rows[0].size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t j = 0; j < rows[i].size(); ++j) x.At(i, j) = rows[i][j];
+  const size_t width = 2 * EmbeddingDim(records[picked[0].first]);
+  la::Matrix x(picked.size(), width);
+  for (size_t i = 0; i < picked.size(); ++i) {
+    const auto [r, u] = picked[i];
+    WYM_CHECK_EQ(2 * EmbeddingDim(records[r]), width);
+    FillUnitFeatures(records[r], units_per_record[r][u], x.Row(i));
   }
   mlp_ = nn::Mlp(options_.mlp);
   mlp_.Fit(x, y);
@@ -144,27 +164,33 @@ std::vector<double> RelevanceScorer::Score(
     const TokenizedRecord& record,
     const std::vector<DecisionUnit>& units) const {
   WYM_CHECK(fitted_) << "RelevanceScorer used before Fit";
-  std::vector<double> scores;
-  scores.reserve(units.size());
-  for (const auto& unit : units) {
-    switch (options_.kind) {
-      case ScorerKind::kBinary:
-        scores.push_back(unit.paired ? 1.0 : -1.0);
-        break;
-      case ScorerKind::kCosine:
-        scores.push_back(unit.paired
-                             ? std::clamp(unit.similarity, -1.0, 1.0)
-                             : -0.5);
-        break;
-      case ScorerKind::kNeural: {
-        if (!mlp_.fitted()) {
-          // Degenerate training corpus: fall back to the binary rule.
-          scores.push_back(unit.paired ? 1.0 : -1.0);
-          break;
-        }
-        scores.push_back(mlp_.Predict(UnitFeatures(record, unit)));
-        break;
+  std::vector<double> scores(units.size());
+  if (options_.kind == ScorerKind::kNeural && mlp_.fitted()) {
+    if (units.empty()) return scores;
+    // Units are scored one PredictRows block at a time, so the feature
+    // scratch stays the size of one block however long the record is.
+    const size_t width = 2 * EmbeddingDim(record);
+    WYM_CHECK_EQ(width, mlp_.input_dim());
+    const size_t block = nn::Mlp::kBlockRows;
+    std::vector<double> features(std::min(units.size(), block) * width);
+    for (size_t start = 0; start < units.size(); start += block) {
+      const size_t rows = std::min(block, units.size() - start);
+      for (size_t r = 0; r < rows; ++r) {
+        FillUnitFeatures(record, units[start + r],
+                         features.data() + r * width);
       }
+      mlp_.PredictRows(features.data(), rows, scores.data() + start);
+    }
+    return scores;
+  }
+  for (size_t u = 0; u < units.size(); ++u) {
+    const DecisionUnit& unit = units[u];
+    if (options_.kind == ScorerKind::kCosine) {
+      scores[u] = unit.paired ? std::clamp(unit.similarity, -1.0, 1.0) : -0.5;
+    } else {
+      // kBinary, and the kNeural fallback for a degenerate training
+      // corpus (no MLP fitted).
+      scores[u] = unit.paired ? 1.0 : -1.0;
     }
   }
   return scores;

@@ -63,7 +63,10 @@ class RelevanceScorer {
   void Fit(const std::vector<TokenizedRecord>& records,
            const std::vector<std::vector<DecisionUnit>>& units_per_record);
 
-  /// Relevance scores for the units of one record, in unit order.
+  /// Relevance scores for the units of one record, in unit order. The
+  /// neural scorer fills the feature rows of nn::Mlp::kBlockRows units
+  /// at a time and scores each block in one nn::Mlp::PredictRows pass,
+  /// bit-identical to scoring each unit on its own.
   std::vector<double> Score(const TokenizedRecord& record,
                             const std::vector<DecisionUnit>& units) const;
 
@@ -82,6 +85,8 @@ class RelevanceScorer {
 
   bool fitted() const { return fitted_; }
   const Options& options() const { return options_; }
+  /// The neural scorer's network. Exposed for tests.
+  const nn::Mlp& mlp() const { return mlp_; }
 
  private:
   Options options_;

@@ -246,7 +246,10 @@ double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set) const {
 }
 
 Explanation WymModel::Explain(const data::EmRecord& record) const {
-  const TokenizedRecord tokenized = Prepare(record);
+  return ExplainPrepared(Prepare(record));
+}
+
+Explanation WymModel::ExplainPrepared(const TokenizedRecord& tokenized) const {
   const ScoredUnitSet set = BuildScoredUnits(tokenized);
 
   Explanation out;
@@ -389,7 +392,7 @@ std::vector<Explanation> WymModel::ExplainBatch(const data::Dataset& dataset,
             out[i] = Explanation{};  // Empty: prediction 0, no units.
             continue;
           }
-          out[i] = Explain(dataset.records[i]);
+          out[i] = ExplainPrepared(tokenized);
           if (metrics) record_ns.Record(obs::NowNanos() - t0);
         }
       },

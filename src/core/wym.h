@@ -217,6 +217,10 @@ class WymModel : public Matcher {
  private:
   ScoredUnitSet BuildScoredUnits(const TokenizedRecord& record) const;
 
+  /// Explain over an already prepared record: the body shared by
+  /// Explain and ExplainBatch, so a batch prepares each record once.
+  Explanation ExplainPrepared(const TokenizedRecord& tokenized) const;
+
   /// Shared implementation of the PredictProbaBatch overloads over a
   /// contiguous record range.
   std::vector<double> PredictProbaRange(const data::EmRecord* records,

@@ -1,5 +1,6 @@
 #include "la/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -123,10 +124,49 @@ void QuantizeRowI8Scalar(const float* row, size_t dim, int8_t* q,
   *scale = max_abs / 127.0f;
 }
 
+// Reference dense layer: one sequential chain per (output, lane) cell,
+// w * x added in increasing input index onto 0.0, then bias + sum and
+// std::max(0.0, v) — the scalar MLP forward pass. K outputs run side by
+// side so their independent chains overlap in the pipeline; that
+// interleaves chains, never reorders one. `w`, `bias` and `out` point at
+// the first of the K outputs.
+template <size_t K>
+void DenseOutputsScalar(const double* w, const double* bias, size_t in_dim,
+                        const double* x, size_t lanes, bool relu,
+                        double* out) {
+  for (size_t r = 0; r < lanes; ++r) {
+    double s[K] = {};
+    for (size_t i = 0; i < in_dim; ++i) {
+      const double v = x[i * lanes + r];
+#pragma GCC unroll 4
+      for (size_t k = 0; k < K; ++k) s[k] += w[k * in_dim + i] * v;
+    }
+#pragma GCC unroll 4
+    for (size_t k = 0; k < K; ++k) {
+      const double cell = bias[k] + s[k];
+      out[k * lanes + r] = relu ? std::max(0.0, cell) : cell;
+    }
+  }
+}
+
+void DenseF64Scalar(const double* w, const double* bias, size_t in_dim,
+                    size_t out_dim, const double* x, size_t lanes, bool relu,
+                    double* out) {
+  size_t o = 0;
+  for (; o + 4 <= out_dim; o += 4) {
+    DenseOutputsScalar<4>(w + o * in_dim, bias + o, in_dim, x, lanes, relu,
+                          out + o * lanes);
+  }
+  for (; o < out_dim; ++o) {
+    DenseOutputsScalar<1>(w + o * in_dim, bias + o, in_dim, x, lanes, relu,
+                          out + o * lanes);
+  }
+}
+
 const internal::KernelTable kScalarTable = {
     DotF32Scalar, DotF64Scalar,   SqDistF64Scalar, AxpyF32Scalar,
     AxpyF64Scalar, ScaleF32Scalar, ScaleF64Scalar,
-    DotI8Scalar,  QuantizeRowI8Scalar,
+    DotI8Scalar,  QuantizeRowI8Scalar, DenseF64Scalar,
 };
 
 // ---------------------------------------------------------------------
@@ -308,6 +348,15 @@ void SimilarityMatrix(const float* a, size_t a_rows, const float* b,
       }
     }
   }
+}
+
+void DenseLayer(const double* weights, const double* bias, size_t in_dim,
+                size_t out_dim, const double* x, size_t lanes, bool relu,
+                double* out) {
+  WYM_DCHECK(out_dim == 0 || lanes == 0 ||
+             (weights != nullptr && bias != nullptr && out != nullptr &&
+              (in_dim == 0 || x != nullptr)));
+  Active().dense_f64(weights, bias, in_dim, out_dim, x, lanes, relu, out);
 }
 
 void QuantizeRowsI8(const float* rows, size_t n_rows, size_t dim, int8_t* q,

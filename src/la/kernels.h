@@ -17,6 +17,8 @@
 /// accumulated in double, matching the precision of the scalar code the
 /// kernels replaced. The kernel translation units are compiled with
 /// `-ffp-contract=off` so no path silently fuses multiply-add.
+/// DenseLayer is the one kernel that vectorizes across rows instead of
+/// along its reduction; its contract is stated at its declaration.
 ///
 /// The path is chosen once per process: `WYM_SIMD=avx2|sse2|off`
 /// overrides the default (the best level compiled in and supported by
@@ -78,6 +80,21 @@ void Scale(double factor, double* a, size_t n);
 void SimilarityMatrix(const float* a, size_t a_rows, const float* b,
                       size_t b_rows, size_t dim, double* out);
 
+/// One dense layer over a block of `lanes` rows stored lane-interleaved
+/// (element i of row r at x[i * lanes + r]; the output uses the same
+/// layout, so it feeds the next layer directly):
+///   out[o * lanes + r] = bias[o] + sum_i weights[o * in_dim + i] * x[...]
+/// followed by std::max(0.0, v) when `relu`. Unlike the reductions
+/// above, this kernel vectorizes *across rows*: each (o, r) cell is one
+/// sequential chain — sum starts at 0.0, adds w * x in increasing i,
+/// then bias + sum — the exact arithmetic of a plain scalar
+/// matrix-vector forward pass. So every dispatch level, every lane
+/// count and every row's position in the block give bit-identical
+/// results, equal to the unbatched scalar loop.
+void DenseLayer(const double* weights, const double* bias, size_t in_dim,
+                size_t out_dim, const double* x, size_t lanes, bool relu,
+                double* out);
+
 // ---------------------------------------------------------------------
 // Quantized int8 tier. Symmetric per-row scaling: a float row maps to
 // int8 codes q[i] plus one float scale with x[i] ≈ q[i] * scale. Unlike
@@ -138,6 +155,8 @@ struct KernelTable {
   void (*scale_f64)(double, double*, size_t);
   int32_t (*dot_i8)(const int8_t*, const int8_t*, size_t);
   void (*quantize_row_i8)(const float*, size_t, int8_t*, float*);
+  void (*dense_f64)(const double*, const double*, size_t, size_t,
+                    const double*, size_t, bool, double*);
 };
 
 /// Scalar table (always available).

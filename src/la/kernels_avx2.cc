@@ -263,10 +263,99 @@ void QuantizeRowI8Avx2(const float* row, size_t dim, int8_t* q,
   *scale = max_abs / 127.0f;
 }
 
+// Dense layer, vectorized across rows: a tile of K outputs x V 4-lane
+// vectors (K=4, V=2 holds 8 accumulators in 16 ymm registers). Each
+// weight broadcast feeds V vectors and each x load feeds K outputs;
+// every lane still runs the scalar chain (0.0, then + w * x in
+// increasing i with separate multiply and add, then bias + sum). A
+// `partial` tile covers the last 1-3 lanes through masked loads (dead
+// lanes read 0.0) and masked stores (dead lanes are never written).
+// `w`, `bias` and `out` point at the tile's first output. The unroll
+// pragmas keep the accumulator array in registers; without them GCC
+// spills it on every iteration.
+template <size_t K, size_t V, bool kPartial>
+inline void DenseTileAvx2(const double* w, const double* bias, size_t in_dim,
+                          const double* x, size_t lanes, size_t lane,
+                          bool relu, double* out) {
+  const __m256i mask = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(lanes - lane)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+  __m256d acc[K][V];
+#pragma GCC unroll 4
+  for (size_t k = 0; k < K; ++k) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) acc[k][v] = _mm256_setzero_pd();
+  }
+  for (size_t i = 0; i < in_dim; ++i) {
+    const double* xi = x + i * lanes + lane;
+    __m256d xv[V];
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) {
+      xv[v] = kPartial ? _mm256_maskload_pd(xi, mask)
+                       : _mm256_loadu_pd(xi + 4 * v);
+    }
+#pragma GCC unroll 4
+    for (size_t k = 0; k < K; ++k) {
+      const __m256d wk = _mm256_broadcast_sd(w + k * in_dim + i);
+#pragma GCC unroll 4
+      for (size_t v = 0; v < V; ++v) {
+        acc[k][v] = _mm256_add_pd(acc[k][v], _mm256_mul_pd(wk, xv[v]));
+      }
+    }
+  }
+  const __m256d zero = _mm256_setzero_pd();
+#pragma GCC unroll 4
+  for (size_t k = 0; k < K; ++k) {
+    const __m256d b = _mm256_set1_pd(bias[k]);
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) {
+      __m256d cell = _mm256_add_pd(b, acc[k][v]);
+      // maxpd returns its second operand unless the first is greater,
+      // so -0.0 and NaN map to +0.0 exactly like std::max(0.0, cell).
+      if (relu) cell = _mm256_max_pd(cell, zero);
+      double* dst = out + k * lanes + lane + 4 * v;
+      if (kPartial) {
+        _mm256_maskstore_pd(dst, mask, cell);
+      } else {
+        _mm256_storeu_pd(dst, cell);
+      }
+    }
+  }
+}
+
+template <size_t K>
+void DenseOutputsAvx2(const double* w, const double* bias, size_t in_dim,
+                      const double* x, size_t lanes, bool relu, double* out) {
+  size_t lane = 0;
+  for (; lane + 8 <= lanes; lane += 8) {
+    DenseTileAvx2<K, 2, false>(w, bias, in_dim, x, lanes, lane, relu, out);
+  }
+  for (; lane + 4 <= lanes; lane += 4) {
+    DenseTileAvx2<K, 1, false>(w, bias, in_dim, x, lanes, lane, relu, out);
+  }
+  if (lane < lanes) {
+    DenseTileAvx2<K, 1, true>(w, bias, in_dim, x, lanes, lane, relu, out);
+  }
+}
+
+void DenseF64Avx2(const double* w, const double* bias, size_t in_dim,
+                  size_t out_dim, const double* x, size_t lanes, bool relu,
+                  double* out) {
+  size_t o = 0;
+  for (; o + 4 <= out_dim; o += 4) {
+    DenseOutputsAvx2<4>(w + o * in_dim, bias + o, in_dim, x, lanes, relu,
+                        out + o * lanes);
+  }
+  for (; o < out_dim; ++o) {
+    DenseOutputsAvx2<1>(w + o * in_dim, bias + o, in_dim, x, lanes, relu,
+                        out + o * lanes);
+  }
+}
+
 const KernelTable kAvx2Table = {
     DotF32Avx2,  DotF64Avx2,   SqDistF64Avx2, AxpyF32Avx2,
     AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2,
-    DotI8Avx2,   QuantizeRowI8Avx2,
+    DotI8Avx2,   QuantizeRowI8Avx2, DenseF64Avx2,
 };
 
 bool CpuHasAvx2() {

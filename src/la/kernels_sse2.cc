@@ -284,10 +284,94 @@ void QuantizeRowI8Sse2(const float* row, size_t dim, int8_t* q,
   *scale = max_abs / 127.0f;
 }
 
+// Dense layer, vectorized across rows: a tile of K outputs x V 2-lane
+// vectors. Each weight broadcast feeds V vectors and each x load feeds K
+// outputs; every lane still runs the scalar chain (0.0, then + w * x in
+// increasing i with separate multiply and add, then bias + sum). The
+// `partial` tile covers a single trailing lane: _mm_load_sd zeroes the
+// unused lane and _mm_store_sd writes only the live one. `w`, `bias` and
+// `out` point at the tile's first output. The unroll pragmas keep the
+// accumulator array in registers; without them GCC spills it on every
+// iteration.
+template <size_t K, size_t V, bool kPartial>
+inline void DenseTileSse2(const double* w, const double* bias, size_t in_dim,
+                          const double* x, size_t lanes, size_t lane,
+                          bool relu, double* out) {
+  __m128d acc[K][V];
+#pragma GCC unroll 4
+  for (size_t k = 0; k < K; ++k) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) acc[k][v] = _mm_setzero_pd();
+  }
+  for (size_t i = 0; i < in_dim; ++i) {
+    const double* xi = x + i * lanes + lane;
+    __m128d xv[V];
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) {
+      xv[v] = kPartial ? _mm_load_sd(xi) : _mm_loadu_pd(xi + 2 * v);
+    }
+#pragma GCC unroll 4
+    for (size_t k = 0; k < K; ++k) {
+      const __m128d wk = _mm_set1_pd(w[k * in_dim + i]);
+#pragma GCC unroll 4
+      for (size_t v = 0; v < V; ++v) {
+        acc[k][v] = _mm_add_pd(acc[k][v], _mm_mul_pd(wk, xv[v]));
+      }
+    }
+  }
+  const __m128d zero = _mm_setzero_pd();
+#pragma GCC unroll 4
+  for (size_t k = 0; k < K; ++k) {
+    const __m128d b = _mm_set1_pd(bias[k]);
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) {
+      __m128d cell = _mm_add_pd(b, acc[k][v]);
+      // maxpd returns its second operand unless the first is greater,
+      // so -0.0 and NaN map to +0.0 exactly like std::max(0.0, cell).
+      if (relu) cell = _mm_max_pd(cell, zero);
+      double* dst = out + k * lanes + lane + 2 * v;
+      if (kPartial) {
+        _mm_store_sd(dst, cell);
+      } else {
+        _mm_storeu_pd(dst, cell);
+      }
+    }
+  }
+}
+
+template <size_t K>
+void DenseOutputsSse2(const double* w, const double* bias, size_t in_dim,
+                      const double* x, size_t lanes, bool relu, double* out) {
+  size_t lane = 0;
+  for (; lane + 4 <= lanes; lane += 4) {
+    DenseTileSse2<K, 2, false>(w, bias, in_dim, x, lanes, lane, relu, out);
+  }
+  for (; lane + 2 <= lanes; lane += 2) {
+    DenseTileSse2<K, 1, false>(w, bias, in_dim, x, lanes, lane, relu, out);
+  }
+  if (lane < lanes) {
+    DenseTileSse2<K, 1, true>(w, bias, in_dim, x, lanes, lane, relu, out);
+  }
+}
+
+void DenseF64Sse2(const double* w, const double* bias, size_t in_dim,
+                  size_t out_dim, const double* x, size_t lanes, bool relu,
+                  double* out) {
+  size_t o = 0;
+  for (; o + 4 <= out_dim; o += 4) {
+    DenseOutputsSse2<4>(w + o * in_dim, bias + o, in_dim, x, lanes, relu,
+                        out + o * lanes);
+  }
+  for (; o < out_dim; ++o) {
+    DenseOutputsSse2<1>(w + o * in_dim, bias + o, in_dim, x, lanes, relu,
+                        out + o * lanes);
+  }
+}
+
 const KernelTable kSse2Table = {
     DotF32Sse2,  DotF64Sse2,   SqDistF64Sse2, AxpyF32Sse2,
     AxpyF64Sse2, ScaleF32Sse2, ScaleF64Sse2,
-    DotI8Sse2,   QuantizeRowI8Sse2,
+    DotI8Sse2,   QuantizeRowI8Sse2, DenseF64Sse2,
 };
 
 }  // namespace

@@ -40,20 +40,6 @@ void Normalize(Vec* a) {
   Scale(1.0 / norm, a);
 }
 
-Vec MeanOf(const Vec& a, const Vec& b) {
-  WYM_CHECK_EQ(a.size(), b.size());
-  Vec out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = 0.5f * (a[i] + b[i]);
-  return out;
-}
-
-Vec AbsDiff(const Vec& a, const Vec& b) {
-  WYM_CHECK_EQ(a.size(), b.size());
-  Vec out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = std::fabs(a[i] - b[i]);
-  return out;
-}
-
 Vec Zeros(size_t dim) { return Vec(dim, 0.0f); }
 
 bool IsZero(const Vec& a) {

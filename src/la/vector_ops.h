@@ -38,12 +38,6 @@ void Scale(double factor, Vec* a);
 /// Normalizes to unit length in place; leaves an all-zero vector untouched.
 void Normalize(Vec* a);
 
-/// Element-wise mean of two vectors.
-Vec MeanOf(const Vec& a, const Vec& b);
-
-/// Element-wise absolute difference.
-Vec AbsDiff(const Vec& a, const Vec& b);
-
 /// All-zero vector of the given dimension (the paper's [UNP] embedding).
 Vec Zeros(size_t dim);
 

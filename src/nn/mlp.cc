@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "la/kernels.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -46,10 +47,8 @@ double Mlp::Forward(const std::vector<double>& row,
                     std::vector<std::vector<double>>* activations) const {
   WYM_CHECK_EQ(row.size(), input_dim_);
   std::vector<double> current = row;
-  if (activations) {
-    activations->clear();
-    activations->push_back(current);
-  }
+  activations->clear();
+  activations->push_back(current);
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     std::vector<double> next(layer.bias);
@@ -64,7 +63,7 @@ double Mlp::Forward(const std::vector<double>& row,
       for (double& v : next) v = std::max(0.0, v);  // ReLU
     }
     current = std::move(next);
-    if (activations) activations->push_back(current);
+    activations->push_back(current);
   }
   WYM_CHECK_EQ(current.size(), 1u);
   return current[0];
@@ -191,24 +190,72 @@ bool Mlp::Load(serde::Deserializer* d) {
   const uint64_t n_layers = d->U64();
   if (!d->ok() || n_layers > 64) return false;
   layers_.assign(n_layers, {});
+  // Each layer must consume the previous layer's width and the network
+  // must end in one output: PredictRows trusts this topology.
+  size_t width = input_dim_;
   for (Layer& layer : layers_) {
     if (!layer.weights.Load(d)) return false;
     layer.bias = d->VecF64();
-    if (!d->ok() || layer.bias.size() != layer.weights.rows()) return false;
+    if (!d->ok() || layer.bias.size() != layer.weights.rows() ||
+        layer.weights.cols() != width) {
+      return false;
+    }
+    width = layer.weights.rows();
   }
+  if (fitted_ && (layers_.empty() || width != 1)) return false;
   return d->ok();
 }
 
-double Mlp::Predict(const std::vector<double>& row) const {
+void Mlp::PredictRows(const double* x, size_t n, double* out) const {
   WYM_CHECK(fitted_) << "Mlp used before Fit";
-  double out = Forward(row, nullptr);
-  if (options_.clamp_output) out = std::clamp(out, -1.0, 1.0);
+  WYM_CHECK(!layers_.empty() && layers_.back().weights.rows() == 1)
+      << "Mlp needs a single-output last layer";
+  if (n == 0) return;
+  // Layer l reads one activation buffer and writes the other, so buffer
+  // `a` holds the input and the odd layers' outputs, `b` the even ones'.
+  size_t a_width = input_dim_;
+  size_t b_width = 0;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    size_t& width = (l % 2 == 0) ? b_width : a_width;
+    width = std::max(width, layers_[l].weights.rows());
+  }
+  const size_t block = std::min(n, kBlockRows);
+  std::vector<double> scratch((a_width + b_width) * block);
+  for (size_t start = 0; start < n; start += block) {
+    const size_t lanes = std::min(block, n - start);
+    double* current = scratch.data();
+    double* next = current + a_width * block;
+    for (size_t r = 0; r < lanes; ++r) {
+      const double* row = x + (start + r) * input_dim_;
+      for (size_t i = 0; i < input_dim_; ++i) current[i * lanes + r] = row[i];
+    }
+    for (size_t l = 0; l < layers_.size(); ++l) {
+      const Layer& layer = layers_[l];
+      const bool is_output = (l + 1 == layers_.size());
+      la::kernels::DenseLayer(layer.weights.data().data(), layer.bias.data(),
+                              layer.weights.cols(), layer.weights.rows(),
+                              current, lanes, /*relu=*/!is_output, next);
+      std::swap(current, next);
+    }
+    for (size_t r = 0; r < lanes; ++r) {
+      out[start + r] = options_.clamp_output
+                           ? std::clamp(current[r], -1.0, 1.0)
+                           : current[r];
+    }
+  }
+}
+
+double Mlp::Predict(const std::vector<double>& row) const {
+  WYM_CHECK_EQ(row.size(), input_dim_);
+  double out = 0.0;
+  PredictRows(row.data(), 1, &out);
   return out;
 }
 
 std::vector<double> Mlp::PredictBatch(const la::Matrix& x) const {
+  WYM_CHECK_EQ(x.cols(), input_dim_);
   std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) out[r] = Predict(x.RowVector(r));
+  PredictRows(x.data().data(), x.rows(), out.data());
   return out;
 }
 

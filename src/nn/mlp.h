@@ -1,6 +1,7 @@
 #ifndef WYM_NN_MLP_H_
 #define WYM_NN_MLP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +41,20 @@ class Mlp {
   /// Requires x.rows() == y.size() and x.rows() > 0.
   void Fit(const la::Matrix& x, const std::vector<double>& y);
 
+  /// Rows PredictRows runs through the network together: one AVX2
+  /// register tile of lanes, small enough that a block's activations
+  /// (under 14 KB for the relevance scorer) stay in L1.
+  static constexpr size_t kBlockRows = 8;
+
+  /// Predicts `n` rows at once: `x` holds n row-major rows of
+  /// input_dim() values, `out` receives n predictions. Rows run in
+  /// blocks through every layer in the lane-interleaved layout of
+  /// la::kernels::DenseLayer, whose per-row arithmetic is the plain
+  /// scalar forward pass — so each output is bit-identical to predicting
+  /// its row alone, at every SIMD level and every n. The one inference
+  /// path: Predict and PredictBatch wrap it.
+  void PredictRows(const double* x, size_t n, double* out) const;
+
   /// Predicts a scalar for one feature row (size = input dim).
   double Predict(const std::vector<double>& row) const;
 
@@ -61,7 +76,9 @@ class Mlp {
     std::vector<double> bias;  // out
   };
 
-  /// Forward pass; fills per-layer activations (post-ReLU, last = linear).
+  /// Training forward pass; fills `activations` with each layer's input
+  /// and the final output (post-ReLU, last = linear). Inference goes
+  /// through PredictRows.
   double Forward(const std::vector<double>& row,
                  std::vector<std::vector<double>>* activations) const;
 

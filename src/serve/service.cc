@@ -100,6 +100,13 @@ MatcherService::MatcherService(ModelRegistry* registry,
       pool_(pool),
       cache_(options_.cache_entries) {}
 
+MatcherService::~MatcherService() {
+  // The caller may hold its answer while the task that sent it still
+  // updates the in-flight set, histograms and journal.
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return dispatched_ == 0; });
+}
+
 uint64_t MatcherService::Now() const {
   return options_.now_ns ? options_.now_ns() : obs::NowNanos();
 }
@@ -274,7 +281,16 @@ Status MatcherService::Admit(Request request, Responder responder) {
   if (options_.auto_dispatch) {
     util::ThreadPool& pool =
         pool_ != nullptr ? *pool_ : util::ThreadPool::Global();
-    pool.Submit([this] { ProcessOne(); });
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++dispatched_;
+    }
+    pool.Submit([this] {
+      ProcessOne();
+      std::lock_guard<std::mutex> lock(mu_);
+      --dispatched_;
+      idle_cv_.notify_all();
+    });
   }
   return Status::Ok();
 }

@@ -96,6 +96,10 @@ class MatcherService {
   MatcherService(ModelRegistry* registry, ServiceOptions options,
                  util::ThreadPool* pool = nullptr);
 
+  /// Waits for every auto-dispatched task to return: a task still
+  /// touches the service after its response is out.
+  ~MatcherService();
+
   MatcherService(const MatcherService&) = delete;
   MatcherService& operator=(const MatcherService&) = delete;
 
@@ -212,6 +216,8 @@ class MatcherService {
   std::deque<StatePtr> queue_;
   /// Dequeued, still executing (watchdog scan set).
   std::vector<StatePtr> in_flight_;
+  /// Auto-dispatched ProcessOne tasks submitted and not yet returned.
+  size_t dispatched_ = 0;
   bool draining_ = false;
 };
 

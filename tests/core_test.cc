@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "core/decision_unit.h"
@@ -11,6 +12,7 @@
 #include "core/unit_generator.h"
 #include "data/benchmark_gen.h"
 #include "embedding/semantic_encoder.h"
+#include "la/kernels.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
 
@@ -358,6 +360,62 @@ TEST(RelevanceScorerTest, NeuralScorerLearnsPairedVsUnpaired) {
       EXPECT_LT(non_match_scores[u], 0.0);
     }
   }
+}
+
+TEST(RelevanceScorerTest, BatchedScoreBitIdenticalToPerUnitPredict) {
+  // Score runs all units of a record through one batched PredictRows
+  // pass; every score must equal the one-unit-at-a-time prediction on
+  // the unit's feature row, at every SIMD level.
+  using la::kernels::SimdLevel;
+  const SimdLevel ambient = la::kernels::ActiveSimdLevel();
+  const DecisionUnitGenerator generator;
+  for (const char* id : {"S-FZ", "T-AB"}) {
+    SCOPED_TRACE(id);
+    const data::Dataset dataset = data::GenerateById(id, 5, 0.1);
+    std::vector<std::vector<std::string>> corpus;
+    std::vector<TokenizedRecord> records;
+    for (const auto& raw : dataset.records) {
+      TokenizedRecord record =
+          TokenizeRecord(raw, dataset.schema, TestTokenizer());
+      record.label = raw.label;
+      corpus.push_back(record.left.tokens);
+      corpus.push_back(record.right.tokens);
+      records.push_back(std::move(record));
+    }
+    const embedding::SemanticEncoder encoder = MakeEncoder(corpus);
+    std::vector<std::vector<DecisionUnit>> units;
+    for (auto& record : records) {
+      EncodeEntity(encoder, &record.left);
+      EncodeEntity(encoder, &record.right);
+      units.push_back(
+          generator.Generate(record.left, record.right, dataset.schema.size()));
+    }
+    RelevanceScorerOptions options;
+    options.mlp.epochs = 2;
+    RelevanceScorer scorer(options);
+    scorer.Fit(records, units);
+    ASSERT_TRUE(scorer.mlp().fitted());
+
+    size_t scored = 0;
+    for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSse2,
+                            SimdLevel::kAvx2}) {
+      if (level > la::kernels::DetectedSimdLevel()) continue;
+      la::kernels::SetSimdLevel(level);
+      for (size_t r = 0; r < records.size(); r += 3) {
+        const std::vector<double> scores = scorer.Score(records[r], units[r]);
+        ASSERT_EQ(scores.size(), units[r].size());
+        for (size_t u = 0; u < units[r].size(); ++u) {
+          const double single = scorer.mlp().Predict(
+              RelevanceScorer::UnitFeatures(records[r], units[r][u]));
+          EXPECT_EQ(std::memcmp(&scores[u], &single, sizeof(double)), 0)
+              << "record " << r << " unit " << u;
+          ++scored;
+        }
+      }
+    }
+    EXPECT_GT(scored, 100u);
+  }
+  la::kernels::SetSimdLevel(ambient);
 }
 
 TEST(RelevanceScorerTest, BinaryAndCosineVariants) {

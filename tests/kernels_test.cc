@@ -11,10 +11,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -205,6 +208,106 @@ TEST(KernelParityTest, SimilarityMatrixBitIdenticalAcrossLevels) {
     la::kernels::SimilarityMatrix(a.data(), rows_a, b.data(), rows_b, dim,
                                   out.data());
     EXPECT_EQ(reference, out);
+  }
+}
+
+// --- Lane-interleaved dense layer ------------------------------------
+
+/// One (output, lane) cell of DenseLayer the plain way: a sequential
+/// chain from 0.0 in input order, then bias + sum, then ReLU.
+double ReferenceDenseCell(const std::vector<double>& w,
+                          const std::vector<double>& bias,
+                          const std::vector<double>& x, size_t in_dim,
+                          size_t lanes, size_t o, size_t r, bool relu) {
+  double sum = 0.0;
+  for (size_t i = 0; i < in_dim; ++i) {
+    sum += w[o * in_dim + i] * x[i * lanes + r];
+  }
+  const double cell = bias[o] + sum;
+  return relu ? std::max(0.0, cell) : cell;
+}
+
+TEST(KernelParityTest, DenseLayerBitIdenticalToScalarChainAtEveryLevel) {
+  // Input widths: empty, pure tails, and the relevance-scorer layer
+  // shapes (144 -> 64 -> 32 -> 1); output counts around the 4-output
+  // register tile; lane counts around the 2-, 4- and 8-lane vectors.
+  const size_t in_dims[] = {0, 1, 3, 17, 144};
+  const size_t out_dims[] = {1, 3, 4, 5, 9, 32};
+  const size_t lane_counts[] = {1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 39};
+  Rng rng(0xDE45E);
+  for (size_t in_dim : in_dims) {
+    for (size_t out_dim : out_dims) {
+      const std::vector<double> w = RandomF64(&rng, out_dim * in_dim);
+      const std::vector<double> bias = RandomF64(&rng, out_dim);
+      for (size_t lanes : lane_counts) {
+        std::vector<double> x = RandomF64(&rng, in_dim * lanes);
+        // Signed zeros and a NaN: ReLU must give +0.0 for -0.0, 0.0 and
+        // NaN cells, exactly like std::max(0.0, v).
+        if (!x.empty()) x[0] = -0.0;
+        if (x.size() > 2) x[2] = std::numeric_limits<double>::quiet_NaN();
+        for (bool relu : {false, true}) {
+          std::vector<double> reference(out_dim * lanes);
+          for (size_t o = 0; o < out_dim; ++o) {
+            for (size_t r = 0; r < lanes; ++r) {
+              reference[o * lanes + r] = ReferenceDenseCell(
+                  w, bias, x, in_dim, lanes, o, r, relu);
+            }
+          }
+          for (SimdLevel level : AvailableLevels()) {
+            ScopedSimdLevel guard(level);
+            SCOPED_TRACE(testing::Message()
+                         << "in=" << in_dim << " out=" << out_dim
+                         << " lanes=" << lanes << " relu=" << relu
+                         << " level=" << la::kernels::SimdLevelName(level));
+            // One spare slot past the block: the kernel must not touch it.
+            std::vector<double> out(out_dim * lanes + 1, 42.0);
+            la::kernels::DenseLayer(w.data(), bias.data(), in_dim, out_dim,
+                                    x.data(), lanes, relu, out.data());
+            EXPECT_EQ(out.back(), 42.0);
+            for (size_t c = 0; c < reference.size(); ++c) {
+              if (std::isnan(reference[c])) {
+                EXPECT_TRUE(std::isnan(out[c])) << "cell " << c;
+              } else {
+                EXPECT_EQ(std::memcmp(&reference[c], &out[c], sizeof(double)),
+                          0)
+                    << "cell " << c << ": " << reference[c] << " vs "
+                    << out[c];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, DenseLayerRowIndependentOfBlockPosition) {
+  // A row gives the same bits alone (lanes = 1) as at any position of a
+  // wider interleaved block.
+  const size_t in_dim = 144, out_dim = 64, lanes = 39;
+  Rng rng(0x1A4E);
+  const std::vector<double> w = RandomF64(&rng, out_dim * in_dim);
+  const std::vector<double> bias = RandomF64(&rng, out_dim);
+  const std::vector<double> x = RandomF64(&rng, in_dim * lanes);
+  for (SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel guard(level);
+    SCOPED_TRACE(la::kernels::SimdLevelName(level));
+    std::vector<double> block(out_dim * lanes);
+    la::kernels::DenseLayer(w.data(), bias.data(), in_dim, out_dim, x.data(),
+                            lanes, /*relu=*/true, block.data());
+    for (size_t r = 0; r < lanes; ++r) {
+      std::vector<double> row(in_dim);
+      for (size_t i = 0; i < in_dim; ++i) row[i] = x[i * lanes + r];
+      std::vector<double> single(out_dim);
+      la::kernels::DenseLayer(w.data(), bias.data(), in_dim, out_dim,
+                              row.data(), 1, /*relu=*/true, single.data());
+      for (size_t o = 0; o < out_dim; ++o) {
+        EXPECT_EQ(std::memcmp(&block[o * lanes + r], &single[o],
+                              sizeof(double)),
+                  0)
+            << "row " << r << " output " << o;
+      }
+    }
   }
 }
 

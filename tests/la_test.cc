@@ -31,15 +31,6 @@ TEST(VectorOpsTest, AxpyScaleNormalize) {
   EXPECT_TRUE(IsZero(zero));
 }
 
-TEST(VectorOpsTest, MeanAndAbsDiffAreSymmetric) {
-  const Vec a = {1.0f, -2.0f};
-  const Vec b = {3.0f, 2.0f};
-  EXPECT_EQ(MeanOf(a, b), MeanOf(b, a));
-  EXPECT_EQ(AbsDiff(a, b), AbsDiff(b, a));
-  EXPECT_FLOAT_EQ(MeanOf(a, b)[0], 2.0f);
-  EXPECT_FLOAT_EQ(AbsDiff(a, b)[1], 4.0f);
-}
-
 TEST(MatrixTest, MultiplyKnown) {
   Matrix a(2, 3);
   Matrix b(3, 2);

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <vector>
 
+#include "la/kernels.h"
 #include "nn/mlp.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace wym::nn {
 namespace {
@@ -126,6 +133,239 @@ TEST(MlpTest, PaperTopologyTrains) {
     if ((mlp.Predict(x.RowVector(i)) > 0) == (y[i] > 0)) ++correct;
   }
   EXPECT_GT(correct, 55u);
+}
+
+// --- Batched inference: PredictRows vs the scalar forward pass ---
+//
+// The nn suite is re-run by ctest with WYM_SIMD=off and WYM_SIMD=sse2
+// (see tests/CMakeLists.txt); the tests below also sweep every level
+// through SetSimdLevel.
+
+using la::kernels::SimdLevel;
+
+std::vector<SimdLevel> AvailableLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  const SimdLevel detected = la::kernels::DetectedSimdLevel();
+  if (detected >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
+  if (detected >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  return levels;
+}
+
+/// Restores the ambient dispatch level when a test body returns.
+class ScopedSimdLevel {
+ public:
+  ScopedSimdLevel() : previous_(la::kernels::ActiveSimdLevel()) {}
+  ~ScopedSimdLevel() { la::kernels::SetSimdLevel(previous_); }
+
+ private:
+  SimdLevel previous_;
+};
+
+struct DenseLayerSpec {
+  la::Matrix weights;  // out x in
+  std::vector<double> bias;
+};
+
+/// Builds a network with the given weights through the model-file path.
+Mlp NetworkFromLayers(size_t input_dim,
+                      const std::vector<DenseLayerSpec>& layers, bool clamp) {
+  std::stringstream stream;
+  serde::Serializer s(&stream);
+  s.Tag("mlp/v1");
+  s.Bool(true);
+  s.Bool(clamp);
+  s.U64(input_dim);
+  s.U64(layers.size());
+  for (const DenseLayerSpec& layer : layers) {
+    layer.weights.Save(&s);
+    s.VecF64(layer.bias);
+  }
+  Mlp mlp;
+  serde::Deserializer d(&stream);
+  EXPECT_TRUE(mlp.Load(&d));
+  return mlp;
+}
+
+/// Reads a network's layers back out of its serialized form.
+std::vector<DenseLayerSpec> LayersOf(const Mlp& mlp, bool* clamp) {
+  std::stringstream stream;
+  serde::Serializer s(&stream);
+  mlp.Save(&s);
+  serde::Deserializer d(&stream);
+  EXPECT_TRUE(d.Tag("mlp/v1"));
+  EXPECT_TRUE(d.Bool());
+  *clamp = d.Bool();
+  d.U64();  // input dim
+  std::vector<DenseLayerSpec> layers(d.U64());
+  for (DenseLayerSpec& layer : layers) {
+    EXPECT_TRUE(layer.weights.Load(&d));
+    layer.bias = d.VecF64();
+  }
+  EXPECT_TRUE(d.ok());
+  return layers;
+}
+
+/// The unbatched scalar forward pass, written out independently of the
+/// library: per output, sum from 0.0 in input order, then bias + sum,
+/// ReLU as std::max(0.0, v) on hidden layers, optional final clamp.
+double ReferencePredict(const std::vector<DenseLayerSpec>& layers, bool clamp,
+                        const double* row, size_t input_dim) {
+  std::vector<double> current(row, row + input_dim);
+  for (size_t l = 0; l < layers.size(); ++l) {
+    const DenseLayerSpec& layer = layers[l];
+    std::vector<double> next(layer.bias);
+    for (size_t o = 0; o < layer.weights.rows(); ++o) {
+      double sum = 0.0;
+      for (size_t i = 0; i < current.size(); ++i) {
+        sum += layer.weights.At(o, i) * current[i];
+      }
+      next[o] += sum;
+      if (l + 1 < layers.size()) next[o] = std::max(0.0, next[o]);
+    }
+    current = std::move(next);
+  }
+  return clamp ? std::clamp(current[0], -1.0, 1.0) : current[0];
+}
+
+la::Matrix RandomRows(Rng* rng, size_t n, size_t dim) {
+  la::Matrix x(n, dim);
+  for (double& v : x.data()) v = rng->Uniform(-1.5, 1.5);
+  return x;
+}
+
+// Row counts cover the empty batch, pure tails, one vector, vector +
+// tail, and a T-AB-sized record spread over several blocks.
+const size_t kRowCounts[] = {0, 1, 3, 4, 5, 37};
+
+TEST(MlpPredictRowsTest, BitIdenticalToPredictAndScalarReference) {
+  ScopedSimdLevel guard;
+  Rng rng(21);
+  // Hidden widths that are not multiples of the 4-output register tile.
+  MlpOptions options = SmallOptions();
+  options.hidden = {13, 6};
+  options.epochs = 5;
+  options.clamp_output = true;
+  const la::Matrix train = RandomRows(&rng, 64, 11);
+  std::vector<double> y(64);
+  for (double& v : y) v = rng.Uniform(-2.0, 2.0);
+  Mlp mlp(options);
+  mlp.Fit(train, y);
+  bool clamp = false;
+  const std::vector<DenseLayerSpec> layers = LayersOf(mlp, &clamp);
+  ASSERT_TRUE(clamp);
+
+  const la::Matrix x = RandomRows(&rng, 37, 11);
+  std::vector<double> reference(x.rows());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    reference[r] = ReferencePredict(layers, clamp, x.Row(r), x.cols());
+  }
+  for (SimdLevel level : AvailableLevels()) {
+    la::kernels::SetSimdLevel(level);
+    for (size_t n : kRowCounts) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " level="
+                                      << la::kernels::SimdLevelName(level));
+      std::vector<double> batched(n + 1, 42.0);
+      mlp.PredictRows(x.data().data(), n, batched.data());
+      EXPECT_EQ(batched[n], 42.0);  // Nothing written past n.
+      for (size_t r = 0; r < n; ++r) {
+        const double single = mlp.Predict(x.RowVector(r));
+        EXPECT_EQ(std::memcmp(&batched[r], &single, sizeof(double)), 0)
+            << "row " << r;
+        EXPECT_EQ(std::memcmp(&batched[r], &reference[r], sizeof(double)), 0)
+            << "row " << r;
+      }
+    }
+  }
+}
+
+TEST(MlpPredictRowsTest, ZerosNanAndClampMatchScalarReference) {
+  ScopedSimdLevel guard;
+  // Hidden layer of 5 units over 3 inputs:
+  //   unit 0: bias -0.0, zero weights -> pre-ReLU sum of +-0.0 products;
+  //   unit 1: products cancel exactly (x0 == x1 rows) -> exact 0.0;
+  //   unit 2: always negative -> clamped to 0 by ReLU;
+  //   units 3-4: large positive weights -> big activations.
+  la::Matrix w1(5, 3, 0.0);
+  w1.At(1, 0) = 1.0;
+  w1.At(1, 1) = -1.0;
+  w1.At(2, 2) = -1.0;
+  w1.At(3, 0) = 7.0;
+  w1.At(3, 2) = 3.0;
+  w1.At(4, 1) = 9.0;
+  const std::vector<double> b1 = {-0.0, 0.0, -1.0, 0.5, 0.25};
+  // Output over the hidden layer: large weights push most rows past the
+  // [-1, 1] clamp in both directions.
+  la::Matrix w2(1, 5, 0.0);
+  w2.At(0, 0) = 3.0;
+  w2.At(0, 1) = -2.0;
+  w2.At(0, 2) = 5.0;
+  w2.At(0, 3) = 1.0;
+  w2.At(0, 4) = -1.0;
+  const std::vector<DenseLayerSpec> layers = {{w1, b1}, {w2, {-0.0}}};
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  la::Matrix x(37, 3);
+  Rng rng(8);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const double v = rng.Uniform(-2.0, 2.0);
+    x.At(r, 0) = v;
+    x.At(r, 1) = (r % 3 == 0) ? v : rng.Uniform(-2.0, 2.0);
+    x.At(r, 2) = (r % 5 == 0) ? -0.0 : rng.Uniform(-2.0, 2.0);
+  }
+  x.At(6, 2) = nan;  // NaN pre-activation: ReLU must map it to +0.0.
+  x.At(7, 0) = 0.0;
+  x.At(7, 1) = -0.0;
+  x.At(7, 2) = 0.0;
+
+  for (bool clamp : {false, true}) {
+    const Mlp mlp = NetworkFromLayers(3, layers, clamp);
+    std::vector<double> reference(x.rows());
+    size_t clamped = 0;
+    for (size_t r = 0; r < x.rows(); ++r) {
+      reference[r] = ReferencePredict(layers, clamp, x.Row(r), x.cols());
+      if (clamp && std::fabs(reference[r]) == 1.0) ++clamped;
+    }
+    if (clamp) {
+      EXPECT_GT(clamped, 5u);  // The clamp path is really exercised.
+    }
+    for (SimdLevel level : AvailableLevels()) {
+      la::kernels::SetSimdLevel(level);
+      for (size_t n : kRowCounts) {
+        SCOPED_TRACE(testing::Message()
+                     << "clamp=" << clamp << " n=" << n << " level="
+                     << la::kernels::SimdLevelName(level));
+        std::vector<double> batched(n);
+        mlp.PredictRows(x.data().data(), n, batched.data());
+        for (size_t r = 0; r < n; ++r) {
+          EXPECT_EQ(std::memcmp(&batched[r], &reference[r], sizeof(double)),
+                    0)
+              << "row " << r << ": " << batched[r] << " vs " << reference[r];
+          const double single = mlp.Predict(x.RowVector(r));
+          EXPECT_EQ(std::memcmp(&batched[r], &single, sizeof(double)), 0)
+              << "row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(MlpPredictRowsTest, LoadRejectsBrokenTopology) {
+  la::Matrix w1(4, 3, 0.1);
+  la::Matrix w2(1, 5, 0.1);  // Expects 5 inputs, layer 1 gives 4.
+  std::stringstream stream;
+  serde::Serializer s(&stream);
+  s.Tag("mlp/v1");
+  s.Bool(true);
+  s.Bool(true);
+  s.U64(3);
+  s.U64(2);
+  w1.Save(&s);
+  s.VecF64(std::vector<double>(4, 0.0));
+  w2.Save(&s);
+  s.VecF64({0.0});
+  Mlp mlp;
+  serde::Deserializer d(&stream);
+  EXPECT_FALSE(mlp.Load(&d));
 }
 
 }  // namespace

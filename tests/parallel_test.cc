@@ -178,6 +178,24 @@ TEST_F(BatchDeterminismTest, PredictProbaBatchBitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// Asserts two explanations carry the same bits.
+void ExpectSameExplanation(const core::Explanation& a,
+                           const core::Explanation& b) {
+  EXPECT_EQ(a.prediction, b.prediction);
+  EXPECT_EQ(std::memcmp(&a.probability, &b.probability, sizeof(double)), 0);
+  ASSERT_EQ(a.units.size(), b.units.size());
+  for (size_t u = 0; u < a.units.size(); ++u) {
+    EXPECT_EQ(std::memcmp(&a.units[u].relevance, &b.units[u].relevance,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(
+        std::memcmp(&a.units[u].impact, &b.units[u].impact, sizeof(double)),
+        0);
+    EXPECT_EQ(a.units[u].unit.left.token, b.units[u].unit.left.token);
+    EXPECT_EQ(a.units[u].unit.right.token, b.units[u].unit.right.token);
+  }
+}
+
 TEST_F(BatchDeterminismTest, ExplainBatchBitIdenticalAcrossThreadCounts) {
   util::ThreadPool one(1), eight(8);
   const std::vector<core::Explanation> e1 =
@@ -187,22 +205,22 @@ TEST_F(BatchDeterminismTest, ExplainBatchBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(e1.size(), split_->test.size());
   ASSERT_EQ(e1.size(), e8.size());
   for (size_t i = 0; i < e1.size(); ++i) {
-    EXPECT_EQ(e1[i].prediction, e8[i].prediction);
-    EXPECT_EQ(std::memcmp(&e1[i].probability, &e8[i].probability,
-                          sizeof(double)),
-              0);
-    ASSERT_EQ(e1[i].units.size(), e8[i].units.size());
-    for (size_t u = 0; u < e1[i].units.size(); ++u) {
-      EXPECT_EQ(std::memcmp(&e1[i].units[u].relevance,
-                            &e8[i].units[u].relevance, sizeof(double)),
-                0);
-      EXPECT_EQ(std::memcmp(&e1[i].units[u].impact, &e8[i].units[u].impact,
-                            sizeof(double)),
-                0);
-      EXPECT_EQ(e1[i].units[u].unit.left.token, e8[i].units[u].unit.left.token);
-      EXPECT_EQ(e1[i].units[u].unit.right.token,
-                e8[i].units[u].unit.right.token);
-    }
+    SCOPED_TRACE(testing::Message() << "record " << i);
+    ExpectSameExplanation(e1[i], e8[i]);
+  }
+}
+
+TEST_F(BatchDeterminismTest, ExplainBatchEqualsPerRecordExplain) {
+  // The batch path prepares each record once and explains the prepared
+  // record; the per-record Explain prepares its own. Same bits.
+  util::ThreadPool four(4);
+  const std::vector<core::Explanation> batch =
+      model_->ExplainBatch(split_->test, &four);
+  ASSERT_EQ(batch.size(), split_->test.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "record " << i);
+    ExpectSameExplanation(batch[i],
+                          model_->Explain(split_->test.records[i]));
   }
 }
 

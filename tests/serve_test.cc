@@ -19,6 +19,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -31,6 +33,7 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs/trace.h"
 #include "obs/window.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_cache.h"
@@ -646,6 +649,38 @@ TEST_F(ServiceTest, DebugOpsAreGatedByDefault) {
   const Status status = service.Admit(sleep_request, log.Sink());
   EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
   EXPECT_EQ(log.size(), 1u);  // Still answered, with the typed error.
+}
+
+TEST_F(ServiceTest, DestructorWaitsForDispatchedTaskAfterItsAnswer) {
+  // A dispatched task reads the service clock again after its response
+  // is out. The clock stalls there, so a caller that destroys the
+  // service as soon as it has the answer races the task's tail.
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadModel("default", suite_->model_path).ok());
+  util::ThreadPool pool(2);
+  std::atomic<bool> answered{false};
+  std::atomic<bool> tail_done{false};
+  {
+    ServiceOptions options;
+    options.now_ns = [&answered, &tail_done] {
+      if (answered.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        tail_done.store(true);
+      }
+      return obs::NowNanos();
+    };
+    MatcherService service(&registry, options, &pool);
+    std::promise<void> got;
+    ASSERT_TRUE(service
+                    .Admit(PredictRequest(0, "tail"),
+                           [&answered, &got](const Response&) {
+                             answered.store(true);
+                             got.set_value();
+                           })
+                    .ok());
+    got.get_future().wait();
+  }
+  EXPECT_TRUE(tail_done.load());
 }
 
 TEST_F(ServiceTest, WatchdogConvertsWedgedWorkerIntoTypedError) {
