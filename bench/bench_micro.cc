@@ -136,86 +136,8 @@ void BM_SimilarityMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityMatrix)->Range(4, 64)->Complexity();
 
-/// Random unit rows packed then quantized — the int8 benches' shared
-/// input shape.
-struct QuantizedBenchRows {
-  std::vector<int8_t> q;
-  std::vector<float> scales;
-};
-
-QuantizedBenchRows MakeQuantizedRows(Rng* rng, size_t rows, size_t dim) {
-  std::vector<la::Vec> source(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    source[i].resize(dim);
-    for (size_t j = 0; j < dim; ++j) {
-      source[i][j] = static_cast<float>(rng->Uniform(-1, 1));
-    }
-  }
-  la::Vec packed;
-  core::PackUnitRows(source, &packed, nullptr);
-  QuantizedBenchRows out;
-  core::QuantizeUnitRows(packed.data(), rows, dim, &out.q, &out.scales);
-  return out;
-}
-
-void BM_DotI8(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(11);
-  const QuantizedBenchRows a = MakeQuantizedRows(&rng, 1, n);
-  const QuantizedBenchRows b = MakeQuantizedRows(&rng, 1, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::kernels::DotI8(
-        a.q.data(), b.q.data(), n, a.scales[0], b.scales[0]));
-  }
-}
-BENCHMARK(BM_DotI8)->Arg(48)->Arg(72)->Arg(256);
-
-void BM_QuantizeRows(benchmark::State& state) {
-  // Encode-time cost of the int8 cache: quantizing one record's packed
-  // unit rows.
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const size_t dim = 72;
-  Rng rng(13);
-  std::vector<la::Vec> source(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    source[i].resize(dim);
-    for (size_t j = 0; j < dim; ++j) {
-      source[i][j] = static_cast<float>(rng.Uniform(-1, 1));
-    }
-  }
-  la::Vec packed;
-  core::PackUnitRows(source, &packed, nullptr);
-  std::vector<int8_t> q(rows * dim);
-  std::vector<float> scales(rows);
-  for (auto _ : state) {
-    la::kernels::QuantizeRowsI8(packed.data(), rows, dim, q.data(),
-                                scales.data());
-    benchmark::DoNotOptimize(q.data());
-  }
-}
-BENCHMARK(BM_QuantizeRows)->Arg(64);
-
-void BM_SimilarityMatrixI8(benchmark::State& state) {
-  // Mirror of BM_SimilarityMatrix (same row counts, dim 72) over the
-  // quantized rows, so the /N names align for fp-vs-int8 comparison.
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const size_t dim = 72;
-  Rng rng(13);
-  const QuantizedBenchRows left = MakeQuantizedRows(&rng, rows, dim);
-  const QuantizedBenchRows right = MakeQuantizedRows(&rng, rows, dim);
-  std::vector<double> out(rows * rows);
-  for (auto _ : state) {
-    la::kernels::SimilarityMatrixI8(left.q.data(), rows, left.scales.data(),
-                                    right.q.data(), rows, right.scales.data(),
-                                    dim, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetComplexityN(static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_SimilarityMatrixI8)->Range(4, 64)->Complexity();
-
 void BM_SimilarityMatrixDim(benchmark::State& state) {
-  // Dim sweep at the acceptance shape (64 rows): fp baseline.
+  // Dim sweep at 64 rows; BM_SimilarityMatrix/64 covers dim 72.
   const size_t rows = 64;
   const size_t dim = static_cast<size_t>(state.range(0));
   Rng rng(13);
@@ -239,23 +161,6 @@ void BM_SimilarityMatrixDim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimilarityMatrixDim)->Arg(48)->Arg(256);
-
-void BM_SimilarityMatrixI8Dim(benchmark::State& state) {
-  // Dim sweep at the acceptance shape (64 rows): int8 counterpart.
-  const size_t rows = 64;
-  const size_t dim = static_cast<size_t>(state.range(0));
-  Rng rng(13);
-  const QuantizedBenchRows left = MakeQuantizedRows(&rng, rows, dim);
-  const QuantizedBenchRows right = MakeQuantizedRows(&rng, rows, dim);
-  std::vector<double> out(rows * rows);
-  for (auto _ : state) {
-    la::kernels::SimilarityMatrixI8(left.q.data(), rows, left.scales.data(),
-                                    right.q.data(), rows, right.scales.data(),
-                                    dim, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_SimilarityMatrixI8Dim)->Arg(48)->Arg(256);
 
 void BM_UnitGeneration(benchmark::State& state) {
   // One realistic record from the product benchmark, fully encoded.
@@ -306,30 +211,6 @@ void BM_UnitGeneration_Cached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnitGeneration_Cached);
-
-void BM_UnitGeneration_CachedFp(benchmark::State& state) {
-  // BM_UnitGeneration_Cached with the fp fallback pinned: the default
-  // path is now quantized, so this keeps the full-precision trajectory
-  // comparable across reports.
-  const data::Dataset dataset = data::GenerateById("S-WA", 42, 0.1);
-  const text::Tokenizer tokenizer;
-  embedding::SemanticEncoderOptions options;
-  options.mode = embedding::EncoderMode::kPretrained;
-  embedding::SemanticEncoder encoder(options);
-  encoder.Fit({});
-  core::TokenizedRecord record = core::TokenizeRecord(
-      dataset.records.front(), dataset.schema, tokenizer);
-  core::EncodeEntity(encoder, &record.left);
-  core::EncodeEntity(encoder, &record.right);
-  core::UnitGeneratorOptions generator_options;
-  generator_options.quantized = false;
-  const core::DecisionUnitGenerator generator(generator_options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.Generate(record.left, record.right,
-                                                dataset.schema.size()));
-  }
-}
-BENCHMARK(BM_UnitGeneration_CachedFp);
 
 void BM_MlpPredict(benchmark::State& state) {
   Rng rng(4);

@@ -3,14 +3,7 @@
 // best on average; WYM / AutoML / CorDEL / DM+ close to each other; the
 // easy datasets (S-FZ, S-IA, S-DA) near 1.0 and the hard ones (S-AG,
 // T-AB, D-WA) lowest.
-//
-// WYM is trained twice — with the int8 quantized similarity-matrix path
-// (the default) and with the fp fallback — and the per-dataset F1 drift
-// between the two is reported, so the quantization precision trade
-// stays measured, not assumed. The "WYM" column and the rank/delta
-// columns use the int8 path, matching production defaults.
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -32,32 +25,22 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> systems = {"WYM", "DM+", "AutoML", "CorDEL",
                                             "DITTO"};
-  TablePrinter table({"Dataset", "WYM", "WYMfp", "dI8", "DM+", "AutoML",
-                      "CorDEL", "DITTO", "rank(WYM)", "dDM+%", "dAutoML%",
-                      "dCorDEL%", "dDITTO%"});
+  TablePrinter table({"Dataset", "WYM", "DM+", "AutoML", "CorDEL", "DITTO",
+                      "rank(WYM)", "dDM+%", "dAutoML%", "dCorDEL%",
+                      "dDITTO%"});
   std::vector<std::vector<double>> all_scores(systems.size());
   std::vector<double> all_ranks;
-  std::vector<double> fp_scores, drifts;
 
   for (const auto& spec : bench::SelectedSpecs()) {
     const bench::PreparedData data = bench::Prepare(spec, scale);
 
     std::vector<double> f1(systems.size());
-    double f1_fp = 0.0;
     {
       const core::WymModel model = bench::TrainWym(data);
       // WYM predicts through the parallel batch path (PredictProbaBatch
       // on the global WYM_THREADS pool); results are bit-identical to
       // the sequential per-record loop.
       f1[0] = bench::TestF1(model, data.split, /*pool=*/nullptr);
-    }
-    {
-      // Full-precision fallback: identical config except the quantized
-      // knob, isolating the int8 drift.
-      core::WymConfig fp_config;
-      fp_config.generator.quantized = false;
-      const core::WymModel model = bench::TrainWym(data, fp_config);
-      f1_fp = bench::TestF1(model, data.split, /*pool=*/nullptr);
     }
     {
       baselines::DmPlusMatcher model;
@@ -85,18 +68,11 @@ int main(int argc, char** argv) {
     for (size_t s = 1; s < systems.size(); ++s) {
       if (f1[s] > f1[0]) ++rank;
     }
-    const double drift = f1[0] - f1_fp;
-    fp_scores.push_back(f1_fp);
-    drifts.push_back(drift);
 
     std::vector<std::string> row = {spec.id};
     for (size_t s = 0; s < systems.size(); ++s) {
       row.push_back(strings::FormatDouble(f1[s], 3));
       all_scores[s].push_back(f1[s]);
-      if (s == 0) {
-        row.push_back(strings::FormatDouble(f1_fp, 3));
-        row.push_back(strings::FormatDouble(drift, 4));
-      }
     }
     row.push_back(std::to_string(rank));
     for (size_t s = 1; s < systems.size(); ++s) {
@@ -111,10 +87,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> avg_row = {"AVG"};
   for (size_t s = 0; s < all_scores.size(); ++s) {
     avg_row.push_back(strings::FormatDouble(stats::Mean(all_scores[s]), 3));
-    if (s == 0) {
-      avg_row.push_back(strings::FormatDouble(stats::Mean(fp_scores), 3));
-      avg_row.push_back(strings::FormatDouble(stats::Mean(drifts), 4));
-    }
   }
   avg_row.push_back(strings::FormatDouble(stats::Mean(all_ranks), 1));
   for (size_t s = 1; s < systems.size(); ++s) {
@@ -125,22 +97,7 @@ int main(int argc, char** argv) {
   table.AddRow(avg_row);
   table.Print();
 
-  double max_abs_drift = 0.0, sum_abs_drift = 0.0;
-  for (const double d : drifts) {
-    const double a = std::fabs(d);
-    sum_abs_drift += a;
-    if (a > max_abs_drift) max_abs_drift = a;
-  }
-  const double mean_abs_drift =
-      drifts.empty() ? 0.0 : sum_abs_drift / static_cast<double>(drifts.size());
-  std::printf(
-      "\nint8 quantization drift (F1, int8 - fp): mean |d| = %.4f, "
-      "max |d| = %.4f (budget: 0.002 absolute)\n",
-      mean_abs_drift, max_abs_drift);
-  report.AddRate("table3.f1_drift_i8_mean_abs", mean_abs_drift);
-  report.AddRate("table3.f1_drift_i8_max_abs", max_abs_drift);
-  report.AddRate("table3.f1_wym_i8_mean", stats::Mean(all_scores[0]));
-  report.AddRate("table3.f1_wym_fp_mean", stats::Mean(fp_scores));
+  report.AddRate("table3.f1_wym_mean", stats::Mean(all_scores[0]));
   report.Write();
   return 0;
 }

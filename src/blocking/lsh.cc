@@ -83,13 +83,6 @@ void EmbeddingLsh::Build(const EntityTable& table,
   // Pool + sign every row in parallel; results land by row index, so
   // the arrays are identical at any thread count.
   pooled_.assign(n, la::Vec());
-  if (options_.quantized_verify) {
-    quantized_pooled_.assign(n * dim, 0);
-    quantized_scales_.assign(n, 0.0f);
-  } else {
-    quantized_pooled_.clear();
-    quantized_scales_.clear();
-  }
   std::vector<std::vector<uint32_t>> signatures(
       options_.num_tables, std::vector<uint32_t>(n, 0));
   util::ParallelFor(
@@ -98,11 +91,6 @@ void EmbeddingLsh::Build(const EntityTable& table,
         for (size_t r = begin; r < end; ++r) {
           pooled_[r] = PoolRow(table.rows[r], tokenizer);
           if (pooled_[r].empty()) continue;
-          if (options_.quantized_verify) {
-            la::kernels::QuantizeRowsI8(pooled_[r].data(), 1, dim,
-                                        quantized_pooled_.data() + r * dim,
-                                        quantized_scales_.data() + r);
-          }
           for (size_t t = 0; t < options_.num_tables; ++t) {
             signatures[t][r] = Signature(pooled_[r], t);
           }
@@ -150,16 +138,7 @@ void EmbeddingLsh::Probe(size_t left_row, const la::Vec& pooled,
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
 
   // Verify: cosine via the kernel layer (both vectors are unit from
-  // PoolTokens, so the dot *is* the cosine). The quantized_verify
-  // option swaps the exact float dot for the int8 approximation over
-  // the Build-time quantized rows.
-  std::vector<int8_t> probe_q;
-  float probe_scale = 0.0f;
-  if (options_.quantized_verify) {
-    probe_q.resize(pooled.size());
-    la::kernels::QuantizeRowsI8(pooled.data(), 1, pooled.size(),
-                                probe_q.data(), &probe_scale);
-  }
+  // PoolTokens, so the dot *is* the cosine).
   std::vector<CandidatePair> scored;
   scored.reserve(rows.size());
   for (const uint32_t r : rows) {
@@ -167,12 +146,7 @@ void EmbeddingLsh::Probe(size_t left_row, const la::Vec& pooled,
     WYM_DCHECK(!right.empty());
     WYM_DCHECK_EQ(right.size(), pooled.size());
     const double cosine =
-        options_.quantized_verify
-            ? la::kernels::DotI8(probe_q.data(),
-                                 quantized_pooled_.data() + r * pooled.size(),
-                                 pooled.size(), probe_scale,
-                                 quantized_scales_[r])
-            : la::kernels::Dot(pooled.data(), right.data(), pooled.size());
+        la::kernels::Dot(pooled.data(), right.data(), pooled.size());
     if (cosine < options_.min_cosine) continue;
     scored.push_back({left_row, r, cosine});
   }

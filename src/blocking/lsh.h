@@ -49,13 +49,6 @@ struct EmbeddingLshOptions {
   double min_cosine = 0.5;
   /// Hyperplane seed.
   uint64_t seed = 0x15A9E11;
-  /// Verify candidate cosines on int8-quantized pooled rows
-  /// (la::kernels::DotI8) instead of the exact float dot. Quantizes
-  /// each indexed row once at Build and each probe vector once per
-  /// Probe; scores become approximate (per-row quantization error), so
-  /// ranking near min_cosine can differ from the exact path. Off by
-  /// default to keep the exact-verify candidate lists byte-stable.
-  bool quantized_verify = false;
 };
 
 /// Random-hyperplane LSH over pooled row embeddings of one table.
@@ -101,11 +94,6 @@ class EmbeddingLsh {
   std::vector<la::Vec> hyperplanes_;
   /// Pooled unit embeddings of the indexed rows (empty = token-less).
   std::vector<la::Vec> pooled_;
-  /// Int8 codes + per-row scales of the pooled rows (rows * encoder
-  /// dim, token-less rows all-zero with scale 0). Filled at Build only
-  /// when options_.quantized_verify is set.
-  std::vector<int8_t> quantized_pooled_;
-  std::vector<float> quantized_scales_;
   /// Per table: (signature, row) sorted — one bucket is an equal_range.
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> tables_;
 };

@@ -57,27 +57,8 @@ size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed,
   return dim;
 }
 
-void QuantizeUnitRows(const float* rows, size_t n_rows, size_t dim,
-                      std::vector<int8_t>* q, std::vector<float>* scales,
-                      std::vector<float>* l1) {
-  q->resize(n_rows * dim);
-  scales->resize(n_rows);
-  la::kernels::QuantizeRowsI8(rows, n_rows, dim, q->data(), scales->data());
-  if (l1 != nullptr) {
-    l1->resize(n_rows);
-    for (size_t r = 0; r < n_rows; ++r) {
-      const float* row = rows + r * dim;
-      double acc = 0.0;
-      for (size_t i = 0; i < dim; ++i) acc += std::fabs(row[i]);
-      (*l1)[r] = static_cast<float>(acc);
-    }
-  }
-}
-
 void TokenizedEntity::PackEmbeddings() {
   embedding_dim = PackUnitRows(embeddings, &packed_embeddings, &embedding_norms);
-  QuantizeUnitRows(packed_embeddings.data(), embeddings.size(), embedding_dim,
-                   &quantized_embeddings, &quantized_scales, &quantized_l1);
 }
 
 void EncodeEntity(const embedding::SemanticEncoder& encoder,

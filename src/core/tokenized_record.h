@@ -2,7 +2,6 @@
 #define WYM_CORE_TOKENIZED_RECORD_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,16 +36,6 @@ struct TokenizedEntity {
   std::vector<double> embedding_norms;
   /// Row width of `packed_embeddings` (0 until packed).
   size_t embedding_dim = 0;
-  /// Symmetric per-row int8 quantization of the packed unit rows
-  /// (la::kernels::QuantizeRowsI8), cached at encode time next to the
-  /// float packing so the quantized similarity-matrix fast path never
-  /// re-quantizes per pair. Same row-major shape as packed_embeddings.
-  std::vector<int8_t> quantized_embeddings;
-  /// One dequantization scale per row (max|x| / 127; 0 for zero rows).
-  std::vector<float> quantized_scales;
-  /// One L1 norm per packed fp row, cached for the quantized path's
-  /// per-cell refinement bound so it never rescans rows per pair.
-  std::vector<float> quantized_l1;
 
   size_t size() const { return tokens.size(); }
 
@@ -60,19 +49,9 @@ struct TokenizedEntity {
            embedding_norms.size() == embeddings.size();
   }
 
-  /// True when the quantized cache is in sync with embeddings' shape.
-  bool HasQuantizedEmbeddings() const {
-    return HasPackedEmbeddings() &&
-           quantized_embeddings.size() == embeddings.size() * embedding_dim &&
-           quantized_scales.size() == embeddings.size() &&
-           quantized_l1.size() == embeddings.size();
-  }
-
   /// (Re)builds packed_embeddings + embedding_norms from `embeddings`
   /// (one unit-normalization per token at encode time, so every cosine
-  /// downstream collapses to a dot product), then quantizes the unit
-  /// rows into quantized_embeddings + quantized_scales for the int8
-  /// fast path.
+  /// downstream collapses to a dot product).
   void PackEmbeddings();
 };
 
@@ -88,15 +67,6 @@ struct TokenizedRecord {
 /// pre-normalization Euclidean norm. All-zero vectors stay all-zero.
 size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed,
                     std::vector<double>* norms);
-
-/// Quantizes `n_rows` packed row-major float rows of width `dim` into
-/// int8 codes + per-row scales (resizing the outputs). Thin shape-aware
-/// wrapper over la::kernels::QuantizeRowsI8. `l1` (optional) receives
-/// each fp row's L1 norm (sequential double accumulation, rounded to
-/// float) for the refinement error bound of the quantized screen.
-void QuantizeUnitRows(const float* rows, size_t n_rows, size_t dim,
-                      std::vector<int8_t>* q, std::vector<float>* scales,
-                      std::vector<float>* l1 = nullptr);
 
 /// Tokenizes one entity over `schema` (embeddings left empty).
 TokenizedEntity TokenizeEntity(const data::Entity& entity,

@@ -1,7 +1,6 @@
 #include "core/unit_generator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "la/kernels.h"
@@ -59,33 +58,6 @@ const float* PackedRows(const TokenizedEntity& entity, la::Vec* storage,
   return storage->data();
 }
 
-/// Quantized rows of an entity's embeddings: reuses the encode-time int8
-/// cache when present, otherwise quantizes the given packed rows into
-/// the scratch vectors. The scratch path quantizes the same
-/// unit-normalized rows PackEmbeddings would, so cached and uncached
-/// entities agree bit for bit.
-struct QuantizedScratch {
-  std::vector<int8_t> q;
-  std::vector<float> scales;
-  std::vector<float> l1;
-};
-
-void QuantizedRows(const TokenizedEntity& entity, const float* rows,
-                   size_t dim, QuantizedScratch* storage, const int8_t** q,
-                   const float** scales, const float** l1) {
-  if (entity.HasQuantizedEmbeddings()) {
-    *q = entity.quantized_embeddings.data();
-    *scales = entity.quantized_scales.data();
-    *l1 = entity.quantized_l1.data();
-    return;
-  }
-  QuantizeUnitRows(rows, entity.embeddings.size(), dim, &storage->q,
-                   &storage->scales, &storage->l1);
-  *q = storage->q.data();
-  *scales = storage->scales.data();
-  *l1 = storage->l1.data();
-}
-
 TokenRef MakeRef(const TokenizedEntity& entity, size_t flat_index) {
   return {entity.attribute_of[flat_index], flat_index,
           entity.tokens[flat_index]};
@@ -95,27 +67,6 @@ TokenRef MakeRef(const TokenizedEntity& entity, size_t flat_index) {
 
 DecisionUnitGenerator::DecisionUnitGenerator(UnitGeneratorOptions options)
     : options_(std::move(options)) {}
-
-double DecisionUnitGenerator::Similarity(const TokenizedEntity& left,
-                                         size_t left_index,
-                                         const TokenizedEntity& right,
-                                         size_t right_index) const {
-  for (const PairingRule& rule : options_.rules) {
-    if (!rule(left.tokens[left_index], right.tokens[right_index])) {
-      return -1.0;  // Vetoed: below any threshold.
-    }
-  }
-  if (options_.similarity == PairingSimilarity::kJaroWinkler) {
-    return text::JaroWinklerSimilarity(left.tokens[left_index],
-                                       right.tokens[right_index]);
-  }
-  WYM_CHECK_EQ(left.embeddings.size(), left.tokens.size())
-      << "embeddings missing on the left entity";
-  WYM_CHECK_EQ(right.embeddings.size(), right.tokens.size())
-      << "embeddings missing on the right entity";
-  return la::Cosine(left.embeddings[left_index],
-                    right.embeddings[right_index]);
-}
 
 la::Matrix DecisionUnitGenerator::PairSimilarityMatrix(
     const TokenizedEntity& left, const TokenizedEntity& right) const {
@@ -134,77 +85,15 @@ la::Matrix DecisionUnitGenerator::PairSimilarityMatrix(
         << "embeddings missing on the left entity";
     WYM_CHECK_EQ(right.embeddings.size(), right.tokens.size())
         << "embeddings missing on the right entity";
-    if (options_.quantized) {
-      // Int8 screen + exact refinement. One A * B^T kernel call over the
-      // quantized rows gives approximate cosines, then every cell whose
-      // value *could* reach the lowest pairing threshold — screened
-      // value plus a per-cell quantization error bound — is recomputed
-      // in full precision. Sub-threshold cells keep the cheap int8
-      // value; they can never enter a stable-marriage phase, so pairing
-      // decisions and unit similarities match the fp path exactly while
-      // the bulk of the L x R x dim work runs 8-bit. Token pairs are
-      // mostly dissimilar, so the refined fraction stays small.
-      la::Vec fp_left_storage, fp_right_storage;
-      size_t left_dim = 0, right_dim = 0;
-      const float* left_rows = PackedRows(left, &fp_left_storage, &left_dim);
-      const float* right_rows =
-          PackedRows(right, &fp_right_storage, &right_dim);
-      WYM_CHECK_EQ(left_dim, right_dim) << "left/right embedding dims differ";
-      const size_t dim = left_dim;
-
-      QuantizedScratch scratch_left, scratch_right;
-      const int8_t* left_q = nullptr;
-      const int8_t* right_q = nullptr;
-      const float* left_scales = nullptr;
-      const float* right_scales = nullptr;
-      const float* left_l1 = nullptr;
-      const float* right_l1 = nullptr;
-      QuantizedRows(left, left_rows, dim, &scratch_left, &left_q, &left_scales,
-                    &left_l1);
-      QuantizedRows(right, right_rows, dim, &scratch_right, &right_q,
-                    &right_scales, &right_l1);
-      la::kernels::SimilarityMatrixI8(left_q, left.size(), left_scales,
-                                      right_q, right.size(), right_scales,
-                                      dim, sim.data().data());
-
-      // Per-cell error bound: with x = s_a*qa + ea, y = s_b*qb + eb and
-      // |ea_i| <= s_a/2, |eb_i| <= s_b/2,
-      //   |x.y - s_a*s_b*(qa.qb)| <= s_b/2*|x|_1 + s_a/2*|y|_1
-      //                              + dim*s_a*s_b/4.
-      // The 1.0001 factor + 1e-9 absorb float rounding in the quantizer,
-      // the float rounding of the cached L1 norms, and the double
-      // rounding of the screened value itself.
-      const double floor =
-          std::min({options_.theta, options_.eta, options_.epsilon});
-      const double quarter_dim = 0.25 * static_cast<double>(dim);
-      for (size_t l = 0; l < left.size(); ++l) {
-        double* row = sim.Row(l);
-        const double sa = left_scales[l];
-        const double half_l1_l = 0.5 * left_l1[l];
-        for (size_t r = 0; r < right.size(); ++r) {
-          const double sb = right_scales[r];
-          const double bound =
-              (sb * half_l1_l + sa * (0.5 * right_l1[r] + quarter_dim * sb)) *
-                  1.0001 +
-              1e-9;
-          if (row[r] + bound >= floor) {
-            row[r] = la::kernels::Dot(left_rows + l * dim,
-                                      right_rows + r * dim, dim);
-          }
-        }
-      }
-    } else {
-      la::Vec scratch_left, scratch_right;
-      size_t left_dim = 0, right_dim = 0;
-      const float* left_rows = PackedRows(left, &scratch_left, &left_dim);
-      const float* right_rows = PackedRows(right, &scratch_right, &right_dim);
-      WYM_CHECK_EQ(left_dim, right_dim) << "left/right embedding dims differ";
-      // Rows are unit vectors, so one A * B^T kernel call yields the
-      // full cosine matrix.
-      la::kernels::SimilarityMatrix(left_rows, left.size(), right_rows,
-                                    right.size(), left_dim,
-                                    sim.data().data());
-    }
+    la::Vec scratch_left, scratch_right;
+    size_t left_dim = 0, right_dim = 0;
+    const float* left_rows = PackedRows(left, &scratch_left, &left_dim);
+    const float* right_rows = PackedRows(right, &scratch_right, &right_dim);
+    WYM_CHECK_EQ(left_dim, right_dim) << "left/right embedding dims differ";
+    // Rows are unit vectors, so one A * B^T kernel call yields the
+    // full cosine matrix.
+    la::kernels::SimilarityMatrix(left_rows, left.size(), right_rows,
+                                  right.size(), left_dim, sim.data().data());
   }
 
   if (!options_.rules.empty()) {

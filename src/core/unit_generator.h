@@ -45,18 +45,6 @@ struct UnitGeneratorOptions {
   PairingSimilarity similarity = PairingSimilarity::kEmbedding;
   /// Optional pairing veto rules (all must accept a pairing).
   std::vector<PairingRule> rules;
-  /// Compute the kEmbedding similarity matrix on the int8 quantized
-  /// rows (la::kernels::SimilarityMatrixI8) instead of the float path.
-  /// The int8 matrix is a pruning *screen*: every cell whose screened
-  /// value plus a rigorous per-cell quantization error bound could reach
-  /// min(theta, eta, epsilon) is recomputed in full precision, so
-  /// pairing decisions and unit similarities match the fp path exactly;
-  /// only cells provably below every pairing threshold keep the int8
-  /// approximation. Table-3 F1 drift measured ≤ 0.002 absolute (see
-  /// EXPERIMENTS.md); set false to select the full-precision fallback.
-  /// Runtime execution knob — not serialized into model files, so a
-  /// loaded model honors whatever the serving config sets here.
-  bool quantized = true;
 };
 
 /// Extracts the decision units of a record.
@@ -85,11 +73,6 @@ class DecisionUnitGenerator {
   const UnitGeneratorOptions& options() const { return options_; }
 
  private:
-  /// Reference per-cell similarity (rules veto, then Jaro-Winkler or
-  /// full cosine). PairSimilarityMatrix is the batched equivalent.
-  double Similarity(const TokenizedEntity& left, size_t left_index,
-                    const TokenizedEntity& right, size_t right_index) const;
-
   UnitGeneratorOptions options_;
 };
 

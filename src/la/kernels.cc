@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -87,43 +86,6 @@ void ScaleF64Scalar(double factor, double* a, size_t n) {
   for (size_t i = 0; i < n; ++i) a[i] *= factor;
 }
 
-int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return acc;
-}
-
-// Reference quantization order: the SIMD paths perform the exact same
-// per-element float multiply, half-away-from-zero adjust (add
-// copysign(0.5f, v)), saturation clamp in float, and truncating
-// conversion — so codes are byte-identical at every level. The clamp
-// precedes the int conversion so an out-of-range float never hits the
-// (undefined / level-dependent) overflowing cast.
-void QuantizeRowI8Scalar(const float* row, size_t dim, int8_t* q,
-                         float* scale) {
-  float max_abs = 0.0f;
-  for (size_t i = 0; i < dim; ++i) {
-    const float a = std::fabs(row[i]);
-    if (a > max_abs) max_abs = a;
-  }
-  if (max_abs == 0.0f) {  // All-zero row: scale 0, all-zero codes.
-    *scale = 0.0f;
-    if (dim > 0) std::memset(q, 0, dim);
-    return;
-  }
-  const float inv = 127.0f / max_abs;
-  for (size_t i = 0; i < dim; ++i) {
-    const float v = row[i] * inv;
-    float r = v + std::copysign(0.5f, v);
-    if (r > 127.0f) r = 127.0f;
-    if (r < -127.0f) r = -127.0f;
-    q[i] = static_cast<int8_t>(static_cast<int32_t>(r));
-  }
-  *scale = max_abs / 127.0f;
-}
-
 // Reference dense layer: one sequential chain per (output, lane) cell,
 // w * x added in increasing input index onto 0.0, then bias + sum and
 // std::max(0.0, v) — the scalar MLP forward pass. K outputs run side by
@@ -165,8 +127,7 @@ void DenseF64Scalar(const double* w, const double* bias, size_t in_dim,
 
 const internal::KernelTable kScalarTable = {
     DotF32Scalar, DotF64Scalar,   SqDistF64Scalar, AxpyF32Scalar,
-    AxpyF64Scalar, ScaleF32Scalar, ScaleF64Scalar,
-    DotI8Scalar,  QuantizeRowI8Scalar, DenseF64Scalar,
+    AxpyF64Scalar, ScaleF32Scalar, ScaleF64Scalar, DenseF64Scalar,
 };
 
 // ---------------------------------------------------------------------
@@ -357,62 +318,6 @@ void DenseLayer(const double* weights, const double* bias, size_t in_dim,
              (weights != nullptr && bias != nullptr && out != nullptr &&
               (in_dim == 0 || x != nullptr)));
   Active().dense_f64(weights, bias, in_dim, out_dim, x, lanes, relu, out);
-}
-
-void QuantizeRowsI8(const float* rows, size_t n_rows, size_t dim, int8_t* q,
-                    float* scales) {
-  WYM_DCHECK(n_rows == 0 ||
-             (scales != nullptr &&
-              (dim == 0 || (q != nullptr && rows != nullptr))));
-  const internal::KernelTable& table = Active();
-  for (size_t r = 0; r < n_rows; ++r) {
-    table.quantize_row_i8(rows + r * dim, dim, q + r * dim, scales + r);
-  }
-}
-
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  WYM_DCHECK(n == 0 || (a != nullptr && b != nullptr));
-  return Active().dot_i8(a, b, n);
-}
-
-double DotI8(const int8_t* a, const int8_t* b, size_t n, float scale_a,
-             float scale_b) {
-  WYM_DCHECK(n == 0 || (a != nullptr && b != nullptr));
-  return static_cast<double>(Active().dot_i8(a, b, n)) *
-         (static_cast<double>(scale_a) * static_cast<double>(scale_b));
-}
-
-void SimilarityMatrixI8(const int8_t* a, size_t a_rows, const float* a_scales,
-                        const int8_t* b, size_t b_rows, const float* b_scales,
-                        size_t dim, double* out) {
-  WYM_DCHECK(a_rows == 0 || b_rows == 0 ||
-             (a != nullptr && a_scales != nullptr && b != nullptr &&
-              b_scales != nullptr && out != nullptr));
-  // Whole-matrix counter granularity, matching SimilarityMatrix.
-  static obs::Counter& calls = obs::Registry::Global().GetCounter(
-      "kernels.similarity_matrix_i8_calls");
-  calls.Add(1);
-  const internal::KernelTable& table = Active();
-  // Same cell-blocking as the float path; each cell is one independent
-  // integer dot, and int32 accumulation is exact, so the result is
-  // identical for any cell order and any dispatch level.
-  constexpr size_t kBlock = 32;
-  for (size_t ib = 0; ib < a_rows; ib += kBlock) {
-    const size_t i_end = ib + kBlock < a_rows ? ib + kBlock : a_rows;
-    for (size_t jb = 0; jb < b_rows; jb += kBlock) {
-      const size_t j_end = jb + kBlock < b_rows ? jb + kBlock : b_rows;
-      for (size_t i = ib; i < i_end; ++i) {
-        const int8_t* a_row = a + i * dim;
-        const double a_scale = static_cast<double>(a_scales[i]);
-        double* out_row = out + i * b_rows;
-        for (size_t j = jb; j < j_end; ++j) {
-          out_row[j] =
-              static_cast<double>(table.dot_i8(a_row, b + j * dim, dim)) *
-              (a_scale * static_cast<double>(b_scales[j]));
-        }
-      }
-    }
-  }
 }
 
 }  // namespace wym::la::kernels

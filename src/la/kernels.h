@@ -2,7 +2,6 @@
 #define WYM_LA_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 /// \file
 /// Vectorized inner-loop kernels with runtime SIMD dispatch.
@@ -95,52 +94,6 @@ void DenseLayer(const double* weights, const double* bias, size_t in_dim,
                 size_t out_dim, const double* x, size_t lanes, bool relu,
                 double* out);
 
-// ---------------------------------------------------------------------
-// Quantized int8 tier. Symmetric per-row scaling: a float row maps to
-// int8 codes q[i] plus one float scale with x[i] ≈ q[i] * scale. Unlike
-// the float kernels above (bit-identical *per level*, levels distinct),
-// the int8 kernels accumulate in int32 — exact and associative — so
-// every dispatch level produces identical results for identical inputs.
-// ---------------------------------------------------------------------
-
-/// Quantizes `n_rows` row-major float rows of width `dim` into
-/// `q` (n_rows * dim int8 codes) and `scales` (one float per row).
-///
-/// Per row: scale = max|x| / 127, and each element maps to
-/// clamp(round(x * (127 / max|x|)), -127, 127) with round-half-away-
-/// from-zero (±0.5 rounds to ±1). The clamp is a saturation guard:
-/// for finite inputs the pre-clamp value already lies in (-128, 128),
-/// so codes use the symmetric range [-127, 127] and -128 never occurs.
-/// An all-zero row gets scale 0 and all-zero codes. Inputs must be
-/// finite. Every dispatch level emits byte-identical codes and
-/// bit-identical scales: each level computes the same single float
-/// multiply, half-away adjust and truncation per element.
-void QuantizeRowsI8(const float* rows, size_t n_rows, size_t dim, int8_t* q,
-                    float* scales);
-
-/// Raw int32 dot product sum_i a[i] * b[i]. Exact (integer) — identical
-/// across all dispatch levels and accumulation orders. Safe from int32
-/// overflow for n < 2^17 (max |product| is 127 * 127 = 16129).
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
-
-/// Dequantized dot of two quantized rows: the int32 raw dot with both
-/// scales applied once in double, as
-///   double(DotI8(a, b, n)) * (double(scale_a) * double(scale_b)).
-/// This exact expression is used by every caller, so the float→double
-/// widening never varies.
-double DotI8(const int8_t* a, const int8_t* b, size_t n, float scale_a,
-             float scale_b);
-
-/// Blocked A·Bᵀ over quantized rows — the int8 counterpart of
-/// SimilarityMatrix:
-///   out[i * b_rows + j] = DotI8(a + i*dim, b + j*dim, dim,
-///                               a_scales[i], b_scales[j])
-/// For unit-normalized source rows each cell approximates a cosine
-/// similarity; quantization error can push a cell slightly past ±1.
-void SimilarityMatrixI8(const int8_t* a, size_t a_rows, const float* a_scales,
-                        const int8_t* b, size_t b_rows, const float* b_scales,
-                        size_t dim, double* out);
-
 namespace internal {
 
 /// One fully-populated implementation table; the dispatcher selects one
@@ -153,8 +106,6 @@ struct KernelTable {
   void (*axpy_f64)(double, const double*, double*, size_t);
   void (*scale_f32)(double, float*, size_t);
   void (*scale_f64)(double, double*, size_t);
-  int32_t (*dot_i8)(const int8_t*, const int8_t*, size_t);
-  void (*quantize_row_i8)(const float*, size_t, int8_t*, float*);
   void (*dense_f64)(const double*, const double*, size_t, size_t,
                     const double*, size_t, bool, double*);
 };

@@ -11,9 +11,6 @@
 
 #include "la/kernels.h"
 
-#include <cmath>
-#include <cstring>
-
 #if defined(__SSE2__) || defined(_M_X64) || \
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 #define WYM_SSE2_AVAILABLE 1
@@ -180,110 +177,6 @@ void ScaleF64Sse2(double factor, double* a, size_t n) {
   for (; i < n; ++i) a[i] *= factor;
 }
 
-// Int8 dot: int32 accumulation is exact, so unlike the float kernels no
-// accumulation-order discipline is needed — any lane layout gives the
-// same total. SSE2 has no epi8 multiply; sign-extend bytes to int16
-// (unpack-with-self + arithmetic shift, no SSE4.1 needed), then
-// _mm_madd_epi16 forms pairwise int32 products.
-int32_t DotI8Sse2(const int8_t* a, const int8_t* b, size_t n) {
-  // Two accumulators break the add dependency chain; the 8-wide tail
-  // step keeps dims like 72 (4x16 + 8) off the scalar fallback. Free
-  // reassociation: the int32 total is exact regardless of order.
-  __m128i acc0 = _mm_setzero_si128();
-  __m128i acc1 = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    const __m128i a_lo = _mm_srai_epi16(_mm_unpacklo_epi8(va, va), 8);
-    const __m128i a_hi = _mm_srai_epi16(_mm_unpackhi_epi8(va, va), 8);
-    const __m128i b_lo = _mm_srai_epi16(_mm_unpacklo_epi8(vb, vb), 8);
-    const __m128i b_hi = _mm_srai_epi16(_mm_unpackhi_epi8(vb, vb), 8);
-    acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(a_lo, b_lo));
-    acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(a_hi, b_hi));
-  }
-  if (i + 8 <= n) {
-    const __m128i va =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i));
-    const __m128i a16 = _mm_srai_epi16(_mm_unpacklo_epi8(va, va), 8);
-    const __m128i b16 = _mm_srai_epi16(_mm_unpacklo_epi8(vb, vb), 8);
-    acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(a16, b16));
-    i += 8;
-  }
-  const __m128i acc = _mm_add_epi32(acc0, acc1);
-  int32_t lanes[4];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int32_t sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return sum;
-}
-
-// Byte-identical to QuantizeRowI8Scalar: the same single float multiply,
-// copysign(0.5f) adjust, float-domain clamp and truncating conversion
-// per element; float max is exact so the lane max equals the running
-// scalar max.
-void QuantizeRowI8Sse2(const float* row, size_t dim, int8_t* q,
-                       float* scale) {
-  const __m128 abs_mask =
-      _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  __m128 vmax = _mm_setzero_ps();
-  const size_t blocks = dim - dim % 4;
-  size_t i = 0;
-  for (; i < blocks; i += 4) {
-    vmax = _mm_max_ps(vmax, _mm_and_ps(_mm_loadu_ps(row + i), abs_mask));
-  }
-  float max_lanes[4];
-  _mm_storeu_ps(max_lanes, vmax);
-  float max_abs = max_lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    if (max_lanes[k] > max_abs) max_abs = max_lanes[k];
-  }
-  for (; i < dim; ++i) {
-    const float a = std::fabs(row[i]);
-    if (a > max_abs) max_abs = a;
-  }
-  if (max_abs == 0.0f) {
-    *scale = 0.0f;
-    if (dim > 0) std::memset(q, 0, dim);
-    return;
-  }
-  const float inv = 127.0f / max_abs;
-  const __m128 vinv = _mm_set1_ps(inv);
-  const __m128 vhalf = _mm_set1_ps(0.5f);
-  const __m128 sign_mask =
-      _mm_castsi128_ps(_mm_set1_epi32(static_cast<int32_t>(0x80000000u)));
-  const __m128 vhi = _mm_set1_ps(127.0f);
-  const __m128 vlo = _mm_set1_ps(-127.0f);
-  i = 0;
-  for (; i < blocks; i += 4) {
-    const __m128 v = _mm_mul_ps(_mm_loadu_ps(row + i), vinv);
-    const __m128 half = _mm_or_ps(_mm_and_ps(v, sign_mask), vhalf);
-    __m128 r = _mm_add_ps(v, half);
-    r = _mm_min_ps(_mm_max_ps(r, vlo), vhi);
-    int32_t code_lanes[4];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(code_lanes),
-                     _mm_cvttps_epi32(r));
-    q[i + 0] = static_cast<int8_t>(code_lanes[0]);
-    q[i + 1] = static_cast<int8_t>(code_lanes[1]);
-    q[i + 2] = static_cast<int8_t>(code_lanes[2]);
-    q[i + 3] = static_cast<int8_t>(code_lanes[3]);
-  }
-  for (; i < dim; ++i) {
-    const float v = row[i] * inv;
-    float r = v + std::copysign(0.5f, v);
-    if (r > 127.0f) r = 127.0f;
-    if (r < -127.0f) r = -127.0f;
-    q[i] = static_cast<int8_t>(static_cast<int32_t>(r));
-  }
-  *scale = max_abs / 127.0f;
-}
-
 // Dense layer, vectorized across rows: a tile of K outputs x V 2-lane
 // vectors. Each weight broadcast feeds V vectors and each x load feeds K
 // outputs; every lane still runs the scalar chain (0.0, then + w * x in
@@ -370,8 +263,7 @@ void DenseF64Sse2(const double* w, const double* bias, size_t in_dim,
 
 const KernelTable kSse2Table = {
     DotF32Sse2,  DotF64Sse2,   SqDistF64Sse2, AxpyF32Sse2,
-    AxpyF64Sse2, ScaleF32Sse2, ScaleF64Sse2,
-    DotI8Sse2,   QuantizeRowI8Sse2, DenseF64Sse2,
+    AxpyF64Sse2, ScaleF32Sse2, ScaleF64Sse2, DenseF64Sse2,
 };
 
 }  // namespace

@@ -460,9 +460,9 @@ void CheckNoParallelReduce(const FileCtx& ctx, std::vector<Finding>* out) {
 /// kernel-bypass-accumulation: a hand-rolled `acc += a[i] * b[i]` dot
 /// loop in the math subsystems compiles to whatever reduction order the
 /// optimizer picks and silently diverges from la::kernels' pinned
-/// summation tree. Route through kernels::Dot/Axpy (or DotI8 for int8
-/// code paths — src/core and src/blocking consume the quantized kernels
-/// and are covered for the same reason).
+/// summation tree. Route through kernels::Dot/Axpy. src/core and
+/// src/blocking compute similarities through the kernels too and are
+/// covered for the same reason.
 void CheckKernelBypassAccumulation(const FileCtx& ctx,
                                    std::vector<Finding>* out) {
   if (!ctx.InDir("src/la/") && !ctx.InDir("src/ml/") &&
@@ -507,8 +507,7 @@ void CheckKernelBypassAccumulation(const FileCtx& ctx,
     if (duplicated) {
       Emit(ctx, i, "kernel-bypass-accumulation",
            "scalar reduction over indexed products bypasses la::kernels' "
-           "pinned summation order; use kernels::Dot/Axpy (DotI8 for "
-           "quantized rows)",
+           "pinned summation order; use kernels::Dot/Axpy",
            out);
     }
   }

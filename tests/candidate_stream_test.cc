@@ -409,48 +409,6 @@ TEST(EmbeddingLshTest, RecallAgainstExhaustiveScan) {
             0.95);
 }
 
-TEST(EmbeddingLshTest, QuantizedVerifyTracksExactVerify) {
-  const TablePair pair = MakeCorruptedPair(100, 17);
-  embedding::SemanticEncoderOptions encoder_options;
-  encoder_options.mode = embedding::EncoderMode::kPretrained;
-  embedding::SemanticEncoder encoder(encoder_options);
-  encoder.Fit({});
-  const text::Tokenizer tokenizer;
-
-  EmbeddingLsh exact(&encoder);
-  exact.Build(pair.right, tokenizer);
-  EmbeddingLshOptions quantized_options;
-  quantized_options.quantized_verify = true;
-  EmbeddingLsh quantized(&encoder, quantized_options);
-  quantized.Build(pair.right, tokenizer);
-
-  // Same buckets, approximate scores: the quantized verifier must
-  // recover nearly every exact-verified candidate (only pairs at the
-  // min_cosine boundary or displaced at the top-k cut may differ), and
-  // each shared pair's score must sit within the int8 error bound.
-  size_t exact_pairs = 0, recovered = 0;
-  for (size_t l = 0; l < pair.left.size(); ++l) {
-    const la::Vec pooled = exact.PoolRow(pair.left.rows[l], tokenizer);
-    if (pooled.empty()) continue;
-    std::vector<CandidatePair> exact_out, quantized_out;
-    exact.Probe(l, pooled, &exact_out);
-    quantized.Probe(l, pooled, &quantized_out);
-    for (const auto& e : exact_out) {
-      ++exact_pairs;
-      for (const auto& q : quantized_out) {
-        if (q.right_row == e.right_row) {
-          ++recovered;
-          EXPECT_NEAR(q.score, e.score, 0.05);
-          break;
-        }
-      }
-    }
-  }
-  ASSERT_GT(exact_pairs, 0u);
-  EXPECT_GE(static_cast<double>(recovered) / static_cast<double>(exact_pairs),
-            0.95);
-}
-
 TEST(MatchTablesTest, StreamsRankedMatchesEndToEnd) {
   const data::Dataset dataset = data::GenerateById("S-FZ", 42, 0.5);
   const data::Split split = data::DefaultSplit(dataset, 42);

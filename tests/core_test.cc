@@ -13,6 +13,8 @@
 #include "data/benchmark_gen.h"
 #include "embedding/semantic_encoder.h"
 #include "la/kernels.h"
+#include "la/vector_ops.h"
+#include "text/string_metrics.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
 
@@ -221,6 +223,101 @@ TEST_F(UnitGeneratorTest, RuleVetoesPairs) {
   };
   EXPECT_GT(count_code_pairs(unruled), 0u);  // Spurious sibling-code pair.
   EXPECT_EQ(count_code_pairs(ruled), 0u);    // Vetoed.
+}
+
+// The fp similarity matrix against per-cell references. The suite keeps
+// the name it had while an int8 tier sat beside the fp path.
+class QuantizedPipelineTest : public UnitGeneratorTest {
+ protected:
+  TokenizedRecord CameraRecord() const {
+    return MakeRecord(schema_, {"sony digital camera dslra200w", "sony"},
+                      {"camera dslra300w digital", "sony"}, 0, encoder_);
+  }
+};
+
+TEST_F(QuantizedPipelineTest, QuantizedMatrixCloseToFpAndFallbackSelectable) {
+  const TokenizedRecord record = CameraRecord();
+  const size_t n_left = record.left.size();
+  const size_t n_right = record.right.size();
+  ASSERT_GT(n_left * n_right, 0u);
+
+  // kEmbedding: one kernel call over the packed unit rows equals the
+  // cosine of the raw embeddings, cell by cell.
+  const DecisionUnitGenerator embedding_generator;
+  const la::Matrix embedding_sim =
+      embedding_generator.PairSimilarityMatrix(record.left, record.right);
+  ASSERT_EQ(embedding_sim.rows(), n_left);
+  ASSERT_EQ(embedding_sim.cols(), n_right);
+  for (size_t l = 0; l < n_left; ++l) {
+    for (size_t r = 0; r < n_right; ++r) {
+      EXPECT_NEAR(embedding_sim.Row(l)[r],
+                  la::Cosine(record.left.embeddings[l],
+                             record.right.embeddings[r]),
+                  1e-6)
+          << "cell (" << l << ", " << r << ")";
+    }
+  }
+
+  // kJaroWinkler: exactly the string metric.
+  UnitGeneratorOptions jw_options;
+  jw_options.similarity = PairingSimilarity::kJaroWinkler;
+  const la::Matrix jw_sim = DecisionUnitGenerator(jw_options)
+                                .PairSimilarityMatrix(record.left, record.right);
+  for (size_t l = 0; l < n_left; ++l) {
+    for (size_t r = 0; r < n_right; ++r) {
+      EXPECT_EQ(jw_sim.Row(l)[r],
+                text::JaroWinklerSimilarity(record.left.tokens[l],
+                                            record.right.tokens[r]))
+          << "cell (" << l << ", " << r << ")";
+    }
+  }
+
+  // Vetoed cells are -1 in both modes; the rest keep their similarity.
+  for (PairingSimilarity mode :
+       {PairingSimilarity::kEmbedding, PairingSimilarity::kJaroWinkler}) {
+    UnitGeneratorOptions ruled_options;
+    ruled_options.similarity = mode;
+    ruled_options.rules.push_back(EqualProductCodeRule());
+    const la::Matrix ruled = DecisionUnitGenerator(ruled_options)
+                                 .PairSimilarityMatrix(record.left, record.right);
+    const la::Matrix& unruled =
+        mode == PairingSimilarity::kEmbedding ? embedding_sim : jw_sim;
+    size_t vetoed = 0;
+    for (size_t l = 0; l < n_left; ++l) {
+      for (size_t r = 0; r < n_right; ++r) {
+        const bool veto =
+            !EqualProductCodeRule()(record.left.tokens[l],
+                                    record.right.tokens[r]);
+        vetoed += veto;
+        EXPECT_EQ(ruled.Row(l)[r], veto ? -1.0 : unruled.Row(l)[r])
+            << "cell (" << l << ", " << r << ")";
+      }
+    }
+    EXPECT_EQ(vetoed, 1u);  // dslra200w vs dslra300w.
+  }
+}
+
+TEST_F(QuantizedPipelineTest, ScratchQuantizationMatchesEncodeTimeCache) {
+  // An entity without the encode-time packing is packed on the fly,
+  // bit for bit the same as the cached rows.
+  const TokenizedRecord record = CameraRecord();
+  ASSERT_TRUE(record.left.HasPackedEmbeddings());
+  TokenizedRecord unpacked = record;
+  unpacked.left.packed_embeddings.clear();
+  unpacked.right.packed_embeddings.clear();
+  ASSERT_FALSE(unpacked.left.HasPackedEmbeddings());
+
+  const DecisionUnitGenerator generator;
+  const la::Matrix cached =
+      generator.PairSimilarityMatrix(record.left, record.right);
+  const la::Matrix scratch =
+      generator.PairSimilarityMatrix(unpacked.left, unpacked.right);
+  ASSERT_EQ(scratch.rows(), cached.rows());
+  ASSERT_EQ(scratch.cols(), cached.cols());
+  ASSERT_GT(cached.rows() * cached.cols(), 0u);
+  EXPECT_EQ(std::memcmp(scratch.data().data(), cached.data().data(),
+                        cached.rows() * cached.cols() * sizeof(double)),
+            0);
 }
 
 TEST_F(UnitGeneratorTest, ConstraintsHoldOnGeneratedBenchmark) {

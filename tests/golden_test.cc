@@ -1,0 +1,206 @@
+// Golden behaviour files: end-to-end WYM output at a fixed dataset,
+// seed and scale, compared field by field against the files committed
+// under tests/golden/. A refactor that is meant to keep predictions and
+// explanations byte-identical must pass this test without touching the
+// files; a deliberate behaviour change regenerates them with
+//   golden_test --write-golden
+// so every changed number shows up in the diff.
+//
+// Each file is a list of "key value" lines: the test F1, the %.17g
+// probability of the first kProbabilities test records, and for the
+// first kExplained test records every decision unit's phase, tokens,
+// %.17g similarity and %.17g impact.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/wym.h"
+#include "data/benchmark_gen.h"
+#include "data/split.h"
+#include "ml/metrics.h"
+
+namespace wym {
+namespace {
+
+constexpr uint64_t kSeed = 42;
+constexpr double kScale = 0.25;
+constexpr size_t kProbabilities = 64;
+constexpr size_t kExplained = 8;
+
+const char* const kDatasets[] = {"S-WA", "T-AB"};
+
+bool g_write_golden = false;
+
+using Record = std::vector<std::pair<std::string, std::string>>;
+
+std::string Exact(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+const char* PhaseName(core::UnitPhase phase) {
+  switch (phase) {
+    case core::UnitPhase::kIntraAttribute:
+      return "intra";
+    case core::UnitPhase::kInterAttribute:
+      return "inter";
+    case core::UnitPhase::kOneToMany:
+      return "one-to-many";
+    case core::UnitPhase::kUnpaired:
+      return "unpaired";
+  }
+  return "?";
+}
+
+/// Trains WYM on `dataset_id` and renders the golden record.
+Record Render(const std::string& dataset_id) {
+  const data::Dataset dataset = data::GenerateById(dataset_id, kSeed, kScale);
+  const data::Split split = data::DefaultSplit(dataset, kSeed);
+  core::WymModel model;
+  model.Fit(split.train, split.validation);
+
+  Record out;
+  auto add = [&](std::string key, std::string value) {
+    out.emplace_back(std::move(key), std::move(value));
+  };
+  add("dataset", dataset_id);
+  add("f1", Exact(ml::F1Score(split.test.Labels(),
+                              model.PredictDataset(split.test))));
+
+  const std::vector<double> probabilities =
+      model.PredictProbaBatch(split.test);
+  const size_t n_prob = std::min(kProbabilities, probabilities.size());
+  for (size_t i = 0; i < n_prob; ++i) {
+    add("record." + std::to_string(i) + ".probability",
+        Exact(probabilities[i]));
+  }
+
+  const size_t n_explained = std::min(kExplained, split.test.size());
+  for (size_t i = 0; i < n_explained; ++i) {
+    const core::Explanation explanation =
+        model.Explain(split.test.records[i]);
+    const std::string record = "record." + std::to_string(i);
+    add(record + ".units", std::to_string(explanation.units.size()));
+    for (size_t u = 0; u < explanation.units.size(); ++u) {
+      const core::ExplainedUnit& eu = explanation.units[u];
+      const bool has_left =
+          eu.unit.paired || eu.unit.unpaired_side == core::Side::kLeft;
+      const bool has_right =
+          eu.unit.paired || eu.unit.unpaired_side == core::Side::kRight;
+      const std::string unit = record + ".unit." + std::to_string(u);
+      add(unit + ".phase", PhaseName(eu.unit.phase));
+      add(unit + ".left", has_left ? eu.unit.left.token : "-");
+      add(unit + ".right", has_right ? eu.unit.right.token : "-");
+      add(unit + ".similarity", Exact(eu.unit.similarity));
+      add(unit + ".impact", Exact(eu.impact));
+    }
+  }
+  return out;
+}
+
+std::string GoldenPath(const std::string& dataset_id) {
+  return std::string(WYM_GOLDEN_DIR) + "/" + dataset_id + ".txt";
+}
+
+bool ReadGolden(const std::string& path, Record* out) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.find(' ');
+    if (space == std::string::npos) {
+      out->emplace_back(line, "");
+    } else {
+      out->emplace_back(line.substr(0, space), line.substr(space + 1));
+    }
+  }
+  return true;
+}
+
+bool WriteGolden(const std::string& path, const Record& record) {
+  std::ofstream out(path);
+  out << "# WYM golden output: seed " << kSeed << ", scale " << kScale
+      << ", default WymConfig, DefaultSplit test partition.\n"
+      << "# Regenerate with `golden_test --write-golden` only for an "
+         "intended behaviour change.\n";
+  for (const auto& [key, value] : record) out << key << ' ' << value << '\n';
+  return static_cast<bool>(out);
+}
+
+/// "record.3.unit.2.similarity" -> "record 3, field unit.2.similarity";
+/// top-level keys ("f1") name only the field.
+std::string Describe(const std::string& key) {
+  if (key.rfind("record.", 0) == 0) {
+    const size_t dot = key.find('.', 7);
+    if (dot != std::string::npos) {
+      return "record " + key.substr(7, dot - 7) + ", field " +
+             key.substr(dot + 1);
+    }
+  }
+  return "field " + key;
+}
+
+class GoldenTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenTest, MatchesCommittedOutput) {
+  const std::string dataset_id = GetParam();
+  const std::string path = GoldenPath(dataset_id);
+  const Record actual = Render(dataset_id);
+  if (g_write_golden) {
+    ASSERT_TRUE(WriteGolden(path, actual)) << "cannot write " << path;
+    return;
+  }
+
+  Record expected;
+  ASSERT_TRUE(ReadGolden(path, &expected)) << "missing golden file " << path;
+  const std::map<std::string, std::string> expected_by_key(expected.begin(),
+                                                           expected.end());
+  const std::map<std::string, std::string> actual_by_key(actual.begin(),
+                                                         actual.end());
+  for (const auto& [key, value] : expected) {
+    const auto it = actual_by_key.find(key);
+    if (it == actual_by_key.end()) {
+      ADD_FAILURE() << dataset_id << ": " << Describe(key)
+                    << " is missing from the output (expected " << value
+                    << ")";
+    } else {
+      EXPECT_EQ(value, it->second)
+          << dataset_id << ": " << Describe(key) << " differs";
+    }
+  }
+  for (const auto& [key, value] : actual) {
+    if (expected_by_key.count(key) == 0) {
+      ADD_FAILURE() << dataset_id << ": unexpected " << Describe(key)
+                    << " = " << value;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, GoldenTest, ::testing::ValuesIn(kDatasets),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           name.erase(std::remove(name.begin(), name.end(), '-'),
+                                      name.end());
+                           return name;
+                         });
+
+}  // namespace
+}  // namespace wym
+
+int main(int argc, char** argv) {
+  ::testing::InitGoogleTest(&argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--write-golden") == 0) wym::g_write_golden = true;
+  }
+  return RUN_ALL_TESTS();
+}

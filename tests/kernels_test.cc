@@ -31,7 +31,6 @@
 #include "la/kernels.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace wym {
 namespace {
@@ -311,166 +310,6 @@ TEST(KernelParityTest, DenseLayerRowIndependentOfBlockPosition) {
   }
 }
 
-// --- Int8 quantized tier ---------------------------------------------
-
-TEST(QuantizeI8Test, RoundHalfAwayFromZero) {
-  // max|x| = 127 makes the quantization step exactly 1, so expected
-  // codes are just round-half-away(x).
-  const float row[] = {127.0f, 0.5f, -0.5f, 2.5f, -2.5f,
-                       0.49f,  -0.49f, 126.5f, -127.0f};
-  const size_t n = sizeof(row) / sizeof(row[0]);
-  const int8_t expected[] = {127, 1, -1, 3, -3, 0, 0, 127, -127};
-  for (SimdLevel level : AvailableLevels()) {
-    ScopedSimdLevel guard(level);
-    SCOPED_TRACE(la::kernels::SimdLevelName(level));
-    int8_t q[n];
-    float scale = -1.0f;
-    la::kernels::QuantizeRowsI8(row, 1, n, q, &scale);
-    EXPECT_EQ(scale, 1.0f);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(q[i], expected[i]) << "element " << i;
-    }
-  }
-}
-
-TEST(QuantizeI8Test, RoundTripErrorWithinHalfScale) {
-  Rng rng(0x1817);
-  for (size_t dim : kSizes) {
-    if (dim == 0) continue;
-    const std::vector<float> row = RandomF32(&rng, dim);
-    std::vector<int8_t> q(dim);
-    float scale = 0.0f;
-    la::kernels::QuantizeRowsI8(row.data(), 1, dim, q.data(), &scale);
-    ASSERT_GT(scale, 0.0f);
-    for (size_t i = 0; i < dim; ++i) {
-      EXPECT_GE(q[i], -127);
-      EXPECT_LE(q[i], 127);
-      const double dequant = static_cast<double>(q[i]) * scale;
-      // |x - dequant| <= scale/2: exact in real arithmetic; the small
-      // slack absorbs the float rounding of the scale inverse.
-      EXPECT_LE(std::abs(static_cast<double>(row[i]) - dequant),
-                0.5 * scale * 1.001)
-          << "dim=" << dim << " i=" << i;
-    }
-  }
-}
-
-TEST(QuantizeI8Test, EdgeCases) {
-  for (SimdLevel level : AvailableLevels()) {
-    ScopedSimdLevel guard(level);
-    SCOPED_TRACE(la::kernels::SimdLevelName(level));
-
-    // All-zero row: scale 0, all-zero codes; DotI8 of it is 0.
-    const float zero_row[8] = {0.0f};
-    int8_t q[8] = {1, 1, 1, 1, 1, 1, 1, 1};
-    float scale = -1.0f;
-    la::kernels::QuantizeRowsI8(zero_row, 1, 8, q, &scale);
-    EXPECT_EQ(scale, 0.0f);
-    for (int8_t code : q) EXPECT_EQ(code, 0);
-    EXPECT_EQ(la::kernels::DotI8(q, q, 8), 0);
-    EXPECT_EQ(la::kernels::DotI8(q, q, 8, scale, scale), 0.0);
-
-    // Empty dim: no-op on codes, zero dot.
-    la::kernels::QuantizeRowsI8(zero_row, 1, 0, q, &scale);
-    EXPECT_EQ(scale, 0.0f);
-    EXPECT_EQ(la::kernels::DotI8(q, q, 0), 0);
-
-    // Zero rows: nothing touched.
-    la::kernels::QuantizeRowsI8(nullptr, 0, 8, nullptr, nullptr);
-
-    // Saturation: huge dynamic range — the max-magnitude elements land
-    // exactly on +/-127, everything stays inside the symmetric range
-    // (the -128 code is never produced).
-    const float wide[4] = {1e30f, -1e30f, 1.0f, -5e29f};
-    int8_t wq[4];
-    float wscale = 0.0f;
-    la::kernels::QuantizeRowsI8(wide, 1, 4, wq, &wscale);
-    EXPECT_EQ(wq[0], 127);
-    EXPECT_EQ(wq[1], -127);
-    EXPECT_EQ(wq[2], 0);  // 1.0 is far below half a step.
-    for (int8_t code : wq) {
-      EXPECT_GE(code, -127);
-      EXPECT_LE(code, 127);
-    }
-  }
-}
-
-TEST(KernelParityTest, I8KernelsIdenticalAcrossLevels) {
-  // Stronger than the float contract: int32 accumulation is exact, so
-  // quantized codes, scales, raw dots and scaled dots must agree across
-  // *all* levels, not merely within one.
-  Rng rng(0x18B17);
-  for (size_t n : kSizes) {
-    const std::vector<float> fa = RandomF32(&rng, n);
-    const std::vector<float> fb = RandomF32(&rng, n);
-
-    std::vector<int8_t> qa_ref(n), qb_ref(n);
-    float sa_ref = 0.0f, sb_ref = 0.0f;
-    int32_t raw_ref = 0;
-    double scaled_ref = 0.0;
-    {
-      ScopedSimdLevel guard(SimdLevel::kScalar);
-      la::kernels::QuantizeRowsI8(fa.data(), 1, n, qa_ref.data(), &sa_ref);
-      la::kernels::QuantizeRowsI8(fb.data(), 1, n, qb_ref.data(), &sb_ref);
-      raw_ref = la::kernels::DotI8(qa_ref.data(), qb_ref.data(), n);
-      scaled_ref =
-          la::kernels::DotI8(qa_ref.data(), qb_ref.data(), n, sa_ref, sb_ref);
-    }
-
-    for (SimdLevel level : AvailableLevels()) {
-      ScopedSimdLevel guard(level);
-      SCOPED_TRACE(testing::Message() << "n=" << n << " level="
-                                      << la::kernels::SimdLevelName(level));
-      std::vector<int8_t> qa(n), qb(n);
-      float sa = 0.0f, sb = 0.0f;
-      la::kernels::QuantizeRowsI8(fa.data(), 1, n, qa.data(), &sa);
-      la::kernels::QuantizeRowsI8(fb.data(), 1, n, qb.data(), &sb);
-      EXPECT_EQ(qa, qa_ref);
-      EXPECT_EQ(qb, qb_ref);
-      EXPECT_EQ(sa, sa_ref);
-      EXPECT_EQ(sb, sb_ref);
-      EXPECT_EQ(la::kernels::DotI8(qa.data(), qb.data(), n), raw_ref);
-      EXPECT_EQ(la::kernels::DotI8(qa.data(), qb.data(), n, sa, sb),
-                scaled_ref);
-    }
-  }
-}
-
-TEST(KernelParityTest, SimilarityMatrixI8IdenticalAcrossLevels) {
-  Rng rng(0x51318);
-  const size_t rows_a = 13, rows_b = 29, dim = 72;
-  const std::vector<float> a = RandomF32(&rng, rows_a * dim);
-  const std::vector<float> b = RandomF32(&rng, rows_b * dim);
-
-  std::vector<int8_t> qa(rows_a * dim), qb(rows_b * dim);
-  std::vector<float> sa(rows_a), sb(rows_b);
-  std::vector<double> reference(rows_a * rows_b);
-  {
-    ScopedSimdLevel guard(SimdLevel::kScalar);
-    la::kernels::QuantizeRowsI8(a.data(), rows_a, dim, qa.data(), sa.data());
-    la::kernels::QuantizeRowsI8(b.data(), rows_b, dim, qb.data(), sb.data());
-    la::kernels::SimilarityMatrixI8(qa.data(), rows_a, sa.data(), qb.data(),
-                                    rows_b, sb.data(), dim, reference.data());
-    // The blocked matrix agrees with per-cell DotI8.
-    for (size_t i = 0; i < rows_a; ++i) {
-      for (size_t j = 0; j < rows_b; ++j) {
-        EXPECT_EQ(reference[i * rows_b + j],
-                  la::kernels::DotI8(qa.data() + i * dim, qb.data() + j * dim,
-                                     dim, sa[i], sb[j]));
-      }
-    }
-  }
-
-  for (SimdLevel level : AvailableLevels()) {
-    ScopedSimdLevel guard(level);
-    SCOPED_TRACE(la::kernels::SimdLevelName(level));
-    std::vector<double> out(rows_a * rows_b);
-    la::kernels::SimilarityMatrixI8(qa.data(), rows_a, sa.data(), qb.data(),
-                                    rows_b, sb.data(), dim, out.data());
-    EXPECT_EQ(reference, out);
-  }
-}
-
 // --- End-to-end: the dispatch path must not change pipeline outputs ---
 
 core::TokenizedRecord EncodeFirstRecord(const data::Dataset& dataset) {
@@ -558,85 +397,6 @@ TEST(KernelPipelineTest, TrainedModelFilesByteIdenticalAcrossLevels) {
          "must produce byte-identical model files";
   std::remove(scalar_path.c_str());
   std::remove(simd_path.c_str());
-}
-
-// --- Quantized pipeline: fp fallback, accuracy, thread determinism ---
-
-TEST(QuantizedPipelineTest, QuantizedMatrixCloseToFpAndFallbackSelectable) {
-  const data::Dataset dataset = data::GenerateById("S-WA", 42, 0.1);
-  const core::TokenizedRecord record = EncodeFirstRecord(dataset);
-
-  core::UnitGeneratorOptions fp_options;
-  fp_options.quantized = false;
-  const core::DecisionUnitGenerator fp_generator(fp_options);
-  const core::DecisionUnitGenerator i8_generator;  // Default: quantized.
-  ASSERT_TRUE(i8_generator.options().quantized);
-
-  const la::Matrix fp = fp_generator.PairSimilarityMatrix(record.left,
-                                                          record.right);
-  const la::Matrix i8 = i8_generator.PairSimilarityMatrix(record.left,
-                                                          record.right);
-  ASSERT_EQ(fp.rows(), i8.rows());
-  ASSERT_EQ(fp.cols(), i8.cols());
-  ASSERT_GT(fp.rows() * fp.cols(), 0u);
-  // Per-element quantization error of a unit row is at most scale/2
-  // with scale <= 1/127, so cosines drift by a few hundredths at most.
-  for (size_t i = 0; i < fp.rows(); ++i) {
-    for (size_t j = 0; j < fp.cols(); ++j) {
-      EXPECT_NEAR(fp.Row(i)[j], i8.Row(i)[j], 0.05)
-          << "cell (" << i << ", " << j << ")";
-    }
-  }
-}
-
-TEST(QuantizedPipelineTest, ScratchQuantizationMatchesEncodeTimeCache) {
-  // A stripped entity (no encode-time caches) must produce the exact
-  // same quantized similarity matrix as the cached one.
-  const data::Dataset dataset = data::GenerateById("S-WA", 42, 0.1);
-  const core::TokenizedRecord record = EncodeFirstRecord(dataset);
-  ASSERT_TRUE(record.left.HasQuantizedEmbeddings());
-
-  core::TokenizedRecord stripped = record;
-  stripped.left.packed_embeddings.clear();
-  stripped.left.quantized_embeddings.clear();
-  stripped.left.quantized_scales.clear();
-  stripped.right.packed_embeddings.clear();
-  stripped.right.quantized_embeddings.clear();
-  stripped.right.quantized_scales.clear();
-  ASSERT_FALSE(stripped.left.HasQuantizedEmbeddings());
-
-  const core::DecisionUnitGenerator generator;
-  const la::Matrix cached =
-      generator.PairSimilarityMatrix(record.left, record.right);
-  const la::Matrix scratch =
-      generator.PairSimilarityMatrix(stripped.left, stripped.right);
-  ASSERT_EQ(cached.rows(), scratch.rows());
-  ASSERT_EQ(cached.cols(), scratch.cols());
-  for (size_t i = 0; i < cached.rows(); ++i) {
-    for (size_t j = 0; j < cached.cols(); ++j) {
-      EXPECT_EQ(cached.Row(i)[j], scratch.Row(i)[j]);
-    }
-  }
-}
-
-TEST(QuantizedPipelineTest, PredictionsBitIdenticalAcrossThreadCounts) {
-  // 1-vs-8-thread byte-identity of the whole predict path with the
-  // quantized fast path on (the default config).
-  const data::Dataset dataset = data::GenerateById("S-FZ", 42, 0.25);
-  const data::Split split = data::DefaultSplit(dataset, 42);
-  core::WymModel model;
-  ASSERT_TRUE(model.config().generator.quantized);
-  model.Fit(split.train, split.validation);
-
-  util::ThreadPool one(1), eight(8);
-  const std::vector<double> p1 = model.PredictProbaBatch(split.test, &one);
-  const std::vector<double> p8 = model.PredictProbaBatch(split.test, &eight);
-  ASSERT_EQ(p1.size(), p8.size());
-  ASSERT_FALSE(p1.empty());
-  for (size_t i = 0; i < p1.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&p1[i], &p8[i], sizeof(double)), 0)
-        << "record " << i;
-  }
 }
 
 }  // namespace

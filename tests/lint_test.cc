@@ -251,7 +251,7 @@ TEST(KernelBypassCheckTest, FiresOnDotLoopsInMathDirsOnly) {
                        "kernel-bypass-accumulation"));
   EXPECT_TRUE(HasCheck(Scan("src/la/x.cc", dot),
                        "kernel-bypass-accumulation"));
-  // The int8-kernel consumers are covered too.
+  // The similarity consumers in src/core and src/blocking are covered too.
   EXPECT_TRUE(HasCheck(Scan("src/core/x.cc", dot),
                        "kernel-bypass-accumulation"));
   EXPECT_TRUE(HasCheck(Scan("src/blocking/x.cc", dot),
@@ -267,8 +267,8 @@ TEST(KernelBypassCheckTest, FiresOnDotLoopsInMathDirsOnly) {
 }
 
 TEST(KernelBypassCheckTest, FiresOnInt8DotLoopAndHonorsSuppression) {
-  // A hand-rolled int8 dot in a consumer TU bypasses DotI8's exact
-  // int32 accumulation contract just like a float loop bypasses Dot's.
+  // The check is pattern-based: an integer dot loop has the same
+  // reduction shape as a float one and is flagged the same way.
   const std::string i8_dot =
       "for (size_t i = 0; i < n; ++i)\n"
       "  acc += static_cast<int32_t>(qa[i]) * static_cast<int32_t>(qb[i]);\n";
@@ -387,8 +387,8 @@ TEST(SimdCheckTest, IntrinsicsConfinedToKernelTus) {
 }
 
 TEST(SimdCheckTest, Int8IntrinsicsAndHeadersCoveredOutsideKernels) {
-  // The int8 tier's widening/madd intrinsics carry the same _mm prefixes
-  // and must stay confined to the kernel TUs like the float ones.
+  // Integer widening/madd intrinsics carry the same _mm prefixes and
+  // must stay confined to the kernel TUs like the float ones.
   EXPECT_TRUE(HasCheck(
       Scan("src/core/x.cc",
            "__m128i s = _mm_madd_epi16(_mm_srai_epi16(v, 8), w);\n"),
@@ -401,7 +401,7 @@ TEST(SimdCheckTest, Int8IntrinsicsAndHeadersCoveredOutsideKernels) {
                        "simd-outside-kernels"));
   EXPECT_TRUE(HasCheck(Scan("src/core/x.cc", "#include <pmmintrin.h>\n"),
                        "simd-outside-kernels"));
-  // The kernel TUs themselves stay exempt for the int8 intrinsics too.
+  // The kernel TUs themselves stay exempt for the integer intrinsics too.
   EXPECT_FALSE(HasCheck(
       Scan("src/la/kernels_sse2.cc",
            "__m128i s = _mm_madd_epi16(_mm_srai_epi16(v, 8), w);\n"),
