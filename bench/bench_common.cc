@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "ml/metrics.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -138,52 +138,43 @@ void PerfReport::AddBenchmark(const std::string& name, double time_ns,
 bool PerfReport::Write() const {
   if (!requested()) return true;
 
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += ' ';
-      } else {
-        out += c;
-      }
+  // Each entry list is [{"name":...,"<value_key>":<number>}, ...].
+  const auto append_entries = [](const std::vector<Entry>& entries,
+                                 const char* value_key, std::string* json) {
+    for (size_t i = 0; i < entries.size(); ++i) {
+      *json += i > 0 ? ",{\"name\":" : "{\"name\":";
+      obs::AppendJsonString(entries[i].name, json);
+      *json += ",\"";
+      *json += value_key;
+      *json += "\":";
+      obs::AppendJsonNumber(entries[i].value, json);
+      *json += '}';
     }
-    return out;
   };
 
-  std::ostringstream os;
-  os << "{\"schema\":\"wym-bench-report/v1\"";
-  os << ",\"bench\":\"" << escape(bench_name_) << "\"";
-  os << ",\"scale\":" << ScaleFromEnv();
-  os << ",\"seed\":" << kSeed;
-  os << ",\"benchmarks\":[";
+  std::string json = "{\"schema\":\"wym-bench-report/v1\",\"bench\":";
+  obs::AppendJsonString(bench_name_, &json);
+  json += ",\"scale\":";
+  obs::AppendJsonNumber(ScaleFromEnv(), &json);
+  json += ",\"seed\":" + std::to_string(kSeed);
+  json += ",\"benchmarks\":[";
   for (size_t i = 0; i < benchmarks_.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << escape(benchmarks_[i].name)
-       << "\",\"time_ns\":" << benchmarks_[i].time_ns
-       << ",\"iterations\":" << benchmarks_[i].iterations << "}";
+    json += i > 0 ? ",{\"name\":" : "{\"name\":";
+    obs::AppendJsonString(benchmarks_[i].name, &json);
+    json += ",\"time_ns\":";
+    obs::AppendJsonNumber(benchmarks_[i].time_ns, &json);
+    json += ",\"iterations\":" + std::to_string(benchmarks_[i].iterations) +
+            '}';
   }
-  os << "],\"stages\":[";
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << escape(stages_[i].name)
-       << "\",\"seconds\":" << stages_[i].value << "}";
-  }
-  os << "],\"rates\":[";
-  for (size_t i = 0; i < rates_.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << escape(rates_[i].name)
-       << "\",\"per_sec\":" << rates_[i].value << "}";
-  }
-  os << "],\"metrics\":"
-     << obs::MetricsToJson(obs::Registry::Global().Snapshot());
-  os << "}\n";
+  json += "],\"stages\":[";
+  append_entries(stages_, "seconds", &json);
+  json += "],\"rates\":[";
+  append_entries(rates_, "per_sec", &json);
+  json += "],\"metrics\":" +
+          obs::MetricsToJson(obs::Registry::Global().Snapshot()) + "}\n";
 
   std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out << os.str();
+  out << json;
   out.flush();
   if (!out) {
     std::fprintf(stderr, "perf report: cannot write %s\n", path_.c_str());

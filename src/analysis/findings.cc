@@ -1,9 +1,10 @@
 #include "analysis/findings.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <tuple>
+
+#include "obs/json.h"
 
 namespace wym::analysis {
 
@@ -56,63 +57,31 @@ std::string RenderText(const Report& report) {
   return os.str();
 }
 
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string RenderJson(const Report& report) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"wym-analysis-report/v1\",\n";
-  os << "  \"pass\": \"" << EscapeJson(report.pass) << "\",\n";
-  os << "  \"files_scanned\": " << report.files_scanned << ",\n";
-  os << "  \"suppressions_honored\": " << report.suppressions_honored
-     << ",\n";
-  os << "  \"stale_suppressions\": " << report.StaleCount() << ",\n";
-  os << "  \"exit_code\": " << report.ExitCode() << ",\n";
-  os << "  \"findings\": [";
+  std::string out = "{\n  \"schema\": \"wym-analysis-report/v1\",\n";
+  out += "  \"pass\": ";
+  obs::AppendJsonString(report.pass, &out);
+  out += ",\n  \"files_scanned\": " + std::to_string(report.files_scanned);
+  out += ",\n  \"suppressions_honored\": " +
+         std::to_string(report.suppressions_honored);
+  out += ",\n  \"stale_suppressions\": " +
+         std::to_string(report.StaleCount());
+  out += ",\n  \"exit_code\": " + std::to_string(report.ExitCode());
+  out += ",\n  \"findings\": [";
   for (size_t i = 0; i < report.findings.size(); ++i) {
     const lint::Finding& f = report.findings[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"path\": \"" << EscapeJson(f.path) << "\", "
-       << "\"line\": " << f.line << ", "
-       << "\"check\": \"" << EscapeJson(f.check) << "\", "
-       << "\"severity\": \"" << SeverityName(SeverityOf(f.check)) << "\", "
-       << "\"message\": \"" << EscapeJson(f.message) << "\"}";
+    out += i == 0 ? "\n    {\"path\": " : ",\n    {\"path\": ";
+    obs::AppendJsonString(f.path, &out);
+    out += ", \"line\": " + std::to_string(f.line) + ", \"check\": ";
+    obs::AppendJsonString(f.check, &out);
+    out += ", \"severity\": \"";
+    out += SeverityName(SeverityOf(f.check));
+    out += "\", \"message\": ";
+    obs::AppendJsonString(f.message, &out);
+    out += '}';
   }
-  os << (report.findings.empty() ? "]\n" : "\n  ]\n");
-  os << "}\n";
-  return os.str();
+  out += report.findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  return out;
 }
 
 }  // namespace wym::analysis

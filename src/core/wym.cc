@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -24,10 +23,6 @@ constexpr char kSectionConfig[] = "config";
 constexpr char kSectionEncoder[] = "encoder";
 constexpr char kSectionScorer[] = "scorer";
 constexpr char kSectionMatcher[] = "matcher";
-
-/// Serialized prefix of a legacy (format v1) model stream: the
-/// length-prefixed "wym-model/v1" tag the old SaveToFile wrote first.
-constexpr char kLegacyPrefix[] = "12 wym-model/v1";
 
 const std::string* FindFrame(const std::vector<io::FileFrame>& frames,
                              const char* name) {
@@ -427,7 +422,7 @@ std::vector<int> WymModel::PredictDataset(const data::Dataset& dataset) const {
 namespace {
 
 /// Serializes the config scalars needed to rebuild the stateless
-/// components (shared by the v1 stream and the v2 "config" section).
+/// components (the v2 "config" section).
 void WriteConfigFields(serde::Serializer* s, const WymConfig& config,
                        size_t num_attributes) {
   s->Bool(config.tokenizer.lowercase);
@@ -501,21 +496,6 @@ Status WymModel::SaveToFile(const std::string& path) const {
       .Annotate("saving model to " + path);
 }
 
-Status WymModel::SaveToFileV1(const std::string& path) const {
-  if (!fitted_) {
-    return Status::FailedPrecondition("cannot save an unfitted WymModel");
-  }
-  std::ostringstream out;
-  serde::Serializer s(&out);
-  s.Tag("wym-model/v1");
-  WriteConfigFields(&s, config_, num_attributes_);
-  encoder_.Save(&s);
-  scorer_.Save(&s);
-  matcher_.Save(&s);
-  return io::WriteFileAtomic(path, out.str())
-      .Annotate("saving legacy v1 model to " + path);
-}
-
 Result<WymModel> WymModel::LoadFromFile(const std::string& path,
                                         std::vector<PairingRule> rules) {
   std::string bytes;
@@ -523,43 +503,11 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   if (!read.ok()) return read.Annotate("loading model");
 
   if (!io::LooksFramed(bytes, kModelMagic)) {
-    // Legacy format v1: a bare serde stream opening with the v1 tag.
-    if (bytes.compare(0, sizeof(kLegacyPrefix) - 1, kLegacyPrefix) != 0) {
-      return Status::Corruption("not a WYM model file: " + path);
-    }
-    std::cerr << "wym: note: " << path
-              << " is a legacy v1 model file (no integrity checksums); "
-                 "re-save with SaveToFile to upgrade to format v2\n";
-    std::istringstream in(bytes);
-    serde::Deserializer d(&in);
-    if (!d.Tag("wym-model/v1")) {
-      return Status::Corruption("not a WYM model file: " + path);
-    }
-    WymConfig config;
-    uint64_t rule_count = 0;
-    uint64_t num_attributes = 0;
-    ReadConfigFields(&d, &config, &rule_count, &num_attributes);
-    if (!d.ok()) return Status::Corruption("truncated model header: " + path);
-    WYM_RETURN_IF_ERROR(CheckRuleCount(rule_count, rules));
-    config.generator.rules = std::move(rules);
-    WymModel model(config);
-    model.num_attributes_ = num_attributes;
-    if (!model.encoder_.Load(&d)) {
-      return Status::Corruption("bad encoder state: " + path);
-    }
-    if (!model.scorer_.Load(&d)) {
-      return Status::Corruption("bad scorer state: " + path);
-    }
-    if (!model.matcher_.Load(&d)) {
-      return Status::Corruption("bad matcher state: " + path);
-    }
-    if (!d.ok()) return Status::Corruption("truncated model file: " + path);
-    model.fitted_ = true;
-    return model;
+    return Status::Corruption("not a WYM model file: " + path);
   }
 
-  // Format v2: verify the container — structure, per-section CRCs,
-  // whole-file trailer — before deserializing anything.
+  // Verify the container — structure, per-section CRCs, whole-file
+  // trailer — before deserializing anything.
   std::vector<io::FileFrame> frames;
   const Status decoded = io::DecodeFramedFile(
       bytes, kModelMagic, kModelFormatVersion, nullptr, &frames);
@@ -629,14 +577,6 @@ Status WymModel::VerifyFile(const std::string& path, std::string* summary) {
   WYM_RETURN_IF_ERROR(
       io::ReadFileToString(path, &bytes).Annotate("verifying " + path));
   if (!io::LooksFramed(bytes, kModelMagic)) {
-    if (bytes.compare(0, sizeof(kLegacyPrefix) - 1, kLegacyPrefix) == 0) {
-      if (summary != nullptr) {
-        *summary = "legacy v1 model file (" + std::to_string(bytes.size()) +
-                   " bytes): no integrity frames to verify; re-save to "
-                   "upgrade to format v2\n";
-      }
-      return Status::Ok();
-    }
     return Status::Corruption("not a WYM model file: " + path);
   }
   return io::VerifyFramedFile(bytes, kModelMagic, summary).Annotate(path);

@@ -185,23 +185,18 @@ class WymModel : public Matcher {
   /// LoadFromFile's config parameter.
   [[nodiscard]] Status SaveToFile(const std::string& path) const;
 
-  /// Legacy format v1 writer (unframed serde stream, no checksums).
-  /// Kept only so the v1 -> v2 migration path stays testable; new code
-  /// must use SaveToFile.
-  [[nodiscard]] Status SaveToFileV1(const std::string& path) const;
-
   /// Restores a SaveToFile()d model. Format v2 files are verified frame
   /// by frame before any state is deserialized; damage yields
-  /// `Status::Corruption` naming the broken section. Legacy v1 files
-  /// still load (with a deprecation note on stderr). `rules` re-attaches
+  /// `Status::Corruption` naming the broken section; anything that is
+  /// not a framed v2 file is `Status::Corruption` too. `rules` re-attaches
   /// the pairing rules that were active at training time (empty = none).
   static Result<WymModel> LoadFromFile(
       const std::string& path, std::vector<PairingRule> rules = {});
 
   /// Checks a model file's structure and every CRC without
   /// deserializing any model state (the `wym_cli verify` backend).
-  /// `summary` (optional) receives a per-frame report. Legacy v1 files
-  /// verify vacuously (they carry no checksums) with a note to re-save.
+  /// `summary` (optional) receives a per-frame report. A file that is
+  /// not a framed v2 file is `Status::Corruption`.
   [[nodiscard]] static Status VerifyFile(const std::string& path,
                                          std::string* summary = nullptr);
 

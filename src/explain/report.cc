@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/json.h"
 #include "util/string_util.h"
 
 namespace wym::explain {
@@ -22,39 +23,6 @@ const char* PhaseName(core::UnitPhase phase) {
       return "unpaired";
   }
   return "?";
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -129,32 +97,41 @@ std::string RenderExplanation(const core::Explanation& explanation,
 }
 
 std::string ExplanationToJson(const core::Explanation& explanation) {
-  std::ostringstream out;
-  out << "{\"prediction\":" << explanation.prediction
-      << ",\"probability\":"
-      << strings::FormatDouble(explanation.probability, 6)
-      << ",\"units\":[";
+  std::string out = "{\"prediction\":";
+  out += std::to_string(explanation.prediction);
+  out += ",\"probability\":";
+  obs::AppendJsonFixed(explanation.probability, 6, &out);
+  out += ",\"units\":[";
   for (size_t u = 0; u < explanation.units.size(); ++u) {
     const auto& eu = explanation.units[u];
-    if (u > 0) out << ',';
-    out << "{\"label\":\"" << JsonEscape(eu.unit.Label()) << "\""
-        << ",\"paired\":" << (eu.unit.paired ? "true" : "false")
-        << ",\"phase\":\"" << PhaseName(eu.unit.phase) << "\""
-        << ",\"attribute\":" << eu.unit.AnchorAttribute();
+    if (u > 0) out += ',';
+    out += "{\"label\":";
+    obs::AppendJsonString(eu.unit.Label(), &out);
+    out += eu.unit.paired ? ",\"paired\":true" : ",\"paired\":false";
+    out += ",\"phase\":\"";
+    out += PhaseName(eu.unit.phase);
+    out += "\",\"attribute\":";
+    out += std::to_string(eu.unit.AnchorAttribute());
     if (eu.unit.paired) {
-      out << ",\"left\":\"" << JsonEscape(eu.unit.left.token) << "\""
-          << ",\"right\":\"" << JsonEscape(eu.unit.right.token) << "\"";
+      out += ",\"left\":";
+      obs::AppendJsonString(eu.unit.left.token, &out);
+      out += ",\"right\":";
+      obs::AppendJsonString(eu.unit.right.token, &out);
     } else {
-      out << ",\"token\":\"" << JsonEscape(eu.unit.UnpairedToken().token)
-          << "\",\"side\":\""
-          << (eu.unit.unpaired_side == core::Side::kLeft ? "left" : "right")
-          << "\"";
+      out += ",\"token\":";
+      obs::AppendJsonString(eu.unit.UnpairedToken().token, &out);
+      out += eu.unit.unpaired_side == core::Side::kLeft
+                 ? ",\"side\":\"left\""
+                 : ",\"side\":\"right\"";
     }
-    out << ",\"relevance\":" << strings::FormatDouble(eu.relevance, 6)
-        << ",\"impact\":" << strings::FormatDouble(eu.impact, 6) << "}";
+    out += ",\"relevance\":";
+    obs::AppendJsonFixed(eu.relevance, 6, &out);
+    out += ",\"impact\":";
+    obs::AppendJsonFixed(eu.impact, 6, &out);
+    out += '}';
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 }  // namespace wym::explain

@@ -1,6 +1,8 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -74,6 +76,13 @@ class Parser {
       error_ = "unexpected end of input";
       return false;
     }
+    out->begin = pos_;
+    const bool ok = ParseScalarOrContainer(out, depth);
+    out->end = pos_;
+    return ok;
+  }
+
+  bool ParseScalarOrContainer(JsonValue* out, int depth) {
     const char c = text_[pos_];
     switch (c) {
       case '{':
@@ -284,6 +293,76 @@ class Parser {
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
   Parser parser(text);
   return parser.Parse(out, error);
+}
+
+void AppendJsonString(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out += '"';
+  std::size_t run = 0;  // Start of the pending run of verbatim bytes.
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(text.data() + run, text.size() - run);
+  *out += '"';
+}
+
+void AppendJsonNumber(double value, std::string* out) {
+  if (!std::isfinite(value)) {
+    *out += '0';
+    return;
+  }
+  char buffer[32];
+  int length = 0;
+  for (int precision = 9; precision <= 17; ++precision) {
+    length = std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+    if (std::strtod(buffer, nullptr) == value) break;
+  }
+  out->append(buffer, static_cast<std::size_t>(length));
+}
+
+void AppendJsonFixed(double value, int digits, std::string* out) {
+  if (!std::isfinite(value)) {
+    *out += '0';
+    return;
+  }
+  char buffer[64];
+  const int length =
+      std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
+  if (length < static_cast<int>(sizeof(buffer))) {
+    out->append(buffer, static_cast<std::size_t>(length));
+    return;
+  }
+  // Magnitudes past ~1e50 need more room than the stack buffer.
+  const std::size_t at = out->size();
+  out->resize(at + static_cast<std::size_t>(length) + 1);
+  std::snprintf(out->data() + at, static_cast<std::size_t>(length) + 1,
+                "%.*f", digits, value);
+  out->resize(at + static_cast<std::size_t>(length));
 }
 
 }  // namespace wym::obs

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace wym::obs {
 
 bool MetricsEnabled() {
@@ -181,50 +183,35 @@ std::string RenderMetrics(const MetricsSnapshot& snapshot) {
 }
 
 std::string MetricsToJson(const MetricsSnapshot& snapshot) {
-  // Metric names are restricted to [A-Za-z0-9._-] by convention, but
-  // escape the JSON-significant characters anyway so a stray name can
-  // never corrupt a report.
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += ' ';
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
-
-  std::ostringstream os;
-  os << "{\"counters\":{";
+  std::string out = "{\"counters\":{";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << escape(snapshot.counters[i].name)
-       << "\":" << snapshot.counters[i].value;
+    if (i > 0) out += ',';
+    AppendJsonString(snapshot.counters[i].name, &out);
+    out += ':' + std::to_string(snapshot.counters[i].value);
   }
-  os << "},\"gauges\":{";
+  out += "},\"gauges\":{";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << escape(snapshot.gauges[i].name) << "\":{\"value\":"
-       << snapshot.gauges[i].value << ",\"max\":" << snapshot.gauges[i].max
-       << "}";
+    if (i > 0) out += ',';
+    AppendJsonString(snapshot.gauges[i].name, &out);
+    out += ":{\"value\":" + std::to_string(snapshot.gauges[i].value) +
+           ",\"max\":" + std::to_string(snapshot.gauges[i].max) + '}';
   }
-  os << "},\"histograms\":{";
+  out += "},\"histograms\":{";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    if (i > 0) os << ",";
+    if (i > 0) out += ',';
     const HistogramSnapshot& h = snapshot.histograms[i].hist;
-    os << "\"" << escape(snapshot.histograms[i].name) << "\":{\"count\":"
-       << h.count << ",\"sum_ns\":" << h.sum << ",\"mean_ns\":" << h.Mean()
-       << ",\"p50_ns\":" << h.Percentile(0.5)
-       << ",\"p95_ns\":" << h.Percentile(0.95) << "}";
+    AppendJsonString(snapshot.histograms[i].name, &out);
+    out += ":{\"count\":" + std::to_string(h.count) +
+           ",\"sum_ns\":" + std::to_string(h.sum) + ",\"mean_ns\":";
+    AppendJsonNumber(h.Mean(), &out);
+    out += ",\"p50_ns\":";
+    AppendJsonNumber(h.Percentile(0.5), &out);
+    out += ",\"p95_ns\":";
+    AppendJsonNumber(h.Percentile(0.95), &out);
+    out += '}';
   }
-  os << "}}";
-  return os.str();
+  out += "}}";
+  return out;
 }
 
 }  // namespace wym::obs

@@ -1,30 +1,10 @@
 #include "serve/protocol.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include "obs/json.h"
 
 namespace wym::serve {
 
 namespace {
-
-/// Shortest %g rendering that round-trips a double exactly (the same
-/// discipline the obs bench reports use): try increasing precision
-/// until strtod gives back the identical value. Non-finite values have
-/// no JSON spelling; the pipeline's quarantine path guarantees none,
-/// and this renders any that slip through as 0 rather than emitting
-/// invalid JSON.
-std::string RenderDouble(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buffer[64];
-  for (int precision = 9; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
-}
 
 /// Status::Code <-> wire name. Mirrors CodeName in util/status.cc; an
 /// unknown wire name maps to kIoError (fail closed, still typed).
@@ -149,96 +129,38 @@ Status ParsePair(const obs::JsonValue& object, data::EmRecord* out) {
   return Status::Ok();
 }
 
-/// Re-renders a parsed JSON subtree (client side: recovers the
-/// `payload` / `explanation` objects of a response as strings). Member
-/// order is preserved by the parser, and numbers re-render through
-/// RenderDouble, so server-rendered JSON round-trips byte-identically.
-void AppendJsonValue(const obs::JsonValue& value, std::string* out) {
-  switch (value.kind) {
-    case obs::JsonValue::Kind::kNull:
-      *out += "null";
-      return;
-    case obs::JsonValue::Kind::kBool:
-      *out += value.boolean ? "true" : "false";
-      return;
-    case obs::JsonValue::Kind::kNumber:
-      *out += RenderDouble(value.number);
-      return;
-    case obs::JsonValue::Kind::kString:
-      *out += EscapeJsonString(value.string);
-      return;
-    case obs::JsonValue::Kind::kArray: {
-      *out += '[';
-      for (size_t i = 0; i < value.array.size(); ++i) {
-        if (i != 0) *out += ',';
-        AppendJsonValue(value.array[i], out);
-      }
-      *out += ']';
-      return;
-    }
-    case obs::JsonValue::Kind::kObject: {
-      *out += '{';
-      for (size_t i = 0; i < value.object.size(); ++i) {
-        if (i != 0) *out += ',';
-        *out += EscapeJsonString(value.object[i].first);
-        *out += ':';
-        AppendJsonValue(value.object[i].second, out);
-      }
-      *out += '}';
-      return;
-    }
-  }
+/// The exact source bytes of a parsed value (client side: the server's
+/// `explanation` and `payload` objects reach the caller verbatim).
+std::string Source(const std::string& text, const obs::JsonValue& value) {
+  return text.substr(value.begin, value.end - value.begin);
+}
+
+/// Appends `key` and the quoted `value`; an empty value (the protocol's
+/// "absent") appends nothing.
+void AppendOptionalString(const char* key, const std::string& value,
+                          std::string* out) {
+  if (value.empty()) return;
+  *out += key;
+  obs::AppendJsonString(value, out);
 }
 
 void AppendPairJson(const data::EmRecord& pair, std::string* out) {
-  *out += "{\"left\":[";
-  for (size_t i = 0; i < pair.left.values.size(); ++i) {
-    if (i != 0) *out += ',';
-    *out += EscapeJsonString(pair.left.values[i]);
-  }
-  *out += "],\"right\":[";
-  for (size_t i = 0; i < pair.right.values.size(); ++i) {
-    if (i != 0) *out += ',';
-    *out += EscapeJsonString(pair.right.values[i]);
-  }
-  *out += "]}";
+  const auto append_values = [out](const std::vector<std::string>& values) {
+    *out += '[';
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (i != 0) *out += ',';
+      obs::AppendJsonString(values[i], out);
+    }
+    *out += ']';
+  };
+  *out += "{\"left\":";
+  append_values(pair.left.values);
+  *out += ",\"right\":";
+  append_values(pair.right.values);
+  *out += '}';
 }
 
 }  // namespace
-
-std::string EscapeJsonString(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 const char* OpName(Request::Op op) {
   for (const OpNameEntry& entry : kOpNames) {
@@ -314,21 +236,15 @@ Result<Request> ParseRequest(const std::string& line) {
 
 std::string RenderRequest(const Request& request) {
   std::string out = "{\"op\":";
-  out += EscapeJsonString(OpName(request.op));
-  if (!request.id.empty()) out += ",\"id\":" + EscapeJsonString(request.id);
-  if (!request.model.empty()) {
-    out += ",\"model\":" + EscapeJsonString(request.model);
-  }
+  obs::AppendJsonString(OpName(request.op), &out);
+  AppendOptionalString(",\"id\":", request.id, &out);
+  AppendOptionalString(",\"model\":", request.model, &out);
   if (request.explain) out += ",\"explain\":true";
   if (request.deadline_ms != 0) {
     out += ",\"deadline_ms\":" + std::to_string(request.deadline_ms);
   }
-  if (!request.name.empty()) {
-    out += ",\"name\":" + EscapeJsonString(request.name);
-  }
-  if (!request.path.empty()) {
-    out += ",\"path\":" + EscapeJsonString(request.path);
-  }
+  AppendOptionalString(",\"name\":", request.name, &out);
+  AppendOptionalString(",\"path\":", request.path, &out);
   if (request.sleep_ms != 0) {
     out += ",\"sleep_ms\":" + std::to_string(request.sleep_ms);
   }
@@ -346,45 +262,40 @@ std::string RenderRequest(const Request& request) {
 
 std::string RenderResponse(const Response& response) {
   std::string out = "{\"proto\":";
-  out += EscapeJsonString(kProtocolName);
-  if (!response.id.empty()) {
-    out += ",\"id\":" + EscapeJsonString(response.id);
-  }
-  if (!response.request_id.empty()) {
-    out += ",\"req\":" + EscapeJsonString(response.request_id);
-  }
-  if (!response.op.empty()) {
-    out += ",\"op\":" + EscapeJsonString(response.op);
-  }
+  obs::AppendJsonString(kProtocolName, &out);
+  AppendOptionalString(",\"id\":", response.id, &out);
+  AppendOptionalString(",\"req\":", response.request_id, &out);
+  AppendOptionalString(",\"op\":", response.op, &out);
   if (!response.status.ok()) {
     out += ",\"ok\":false,\"error\":{\"code\":";
-    out += EscapeJsonString(WireCodeName(response.status.code()));
+    obs::AppendJsonString(WireCodeName(response.status.code()), &out);
     out += ",\"message\":";
-    out += EscapeJsonString(response.status.message());
+    obs::AppendJsonString(response.status.message(), &out);
     out += "}}";
     return out;
   }
   out += ",\"ok\":true";
-  if (!response.model.empty()) {
-    out += ",\"model\":" + EscapeJsonString(response.model);
-  }
+  AppendOptionalString(",\"model\":", response.model, &out);
   if (!response.results.empty()) {
     out += ",\"results\":[";
     for (size_t i = 0; i < response.results.size(); ++i) {
       const PairResult& result = response.results[i];
       if (i != 0) out += ',';
       out += "{\"prediction\":" + std::to_string(result.prediction);
-      out += ",\"probability\":" + RenderDouble(result.probability);
-      out += std::string(",\"cached\":") + (result.cached ? "true" : "false");
+      out += ",\"probability\":";
+      obs::AppendJsonNumber(result.probability, &out);
+      out += result.cached ? ",\"cached\":true" : ",\"cached\":false";
       if (!result.explanation_json.empty()) {
-        out += ",\"explanation\":" + result.explanation_json;
+        out += ",\"explanation\":";
+        out += result.explanation_json;
       }
       out += '}';
     }
     out += ']';
   }
   if (!response.payload_json.empty()) {
-    out += ",\"payload\":" + response.payload_json;
+    out += ",\"payload\":";
+    out += response.payload_json;
   }
   out += '}';
   return out;
@@ -433,15 +344,13 @@ Result<Response> ParseResponse(const std::string& line) {
       (void)GetBool(entry, "cached", &result.cached);
       const obs::JsonValue* explanation = entry.Find("explanation");
       if (explanation != nullptr) {
-        AppendJsonValue(*explanation, &result.explanation_json);
+        result.explanation_json = Source(line, *explanation);
       }
       response.results.push_back(result);
     }
   }
   const obs::JsonValue* payload = root.Find("payload");
-  if (payload != nullptr) {
-    AppendJsonValue(*payload, &response.payload_json);
-  }
+  if (payload != nullptr) response.payload_json = Source(line, *payload);
   return response;
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "explain/report.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -563,15 +564,21 @@ Response MatcherService::ExecuteDebugSleep(const RequestState& state) {
   return response;
 }
 
-std::string MatcherService::ModelListJson() const {
-  std::string out = "{\"models\":[";
+void MatcherService::AppendModelList(std::string* out) const {
+  *out += "\"models\":[";
   bool first = true;
   for (const std::string& name : registry_->Names()) {
-    if (!first) out += ',';
+    if (!first) *out += ',';
     first = false;
-    out += EscapeJsonString(name);
+    obs::AppendJsonString(name, out);
   }
-  out += "]}";
+  *out += ']';
+}
+
+std::string MatcherService::ModelListJson() const {
+  std::string out = "{";
+  AppendModelList(&out);
+  out += '}';
   return out;
 }
 
@@ -593,14 +600,8 @@ std::string MatcherService::StatsJson() const {
   out += ",\"cache\":{\"entries\":" + std::to_string(cache_.size()) +
          ",\"capacity\":" + std::to_string(cache_.capacity()) +
          ",\"evictions\":" + std::to_string(cache_.evictions()) + "}";
-  out += ",\"models\":[";
-  bool first = true;
-  for (const std::string& name : registry_->Names()) {
-    if (!first) out += ',';
-    first = false;
-    out += EscapeJsonString(name);
-  }
-  out += "]";
+  out += ',';
+  AppendModelList(&out);
   // Telemetry sections appear only when the matching sink is
   // configured, keeping the payload identical to pre-telemetry serving
   // when everything is off.
@@ -608,9 +609,9 @@ std::string MatcherService::StatsJson() const {
     out += ",\"windows\":" + options_.windows->WindowsJson();
   }
   if (options_.journal != nullptr) {
-    out += ",\"journal\":{\"path\":" +
-           EscapeJsonString(options_.journal->path()) +
-           ",\"lines\":" + std::to_string(options_.journal->lines_written()) +
+    out += ",\"journal\":{\"path\":";
+    obs::AppendJsonString(options_.journal->path(), &out);
+    out += ",\"lines\":" + std::to_string(options_.journal->lines_written()) +
            ",\"rotations\":" +
            std::to_string(options_.journal->rotations()) + "}";
   }

@@ -201,7 +201,11 @@ class MatcherService {
   Response ExecuteRegistryOp(const RequestState& state);
   Response ExecuteDebugSleep(const RequestState& state);
 
+  /// `{"models":[...]}`, the payload of list_models and registry ops.
   std::string ModelListJson() const;
+  /// Appends the `"models":[...]` member shared by ModelListJson and
+  /// StatsJson.
+  void AppendModelList(std::string* out) const;
 
   ModelRegistry* const registry_;
   const ServiceOptions options_;

@@ -754,8 +754,8 @@ void CheckTodoIssue(const FileCtx& ctx, std::vector<Finding>* out) {
 void CheckUncheckedStatus(const FileCtx& ctx, std::vector<Finding>* out) {
   // (a) Library-wide Status/Result returners callable across TUs.
   static const char* kRegistry[] = {
-      "SaveToFile",     "SaveToFileV1",     "LoadFromFile",
-      "VerifyFile",     "WriteDatasetCsv",  "ReadDatasetCsv",
+      "SaveToFile",     "LoadFromFile",     "VerifyFile",
+      "WriteDatasetCsv", "ReadDatasetCsv",
       "DatasetFromCsv", "WriteFileAtomic",  "ReadFileToString",
       "DecodeFramedFile", "VerifyFramedFile", "Annotate",
   };

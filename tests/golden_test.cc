@@ -9,7 +9,10 @@
 // Each file is a list of "key value" lines: the test F1, the %.17g
 // probability of the first kProbabilities test records, and for the
 // first kExplained test records every decision unit's phase, tokens,
-// %.17g similarity and %.17g impact.
+// %.17g similarity and %.17g impact, plus the exact ExplanationToJson
+// bytes. wire.txt holds the exact bytes of wym-serve/v1 requests and
+// responses and of a wym-analysis-report/v1 document, built from fixed
+// inputs whose strings carry every character JSON must escape.
 
 #include <gtest/gtest.h>
 
@@ -17,15 +20,20 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/findings.h"
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/split.h"
+#include "explain/report.h"
 #include "ml/metrics.h"
+#include "serve/protocol.h"
 
 namespace wym {
 namespace {
@@ -90,6 +98,8 @@ Record Render(const std::string& dataset_id) {
         model.Explain(split.test.records[i]);
     const std::string record = "record." + std::to_string(i);
     add(record + ".units", std::to_string(explanation.units.size()));
+    add(record + ".explanation_json",
+        explain::ExplanationToJson(explanation));
     for (size_t u = 0; u < explanation.units.size(); ++u) {
       const core::ExplainedUnit& eu = explanation.units[u];
       const bool has_left =
@@ -107,8 +117,123 @@ Record Render(const std::string& dataset_id) {
   return out;
 }
 
-std::string GoldenPath(const std::string& dataset_id) {
-  return std::string(WYM_GOLDEN_DIR) + "/" + dataset_id + ".txt";
+/// `"`, `\`, every byte 0x01-0x1f, DEL and a two-byte UTF-8 sequence.
+std::string Hostile() {
+  std::string text = "say \"hi\" \\ ";
+  for (char c = 0x01; c < 0x20; ++c) text += c;
+  text += '\x7f';
+  text += "caf\xc3\xa9";
+  return text;
+}
+
+/// A hand-built explanation: one unit of each shape, hostile tokens.
+core::Explanation WireExplanation() {
+  core::Explanation explanation;
+  explanation.prediction = 1;
+  explanation.probability = 0.5;
+  core::ExplainedUnit paired;
+  paired.unit.paired = true;
+  paired.unit.phase = core::UnitPhase::kInterAttribute;
+  paired.unit.left = {0, 0, "iphone"};
+  paired.unit.right = {1, 2, Hostile()};
+  paired.relevance = 1.0;
+  paired.impact = 0.123456789;
+  core::ExplainedUnit unpaired;
+  unpaired.unit.phase = core::UnitPhase::kUnpaired;
+  unpaired.unit.right = {2, 4, "blk"};
+  unpaired.unit.unpaired_side = core::Side::kRight;
+  unpaired.relevance = 0.25;
+  unpaired.impact = -0.0625;
+  explanation.units = {paired, unpaired};
+  return explanation;
+}
+
+/// Wire bytes of fixed requests, responses and an analysis report.
+Record RenderWire() {
+  Record out;
+  auto add = [&](std::string key, std::string value) {
+    out.emplace_back(std::move(key), std::move(value));
+  };
+
+  serve::Request predict;
+  predict.op = serve::Request::Op::kPredict;
+  predict.id = "r1";
+  predict.model = "default";
+  predict.explain = true;
+  predict.deadline_ms = 250;
+  data::EmRecord pair;
+  pair.left.values = {"iphone 4s", Hostile()};
+  pair.right.values = {"iphone 4s", "blk"};
+  predict.pairs.push_back(pair);
+  add("request.predict", serve::RenderRequest(predict));
+
+  serve::Request load;
+  load.op = serve::Request::Op::kLoadModel;
+  load.id = "r2";
+  load.name = "v2";
+  load.path = "/models/v2.wym";
+  add("request.load_model", serve::RenderRequest(load));
+
+  serve::Response explained;
+  explained.id = "r1";
+  explained.request_id = "q1";
+  explained.op = "predict";
+  explained.model = "default";
+  serve::PairResult result;
+  result.prediction = 1;
+  result.probability = 0.5;
+  result.explanation_json = explain::ExplanationToJson(WireExplanation());
+  explained.results.push_back(result);
+  add("response.predict_explain", serve::RenderResponse(explained));
+
+  serve::Response cached;
+  cached.id = "r3";
+  cached.request_id = "q3";
+  cached.op = "predict";
+  cached.model = "default";
+  for (const double probability :
+       {0.1, 0.123456789123456789, 1e-300, -0.0, 1.0,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    serve::PairResult hit;
+    hit.prediction = probability >= 0.5 ? 1 : 0;
+    hit.probability = probability;
+    hit.cached = true;
+    cached.results.push_back(hit);
+  }
+  add("response.cached", serve::RenderResponse(cached));
+
+  serve::Response loaded;
+  loaded.id = "r2";
+  loaded.request_id = "q2";
+  loaded.op = "load_model";
+  loaded.payload_json = "{\"models\":[\"default\",\"v2\"]}";
+  add("response.load_model", serve::RenderResponse(loaded));
+
+  serve::Response error;
+  error.id = Hostile();
+  error.request_id = "q4";
+  error.op = "predict";
+  error.status = Status::InvalidArgument(Hostile());
+  add("response.error", serve::RenderResponse(error));
+
+  analysis::Report report;
+  report.pass = "lint";
+  report.files_scanned = 3;
+  report.suppressions_honored = 1;
+  report.findings.push_back({"src/a.cc", 7, "no-rand", Hostile()});
+  report.findings.push_back({"src/b.cc", 9, "stale-suppression", "x"});
+  // One golden line per report line: a string escape that let a raw
+  // newline through would show up as an extra line.
+  std::istringstream lines(analysis::RenderJson(report));
+  std::string line;
+  for (int i = 0; std::getline(lines, line); ++i) {
+    add("analysis.report." + std::to_string(i), line);
+  }
+  return out;
+}
+
+std::string GoldenPath(const std::string& name) {
+  return std::string(WYM_GOLDEN_DIR) + "/" + name + ".txt";
 }
 
 bool ReadGolden(const std::string& path, Record* out) {
@@ -127,10 +252,10 @@ bool ReadGolden(const std::string& path, Record* out) {
   return true;
 }
 
-bool WriteGolden(const std::string& path, const Record& record) {
+bool WriteGolden(const std::string& path, const std::string& header,
+                 const Record& record) {
   std::ofstream out(path);
-  out << "# WYM golden output: seed " << kSeed << ", scale " << kScale
-      << ", default WymConfig, DefaultSplit test partition.\n"
+  out << "# " << header << "\n"
       << "# Regenerate with `golden_test --write-golden` only for an "
          "intended behaviour change.\n";
   for (const auto& [key, value] : record) out << key << ' ' << value << '\n';
@@ -150,14 +275,13 @@ std::string Describe(const std::string& key) {
   return "field " + key;
 }
 
-class GoldenTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(GoldenTest, MatchesCommittedOutput) {
-  const std::string dataset_id = GetParam();
-  const std::string path = GoldenPath(dataset_id);
-  const Record actual = Render(dataset_id);
+/// Writes `actual` to golden file `name` under --write-golden; otherwise
+/// compares it field by field against the file.
+void CheckGolden(const std::string& name, const std::string& header,
+                 const Record& actual) {
+  const std::string path = GoldenPath(name);
   if (g_write_golden) {
-    ASSERT_TRUE(WriteGolden(path, actual)) << "cannot write " << path;
+    ASSERT_TRUE(WriteGolden(path, header, actual)) << "cannot write " << path;
     return;
   }
 
@@ -170,20 +294,37 @@ TEST_P(GoldenTest, MatchesCommittedOutput) {
   for (const auto& [key, value] : expected) {
     const auto it = actual_by_key.find(key);
     if (it == actual_by_key.end()) {
-      ADD_FAILURE() << dataset_id << ": " << Describe(key)
+      ADD_FAILURE() << name << ": " << Describe(key)
                     << " is missing from the output (expected " << value
                     << ")";
     } else {
-      EXPECT_EQ(value, it->second)
-          << dataset_id << ": " << Describe(key) << " differs";
+      EXPECT_EQ(value, it->second) << name << ": " << Describe(key)
+                                   << " differs";
     }
   }
   for (const auto& [key, value] : actual) {
     if (expected_by_key.count(key) == 0) {
-      ADD_FAILURE() << dataset_id << ": unexpected " << Describe(key)
-                    << " = " << value;
+      ADD_FAILURE() << name << ": unexpected " << Describe(key) << " = "
+                    << value;
     }
   }
+}
+
+TEST(GoldenWireTest, MatchesCommittedOutput) {
+  CheckGolden("wire",
+              "wym-serve/v1 and wym-analysis-report/v1 bytes of fixed "
+              "inputs.",
+              RenderWire());
+}
+
+class GoldenTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenTest, MatchesCommittedOutput) {
+  const std::string dataset_id = GetParam();
+  std::ostringstream header;
+  header << "WYM golden output: seed " << kSeed << ", scale " << kScale
+         << ", default WymConfig, DefaultSplit test partition.";
+  CheckGolden(dataset_id, header.str(), Render(dataset_id));
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, GoldenTest, ::testing::ValuesIn(kDatasets),

@@ -3,9 +3,12 @@
 // report validators — plus the non-perturbation contract: tracing a
 // run must not change a single output byte.
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -240,6 +243,115 @@ TEST(JsonParserTest, RejectsPathologicalNesting) {
   obs::JsonValue v;
   std::string error;
   EXPECT_FALSE(obs::ParseJson(deep, &v, &error));
+}
+
+TEST(JsonParserTest, RecordsEachValuesSourceRange) {
+  const std::string text = " {\"a\": [1, 2.50] , \"b\":\"x\"} ";
+  obs::JsonValue v;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(text, &v, &error)) << error;
+  const auto source = [&text](const obs::JsonValue& value) {
+    return text.substr(value.begin, value.end - value.begin);
+  };
+  EXPECT_EQ(source(v), "{\"a\": [1, 2.50] , \"b\":\"x\"}");
+  EXPECT_EQ(source(*v.Find("a")), "[1, 2.50]");
+  EXPECT_EQ(source(v.Find("a")->array[1]), "2.50");
+  EXPECT_EQ(source(*v.Find("b")), "\"x\"");
+}
+
+// ---------------------------------------------------------------------
+// JSON writing: the one string escape and the two number spellings
+// ---------------------------------------------------------------------
+
+/// Parses `json` (one JSON string value) back to its text.
+std::string ParseJsonString(const std::string& json) {
+  obs::JsonValue v;
+  std::string error;
+  EXPECT_TRUE(obs::ParseJson(json, &v, &error)) << error;
+  EXPECT_TRUE(v.IsString()) << json;
+  return v.string;
+}
+
+TEST(JsonWriterTest, EverySingleByteRoundTrips) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string text(1, static_cast<char>(byte));
+    std::string json;
+    obs::AppendJsonString(text, &json);
+    EXPECT_EQ(ParseJsonString(json), text) << "byte " << byte;
+  }
+}
+
+TEST(JsonWriterTest, RandomByteStringsRoundTrip) {
+  std::mt19937_64 rng(20230328);
+  for (int i = 0; i < 1000; ++i) {
+    std::string text(rng() % 64, '\0');
+    for (char& c : text) c = static_cast<char>(rng() & 0xFF);
+    std::string json = "prefix ";
+    obs::AppendJsonString(text, &json);
+    ASSERT_EQ(json.compare(0, 7, "prefix "), 0);
+    EXPECT_EQ(ParseJsonString(json.substr(7)), text) << "string " << i;
+  }
+}
+
+TEST(JsonWriterTest, NumbersRoundTripExactly) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                0.1,
+                                -1e300,
+                                1e300,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest()};
+  std::mt19937_64 rng(7);
+  while (values.size() < 2000) {
+    const uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  for (const double value : values) {
+    std::string json;
+    obs::AppendJsonNumber(value, &json);
+    obs::JsonValue v;
+    std::string error;
+    ASSERT_TRUE(obs::ParseJson(json, &v, &error)) << json << ": " << error;
+    ASSERT_TRUE(v.IsNumber()) << json;
+    EXPECT_EQ(std::memcmp(&v.number, &value, sizeof(value)), 0)
+        << json << " does not read back as the value written";
+  }
+  std::string shortest;
+  obs::AppendJsonNumber(0.1, &shortest);
+  EXPECT_EQ(shortest, "0.1");
+}
+
+TEST(JsonWriterTest, FixedSpellsExactlyTheRequestedDigits) {
+  std::string json;
+  obs::AppendJsonFixed(0.5, 6, &json);
+  json += ',';
+  obs::AppendJsonFixed(-0.0625, 6, &json);
+  EXPECT_EQ(json, "0.500000,-0.062500");
+  // Longer than any stack buffer a caller would guess at.
+  char expected[400];
+  std::snprintf(expected, sizeof(expected), "%.2f", -1e300);
+  std::string huge;
+  obs::AppendJsonFixed(-1e300, 2, &huge);
+  EXPECT_EQ(huge, expected);
+}
+
+TEST(JsonWriterTest, NonFiniteNumbersAreWrittenAsZero) {
+  for (const double value : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    std::string number;
+    obs::AppendJsonNumber(value, &number);
+    EXPECT_EQ(number, "0");
+    std::string fixed;
+    obs::AppendJsonFixed(value, 6, &fixed);
+    EXPECT_EQ(fixed, "0");
+  }
 }
 
 // ---------------------------------------------------------------------

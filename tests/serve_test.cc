@@ -30,6 +30,7 @@
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/split.h"
+#include "explain/report.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -138,11 +139,45 @@ TEST(ProtocolTest, ResponseResultsAndPayloadRoundTrip) {
   const Response& back = parsed.value();
   ASSERT_EQ(back.results.size(), 1u);
   EXPECT_EQ(back.results[0].prediction, 1);
-  // RenderDouble guarantees exact round-trip.
+  // AppendJsonNumber guarantees an exact round-trip.
   EXPECT_EQ(back.results[0].probability, result.probability);
   EXPECT_TRUE(back.results[0].cached);
   EXPECT_EQ(back.results[0].explanation_json, result.explanation_json);
   EXPECT_EQ(back.payload_json, response.payload_json);
+}
+
+TEST(ProtocolTest, ServedExplanationBytesEqualOffline) {
+  // ExplanationToJson spells its numbers with six fixed digits
+  // ("0.500000"); a client must receive exactly those bytes, not a
+  // re-rendering of the parsed numbers ("0.5").
+  core::Explanation explanation;
+  explanation.prediction = 1;
+  explanation.probability = 0.5;
+  core::ExplainedUnit unit;
+  unit.unit.paired = true;
+  unit.unit.phase = core::UnitPhase::kIntraAttribute;
+  unit.unit.left = {0, 0, "iphone"};
+  unit.unit.right = {0, 0, "iphone"};
+  unit.relevance = 1.0;
+  unit.impact = 0.25;
+  explanation.units.push_back(unit);
+  const std::string offline = explain::ExplanationToJson(explanation);
+
+  Response response;
+  response.id = "q";
+  response.op = "predict";
+  serve::PairResult result;
+  result.prediction = 1;
+  result.probability = 0.5;
+  result.explanation_json = offline;
+  response.results.push_back(result);
+  response.payload_json = "{\"mean_ns\":1.0e3, \"p\":[0.50,-0]}";
+
+  auto parsed = serve::ParseResponse(serve::RenderResponse(response));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed.value().results.size(), 1u);
+  EXPECT_EQ(parsed.value().results[0].explanation_json, offline);
+  EXPECT_EQ(parsed.value().payload_json, response.payload_json);
 }
 
 // ---------------------------------------------------------------------

@@ -546,13 +546,22 @@ TEST(ReportTest, GraphJsonValidatesUnderObsJsonToo) {
 }
 
 TEST(ReportTest, JsonEscapingCoversControlAndQuoteCharacters) {
-  EXPECT_EQ(EscapeJson("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(EscapeJson(std::string(1, '\x01')), "\\u0001");
+  // The report's strings go through obs::AppendJsonString, which also
+  // writes the surrounding quotes; compare what is between them.
+  const auto escaped = [](const std::string& text) {
+    std::string quoted;
+    obs::AppendJsonString(text, &quoted);
+    EXPECT_EQ(quoted.front(), '"');
+    EXPECT_EQ(quoted.back(), '"');
+    return quoted.substr(1, quoted.size() - 2);
+  };
+  EXPECT_EQ(escaped("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+  EXPECT_EQ(escaped(std::string(1, '\x01')), "\\u0001");
   // Round-trip through the validating parser.
   obs::JsonValue value;
   std::string error;
   ASSERT_TRUE(obs::ParseJson(
-      "{\"k\": \"" + EscapeJson("quote\" slash\\ nl\n") + "\"}", &value,
+      "{\"k\": \"" + escaped("quote\" slash\\ nl\n") + "\"}", &value,
       &error))
       << error;
   EXPECT_EQ(value.Find("k")->string, "quote\" slash\\ nl\n");
