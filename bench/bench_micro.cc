@@ -233,11 +233,12 @@ void BM_MlpPredict(benchmark::State& state) {
 BENCHMARK(BM_MlpPredict);
 
 // One record's relevance scoring at the T-AB shape: 39 decision units x
-// 144 features (mean ++ |diff| of 72-d embeddings) through the scorer's
-// {64, 32} network in a single batched PredictRows pass.
+// 112 features (mean ++ |diff| of the 56-d WymConfig embeddings) through
+// the scorer's 112 -> 64 -> 32 -> 1 network in a single batched
+// PredictRows pass.
 void BM_MlpPredictRows(benchmark::State& state) {
   constexpr size_t kUnits = 39;
-  constexpr size_t kFeatures = 144;
+  constexpr size_t kFeatures = 112;
   Rng rng(4);
   la::Matrix x(64, kFeatures);
   std::vector<double> y(64);
@@ -259,6 +260,32 @@ void BM_MlpPredictRows(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kUnits));
 }
 BENCHMARK(BM_MlpPredictRows);
+
+// One epoch of relevance-scorer training at the served shape: 2048 units
+// x 112 features through 112 -> 64 -> 32 -> 1 in minibatches of 128 (the
+// WymConfig scorer options), on the global pool.
+void BM_MlpFit(benchmark::State& state) {
+  constexpr size_t kRows = 2048;
+  constexpr size_t kFeatures = 112;
+  Rng rng(6);
+  la::Matrix x(kRows, kFeatures);
+  std::vector<double> y(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t j = 0; j < kFeatures; ++j) x.At(i, j) = rng.Uniform(-1, 1);
+    y[i] = rng.Uniform(-1, 1);
+  }
+  nn::MlpOptions options;
+  options.hidden = {64, 32};
+  options.epochs = 1;
+  options.batch_size = 128;
+  for (auto _ : state) {
+    nn::Mlp mlp(options);
+    mlp.Fit(x, y);
+    benchmark::DoNotOptimize(mlp);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kRows));
+}
+BENCHMARK(BM_MlpFit)->UseRealTime();
 
 void BM_CsvRoundTrip(benchmark::State& state) {
   const data::Dataset dataset = data::GenerateById("S-FZ", 42, 0.2);

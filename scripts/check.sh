@@ -150,7 +150,9 @@ serve_telemetry_check() {
 # the <=2% overhead budget is visible in the BENCH_micro.json
 # trajectory, and serve_telemetry_check proves a live session exports
 # valid artifacts. BM_MlpPredict / BM_MlpPredictRows gate the relevance
-# scorer's inference (one row, and one 39-unit record in one batch).
+# scorer's inference (one row, and one 39-unit record in one batch),
+# BM_MlpFit its training (one epoch over 2048 units on the global pool)
+# and BM_JournalAppend the request journal's per-line hot path.
 run_perf_report() {
   name=perf-report
   if [ "$ONLY" != all ] && [ "$ONLY" != "$name" ]; then
@@ -166,7 +168,7 @@ run_perf_report() {
         --target bench_micro bench_blocking wym_cli wym_serve_bin \
         >> "$log" 2>&1 \
      && "$build/bench/bench_micro" --json="$report" \
-        --benchmark_filter='BM_Dot|BM_UnitGeneration_Cached|BM_ServePredict|BM_MlpPredict' \
+        --benchmark_filter='BM_Dot|BM_UnitGeneration_Cached|BM_ServePredict|BM_MlpPredict|BM_MlpFit|BM_JournalAppend' \
         --benchmark_min_time=0.01 >> "$log" 2>&1 \
      && "$build/tools/wym_cli" validate-report --file "$report" \
         >> "$log" 2>&1 \

@@ -5,6 +5,7 @@
 #include "ml/classifier_pool.h"
 #include "ml/metrics.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace wym::core {
 
@@ -51,10 +52,12 @@ void ExplainableMatcher::Fit(const std::vector<ScoredUnitSet>& train,
   const std::vector<int>& y_calibration =
       validation.empty() ? train_labels : validation_labels;
 
-  best_ = nullptr;
-  best_validation_f1_ = -1.0;
+  // Members share no state, so they fit and calibrate concurrently, each
+  // into its own slot; selection then walks the pool in order, so the
+  // first member with the best F1 wins exactly as in a sequential loop.
   thresholds_.assign(pool_.size(), 0.5);
-  for (size_t c = 0; c < pool_.size(); ++c) {
+  std::vector<double> f1s(pool_.size());
+  util::ParallelFor(pool_.size(), 1, [&](size_t c, size_t, size_t) {
     ml::Classifier& classifier = *pool_[c];
     classifier.Fit(x_train, train_labels);
     // Decision-threshold calibration: the benchmark label priors are
@@ -69,10 +72,14 @@ void ExplainableMatcher::Fit(const std::vector<ScoredUnitSet>& train,
     for (size_t i = 0; i < probas.size(); ++i) {
       predicted[i] = probas[i] >= thresholds_[c] ? 1 : 0;
     }
-    const double f1 = ml::F1Score(y_calibration, predicted);
-    if (f1 > best_validation_f1_) {
-      best_validation_f1_ = f1;
-      best_ = &classifier;
+    f1s[c] = ml::F1Score(y_calibration, predicted);
+  });
+  best_ = nullptr;
+  best_validation_f1_ = -1.0;
+  for (size_t c = 0; c < pool_.size(); ++c) {
+    if (f1s[c] > best_validation_f1_) {
+      best_validation_f1_ = f1s[c];
+      best_ = pool_[c].get();
       best_threshold_ = thresholds_[c];
     }
   }

@@ -3,10 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "la/matrix.h"
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 /// \file
 /// A dense feed-forward network with ReLU hidden activations trained with
@@ -38,8 +40,18 @@ class Mlp {
   explicit Mlp(MlpOptions options = {});
 
   /// Trains on rows of `x` against scalar targets `y` with MSE loss.
-  /// Requires x.rows() == y.size() and x.rows() > 0.
-  void Fit(const la::Matrix& x, const std::vector<double>& y);
+  /// Requires x.rows() == y.size(), x.rows() > 0 and batch_size > 0.
+  ///
+  /// Each minibatch runs in three phases on `pool` (the global pool when
+  /// nullptr): forward passes and back-propagated deltas in parallel
+  /// over blocks of samples (the weights are fixed within a minibatch,
+  /// so samples are independent), then gradients in parallel over
+  /// (layer, output-row) cells, each adding its samples in batch order,
+  /// then the Adam step. Every floating-point chain is the one of a
+  /// plain per-sample loop, so the trained weights are bit-identical at
+  /// every thread count and every SIMD level.
+  void Fit(const la::Matrix& x, const std::vector<double>& y,
+           util::ThreadPool* pool = nullptr);
 
   /// Rows PredictRows runs through the network together: one AVX2
   /// register tile of lanes, small enough that a block's activations
@@ -76,11 +88,21 @@ class Mlp {
     std::vector<double> bias;  // out
   };
 
-  /// Training forward pass; fills `activations` with each layer's input
-  /// and the final output (post-ReLU, last = linear). Inference goes
-  /// through PredictRows.
-  double Forward(const std::vector<double>& row,
-                 std::vector<std::vector<double>>* activations) const;
+  /// Per-lane widths of the two lane-interleaved activation buffers a
+  /// block forward pass alternates between: layer l reads one and
+  /// writes the other, so `first` holds the input and the odd layers'
+  /// outputs, `second` the even layers' outputs.
+  std::pair<size_t, size_t> BufferWidths() const;
+
+  /// Runs `lanes` rows through every layer with la::kernels::DenseLayer.
+  /// `current` holds the rows lane-interleaved and forms, with `next`,
+  /// the two buffers of BufferWidths. When `hidden` is non-null, hidden
+  /// layer l's activations are also stored row-major in (*hidden)[l],
+  /// lane r at row `first_row + r`. Returns the buffer holding the
+  /// network outputs, one per lane.
+  const double* ForwardBlock(double* current, double* next, size_t lanes,
+                             std::vector<std::vector<double>>* hidden,
+                             size_t first_row) const;
 
   MlpOptions options_;
   bool fitted_ = false;

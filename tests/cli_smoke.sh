@@ -25,6 +25,14 @@ test -s "$WORK/data.csv"
   | grep -q "test precision"
 test -s "$WORK/model.wym"
 
+# Training is byte-identical across thread counts: the same CSV trained
+# on one thread and on four gives the same model file.
+WYM_THREADS=1 "$CLI" train-eval --data "$WORK/data.csv" \
+  --save "$WORK/model-t1.wym" > /dev/null
+WYM_THREADS=4 "$CLI" train-eval --data "$WORK/data.csv" \
+  --save "$WORK/model-t4.wym" > /dev/null
+cmp "$WORK/model-t1.wym" "$WORK/model-t4.wym"
+
 "$CLI" explain --data "$WORK/data.csv" --record 2 --model "$WORK/model.wym" \
   | grep -q "prediction:"
 

@@ -11,6 +11,7 @@
 #include "nn/mlp.h"
 #include "util/random.h"
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 namespace wym::nn {
 namespace {
@@ -347,6 +348,245 @@ TEST(MlpPredictRowsTest, ZerosNanAndClampMatchScalarReference) {
       }
     }
   }
+}
+
+// --- Training: the parallel minibatch loop vs the sequential loop ---
+
+/// The sequential training loop Mlp::Fit replaced, kept verbatim as the
+/// reference: one sample at a time, scalar forward pass, back-propagation
+/// straight into per-batch gradient buffers, Adam. `zero_deltas` counts
+/// the (sample, unit) deltas skipped for being exactly zero.
+struct ReferenceAdamState {
+  std::vector<double> m;
+  std::vector<double> v;
+};
+
+void ReferenceAdamStep(std::vector<double>* params,
+                       const std::vector<double>& grads,
+                       ReferenceAdamState* state, double lr,
+                       double weight_decay, size_t t) {
+  constexpr double kBeta1 = 0.9;
+  constexpr double kBeta2 = 0.999;
+  constexpr double kEpsilon = 1e-8;
+  if (state->m.empty()) {
+    state->m.assign(params->size(), 0.0);
+    state->v.assign(params->size(), 0.0);
+  }
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t));
+  for (size_t i = 0; i < params->size(); ++i) {
+    const double g = grads[i] + weight_decay * (*params)[i];
+    state->m[i] = kBeta1 * state->m[i] + (1.0 - kBeta1) * g;
+    state->v[i] = kBeta2 * state->v[i] + (1.0 - kBeta2) * g * g;
+    const double m_hat = state->m[i] / bias1;
+    const double v_hat = state->v[i] / bias2;
+    (*params)[i] -= lr * m_hat / (std::sqrt(v_hat) + kEpsilon);
+  }
+}
+
+double ReferenceForward(const std::vector<DenseLayerSpec>& layers,
+                        const std::vector<double>& row,
+                        std::vector<std::vector<double>>* activations) {
+  std::vector<double> current = row;
+  activations->clear();
+  activations->push_back(current);
+  for (size_t l = 0; l < layers.size(); ++l) {
+    const DenseLayerSpec& layer = layers[l];
+    std::vector<double> next(layer.bias);
+    for (size_t o = 0; o < layer.weights.rows(); ++o) {
+      const double* w = layer.weights.Row(o);
+      double sum = 0.0;
+      for (size_t i = 0; i < current.size(); ++i) sum += w[i] * current[i];
+      next[o] += sum;
+    }
+    const bool is_output = (l + 1 == layers.size());
+    if (!is_output) {
+      for (double& v : next) v = std::max(0.0, v);  // ReLU
+    }
+    current = std::move(next);
+    activations->push_back(current);
+  }
+  return current[0];
+}
+
+std::vector<DenseLayerSpec> ReferenceFit(const MlpOptions& options,
+                                         const la::Matrix& x,
+                                         const std::vector<double>& y,
+                                         size_t* zero_deltas) {
+  const size_t input_dim = x.cols();
+  Rng rng(options.seed);
+  std::vector<size_t> sizes;
+  sizes.push_back(input_dim);
+  for (size_t h : options.hidden) sizes.push_back(h);
+  sizes.push_back(1);
+  std::vector<DenseLayerSpec> layers;
+  for (size_t l = 0; l + 1 < sizes.size(); ++l) {
+    DenseLayerSpec layer;
+    layer.weights = la::Matrix(sizes[l + 1], sizes[l]);
+    layer.bias.assign(sizes[l + 1], 0.0);
+    const double scale = std::sqrt(2.0 / static_cast<double>(sizes[l]));
+    for (size_t o = 0; o < sizes[l + 1]; ++o) {
+      for (size_t i = 0; i < sizes[l]; ++i) {
+        layer.weights.At(o, i) = rng.Normal(0.0, scale);
+      }
+    }
+    layers.push_back(std::move(layer));
+  }
+
+  std::vector<ReferenceAdamState> weight_state(layers.size());
+  std::vector<ReferenceAdamState> bias_state(layers.size());
+
+  std::vector<size_t> order(x.rows());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+
+  *zero_deltas = 0;
+  size_t step = 0;
+  std::vector<std::vector<double>> activations;
+  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
+    rng.Shuffle(&order);
+    for (size_t start = 0; start < order.size();
+         start += options.batch_size) {
+      const size_t end = std::min(order.size(), start + options.batch_size);
+      const double inv_batch = 1.0 / static_cast<double>(end - start);
+
+      std::vector<std::vector<double>> grad_w(layers.size());
+      std::vector<std::vector<double>> grad_b(layers.size());
+      for (size_t l = 0; l < layers.size(); ++l) {
+        grad_w[l].assign(layers[l].weights.data().size(), 0.0);
+        grad_b[l].assign(layers[l].bias.size(), 0.0);
+      }
+
+      for (size_t s = start; s < end; ++s) {
+        const size_t row = order[s];
+        const double out = ReferenceForward(layers, x.RowVector(row),
+                                            &activations);
+        double delta_scalar = (out - y[row]) * inv_batch;
+
+        std::vector<double> delta = {delta_scalar};
+        for (size_t l = layers.size(); l-- > 0;) {
+          const std::vector<double>& input = activations[l];
+          DenseLayerSpec& layer = layers[l];
+          for (size_t o = 0; o < layer.weights.rows(); ++o) {
+            const double d = delta[o];
+            if (d == 0.0) {
+              ++*zero_deltas;
+              continue;
+            }
+            double* gw = grad_w[l].data() + o * layer.weights.cols();
+            for (size_t i = 0; i < input.size(); ++i) gw[i] += d * input[i];
+            grad_b[l][o] += d;
+          }
+          if (l == 0) break;
+          std::vector<double> prev_delta(layer.weights.cols(), 0.0);
+          for (size_t o = 0; o < layer.weights.rows(); ++o) {
+            const double d = delta[o];
+            if (d == 0.0) continue;
+            const double* w = layer.weights.Row(o);
+            for (size_t i = 0; i < prev_delta.size(); ++i) {
+              prev_delta[i] += d * w[i];
+            }
+          }
+          const std::vector<double>& prev_act = activations[l];
+          for (size_t i = 0; i < prev_delta.size(); ++i) {
+            if (prev_act[i] <= 0.0) prev_delta[i] = 0.0;  // ReLU'
+          }
+          delta = std::move(prev_delta);
+        }
+      }
+
+      ++step;
+      for (size_t l = 0; l < layers.size(); ++l) {
+        ReferenceAdamStep(&layers[l].weights.data(), grad_w[l],
+                          &weight_state[l], options.learning_rate,
+                          options.weight_decay, step);
+        ReferenceAdamStep(&layers[l].bias, grad_b[l], &bias_state[l],
+                          options.learning_rate, 0.0, step);
+      }
+    }
+  }
+  return layers;
+}
+
+TEST(MlpFitTest, BitIdenticalToSequentialReference) {
+  ScopedSimdLevel guard;
+  // 203 rows: not a multiple of any batch size below nor of the 8-row
+  // block. A tenth of the rows are all-zero inputs with target 0 and a
+  // few are large, so units die under the high learning rate and many
+  // deltas are exactly zero.
+  Rng rng(31);
+  la::Matrix x = RandomRows(&rng, 203, 13);
+  std::vector<double> y(x.rows());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    if (r % 10 == 0) {
+      for (size_t i = 0; i < x.cols(); ++i) x.At(r, i) = 0.0;
+      y[r] = 0.0;
+      continue;
+    }
+    if (r % 17 == 0) {
+      for (size_t i = 0; i < x.cols(); ++i) x.At(r, i) *= 40.0;
+    }
+    y[r] = rng.Uniform(-1.0, 1.0);
+  }
+
+  const std::vector<std::vector<size_t>> hiddens = {{64, 32}, {}, {5}};
+  util::ThreadPool one(1);
+  util::ThreadPool eight(8);
+  for (const std::vector<size_t>& hidden : hiddens) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{128}}) {
+      MlpOptions options;
+      options.hidden = hidden;
+      options.epochs = 2;
+      options.batch_size = batch_size;
+      options.learning_rate = 0.05;
+      options.seed = 97 + batch_size;
+      size_t zero_deltas = 0;
+      const std::vector<DenseLayerSpec> reference =
+          ReferenceFit(options, x, y, &zero_deltas);
+      if (!hidden.empty()) {
+        EXPECT_GT(zero_deltas, 0u) << "no dead units: the test lost coverage";
+      }
+      for (SimdLevel level : AvailableLevels()) {
+        la::kernels::SetSimdLevel(level);
+        for (util::ThreadPool* pool : {&one, &eight}) {
+          SCOPED_TRACE(testing::Message()
+                       << "hidden=" << hidden.size()
+                       << " batch=" << batch_size
+                       << " level=" << la::kernels::SimdLevelName(level)
+                       << " threads=" << pool->size());
+          Mlp mlp(options);
+          mlp.Fit(x, y, pool);
+          bool clamp = false;
+          const std::vector<DenseLayerSpec> trained = LayersOf(mlp, &clamp);
+          ASSERT_EQ(trained.size(), reference.size());
+          for (size_t l = 0; l < trained.size(); ++l) {
+            const std::vector<double>& w = trained[l].weights.data();
+            const std::vector<double>& w_ref = reference[l].weights.data();
+            ASSERT_EQ(w.size(), w_ref.size());
+            EXPECT_EQ(std::memcmp(w.data(), w_ref.data(),
+                                  w.size() * sizeof(double)),
+                      0)
+                << "layer " << l << " weights";
+            ASSERT_EQ(trained[l].bias.size(), reference[l].bias.size());
+            EXPECT_EQ(std::memcmp(trained[l].bias.data(),
+                                  reference[l].bias.data(),
+                                  trained[l].bias.size() * sizeof(double)),
+                      0)
+                << "layer " << l << " bias";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MlpFitDeathTest, RejectsZeroBatchSize) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  la::Matrix x(4, 2, 0.5);
+  std::vector<double> y(4, 0.25);
+  MlpOptions options = SmallOptions();
+  options.batch_size = 0;
+  Mlp mlp(options);
+  EXPECT_DEATH(mlp.Fit(x, y), "batch_size > 0");
 }
 
 TEST(MlpPredictRowsTest, LoadRejectsBrokenTopology) {
