@@ -13,6 +13,10 @@
 // bytes. wire.txt holds the exact bytes of wym-serve/v1 requests and
 // responses and of a wym-analysis-report/v1 document, built from fixed
 // inputs whose strings carry every character JSON must escape.
+// blocking.txt holds the candidate-generation output over the S-WA test
+// split's left and right entities, taken as two raw tables: the LSH-on
+// CandidateStream count and first candidates, every MatchTables match
+// and its stats.
 
 #include <gtest/gtest.h>
 
@@ -22,12 +26,14 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/findings.h"
+#include "blocking/candidate_stream.h"
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/split.h"
@@ -42,6 +48,7 @@ constexpr uint64_t kSeed = 42;
 constexpr double kScale = 0.25;
 constexpr size_t kProbabilities = 64;
 constexpr size_t kExplained = 8;
+constexpr size_t kCandidates = 64;
 
 const char* const kDatasets[] = {"S-WA", "T-AB"};
 
@@ -69,12 +76,32 @@ const char* PhaseName(core::UnitPhase phase) {
   return "?";
 }
 
-/// Trains WYM on `dataset_id` and renders the golden record.
-Record Render(const std::string& dataset_id) {
-  const data::Dataset dataset = data::GenerateById(dataset_id, kSeed, kScale);
-  const data::Split split = data::DefaultSplit(dataset, kSeed);
+/// A dataset, its default split and the model fitted on it.
+struct Trained {
+  data::Dataset dataset;
+  data::Split split;
   core::WymModel model;
-  model.Fit(split.train, split.validation);
+};
+
+/// Trains WYM on `dataset_id` once per process; the golden renders that
+/// share a dataset share its model.
+const Trained& Train(const std::string& dataset_id) {
+  static std::map<std::string, std::unique_ptr<Trained>> cache;
+  std::unique_ptr<Trained>& slot = cache[dataset_id];
+  if (slot == nullptr) {
+    slot = std::make_unique<Trained>();
+    slot->dataset = data::GenerateById(dataset_id, kSeed, kScale);
+    slot->split = data::DefaultSplit(slot->dataset, kSeed);
+    slot->model.Fit(slot->split.train, slot->split.validation);
+  }
+  return *slot;
+}
+
+/// Renders the golden record of the model trained on `dataset_id`.
+Record Render(const std::string& dataset_id) {
+  const Trained& trained = Train(dataset_id);
+  const data::Split& split = trained.split;
+  const core::WymModel& model = trained.model;
 
   Record out;
   auto add = [&](std::string key, std::string value) {
@@ -114,6 +141,54 @@ Record Render(const std::string& dataset_id) {
       add(unit + ".impact", Exact(eu.impact));
     }
   }
+  return out;
+}
+
+/// Candidate generation and two-table matching over the S-WA test
+/// split: its left entities form one table, its right entities the
+/// other.
+Record RenderBlocking() {
+  const Trained& trained = Train("S-WA");
+  blocking::EntityTable left, right;
+  left.schema = trained.dataset.schema;
+  right.schema = trained.dataset.schema;
+  for (const data::EmRecord& record : trained.split.test.records) {
+    left.rows.push_back(record.left);
+    right.rows.push_back(record.right);
+  }
+
+  Record out;
+  auto add = [&](std::string key, std::string value) {
+    out.emplace_back(std::move(key), std::move(value));
+  };
+  add("tables", std::to_string(left.size()) + " x " +
+                    std::to_string(right.size()));
+
+  blocking::CandidateStreamOptions stream_options;
+  stream_options.encoder = &trained.model.encoder();
+  blocking::CandidateStream stream(left, right, stream_options);
+  const std::vector<blocking::CandidatePair> candidates = stream.Drain();
+  add("candidates", std::to_string(candidates.size()));
+  for (size_t i = 0; i < std::min(kCandidates, candidates.size()); ++i) {
+    const blocking::CandidatePair& c = candidates[i];
+    add("candidate." + std::to_string(i),
+        std::to_string(c.left_row) + " " + std::to_string(c.right_row) + " " +
+            Exact(c.score));
+  }
+
+  blocking::MatchTablesStats stats;
+  const std::vector<blocking::TableMatch> matches = blocking::MatchTables(
+      trained.model, left, right, blocking::MatchTablesOptions{}, nullptr,
+      &stats);
+  add("matches", std::to_string(matches.size()));
+  for (size_t i = 0; i < matches.size(); ++i) {
+    const blocking::TableMatch& m = matches[i];
+    add("match." + std::to_string(i),
+        std::to_string(m.left_row) + " " + std::to_string(m.right_row) + " " +
+            Exact(m.probability) + " " + Exact(m.blocking_score));
+  }
+  add("stats.candidates_scored", std::to_string(stats.candidates_scored));
+  add("stats.records_quarantined", std::to_string(stats.records_quarantined));
   return out;
 }
 
@@ -315,6 +390,16 @@ TEST(GoldenWireTest, MatchesCommittedOutput) {
               "wym-serve/v1 and wym-analysis-report/v1 bytes of fixed "
               "inputs.",
               RenderWire());
+}
+
+TEST(GoldenBlockingTest, MatchesCommittedOutput) {
+  std::ostringstream header;
+  header << "Candidate generation and MatchTables over the S-WA test split "
+            "(seed "
+         << kSeed << ", scale " << kScale
+         << "): left entities vs right entities, default options, LSH on "
+            "with the model's encoder.";
+  CheckGolden("blocking", header.str(), RenderBlocking());
 }
 
 class GoldenTest : public ::testing::TestWithParam<const char*> {};
