@@ -1,78 +1,12 @@
 #include "blocking/blocker.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
 
-#include "blocking/candidate_stream.h"
-#include "blocking/lsh.h"
 #include "util/logging.h"
 
 namespace wym::blocking {
-
-TokenBlocker::TokenBlocker(Options options) : options_(options) {}
-
-std::vector<CandidatePair> TokenBlocker::Candidates(
-    const EntityTable& left, const EntityTable& right,
-    util::ThreadPool* pool) const {
-  CandidateStreamOptions options;
-  options.token = options_;
-  options.encoder = nullptr;  // Token stage only.
-  // The short-circuit changes scores for exact duplicates (1.0 instead
-  // of Jaccard 1.0 — identical) but also bypasses max_candidates_per_row
-  // semantics; keep the classic contract here.
-  options.exact_short_circuit = false;
-  CandidateStream stream(left, right, options, pool);
-  return stream.Drain();
-}
-
-EmbeddingBlocker::EmbeddingBlocker(const embedding::SemanticEncoder* encoder,
-                                   Options options)
-    : encoder_(encoder), options_(options) {
-  WYM_CHECK(encoder_ != nullptr);
-}
-
-std::vector<CandidatePair> EmbeddingBlocker::Candidates(
-    const EntityTable& left, const EntityTable& right,
-    util::ThreadPool* pool) const {
-  WYM_CHECK(encoder_->fitted()) << "encoder must be fitted before blocking";
-
-  EmbeddingLshOptions lsh_options;
-  lsh_options.k = options_.k;
-  lsh_options.min_cosine = options_.min_cosine;
-  EmbeddingLsh lsh(encoder_, lsh_options);
-  lsh.Build(right, tokenizer_, pool);
-
-  std::vector<CandidatePair> out;
-  for (size_t l = 0; l < left.size(); ++l) {
-    const la::Vec pooled = lsh.PoolRow(left.rows[l], tokenizer_);
-    if (pooled.empty()) continue;
-    lsh.Probe(l, pooled, &out);
-  }
-  return out;
-}
-
-std::vector<CandidatePair> MergeCandidates(
-    const std::vector<CandidatePair>& a,
-    const std::vector<CandidatePair>& b) {
-  std::map<std::pair<size_t, size_t>, double> best;
-  for (const auto& list : {a, b}) {
-    for (const auto& pair : list) {
-      auto key = std::make_pair(pair.left_row, pair.right_row);
-      auto it = best.find(key);
-      if (it == best.end() || it->second < pair.score) {
-        best[key] = pair.score;
-      }
-    }
-  }
-  std::vector<CandidatePair> out;
-  out.reserve(best.size());
-  for (const auto& [key, score] : best) {
-    out.push_back({key.first, key.second, score});
-  }
-  return out;
-}
 
 data::Dataset BuildCandidateDataset(const EntityTable& left,
                                     const EntityTable& right,
@@ -109,20 +43,18 @@ double BlockingRecall(const std::vector<CandidatePair>& pairs,
   for (size_t r = 0; r < right_identity.size(); ++r) {
     right_by_identity[right_identity[r]].push_back(r);
   }
-  size_t total = 0;
   std::set<std::pair<size_t, size_t>> truth;
   for (size_t l = 0; l < left_identity.size(); ++l) {
     auto it = right_by_identity.find(left_identity[l]);
     if (it == right_by_identity.end()) continue;
-    for (size_t r : it->second) {
-      truth.emplace(l, r);
-      ++total;
-    }
+    for (size_t r : it->second) truth.emplace(l, r);
   }
+  const size_t total = truth.size();
   if (total == 0) return 1.0;
+  // Erasing each hit counts a pair listed twice only once.
   size_t found = 0;
   for (const auto& pair : pairs) {
-    found += truth.count({pair.left_row, pair.right_row});
+    found += truth.erase({pair.left_row, pair.right_row});
   }
   return static_cast<double>(found) / static_cast<double>(total);
 }

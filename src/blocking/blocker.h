@@ -2,12 +2,10 @@
 #define WYM_BLOCKING_BLOCKER_H_
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "data/record.h"
-#include "embedding/semantic_encoder.h"
-#include "text/tokenizer.h"
-#include "util/thread_pool.h"
 
 /// \file
 /// Candidate generation (blocking): the step upstream of matching in a
@@ -17,9 +15,9 @@
 /// raw entity tables instead of a pre-paired dataset (see
 /// examples/end_to_end_er.cpp).
 ///
-/// The blockers here are the batch convenience layer; large tables
-/// should use the streaming tier in candidate_stream.h, which these
-/// classes delegate to.
+/// This header holds the shared vocabulary (tables, candidate pairs)
+/// and the dataset/recall helpers; candidates themselves come from the
+/// streaming tier in candidate_stream.h.
 
 namespace wym::blocking {
 
@@ -31,92 +29,12 @@ struct EntityTable {
   size_t size() const { return rows.size(); }
 };
 
-/// One candidate produced by a blocker.
+/// One candidate produced by candidate generation.
 struct CandidatePair {
   size_t left_row = 0;
   size_t right_row = 0;
   double score = 0.0;
 };
-
-/// Options for TokenBlocker.
-struct TokenBlockerOptions {
-  /// Minimum number of shared tokens for a pair to be scored at all.
-  size_t min_shared_tokens = 1;
-  /// Minimum token Jaccard over the full descriptions.
-  double min_jaccard = 0.15;
-  /// Keep at most this many candidates per left row (best first);
-  /// 0 = unlimited.
-  size_t max_candidates_per_row = 10;
-  /// Tokens occurring in more than this fraction of the right table are
-  /// skipped when probing the index (stop-token pruning); 1 disables.
-  double max_token_frequency = 0.25;
-};
-
-/// Inverted-index token blocker: pairs sharing enough rare tokens are
-/// scored with whole-record token Jaccard. Backed by the sharded
-/// inverted index + skip-pruned probe of candidate_stream.h; the
-/// candidate set is identical to the original exhaustive-probe blocker,
-/// produced with prefix filtering instead of a full posting walk.
-class TokenBlocker {
- public:
-  using Options = TokenBlockerOptions;
-
-  explicit TokenBlocker(Options options = {});
-
-  /// Generates candidates between two tables with the same schema.
-  /// Deterministic at every WYM_THREADS setting; candidates are sorted
-  /// by (left_row, -score, right_row).
-  std::vector<CandidatePair> Candidates(const EntityTable& left,
-                                        const EntityTable& right,
-                                        util::ThreadPool* pool = nullptr) const;
-
- private:
-  Options options_;
-};
-
-/// Options for EmbeddingBlocker.
-struct EmbeddingBlockerOptions {
-  /// Keep the k best right rows per left row.
-  size_t k = 5;
-  /// Discard candidates below this pooled-embedding cosine.
-  double min_cosine = 0.5;
-};
-
-/// Dense blocker: pools the semantic encoder's token embeddings per row
-/// and keeps the top-k nearest right rows per left row. Catches
-/// candidates token blocking misses (abbreviations, heavy typos).
-///
-/// Deprecated: this class now routes through the random-hyperplane LSH
-/// index (lsh.h) instead of its original brute-force O(|L| x |R|)
-/// cosine scan. `k` and `min_cosine` keep their meaning; candidates are
-/// still cosine-verified, but only rows colliding with the probe in at
-/// least one hash table are considered, so pairs below ~0.5 cosine may
-/// no longer surface (they were filtered by min_cosine anyway at the
-/// default). New code should use CandidateStream / EmbeddingLsh
-/// directly.
-class EmbeddingBlocker {
- public:
-  using Options = EmbeddingBlockerOptions;
-
-  /// The encoder must be fitted; it is borrowed (not owned) and must
-  /// outlive the blocker.
-  EmbeddingBlocker(const embedding::SemanticEncoder* encoder,
-                   Options options = {});
-
-  std::vector<CandidatePair> Candidates(const EntityTable& left,
-                                        const EntityTable& right,
-                                        util::ThreadPool* pool = nullptr) const;
-
- private:
-  const embedding::SemanticEncoder* encoder_;
-  Options options_;
-  text::Tokenizer tokenizer_;
-};
-
-/// Merges candidate lists (union, best score per pair; sorted).
-std::vector<CandidatePair> MergeCandidates(
-    const std::vector<CandidatePair>& a,
-    const std::vector<CandidatePair>& b);
 
 /// Builds an EM dataset from blocked candidates: each candidate becomes
 /// a record; `left_identity[i]` / `right_identity[j]` give the
@@ -130,7 +48,8 @@ data::Dataset BuildCandidateDataset(const EntityTable& left,
                                     const std::string& name);
 
 /// Blocking recall: the fraction of true matches (same identity) that
-/// survive into the candidate set.
+/// survive into the candidate set. A pair listed more than once counts
+/// once.
 double BlockingRecall(const std::vector<CandidatePair>& pairs,
                       const std::vector<size_t>& left_identity,
                       const std::vector<size_t>& right_identity);

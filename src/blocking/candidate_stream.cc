@@ -67,6 +67,10 @@ CandidateStream::CandidateStream(const EntityTable& left,
     : left_(left), right_(right), options_(options), pool_(pool) {
   WYM_CHECK(left_.schema == right_.schema)
       << "schema mismatch in candidate stream";
+  // A NaN or out-of-range bound would reach CeilBound's size_t cast.
+  const double min_jaccard = options_.token.min_jaccard;
+  WYM_CHECK(min_jaccard >= 0.0 && min_jaccard <= 1.0)
+      << "min_jaccard must be in [0, 1], got " << min_jaccard;
   if (options_.encoder != nullptr) {
     WYM_CHECK(options_.encoder->fitted())
         << "encoder must be fitted before LSH blocking";
@@ -80,9 +84,7 @@ void CandidateStream::EnsureBuilt() {
   if (built_) return;
   built_ = true;
   index_.Build(right_, tokenizer_, options_.token.max_token_frequency, pool_);
-  if (options_.exact_short_circuit) {
-    fingerprints_.Build(index_);
-  }
+  fingerprints_.Build(index_);
   if (options_.encoder != nullptr) {
     lsh_ = std::make_unique<EmbeddingLsh>(options_.encoder, options_.lsh);
     lsh_->Build(right_, tokenizer_, pool_);
@@ -118,16 +120,16 @@ void CandidateStream::ProbeRow(size_t left_row, ProbeScratch* s,
     if (index_.IsStop(id)) ++n_stop;
   }
 
-  // 3. Exact-duplicate short-circuit: same normalized token set as a
-  // right row -> emit at score 1.0 and skip the probes. Fingerprint
+  // 3. Exact-duplicate short-circuit: same normalized token set as some
+  // right rows -> emit exactly those rows at score 1.0 (ascending, not
+  // capped by max_candidates_per_row) and skip the probes. Fingerprint
   // hits are verified against the indexed id lists, so collisions
   // cannot fabricate duplicates.
-  if (options_.exact_short_circuit) {
+  if (s->present_ids.size() == l_full) {  // Else an unindexed token: no dup.
     s->dup_rows.clear();
     fingerprints_.Lookup(FingerprintTokens(s->uniq_tokens), &s->dup_rows);
-    bool emitted = false;
+    size_t dupes = 0;
     for (const uint32_t r : s->dup_rows) {
-      if (s->present_ids.size() != l_full) break;  // Unindexed token: no dup.
       size_t count = 0;
       const uint32_t* ids = index_.RowTokens(r, &count);
       if (count != l_full ||
@@ -135,11 +137,11 @@ void CandidateStream::ProbeRow(size_t left_row, ProbeScratch* s,
         continue;
       }
       out->push_back({left_row, r, 1.0});
-      emitted = true;
+      ++dupes;
     }
-    if (emitted) {
+    if (dupes > 0) {
       ++s->exact_dupes;
-      s->candidates += s->dup_rows.size();
+      s->candidates += dupes;
       return;
     }
   }
@@ -158,7 +160,7 @@ void CandidateStream::ProbeRow(size_t left_row, ProbeScratch* s,
   // past the prefix are walked in update-only mode — they can no longer
   // qualify a new row, so rows first seen there are skipped, which is
   // what keeps the touched set (and all downstream work) small.
-  const TokenBlockerOptions& topt = options_.token;
+  const TokenStageOptions& topt = options_.token;
   const size_t required_full = CeilBound(topt.min_jaccard * l_full);
   size_t required_probe =
       std::max<size_t>(topt.min_shared_tokens,
@@ -348,7 +350,7 @@ std::vector<TableMatch> MatchTables(const core::WymModel& model,
       << "model was trained on a different schema";
 
   CandidateStreamOptions stream_options = options.stream;
-  stream_options.encoder = options.use_lsh ? &model.encoder() : nullptr;
+  stream_options.encoder = &model.encoder();
   CandidateStream stream(left, right, stream_options, pool);
 
   if (stats != nullptr) *stats = MatchTablesStats{};

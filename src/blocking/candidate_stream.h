@@ -34,19 +34,34 @@
 
 namespace wym::blocking {
 
+/// Bounds of the token-index stage.
+struct TokenStageOptions {
+  /// Minimum number of shared tokens for a pair to be scored at all.
+  size_t min_shared_tokens = 1;
+  /// Minimum token Jaccard over the full descriptions.
+  double min_jaccard = 0.15;
+  /// Keep at most this many candidates per left row (best first);
+  /// 0 = unlimited.
+  size_t max_candidates_per_row = 10;
+  /// Tokens occurring in more than this fraction of the right table are
+  /// skipped when probing the index (stop-token pruning); 1 disables.
+  double max_token_frequency = 0.25;
+};
+
 /// Options for CandidateStream.
+///
+/// Every stream runs the exact-duplicate short-circuit first: a left
+/// row whose normalized token set equals some right rows' emits exactly
+/// those rows (ascending, score 1.0, regardless of
+/// `max_candidates_per_row`) and skips index and LSH probing.
 struct CandidateStreamOptions {
-  /// Token-index stage bounds (shared with TokenBlocker).
-  TokenBlockerOptions token;
+  /// Token-index stage bounds.
+  TokenStageOptions token;
   /// Embedding-LSH second stage; only active when `encoder` is set.
   EmbeddingLshOptions lsh;
   /// Fitted encoder powering the LSH stage (borrowed; must outlive the
   /// stream). nullptr disables LSH.
   const embedding::SemanticEncoder* encoder = nullptr;
-  /// Exact-duplicate short-circuit: a left row whose normalized token
-  /// set equals some right row's emits those rows at score 1.0 and
-  /// skips index + LSH probing entirely.
-  bool exact_short_circuit = true;
   /// Left rows consumed per Next() chunk (the memory bound).
   size_t chunk_left_rows = 2048;
 };
@@ -118,10 +133,9 @@ struct TableMatch {
 
 /// Options for MatchTables.
 struct MatchTablesOptions {
-  /// Candidate generation; `encoder` is overridden with the model's own
-  /// fitted encoder (set `use_lsh` false to opt out of the LSH stage).
+  /// Candidate generation. `stream.encoder` is ignored: MatchTables
+  /// always runs the LSH stage with the model's own fitted encoder.
   CandidateStreamOptions stream;
-  bool use_lsh = true;
   /// Keep matches at or above this probability.
   double min_probability = 0.5;
   /// Candidate pairs per PredictProbaBatch call (the scoring-side

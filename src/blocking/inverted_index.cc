@@ -1,6 +1,7 @@
 #include "blocking/inverted_index.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,8 +40,13 @@ void ShardedInvertedIndex::Build(const EntityTable& table,
                                  util::ThreadPool* pool) {
   obs::SpanScope span("blocking.index_build");
   const size_t n = table.size();
+  WYM_CHECK(std::isfinite(stop_fraction) && stop_fraction >= 0.0)
+      << "stop_fraction must be finite and >= 0, got " << stop_fraction;
   built_ = true;
-  stop_df_ = static_cast<size_t>(stop_fraction * static_cast<double>(n));
+  // Fractions above 1 flag nothing, exactly like 1; clamping keeps the
+  // size_t cast defined for huge values.
+  stop_df_ = static_cast<size_t>(std::min(stop_fraction, 1.0) *
+                                 static_cast<double>(n));
 
   // Pass 1 (parallel rows): tokenize every row into its sorted unique
   // token list, and shard each distinct token by hash. Shard contents

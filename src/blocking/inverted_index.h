@@ -43,10 +43,11 @@ class ShardedInvertedIndex {
   ShardedInvertedIndex() = default;
 
   /// Indexes `table` (typically the right/larger side). `stop_fraction`
-  /// mirrors TokenBlockerOptions::max_token_frequency: tokens occurring
-  /// in more than floor(stop_fraction * rows) rows are flagged as stop
-  /// tokens for probing (a floor of 0 disables stop pruning, matching
-  /// the seed blocker's semantics). Runs on `pool` (global when null).
+  /// mirrors TokenStageOptions::max_token_frequency and must be finite
+  /// and >= 0: tokens occurring in more than floor(stop_fraction * rows)
+  /// rows are flagged as stop tokens for probing (a floor of 0 disables
+  /// stop pruning, matching the seed blocker's semantics). Runs on
+  /// `pool` (global when null).
   void Build(const EntityTable& table, const text::Tokenizer& tokenizer,
              double stop_fraction, util::ThreadPool* pool = nullptr);
 

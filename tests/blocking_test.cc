@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "blocking/blocker.h"
+#include "blocking/candidate_stream.h"
 #include "data/catalog.h"
 #include "data/corruption.h"
+#include "embedding/semantic_encoder.h"
 #include "util/random.h"
 
 namespace wym::blocking {
@@ -19,32 +24,39 @@ EntityTable MakeTable(std::vector<std::vector<std::string>> rows) {
   return table;
 }
 
-TEST(TokenBlockerTest, FindsOverlappingRows) {
+/// Token-stage candidates (no encoder, so no LSH stage).
+std::vector<CandidatePair> TokenCandidates(const EntityTable& left,
+                                           const EntityTable& right,
+                                           const TokenStageOptions& token) {
+  CandidateStreamOptions options;
+  options.token = token;
+  CandidateStream stream(left, right, options);
+  return stream.Drain();
+}
+
+TEST(CandidateStreamTest, FindsOverlappingRows) {
   const EntityTable left = MakeTable({{"digital camera x100", "sony"},
                                       {"wireless router r7", "netgear"}});
   const EntityTable right = MakeTable({{"camera x100 digital", "sony"},
                                        {"oak dining table", "ikea"}});
-  const TokenBlocker blocker;
-  const auto candidates = blocker.Candidates(left, right);
+  const auto candidates = TokenCandidates(left, right, {});
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].left_row, 0u);
   EXPECT_EQ(candidates[0].right_row, 0u);
   EXPECT_GT(candidates[0].score, 0.5);
 }
 
-TEST(TokenBlockerTest, MinJaccardFilters) {
+TEST(CandidateStreamTest, MinJaccardFilters) {
   const EntityTable left = MakeTable({{"alpha beta gamma delta", "x"}});
   const EntityTable right = MakeTable({{"alpha zz yy ww vv uu", "q"}});
-  TokenBlockerOptions options;
+  TokenStageOptions options;
   options.min_jaccard = 0.5;
-  const TokenBlocker strict(options);
-  EXPECT_TRUE(strict.Candidates(left, right).empty());
+  EXPECT_TRUE(TokenCandidates(left, right, options).empty());
   options.min_jaccard = 0.05;
-  const TokenBlocker loose(options);
-  EXPECT_EQ(loose.Candidates(left, right).size(), 1u);
+  EXPECT_EQ(TokenCandidates(left, right, options).size(), 1u);
 }
 
-TEST(TokenBlockerTest, CapsCandidatesPerRow) {
+TEST(CandidateStreamTest, CapsCandidatesPerRow) {
   EntityTable left = MakeTable({{"shared token here", "b"}});
   EntityTable right;
   right.schema = left.schema;
@@ -53,16 +65,16 @@ TEST(TokenBlockerTest, CapsCandidatesPerRow) {
     entity.values = {"shared token here", "b" + std::to_string(i)};
     right.rows.push_back(entity);
   }
-  TokenBlockerOptions options;
+  TokenStageOptions options;
   options.max_candidates_per_row = 5;
   options.max_token_frequency = 1.0;  // Disable stop-token pruning.
-  const TokenBlocker blocker(options);
-  EXPECT_EQ(blocker.Candidates(left, right).size(), 5u);
+  EXPECT_EQ(TokenCandidates(left, right, options).size(), 5u);
 }
 
-TEST(EmbeddingBlockerTest, RecoversTypoedRow) {
-  // "dgital camera x100" shares embedding mass with the clean row even
-  // though key tokens are typo'd.
+TEST(CandidateStreamTest, RecoversTypoedRow) {
+  // "dgital camer x100" shares embedding mass with the clean row even
+  // though key tokens are typo'd; the token stage alone, held to a
+  // Jaccard it cannot reach, finds nothing.
   embedding::SemanticEncoderOptions encoder_options;
   encoder_options.mode = embedding::EncoderMode::kPretrained;
   embedding::SemanticEncoder encoder(encoder_options);
@@ -70,29 +82,17 @@ TEST(EmbeddingBlockerTest, RecoversTypoedRow) {
   const EntityTable left = MakeTable({{"dgital camer x100", "sony"}});
   const EntityTable right = MakeTable({{"digital camera x100", "sony"},
                                        {"completely unrelated row", "zzz"}});
-  EmbeddingBlockerOptions options;
-  options.k = 1;
-  options.min_cosine = 0.3;
-  const EmbeddingBlocker blocker(&encoder, options);
-  const auto candidates = blocker.Candidates(left, right);
+  CandidateStreamOptions options;
+  options.token.min_jaccard = 0.5;
+  options.lsh.k = 1;
+  options.lsh.min_cosine = 0.3;
+  EXPECT_TRUE(TokenCandidates(left, right, options.token).empty());
+
+  options.encoder = &encoder;
+  CandidateStream stream(left, right, options);
+  const auto candidates = stream.Drain();
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].right_row, 0u);
-}
-
-TEST(MergeCandidatesTest, UnionKeepsBestScore) {
-  const std::vector<CandidatePair> a = {{0, 0, 0.5}, {0, 1, 0.4}};
-  const std::vector<CandidatePair> b = {{0, 0, 0.7}, {1, 1, 0.9}};
-  const auto merged = MergeCandidates(a, b);
-  ASSERT_EQ(merged.size(), 3u);
-  // (0,0) keeps the higher score.
-  bool found = false;
-  for (const auto& pair : merged) {
-    if (pair.left_row == 0 && pair.right_row == 0) {
-      EXPECT_DOUBLE_EQ(pair.score, 0.7);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 TEST(BuildCandidateDatasetTest, LabelsFromIdentity) {
@@ -121,6 +121,13 @@ TEST(BlockingRecallTest, CountsSurvivingMatches) {
   EXPECT_DOUBLE_EQ(BlockingRecall({}, {5}, {6}), 1.0);  // No true matches.
 }
 
+TEST(BlockingRecallTest, CountsRepeatedPairOnce) {
+  EXPECT_DOUBLE_EQ(BlockingRecall({{0, 0, 1.0}, {0, 0, 0.5}}, {1}, {1}), 1.0);
+  // A repeated pair cannot stand in for a missing one.
+  EXPECT_DOUBLE_EQ(
+      BlockingRecall({{0, 0, 1.0}, {0, 0, 0.5}}, {1, 2}, {1, 2}), 0.5);
+}
+
 TEST(BlockingIntegrationTest, HighRecallOnCorruptedCatalog) {
   Rng rng(4);
   const data::Schema schema = data::DomainSchema(data::Domain::kProduct);
@@ -137,8 +144,8 @@ TEST(BlockingIntegrationTest, HighRecallOnCorruptedCatalog) {
     b.rows.push_back(data::CorruptEntity(base, schema, profile, &rng));
     ids_b.push_back(i);
   }
-  const TokenBlocker blocker;
-  const auto candidates = blocker.Candidates(a, b);
+  CandidateStream stream(a, b);
+  const auto candidates = stream.Drain();
   EXPECT_GT(BlockingRecall(candidates, ids_a, ids_b), 0.9);
   // And it prunes: far fewer candidates than the cross product.
   EXPECT_LT(candidates.size(), a.size() * b.size() / 5);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -75,18 +76,23 @@ std::set<std::string> RowTokenSet(const data::Entity& row,
   return tokens;
 }
 
-/// The seed TokenBlocker, reimplemented naively: exhaustive probe over
-/// full posting lists, no prefix filter, no early exit. The optimized
-/// path must reproduce this list exactly.
+/// The token stage, reimplemented naively: the exact-duplicate rule,
+/// then an exhaustive probe over full posting lists, no prefix filter,
+/// no early exit. CandidateStream without an encoder must reproduce
+/// this list exactly.
 std::vector<CandidatePair> ReferenceTokenCandidates(
     const EntityTable& left, const EntityTable& right,
-    const TokenBlockerOptions& options) {
+    const TokenStageOptions& options) {
   const text::Tokenizer tokenizer;
   std::vector<std::set<std::string>> right_tokens(right.size());
   std::map<std::string, size_t> df;
+  // Keyed by the whole token set, so rows made only of stop tokens are
+  // found too.
+  std::map<std::set<std::string>, std::vector<size_t>> rows_by_token_set;
   for (size_t r = 0; r < right.size(); ++r) {
     right_tokens[r] = RowTokenSet(right.rows[r], tokenizer);
     for (const auto& token : right_tokens[r]) ++df[token];
+    rows_by_token_set[right_tokens[r]].push_back(r);
   }
   const size_t stop_count = static_cast<size_t>(
       options.max_token_frequency * static_cast<double>(right.size()));
@@ -94,6 +100,13 @@ std::vector<CandidatePair> ReferenceTokenCandidates(
   std::vector<CandidatePair> out;
   for (size_t l = 0; l < left.size(); ++l) {
     const std::set<std::string> tokens = RowTokenSet(left.rows[l], tokenizer);
+    // Duplicate rule: the right rows with exactly this token set, in
+    // ascending order at score 1.0, uncapped, and nothing else.
+    const auto dup = rows_by_token_set.find(tokens);
+    if (!tokens.empty() && dup != rows_by_token_set.end()) {
+      for (const size_t r : dup->second) out.push_back({l, r, 1.0});
+      continue;
+    }
     std::map<size_t, size_t> shared_counts;
     for (const auto& token : tokens) {
       auto it = df.find(token);
@@ -218,6 +231,14 @@ TEST(ShardedInvertedIndexTest, IdenticalAtEveryThreadCount) {
   EXPECT_TRUE(b.DebugValidate());
 }
 
+TEST(ShardedInvertedIndexDeathTest, RejectsNegativeStopFraction) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const TablePair pair = MakeCorruptedPair(1000, 2);
+  const text::Tokenizer tokenizer;
+  ShardedInvertedIndex index;
+  EXPECT_DEATH(index.Build(pair.right, tokenizer, -0.01), "stop_fraction");
+}
+
 TEST(FingerprintTest, HashesSortedTokenSets) {
   const uint64_t fp = FingerprintTokens({"camera", "digital", "x100"});
   EXPECT_EQ(fp, FingerprintTokens({"camera", "digital", "x100"}));
@@ -244,15 +265,71 @@ TEST(FingerprintTest, IndexFindsEqualTokenSets) {
   EXPECT_EQ(rows, (std::vector<uint32_t>{0, 1}));
 }
 
+/// Overwrites right rows with exact duplicates of left rows: left row 0
+/// into the last `copies` right rows, and every seventh left row into
+/// the right row of the same index with its attribute values rotated
+/// (same token set, different layout).
+void PlantDuplicates(size_t copies, TablePair* pair) {
+  const size_t n = pair->right.size();
+  for (size_t r = n - copies; r < n; ++r) {
+    pair->right.rows[r] = pair->left.rows[0];
+  }
+  for (size_t l = 7; l < n - copies; l += 7) {
+    std::vector<std::string> values = pair->left.rows[l].values;
+    std::rotate(values.begin(), values.begin() + 1, values.end());
+    pair->right.rows[l].values = std::move(values);
+  }
+}
+
 TEST(CandidateStreamTest, MatchesExhaustiveReferenceBlocker) {
-  const TablePair pair = MakeCorruptedPair(80, 33);
+  std::vector<TokenStageOptions> variants;
   for (const double min_jaccard : {0.15, 0.4}) {
-    TokenBlockerOptions options;
+    TokenStageOptions options;
     options.min_jaccard = min_jaccard;
-    const TokenBlocker blocker(options);
-    ExpectSameCandidates(blocker.Candidates(pair.left, pair.right),
-                         ReferenceTokenCandidates(pair.left, pair.right,
-                                                  options));
+    variants.push_back(options);
+    TokenStageOptions shared2 = options;
+    shared2.min_shared_tokens = 2;
+    variants.push_back(shared2);
+    TokenStageOptions no_stop = options;
+    no_stop.max_token_frequency = 1.0;
+    variants.push_back(no_stop);
+    TokenStageOptions uncapped = options;
+    uncapped.max_candidates_per_row = 0;
+    variants.push_back(uncapped);
+  }
+  const struct {
+    size_t rows;
+    uint64_t seed;
+  } tables[] = {{40, 3}, {80, 33}, {160, 71}};
+  for (const auto& spec : tables) {
+    for (const bool planted : {false, true}) {
+      TablePair pair = MakeCorruptedPair(spec.rows, spec.seed);
+      // Left row 0 gets more duplicates than the default per-row cap.
+      const size_t copies = TokenStageOptions{}.max_candidates_per_row + 2;
+      if (planted) PlantDuplicates(copies, &pair);
+      for (const TokenStageOptions& token : variants) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rows " << spec.rows << " seed " << spec.seed
+                     << " planted " << planted << " min_jaccard "
+                     << token.min_jaccard << " min_shared "
+                     << token.min_shared_tokens << " max_freq "
+                     << token.max_token_frequency << " cap "
+                     << token.max_candidates_per_row);
+        CandidateStreamOptions options;
+        options.token = token;
+        CandidateStream stream(pair.left, pair.right, options);
+        const std::vector<CandidatePair> candidates = stream.Drain();
+        ExpectSameCandidates(
+            candidates, ReferenceTokenCandidates(pair.left, pair.right, token));
+        if (planted) {
+          // The short-circuit bypasses the cap: every copy is emitted.
+          const size_t row0 = static_cast<size_t>(std::count_if(
+              candidates.begin(), candidates.end(),
+              [](const CandidatePair& c) { return c.left_row == 0; }));
+          EXPECT_EQ(row0, copies);
+        }
+      }
+    }
   }
 }
 
@@ -265,7 +342,6 @@ TEST(CandidateStreamTest, ByteIdenticalAcrossThreadCounts) {
 
   CandidateStreamOptions options;
   options.encoder = &encoder;  // LSH stage on.
-  options.exact_short_circuit = true;
 
   util::ThreadPool pool1(1), pool8(8);
   CandidateStream stream1(pair.left, pair.right, options, &pool1);
@@ -329,13 +405,11 @@ TEST(CandidateStreamTest, ExactDuplicateShortCircuit) {
   const EntityTable right = MakeTable({{"oak dining table", "ikea"},
                                        {"sony camera digital x100", ""},
                                        {"wireless router r9", "netgear"}});
-  CandidateStreamOptions options;
-  options.exact_short_circuit = true;
   obs::Counter& dupes =
       obs::Registry::Global().GetCounter("blocking.exact_dupes");
   const uint64_t dupes_before = dupes.Value();
 
-  CandidateStream stream(left, right, options);
+  CandidateStream stream(left, right);
   const auto candidates = stream.Drain();
 
   // Row 0 short-circuits to exactly its duplicate at score 1.0.
@@ -355,6 +429,14 @@ TEST(CandidateStreamTest, ExactDuplicateShortCircuit) {
   if (obs::MetricsEnabled()) {
     EXPECT_EQ(dupes.Value(), dupes_before + 1);
   }
+}
+
+TEST(CandidateStreamDeathTest, RejectsNanMinJaccard) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const EntityTable table = MakeTable({{"digital camera", "sony"}});
+  CandidateStreamOptions options;
+  options.token.min_jaccard = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(CandidateStream(table, table, options), "min_jaccard");
 }
 
 TEST(EmbeddingLshTest, RecallAgainstExhaustiveScan) {
