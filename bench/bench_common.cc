@@ -56,7 +56,7 @@ double TestF1(const core::Matcher& matcher, const data::Split& split) {
 double TestF1(const core::WymModel& model, const data::Split& split,
               util::ThreadPool* pool) {
   const std::vector<double> probabilities =
-      model.PredictProbaBatch(split.test, pool);
+      model.PredictProbaBatch(split.test, nullptr, pool);
   std::vector<int> predicted(probabilities.size());
   for (size_t i = 0; i < predicted.size(); ++i) {
     predicted[i] = probabilities[i] >= 0.5 ? 1 : 0;
@@ -69,7 +69,7 @@ double ExplainRecPerSec(const core::WymModel& model,
   if (sample.size() == 0) return 0.0;
   Stopwatch watch;
   const std::vector<core::Explanation> explanations =
-      model.ExplainBatch(sample, pool);
+      model.ExplainBatch(sample, nullptr, pool);
   const double seconds = watch.ElapsedSeconds();
   return static_cast<double>(explanations.size()) / std::max(seconds, 1e-9);
 }

@@ -217,21 +217,6 @@ std::vector<double> WymModel::ScoreUnits(
   return scorer_.Score(record, units);
 }
 
-ScoredUnitSet WymModel::BuildScoredUnits(const TokenizedRecord& record) const {
-  ScoredUnitSet set;
-  set.units = GenerateUnits(record);
-  set.scores = ScoreUnits(record, set.units);
-  // Scorer stage boundary: relevance scores feed both the matcher and
-  // the ranked explanation, so a NaN here corrupts both.
-  WYM_DCHECK_FINITE(set.scores.data(), set.scores.size())
-      << "non-finite unit relevance score";
-  return set;
-}
-
-double WymModel::PredictProba(const data::EmRecord& record) const {
-  return PredictProbaFromUnits(BuildScoredUnits(Prepare(record)));
-}
-
 double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set) const {
   const double proba = matcher_.PredictProba(set);
   // Matcher stage boundary: probabilities must be finite (the classifier
@@ -240,183 +225,126 @@ double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set) const {
   return proba;
 }
 
+double WymModel::PredictProba(const data::EmRecord& record) const {
+  return PredictProbaBatch(std::span(&record, 1)).front();
+}
+
 Explanation WymModel::Explain(const data::EmRecord& record) const {
-  return ExplainPrepared(Prepare(record));
-}
-
-Explanation WymModel::ExplainPrepared(const TokenizedRecord& tokenized) const {
-  const ScoredUnitSet set = BuildScoredUnits(tokenized);
-
-  Explanation out;
-  out.probability = matcher_.PredictProba(set);
-  out.prediction = out.probability >= 0.5 ? 1 : 0;
-  const std::vector<double> impacts = matcher_.UnitImpacts(set);
-  out.units.reserve(set.size());
-  for (size_t u = 0; u < set.size(); ++u) {
-    out.units.push_back({set.units[u], set.scores[u], impacts[u]});
-  }
-  return out;
-}
-
-namespace {
-
-/// Reason a record cannot be predicted, or empty. Zero tokens on both
-/// sides would trip the relevance scorer's at-least-one-entity contract
-/// (an abort) — the batch paths quarantine such records instead.
-std::string DegenerateReason(const TokenizedRecord& tokenized) {
-  if (tokenized.left.tokens.empty() && tokenized.right.tokens.empty()) {
-    return "zero tokens on both sides after tokenization";
-  }
-  return "";
-}
-
-/// Compacts per-index quarantine reasons (collected in parallel, by
-/// index, so the result is deterministic) into the report.
-void FillReport(const std::vector<std::string>& reasons,
-                PredictionReport* report) {
-  if (report == nullptr) return;
-  *report = PredictionReport{};
-  for (size_t i = 0; i < reasons.size(); ++i) {
-    if (reasons[i].empty()) {
-      ++report->predicted;
-    } else {
-      report->quarantined.push_back({i, reasons[i]});
-    }
-  }
-}
-
-/// Bumps the batch-level counters (`<prefix>.records`,
-/// `<prefix>.records_quarantined`) from the per-index reason vector —
-/// after the parallel loop, so counting never touches the hot path.
-void CountBatch(const std::vector<std::string>& reasons,
-                obs::Counter& records, obs::Counter& quarantined) {
-  if (!obs::MetricsEnabled()) return;
-  records.Add(reasons.size());
-  size_t bad = 0;
-  for (const std::string& reason : reasons) {
-    if (!reason.empty()) ++bad;
-  }
-  if (bad > 0) quarantined.Add(bad);
-}
-
-}  // namespace
-
-std::vector<double> WymModel::PredictProbaBatch(const data::Dataset& dataset,
-                                                util::ThreadPool* pool) const {
-  return PredictProbaBatch(dataset, nullptr, pool);
-}
-
-std::vector<double> WymModel::PredictProbaBatch(const data::Dataset& dataset,
-                                                PredictionReport* report,
-                                                util::ThreadPool* pool) const {
-  return PredictProbaRange(dataset.records.data(), dataset.records.size(),
-                           report, pool);
+  return std::move(ExplainBatch(std::span(&record, 1)).front());
 }
 
 std::vector<double> WymModel::PredictProbaBatch(
-    const std::vector<data::EmRecord>& records, PredictionReport* report,
+    std::span<const data::EmRecord> records, PredictionReport* report,
     util::ThreadPool* pool) const {
-  return PredictProbaRange(records.data(), records.size(), report, pool);
-}
-
-std::vector<double> WymModel::PredictProbaRange(const data::EmRecord* batch,
-                                                size_t n,
-                                                PredictionReport* report,
-                                                util::ThreadPool* pool) const {
-  WYM_CHECK(fitted_) << "WymModel used before Fit";
-  obs::SpanScope batch_span("predict.batch");
-  const bool metrics = obs::MetricsEnabled();
-  static obs::Histogram& record_ns =
-      obs::Registry::Global().GetHistogram("predict.record_ns");
-  std::vector<double> out(n);
-  std::vector<std::string> reasons(n);
-  util::ParallelFor(
-      n, /*grain=*/1,
-      [&](size_t begin, size_t end, size_t) {
-        for (size_t i = begin; i < end; ++i) {
-          obs::SpanScope span("predict.record");
-          const std::uint64_t t0 = metrics ? obs::NowNanos() : 0;
-          const TokenizedRecord tokenized = Prepare(batch[i]);
-          reasons[i] = DegenerateReason(tokenized);
-          if (!reasons[i].empty()) {
-            out[i] = 0.0;  // Non-match fallback; reported, never NaN.
-            continue;
-          }
-          out[i] = PredictProbaFromUnits(BuildScoredUnits(tokenized));
-          if (!std::isfinite(out[i])) {
-            reasons[i] = "non-finite match probability";
-            out[i] = 0.0;
-          }
-          if (metrics) record_ns.Record(obs::NowNanos() - t0);
-        }
-      },
-      pool);
-  FillReport(reasons, report);
-  static obs::Counter& records =
-      obs::Registry::Global().GetCounter("predict.records");
-  static obs::Counter& quarantined =
-      obs::Registry::Global().GetCounter("predict.records_quarantined");
-  CountBatch(reasons, records, quarantined);
+  std::vector<double> out(records.size());
+  RunRecords(records, out.data(), nullptr, report, pool);
   return out;
 }
 
-std::vector<Explanation> WymModel::ExplainBatch(const data::Dataset& dataset,
-                                                util::ThreadPool* pool) const {
-  return ExplainBatch(dataset, nullptr, pool);
-}
-
-std::vector<Explanation> WymModel::ExplainBatch(const data::Dataset& dataset,
-                                                PredictionReport* report,
-                                                util::ThreadPool* pool) const {
-  WYM_CHECK(fitted_) << "WymModel used before Fit";
-  obs::SpanScope batch_span("explain.batch");
-  const bool metrics = obs::MetricsEnabled();
-  static obs::Histogram& record_ns =
-      obs::Registry::Global().GetHistogram("explain.record_ns");
-  std::vector<Explanation> out(dataset.size());
-  std::vector<std::string> reasons(dataset.size());
-  util::ParallelFor(
-      dataset.size(), /*grain=*/1,
-      [&](size_t begin, size_t end, size_t) {
-        for (size_t i = begin; i < end; ++i) {
-          obs::SpanScope span("explain.record");
-          const std::uint64_t t0 = metrics ? obs::NowNanos() : 0;
-          const TokenizedRecord tokenized = Prepare(dataset.records[i]);
-          reasons[i] = DegenerateReason(tokenized);
-          if (!reasons[i].empty()) {
-            out[i] = Explanation{};  // Empty: prediction 0, no units.
-            continue;
-          }
-          out[i] = ExplainPrepared(tokenized);
-          if (metrics) record_ns.Record(obs::NowNanos() - t0);
-        }
-      },
-      pool);
-  FillReport(reasons, report);
-  static obs::Counter& records =
-      obs::Registry::Global().GetCounter("explain.records");
-  static obs::Counter& quarantined =
-      obs::Registry::Global().GetCounter("explain.records_quarantined");
-  CountBatch(reasons, records, quarantined);
+std::vector<Explanation> WymModel::ExplainBatch(
+    std::span<const data::EmRecord> records, PredictionReport* report,
+    util::ThreadPool* pool) const {
+  std::vector<Explanation> out(records.size());
+  RunRecords(records, nullptr, out.data(), report, pool);
   return out;
 }
 
 std::vector<int> WymModel::PredictDataset(const data::Dataset& dataset) const {
-  // Chunked through the batch path so per-record scratch stays bounded
-  // by the chunk, not the dataset — the same discipline the streaming
-  // candidate tier applies on the blocking side.
-  constexpr size_t kChunkRecords = 8192;
-  std::vector<int> out(dataset.size());
-  for (size_t begin = 0; begin < dataset.size(); begin += kChunkRecords) {
-    const size_t n = std::min(kChunkRecords, dataset.size() - begin);
-    const std::vector<double> probabilities =
-        PredictProbaRange(dataset.records.data() + begin, n,
-                          /*report=*/nullptr, /*pool=*/nullptr);
-    for (size_t i = 0; i < n; ++i) {
-      out[begin + i] = probabilities[i] >= 0.5 ? 1 : 0;
-    }
+  const std::vector<double> probabilities = PredictProbaBatch(dataset);
+  std::vector<int> out(probabilities.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = probabilities[i] >= 0.5 ? 1 : 0;
   }
   return out;
+}
+
+void WymModel::RunRecords(std::span<const data::EmRecord> records,
+                          double* probabilities, Explanation* explanations,
+                          PredictionReport* report,
+                          util::ThreadPool* pool) const {
+  WYM_CHECK(fitted_) << "WymModel used before Fit";
+  const bool explain = explanations != nullptr;
+  obs::SpanScope batch_span(explain ? "explain.batch" : "predict.batch");
+  const char* record_span = explain ? "explain.record" : "predict.record";
+  const bool metrics = obs::MetricsEnabled();
+  obs::Registry& registry = obs::Registry::Global();
+  static obs::Histogram& predict_ns =
+      registry.GetHistogram("predict.record_ns");
+  static obs::Histogram& explain_ns =
+      registry.GetHistogram("explain.record_ns");
+  obs::Histogram& record_ns = explain ? explain_ns : predict_ns;
+  // Per-index quarantine reasons, written in parallel by record index so
+  // the report is deterministic; nullptr = predicted.
+  std::vector<const char*> reasons(records.size(), nullptr);
+  util::ParallelFor(
+      records.size(), /*grain=*/1,
+      [&](size_t begin, size_t end, size_t) {
+        for (size_t i = begin; i < end; ++i) {
+          obs::SpanScope span(record_span);
+          const std::uint64_t t0 = metrics ? obs::NowNanos() : 0;
+          const TokenizedRecord tokenized = Prepare(records[i]);
+          // Degenerate rule: with no tokens there are no units, and the
+          // matcher would answer from the features of an empty unit set.
+          // The slot keeps its non-match fallback (0.0 / Explanation{}).
+          const bool no_tokens = tokenized.left.tokens.empty() &&
+                                 tokenized.right.tokens.empty();
+          if (no_tokens) {
+            reasons[i] = "zero tokens on both sides after tokenization";
+            continue;
+          }
+          ScoredUnitSet set;
+          set.units = GenerateUnits(tokenized);
+          set.scores = ScoreUnits(tokenized, set.units);
+          // Scorer stage boundary: relevance scores feed both the matcher
+          // and the ranked explanation, so a NaN here corrupts both.
+          WYM_DCHECK_FINITE(set.scores.data(), set.scores.size())
+              << "non-finite unit relevance score";
+          double probability = PredictProbaFromUnits(set);
+          if (!std::isfinite(probability)) {
+            reasons[i] = "non-finite match probability";
+            probability = 0.0;
+          }
+          if (!explain) {
+            probabilities[i] = probability;
+          } else if (reasons[i] == nullptr) {
+            Explanation& out = explanations[i];
+            out.probability = probability;
+            out.prediction = probability >= 0.5 ? 1 : 0;
+            const std::vector<double> impacts = matcher_.UnitImpacts(set);
+            out.units.reserve(set.size());
+            for (size_t u = 0; u < set.size(); ++u) {
+              out.units.push_back(
+                  {std::move(set.units[u]), set.scores[u], impacts[u]});
+            }
+          }
+          if (metrics) record_ns.Record(obs::NowNanos() - t0);
+        }
+      },
+      pool);
+
+  size_t quarantined = 0;
+  if (report != nullptr) *report = PredictionReport{};
+  for (size_t i = 0; i < reasons.size(); ++i) {
+    if (reasons[i] == nullptr) continue;
+    ++quarantined;
+    if (report != nullptr) report->quarantined.push_back({i, reasons[i]});
+  }
+  if (report != nullptr) report->predicted = records.size() - quarantined;
+  // Batch-level counters are bumped after the loop, so counting never
+  // touches the hot path.
+  if (!metrics) return;
+  static obs::Counter& predict_records =
+      registry.GetCounter("predict.records");
+  static obs::Counter& predict_quarantined =
+      registry.GetCounter("predict.records_quarantined");
+  static obs::Counter& explain_records =
+      registry.GetCounter("explain.records");
+  static obs::Counter& explain_quarantined =
+      registry.GetCounter("explain.records_quarantined");
+  (explain ? explain_records : predict_records).Add(records.size());
+  if (quarantined > 0) {
+    (explain ? explain_quarantined : predict_quarantined).Add(quarantined);
+  }
 }
 
 namespace {

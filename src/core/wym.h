@@ -2,6 +2,7 @@
 #define WYM_CORE_WYM_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,14 +73,15 @@ struct ExplainedUnit {
   double impact = 0.0;
 };
 
-/// Per-run quarantine report of the batch prediction APIs. Degenerate
-/// records — zero tokens on both sides after tokenization, or a
-/// non-finite probability — are not predictable; instead of aborting or
-/// propagating NaNs, the batch paths give them the non-match fallback
-/// (probability 0.0, prediction 0) and list them here.
+/// Per-run quarantine report of the prediction APIs. Degenerate records
+/// — zero tokens on both sides after tokenization, or a non-finite
+/// probability — are not predictable; instead of answering from an empty
+/// unit set or propagating NaNs, every predict/explain call gives them
+/// the non-match fallback (probability 0.0, prediction 0) and the batch
+/// calls list them here.
 struct PredictionReport {
   struct Quarantined {
-    size_t index = 0;     ///< Record index within the dataset.
+    size_t index = 0;     ///< Record index within the batch.
     std::string reason;   ///< Why the record could not be predicted.
   };
   std::vector<Quarantined> quarantined;
@@ -112,48 +114,42 @@ class WymModel : public Matcher {
   void Fit(const data::Dataset& train,
            const data::Dataset& validation) override;
 
-  /// Matching probability for a record.
+  /// Matching probability for a record: the batch of one, so the
+  /// degenerate-record rule below applies here too.
   double PredictProba(const data::EmRecord& record) const override;
 
-  /// Prediction + decision units with relevance and impact scores.
+  /// Prediction + decision units with relevance and impact scores: the
+  /// batch of one of ExplainBatch.
   Explanation Explain(const data::EmRecord& record) const;
 
   /// --- batch APIs (deterministic parallel runtime) ---
   ///
-  /// Each record's tokenize -> encode -> units -> score -> classify
-  /// chain is independent, so the batch APIs fan records across `pool`
-  /// (the global WYM_THREADS pool when nullptr) and write results by
-  /// record index. Output is bit-identical to the sequential per-record
-  /// calls at every thread count — see DESIGN.md "Threading model".
+  /// Every predict/explain entry point runs one record loop: tokenize
+  /// -> encode -> degenerate-record check -> units -> score -> classify
+  /// (-> impacts). Records are independent, so the loop fans them across
+  /// `pool` (the global WYM_THREADS pool when nullptr) and writes
+  /// results by record index; output is bit-identical at every thread
+  /// count — see DESIGN.md "Threading model". A `data::Dataset` and a
+  /// `std::vector<data::EmRecord>` both convert to the record span.
+  ///
+  /// Degenerate records — zero tokens on both sides, or a non-finite
+  /// probability — get the non-match fallback (probability 0.0,
+  /// prediction 0, no units) and are listed in `report` when non-null;
+  /// the loop never aborts on bad records and never emits NaN.
 
-  /// Matching probabilities for every record of `dataset`, in order.
-  /// Degenerate records are quarantined into `report` (when non-null)
-  /// with the non-match fallback probability 0.0 — the batch paths never
-  /// abort on bad records and never emit NaN.
-  std::vector<double> PredictProbaBatch(const data::Dataset& dataset,
-                                        util::ThreadPool* pool = nullptr) const;
-  std::vector<double> PredictProbaBatch(const data::Dataset& dataset,
-                                        PredictionReport* report,
-                                        util::ThreadPool* pool = nullptr) const;
-
-  /// Matching probabilities for a plain record list — the entry point
-  /// the streaming candidate tier (blocking::MatchTables) feeds in
-  /// bounded-memory chunks. Same quarantine and determinism contract as
-  /// the dataset overloads.
+  /// Matching probabilities for `records`, in order.
   std::vector<double> PredictProbaBatch(
-      const std::vector<data::EmRecord>& records,
+      std::span<const data::EmRecord> records,
       PredictionReport* report = nullptr,
       util::ThreadPool* pool = nullptr) const;
 
-  /// Explanations for every record of `dataset`, in order. Quarantined
-  /// records yield an empty explanation (no units, probability 0.0).
-  std::vector<Explanation> ExplainBatch(const data::Dataset& dataset,
-                                        util::ThreadPool* pool = nullptr) const;
-  std::vector<Explanation> ExplainBatch(const data::Dataset& dataset,
-                                        PredictionReport* report,
-                                        util::ThreadPool* pool = nullptr) const;
+  /// Explanations for `records`, in order.
+  std::vector<Explanation> ExplainBatch(
+      std::span<const data::EmRecord> records,
+      PredictionReport* report = nullptr,
+      util::ThreadPool* pool = nullptr) const;
 
-  /// Hard predictions through the parallel batch path.
+  /// Hard predictions: PredictProbaBatch thresholded at 0.5.
   std::vector<int> PredictDataset(const data::Dataset& dataset) const override;
 
   /// --- lower-level hooks used by the evaluation harnesses ---
@@ -207,17 +203,12 @@ class WymModel : public Matcher {
   size_t num_attributes() const { return num_attributes_; }
 
  private:
-  ScoredUnitSet BuildScoredUnits(const TokenizedRecord& record) const;
-
-  /// Explain over an already prepared record: the body shared by
-  /// Explain and ExplainBatch, so a batch prepares each record once.
-  Explanation ExplainPrepared(const TokenizedRecord& tokenized) const;
-
-  /// Shared implementation of the PredictProbaBatch overloads over a
-  /// contiguous record range.
-  std::vector<double> PredictProbaRange(const data::EmRecord* records,
-                                        size_t n, PredictionReport* report,
-                                        util::ThreadPool* pool) const;
+  /// The record loop behind every entry point above. Fills
+  /// `probabilities` or, when non-null, `explanations` (one slot per
+  /// record), and `report`.
+  void RunRecords(std::span<const data::EmRecord> records,
+                  double* probabilities, Explanation* explanations,
+                  PredictionReport* report, util::ThreadPool* pool) const;
 
   WymConfig config_;
   text::Tokenizer tokenizer_;

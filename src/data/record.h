@@ -41,6 +41,12 @@ struct Dataset {
   std::vector<EmRecord> records;
 
   size_t size() const { return records.size(); }
+  /// Record iteration; also lets a Dataset convert to
+  /// std::span<const EmRecord> (the WymModel batch APIs).
+  std::vector<EmRecord>::const_iterator begin() const {
+    return records.begin();
+  }
+  std::vector<EmRecord>::const_iterator end() const { return records.end(); }
 
   /// Number of records with label 1.
   size_t MatchCount() const;

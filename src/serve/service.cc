@@ -16,6 +16,11 @@ namespace {
 
 constexpr uint64_t kMillisToNanos = 1000000ull;
 
+/// Pairs scored between deadline re-checks inside one predict request
+/// (the "batch slice"): a large batch overruns its budget by at most
+/// one slice of work.
+constexpr size_t kDeadlineSlicePairs = 16;
+
 obs::Counter& RequestsCounter() {
   static obs::Counter& counter =
       obs::Registry::Global().GetCounter("serve.requests");
@@ -456,9 +461,8 @@ Response MatcherService::ExecutePredict(RequestState* state_ptr) {
   response.model = name;
   response.results.resize(request.pairs.size());
 
-  const size_t slice =
-      options_.deadline_slice_pairs == 0 ? 16 : options_.deadline_slice_pairs;
-  for (size_t begin = 0; begin < request.pairs.size(); begin += slice) {
+  for (size_t begin = 0; begin < request.pairs.size();
+       begin += kDeadlineSlicePairs) {
     // Deadline re-check between batch slices: a large batch cannot
     // blow past its budget by more than one slice of work.
     if (begin != 0 && state.deadline_ns != 0 && Now() > state.deadline_ns) {
@@ -468,7 +472,8 @@ Response MatcherService::ExecutePredict(RequestState* state_ptr) {
                        " of " + std::to_string(request.pairs.size()) +
                        " pairs"));
     }
-    const size_t end = std::min(begin + slice, request.pairs.size());
+    const size_t end =
+        std::min(begin + kDeadlineSlicePairs, request.pairs.size());
     state.batches.fetch_add(1, std::memory_order_relaxed);
 
     // Cache pass: resolve hits, collect misses for one batch call.
@@ -494,36 +499,28 @@ Response MatcherService::ExecutePredict(RequestState* state_ptr) {
     }
     if (miss_indices.empty()) continue;
 
+    // The offline batch path, verbatim — served answers are
+    // byte-identical to PredictProbaBatch / ExplainBatch on the same
+    // pairs (quarantined records included: same 0.0 fallback).
+    std::vector<double> probabilities;
+    std::vector<core::Explanation> explanations;
     if (request.explain) {
-      for (size_t m = 0; m < miss_indices.size(); ++m) {
-        const size_t i = miss_indices[m];
-        const core::Explanation explanation =
-            model.Explain(miss_records[m]);
-        response.results[i].prediction = explanation.prediction;
-        response.results[i].probability = explanation.probability;
-        response.results[i].explanation_json =
-            explain::ExplanationToJson(explanation);
-        cache_.Insert(MakePredictionKey(request.pairs[i], model_id),
-                      CachedPrediction{
-                          explanation.prediction, explanation.probability,
-                          response.results[i].explanation_json});
-      }
+      explanations = model.ExplainBatch(miss_records, nullptr, pool_);
     } else {
-      // The offline batch path, verbatim — serve answers are
-      // byte-identical to PredictProbaBatch on the same pairs
-      // (quarantined records included: same 0.0 fallback).
-      core::PredictionReport report;
-      const std::vector<double> probabilities =
-          model.PredictProbaBatch(miss_records, &report, pool_);
-      for (size_t m = 0; m < miss_indices.size(); ++m) {
-        const size_t i = miss_indices[m];
-        const double probability = probabilities[m];
-        const int prediction = probability >= 0.5 ? 1 : 0;
-        response.results[i].prediction = prediction;
-        response.results[i].probability = probability;
-        cache_.Insert(MakePredictionKey(request.pairs[i], model_id),
-                      CachedPrediction{prediction, probability, ""});
+      probabilities = model.PredictProbaBatch(miss_records, nullptr, pool_);
+    }
+    for (size_t m = 0; m < miss_indices.size(); ++m) {
+      const size_t i = miss_indices[m];
+      PairResult& result = response.results[i];
+      result.probability =
+          request.explain ? explanations[m].probability : probabilities[m];
+      result.prediction = result.probability >= 0.5 ? 1 : 0;
+      if (request.explain) {
+        result.explanation_json = explain::ExplanationToJson(explanations[m]);
       }
+      cache_.Insert(MakePredictionKey(request.pairs[i], model_id),
+                    CachedPrediction{result.prediction, result.probability,
+                                     result.explanation_json});
     }
   }
   return response;

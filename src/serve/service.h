@@ -31,9 +31,9 @@
 /// `queue_bound` requests; everything beyond is *shed immediately* with
 /// a typed `ResourceExhausted` response (never blocked, never dropped).
 /// Every admitted request carries a deadline budget; the budget is
-/// checked at dequeue and between batch slices, and expired work is
-/// answered `DeadlineExceeded` with how far it got. A watchdog turns a
-/// wedged worker into a clean error response. Drain stops admission
+/// checked at dequeue and between batch slices of 16 pairs, and expired
+/// work is answered `DeadlineExceeded` with how far it got. A watchdog
+/// turns a wedged worker into a clean error response. Drain stops admission
 /// (`ResourceExhausted: draining`), finishes or deadlines-out in-flight
 /// work, and leaves the stats snapshot as the last word. Every request
 /// is answered exactly once, through every one of those paths.
@@ -56,9 +56,6 @@ struct ServiceOptions {
   uint64_t wedge_timeout_ms = 30000;
   /// Prediction-cache capacity in entries; 0 disables caching.
   size_t cache_entries = 4096;
-  /// Pairs scored between deadline re-checks inside one predict
-  /// request (the "batch slice" granularity).
-  size_t deadline_slice_pairs = 16;
   /// Schedule queued work onto the pool as it is admitted. Tests turn
   /// this off to drive ProcessQueued() deterministically.
   bool auto_dispatch = true;

@@ -83,6 +83,17 @@ expect_exit 2 "$CLI" verify --model "$WORK/no-such-model.wym"
 expect_exit 1 "$CLI" verify
 expect_exit 1 "$CLI" generate --dataset NOPE --out "$WORK/x.csv"
 
+# Exit 1: a malformed numeric flag is rejected by name before any work,
+# not read as 0 (or, for "-1", wrapped around to 2^64-1).
+expect_exit 1 "$CLI" generate --dataset S-FZ --out "$WORK/bad.csv" \
+  --scale abc
+grep -q -- "--scale" "$WORK/stderr.txt"
+test ! -e "$WORK/bad.csv"
+expect_exit 1 "$CLI" explain --data "$WORK/data.csv" --record 2x \
+  --model "$WORK/model.wym"
+grep -q -- "--record" "$WORK/stderr.txt"
+expect_exit 1 "$CLI" compare-reports a.json b.json --tolerance 1x
+
 # A truncated save must never leave a damaged file behind: verify still
 # passes on the original after the failed overwrite attempt above.
 "$CLI" verify --model "$WORK/model.wym" > /dev/null
@@ -156,6 +167,16 @@ fi
 # wym_serve lifecycle (when the server path was provided): the
 # robustness contract end to end, over a real Unix socket.
 if [ -n "$SERVE" ]; then
+  # Malformed numeric flags exit 1 before the server listens: "-1" is
+  # not an unbounded cache, "abc" is not a queue bound of 0.
+  expect_exit 1 "$SERVE" --socket "$WORK/bad.sock" \
+    --model "default=$WORK/model.wym" --cache -1
+  grep -q -- "--cache" "$WORK/stderr.txt"
+  expect_exit 1 "$SERVE" --socket "$WORK/bad.sock" \
+    --model "default=$WORK/model.wym" --queue-bound abc
+  grep -q -- "--queue-bound" "$WORK/stderr.txt"
+  test ! -e "$WORK/bad.sock"
+
   SOCK="$WORK/wym.sock"
   # Telemetry rides along: a request journal with a deliberately tiny
   # rotation bound (1 KB, a handful of lines) and a periodic

@@ -265,8 +265,9 @@ TEST_F(FaultInjectionTest, TruncatedCsvReadIsReportedNotCrashed) {
 
 TEST_F(FaultInjectionTest, DegenerateRecordsAreQuarantinedNotFatal) {
   // A record with empty descriptions tokenizes to zero tokens on both
-  // sides — unexplainable, and a guaranteed abort in the scorer if it
-  // ever reached the pipeline.
+  // sides — no decision units, so unexplainable. Without the quarantine
+  // rule the matcher would answer from the features of an empty unit
+  // set (a confident match on this model), not abort.
   data::Dataset poisoned = suite_->split.test;
   const size_t width = poisoned.schema.size();
   data::EmRecord degenerate;
@@ -303,6 +304,15 @@ TEST_F(FaultInjectionTest, DegenerateRecordsAreQuarantinedNotFatal) {
   EXPECT_TRUE(explanations[1].units.empty());
   EXPECT_EQ(explanations[1].probability, 0.0);
   EXPECT_EQ(explanations[1].prediction, 0);
+
+  // The single-record calls are the batch of one: same fallback as the
+  // batch slot.
+  EXPECT_EQ(suite_->model.PredictProba(degenerate), 0.0);
+  EXPECT_EQ(suite_->model.Predict(degenerate), 0);
+  const core::Explanation single = suite_->model.Explain(degenerate);
+  EXPECT_EQ(single.probability, 0.0);
+  EXPECT_EQ(single.prediction, 0);
+  EXPECT_TRUE(single.units.empty());
 }
 
 // ---------------------------------------------------------------------

@@ -505,7 +505,7 @@ TEST(NonPerturbationTest, TracedRunIsByteIdenticalToUntracedRun) {
   core::WymModel plain;
   plain.Fit(split.train, split.validation);
   const std::vector<double> plain_probs =
-      plain.PredictProbaBatch(split.test, static_cast<util::ThreadPool*>(nullptr));
+      plain.PredictProbaBatch(split.test);
   const std::string plain_path = "/tmp/wym_obs_plain.bin";
   ASSERT_TRUE(plain.SaveToFile(plain_path).ok());
 
@@ -515,7 +515,7 @@ TEST(NonPerturbationTest, TracedRunIsByteIdenticalToUntracedRun) {
   core::WymModel traced;
   traced.Fit(split.train, split.validation);
   const std::vector<double> traced_probs =
-      traced.PredictProbaBatch(split.test, static_cast<util::ThreadPool*>(nullptr));
+      traced.PredictProbaBatch(split.test);
   const std::string traced_model_path = "/tmp/wym_obs_traced.bin";
   ASSERT_TRUE(traced.SaveToFile(traced_model_path).ok());
   std::string error;
@@ -554,7 +554,7 @@ TEST(PipelineCountersTest, FitAndPredictPopulateCounters) {
   const data::Split split = data::DefaultSplit(dataset, 7);
   core::WymModel model;
   model.Fit(split.train, split.validation);
-  (void)model.PredictProbaBatch(split.test, static_cast<util::ThreadPool*>(nullptr));
+  (void)model.PredictProbaBatch(split.test);
 
   EXPECT_EQ(registry.GetCounter("fit.records").Value() - fit_before,
             split.train.size());

@@ -163,9 +163,10 @@ std::unique_ptr<core::WymModel> BatchDeterminismTest::model_;
 
 TEST_F(BatchDeterminismTest, PredictProbaBatchBitIdenticalAcrossThreadCounts) {
   util::ThreadPool one(1), eight(8);
-  const std::vector<double> p1 = model_->PredictProbaBatch(split_->test, &one);
+  const std::vector<double> p1 =
+      model_->PredictProbaBatch(split_->test, nullptr, &one);
   const std::vector<double> p8 =
-      model_->PredictProbaBatch(split_->test, &eight);
+      model_->PredictProbaBatch(split_->test, nullptr, &eight);
   ASSERT_EQ(p1.size(), split_->test.size());
   ASSERT_EQ(p1.size(), p8.size());
   // Bit-identical, not approximately equal.
@@ -199,9 +200,9 @@ void ExpectSameExplanation(const core::Explanation& a,
 TEST_F(BatchDeterminismTest, ExplainBatchBitIdenticalAcrossThreadCounts) {
   util::ThreadPool one(1), eight(8);
   const std::vector<core::Explanation> e1 =
-      model_->ExplainBatch(split_->test, &one);
+      model_->ExplainBatch(split_->test, nullptr, &one);
   const std::vector<core::Explanation> e8 =
-      model_->ExplainBatch(split_->test, &eight);
+      model_->ExplainBatch(split_->test, nullptr, &eight);
   ASSERT_EQ(e1.size(), split_->test.size());
   ASSERT_EQ(e1.size(), e8.size());
   for (size_t i = 0; i < e1.size(); ++i) {
@@ -211,11 +212,11 @@ TEST_F(BatchDeterminismTest, ExplainBatchBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(BatchDeterminismTest, ExplainBatchEqualsPerRecordExplain) {
-  // The batch path prepares each record once and explains the prepared
-  // record; the per-record Explain prepares its own. Same bits.
+  // Explain is the batch of one: the same record loop on a one-record
+  // span, inline. Same bits as the record's slot in a pooled batch.
   util::ThreadPool four(4);
   const std::vector<core::Explanation> batch =
-      model_->ExplainBatch(split_->test, &four);
+      model_->ExplainBatch(split_->test, nullptr, &four);
   ASSERT_EQ(batch.size(), split_->test.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "record " << i);
@@ -239,8 +240,9 @@ TEST_F(BatchDeterminismTest,
   std::vector<std::vector<double>> runs;
   for (SimdLevel level : levels) {
     la::kernels::SetSimdLevel(level);
-    runs.push_back(model_->PredictProbaBatch(split_->test, &one));
-    runs.push_back(model_->PredictProbaBatch(split_->test, &eight));
+    runs.push_back(model_->PredictProbaBatch(split_->test, nullptr, &one));
+    runs.push_back(
+        model_->PredictProbaBatch(split_->test, nullptr, &eight));
   }
   la::kernels::SetSimdLevel(ambient);
 

@@ -499,11 +499,11 @@ TEST_F(ServiceTest, MidBatchDeadlineReportsProgress) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.LoadModel("default", suite_->model_path).ok());
   // The fake clock advances 4ms per reading, so a 10ms budget survives
-  // the dequeue check and the first slice boundary, then expires.
+  // the dequeue check and the first 16-pair slice boundary, then
+  // expires at the second.
   uint64_t fake_now = 0;
   ServiceOptions options;
   options.auto_dispatch = false;
-  options.deadline_slice_pairs = 1;
   options.cache_entries = 0;
   options.now_ns = [&fake_now] {
     fake_now += 4 * 1000000ull;
@@ -515,7 +515,7 @@ TEST_F(ServiceTest, MidBatchDeadlineReportsProgress) {
   request.op = Request::Op::kPredict;
   request.id = "sliced";
   request.deadline_ms = 10;
-  for (size_t i = 0; i < 8; ++i) request.pairs.push_back(TestPair(i));
+  for (size_t i = 0; i < 40; ++i) request.pairs.push_back(TestPair(i));
 
   ResponseLog log;
   ASSERT_TRUE(service.Admit(request, log.Sink()).ok());
@@ -523,8 +523,8 @@ TEST_F(ServiceTest, MidBatchDeadlineReportsProgress) {
   ASSERT_EQ(log.size(), 1u);
   const Response& response = log.responses[0];
   EXPECT_EQ(response.status.code(), Status::Code::kDeadlineExceeded);
-  // The error names how far the batch got: "after k of 8 pairs".
-  EXPECT_NE(response.status.message().find("of 8 pairs"),
+  // The error names how far the batch got.
+  EXPECT_NE(response.status.message().find("after 16 of 40 pairs"),
             std::string::npos)
       << response.status.message();
 }
@@ -578,6 +578,40 @@ TEST_F(ServiceTest, ExplainRequestsCarryExplanationJson) {
   ASSERT_EQ(log.responses[0].results.size(), 1u);
   EXPECT_NE(log.responses[0].results[0].explanation_json.find("units"),
             std::string::npos);
+}
+
+TEST_F(ServiceTest, EmptyPairAnswersNonMatchForPredictAndExplain) {
+  // An all-empty pair tokenizes to nothing on both sides. Both ops run
+  // the offline batch loop, so both take its degenerate-record rule and
+  // answer the non-match fallback instead of a prediction from an empty
+  // unit set.
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadModel("default", suite_->model_path).ok());
+  ServiceOptions options;
+  options.auto_dispatch = false;
+  MatcherService service(&registry, options);
+
+  ResponseLog log;
+  for (const char* line :
+       {R"({"op":"predict","id":"p","pairs":[{"left":[],"right":[]}]})",
+        R"({"op":"predict","id":"x","explain":true,)"
+        R"("pairs":[{"left":[],"right":[]}]})"}) {
+    auto request = serve::ParseRequest(line);
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    ASSERT_TRUE(service.Admit(request.value(), log.Sink()).ok());
+  }
+  EXPECT_EQ(service.ProcessQueued(), 2u);
+  ASSERT_EQ(log.size(), 2u);
+  for (const Response& response : log.responses) {
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    ASSERT_EQ(response.results.size(), 1u);
+    EXPECT_EQ(response.results[0].probability, 0.0) << response.id;
+    EXPECT_EQ(response.results[0].prediction, 0) << response.id;
+  }
+  // The explain answer carries the empty explanation (no units).
+  ASSERT_EQ(log.responses[1].id, "x");
+  EXPECT_EQ(log.responses[1].results[0].explanation_json,
+            explain::ExplanationToJson(core::Explanation{}));
 }
 
 TEST_F(ServiceTest, UnknownModelIsNotFoundAndRaggedPairsAreNormalized) {

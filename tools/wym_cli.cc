@@ -79,79 +79,17 @@
 #include "obs/report.h"
 #include "serve/protocol.h"
 #include "serve/socket_io.h"
+#include "flags.h"
 
 namespace {
 
 using namespace wym;
+using namespace wym::tools;
 
-/// Exit codes for scripted callers: distinct classes of failure map to
-/// distinct codes so a wrapper can tell "bad flags" from "disk died"
-/// from "model file is damaged".
-enum ExitCode {
-  kExitOk = 0,
-  kExitUsage = 1,
-  kExitIo = 2,
-  kExitCorruption = 3,
-  kExitRegression = 4,
-};
+/// Largest value of the flags the tools hold in an int.
+constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
 
-/// Maps a non-OK Status onto the exit-code contract, message on stderr.
-int StatusExit(const Status& status) {
-  if (status.ok()) return kExitOk;
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  switch (status.code()) {
-    case Status::Code::kCorruption:
-      return kExitCorruption;
-    case Status::Code::kIoError:
-    // Operational (not caller-error) failures from a wym_serve query:
-    // the request was valid but the service could not complete it now.
-    case Status::Code::kResourceExhausted:
-    case Status::Code::kDeadlineExceeded:
-      return kExitIo;
-    default:
-      return kExitUsage;
-  }
-}
-
-/// Minimal --key value / --flag parser.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", key.c_str());
-        std::exit(kExitUsage);
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // Boolean flag.
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    return Has(key) ? std::strtod(Get(key).c_str(), nullptr) : fallback;
-  }
-
-  uint64_t GetSeed() const {
-    return static_cast<uint64_t>(
-        std::strtoull(Get("seed", "42").c_str(), nullptr, 10));
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+uint64_t Seed(const Flags& args) { return args.GetUint("seed", 42); }
 
 int Usage() {
   std::fprintf(stderr,
@@ -162,7 +100,7 @@ int Usage() {
   return kExitUsage;
 }
 
-core::WymConfig ConfigFromArgs(const Args& args) {
+core::WymConfig ConfigFromArgs(const Flags& args) {
   core::WymConfig config;
   const std::string encoder = args.Get("encoder", "siamese");
   if (encoder == "pretrained") {
@@ -198,7 +136,7 @@ core::WymConfig ConfigFromArgs(const Args& args) {
   return config;
 }
 
-data::Dataset LoadData(const Args& args) {
+data::Dataset LoadData(const Flags& args) {
   const std::string path = args.Get("data");
   if (path.empty()) {
     std::fprintf(stderr, "--data <csv> is required\n");
@@ -222,7 +160,7 @@ int CmdList() {
   return 0;
 }
 
-int CmdGenerate(const Args& args) {
+int CmdGenerate(const Flags& args) {
   const std::string id = args.Get("dataset");
   const data::DatasetSpec* spec = data::FindSpec(id);
   if (spec == nullptr) {
@@ -236,7 +174,7 @@ int CmdGenerate(const Args& args) {
     return kExitUsage;
   }
   const data::Dataset dataset = data::GenerateDataset(
-      *spec, args.GetSeed(), args.GetDouble("scale", 1.0));
+      *spec, Seed(args), args.GetDouble("scale", 1.0));
   const Status status = data::WriteDatasetCsv(dataset, out);
   if (!status.ok()) return StatusExit(status);
   std::printf("wrote %s: %zu records (%.1f%% match)\n", out.c_str(),
@@ -244,9 +182,9 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
-int CmdTrainEval(const Args& args) {
+int CmdTrainEval(const Flags& args) {
   const data::Dataset dataset = LoadData(args);
-  const data::Split split = data::DefaultSplit(dataset, args.GetSeed());
+  const data::Split split = data::DefaultSplit(dataset, Seed(args));
   core::WymModel model(ConfigFromArgs(args));
   model.Fit(split.train, split.validation);
 
@@ -271,10 +209,9 @@ int CmdTrainEval(const Args& args) {
   return 0;
 }
 
-int CmdExplain(const Args& args) {
+int CmdExplain(const Flags& args) {
   const data::Dataset dataset = LoadData(args);
-  const size_t record_index = static_cast<size_t>(
-      std::strtoull(args.Get("record", "0").c_str(), nullptr, 10));
+  const size_t record_index = static_cast<size_t>(args.GetUint("record", 0));
   if (record_index >= dataset.size()) {
     std::fprintf(stderr, "--record %zu out of range (%zu records)\n",
                  record_index, dataset.size());
@@ -288,7 +225,7 @@ int CmdExplain(const Args& args) {
     }
     model = std::move(loaded).value();
   } else {
-    const data::Split split = data::DefaultSplit(dataset, args.GetSeed());
+    const data::Split split = data::DefaultSplit(dataset, Seed(args));
     model.Fit(split.train, split.validation);
   }
 
@@ -313,7 +250,7 @@ int CmdExplain(const Args& args) {
 /// `verify`: audit a model file's frames and checksums without loading
 /// (or even deserializing) any model state. Exit 0 = intact, 3 = the
 /// file is damaged, 2 = it cannot be read.
-int CmdVerify(const Args& args) {
+int CmdVerify(const Flags& args) {
   const std::string path = args.Get("model");
   if (path.empty()) {
     std::fprintf(stderr, "--model <file> is required\n");
@@ -332,7 +269,7 @@ int CmdVerify(const Args& args) {
 /// their schema tags, everything else validates as a bench report.
 /// Exit 0 = valid, 3 = structurally invalid, 2 = unreadable — the same
 /// contract for every kind.
-int CmdValidateReport(const Args& args) {
+int CmdValidateReport(const Flags& args) {
   const std::string path = args.Get("file");
   if (path.empty()) {
     std::fprintf(stderr, "--file <json> is required\n");
@@ -432,7 +369,10 @@ int CmdCompareReports(int argc, char** argv) {
         std::fprintf(stderr, "--tolerance needs a value\n");
         return kExitUsage;
       }
-      tolerance = std::strtod(argv[++i], nullptr);
+      if (!ParseDouble(argv[++i], &tolerance)) {
+        std::fprintf(stderr, "--tolerance expects a finite number\n");
+        return kExitUsage;
+      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return kExitUsage;
@@ -534,7 +474,7 @@ Status QueryOnce(const std::string& socket_path,
 /// Corruption — is an application outcome, reported once. Backoff is
 /// capped exponential and deterministic (no jitter source in this
 /// codebase by design).
-int CmdQuery(const Args& args) {
+int CmdQuery(const Flags& args) {
   const std::string socket_path = args.Get("socket");
   if (socket_path.empty()) {
     std::fprintf(stderr, "--socket <path> is required\n");
@@ -566,12 +506,10 @@ int CmdQuery(const Args& args) {
   request.id = args.Get("id", "cli");
   request.model = args.Get("model");
   request.explain = args.Has("explain");
-  request.deadline_ms = static_cast<uint64_t>(
-      std::strtoull(args.Get("deadline-ms", "0").c_str(), nullptr, 10));
+  request.deadline_ms = args.GetUint("deadline-ms", 0);
   request.name = args.Get("name");
   request.path = args.Get("path");
-  request.sleep_ms = static_cast<uint64_t>(
-      std::strtoull(args.Get("sleep-ms", "0").c_str(), nullptr, 10));
+  request.sleep_ms = args.GetUint("sleep-ms", 0);
   if (request.op == serve::Request::Op::kPredict) {
     if (!args.Has("left") || !args.Has("right")) {
       std::fprintf(stderr, "predict needs --left 'a|b' and --right 'a|b'\n");
@@ -583,10 +521,9 @@ int CmdQuery(const Args& args) {
     request.pairs.push_back(std::move(pair));
   }
 
-  const int timeout_ms = static_cast<int>(
-      std::strtoul(args.Get("timeout-ms", "5000").c_str(), nullptr, 10));
-  const int retries = static_cast<int>(
-      std::strtoul(args.Get("retries", "3").c_str(), nullptr, 10));
+  const int timeout_ms =
+      static_cast<int>(args.GetUint("timeout-ms", 5000, kMaxInt));
+  const int retries = static_cast<int>(args.GetUint("retries", 3, kMaxInt));
 
   serve::Response response;
   Status last = Status::Ok();
@@ -646,18 +583,17 @@ double NumberField(const obs::JsonValue& object, const char* key,
 /// entirely on the public stats op — one line of queue/cache state plus
 /// one line per telemetry window. Repeats --count times so an operator
 /// can watch a deploy settle without a watch(1) wrapper.
-int CmdTop(const Args& args) {
+int CmdTop(const Flags& args) {
   const std::string socket_path = args.Get("socket");
   if (socket_path.empty()) {
     std::fprintf(stderr, "--socket <path> is required\n");
     return kExitUsage;
   }
-  const int count = static_cast<int>(
-      std::strtoul(args.Get("count", "1").c_str(), nullptr, 10));
-  const int interval_ms = static_cast<int>(
-      std::strtoul(args.Get("interval-ms", "1000").c_str(), nullptr, 10));
-  const int timeout_ms = static_cast<int>(
-      std::strtoul(args.Get("timeout-ms", "5000").c_str(), nullptr, 10));
+  const int count = static_cast<int>(args.GetUint("count", 1, kMaxInt));
+  const int interval_ms =
+      static_cast<int>(args.GetUint("interval-ms", 1000, kMaxInt));
+  const int timeout_ms =
+      static_cast<int>(args.GetUint("timeout-ms", 5000, kMaxInt));
 
   serve::Request request;
   request.op = serve::Request::Op::kStats;
@@ -725,14 +661,13 @@ int CmdTop(const Args& args) {
 /// only emits complete (newline-terminated) lines, so a record being
 /// written mid-poll is never shown torn; a file that shrank (rotation)
 /// resets the offset and replays from the new head.
-int CmdTail(const Args& args) {
+int CmdTail(const Flags& args) {
   const std::string path = args.Get("file");
   if (path.empty()) {
     std::fprintf(stderr, "--file <journal> is required\n");
     return kExitUsage;
   }
-  const size_t want = static_cast<size_t>(
-      std::strtoull(args.Get("lines", "10").c_str(), nullptr, 10));
+  const size_t want = static_cast<size_t>(args.GetUint("lines", 10));
 
   std::string text;
   {
@@ -760,8 +695,7 @@ int CmdTail(const Args& args) {
   std::fflush(stdout);
   if (!args.Has("follow")) return kExitOk;
 
-  const uint64_t for_ms = static_cast<uint64_t>(
-      std::strtoull(args.Get("for-ms", "0").c_str(), nullptr, 10));
+  const uint64_t for_ms = args.GetUint("for-ms", 0);
   uint64_t waited_ms = 0;
   while (for_ms == 0 || waited_ms < for_ms) {
     SleepMs(200);
@@ -788,15 +722,15 @@ int CmdTail(const Args& args) {
 
 }  // namespace
 
-int CmdProfile(const Args& args) {
+int CmdProfile(const Flags& args) {
   const data::Dataset dataset = LoadData(args);
   std::printf("%s", data::RenderProfile(data::ProfileDataset(dataset)).c_str());
   return 0;
 }
 
-int CmdStats(const Args& args) {
+int CmdStats(const Flags& args) {
   const data::Dataset dataset = LoadData(args);
-  const data::Split split = data::DefaultSplit(dataset, args.GetSeed());
+  const data::Split split = data::DefaultSplit(dataset, Seed(args));
   core::WymModel model(ConfigFromArgs(args));
   if (args.Has("model")) {
     auto loaded = core::WymModel::LoadFromFile(args.Get("model"));
@@ -822,9 +756,9 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   // compare-reports takes positional file arguments, which the shared
-  // --key/value parser rejects; dispatch it before constructing Args.
+  // --key/value parser rejects; dispatch it before constructing Flags.
   if (command == "compare-reports") return CmdCompareReports(argc, argv);
-  const Args args(argc, argv);
+  const Flags args(argc, argv, /*first=*/2);
   if (command == "list") return CmdList();
   if (command == "generate") return CmdGenerate(args);
   if (command == "train-eval") return CmdTrainEval(args);

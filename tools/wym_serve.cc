@@ -41,8 +41,7 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -54,67 +53,14 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "util/io.h"
+#include "flags.h"
 
 namespace {
 
 using namespace wym;
+using namespace wym::tools;
 
-enum ExitCode {
-  kExitOk = 0,
-  kExitUsage = 1,
-  kExitIo = 2,
-  kExitCorruption = 3,
-};
-
-int StatusExit(const Status& status) {
-  if (status.ok()) return kExitOk;
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  switch (status.code()) {
-    case Status::Code::kCorruption:
-      return kExitCorruption;
-    case Status::Code::kIoError:
-      return kExitIo;
-    default:
-      return kExitUsage;
-  }
-}
-
-/// Same --key value / --flag grammar as wym_cli, minus the subcommand
-/// slot (wym_serve has exactly one job).
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", key.c_str());
-        std::exit(kExitUsage);
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // Boolean flag.
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    return Has(key) ? std::strtoull(Get(key).c_str(), nullptr, 10)
-                    : fallback;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+constexpr uint64_t kMaxUint = std::numeric_limits<uint64_t>::max();
 
 volatile std::sig_atomic_t g_stop_requested = 0;
 volatile std::sig_atomic_t g_dump_requested = 0;
@@ -133,7 +79,7 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Flags args(argc, argv, /*first=*/1);
   const std::string socket_path = args.Get("socket");
   if (socket_path.empty()) return Usage();
 
@@ -167,7 +113,8 @@ int main(int argc, char** argv) {
   if (args.Has("journal")) {
     obs::EventLog::Options journal_options;
     journal_options.path = args.Get("journal");
-    journal_options.max_bytes = args.GetUint("journal-max-kb", 65536) * 1024;
+    journal_options.max_bytes =
+        args.GetUint("journal-max-kb", 65536, kMaxUint / 1024) * 1024;
     journal = std::make_unique<obs::EventLog>(journal_options);
     std::string error;
     if (!journal->Open(&error)) {
@@ -225,7 +172,8 @@ int main(int argc, char** argv) {
   }
   const std::string telemetry_out = args.Get("telemetry-out");
   const uint64_t telemetry_period_ns =
-      args.GetUint("telemetry-period", 1) * 1000000000ull;
+      args.GetUint("telemetry-period", 1, kMaxUint / 1000000000ull) *
+      1000000000ull;
   uint64_t last_tick_ns = 0;
   uint64_t last_export_ns = 0;
   server_options.on_tick = [&] {
