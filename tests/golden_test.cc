@@ -10,7 +10,10 @@
 // probability of the first kProbabilities test records, and for the
 // first kExplained test records every decision unit's phase, tokens,
 // %.17g similarity and %.17g impact, plus the exact ExplanationToJson
-// bytes. wire.txt holds the exact bytes of wym-serve/v1 requests and
+// bytes. S-WA-KNN.txt is the same render of an S-WA model whose
+// classifier is pinned to KNN, which no default selection picks here;
+// its impacts pin KNN's surrogate importance, computed in Fit through
+// PredictProba. wire.txt holds the exact bytes of wym-serve/v1 requests and
 // responses and of a wym-analysis-report/v1 document, built from fixed
 // inputs whose strings carry every character JSON must escape.
 // blocking.txt holds the candidate-generation output over the S-WA test
@@ -83,13 +86,17 @@ struct Trained {
   core::WymModel model;
 };
 
-/// Trains WYM on `dataset_id` once per process; the golden renders that
-/// share a dataset share its model.
-const Trained& Train(const std::string& dataset_id) {
+/// Trains WYM on `dataset_id` once per process, with the classifier
+/// pinned to `classifier` (empty = best-of-pool selection); the golden
+/// renders that share a dataset and classifier share its model.
+const Trained& Train(const std::string& dataset_id,
+                     const std::string& classifier = "") {
   static std::map<std::string, std::unique_ptr<Trained>> cache;
-  std::unique_ptr<Trained>& slot = cache[dataset_id];
+  std::unique_ptr<Trained>& slot = cache[dataset_id + "/" + classifier];
   if (slot == nullptr) {
-    slot = std::make_unique<Trained>();
+    core::WymConfig config;
+    config.classifier = classifier;
+    slot = std::make_unique<Trained>(Trained{{}, {}, core::WymModel(config)});
     slot->dataset = data::GenerateById(dataset_id, kSeed, kScale);
     slot->split = data::DefaultSplit(slot->dataset, kSeed);
     slot->model.Fit(slot->split.train, slot->split.validation);
@@ -97,9 +104,11 @@ const Trained& Train(const std::string& dataset_id) {
   return *slot;
 }
 
-/// Renders the golden record of the model trained on `dataset_id`.
-Record Render(const std::string& dataset_id) {
-  const Trained& trained = Train(dataset_id);
+/// Renders the golden record of the model trained on `dataset_id` with
+/// `classifier` pinned (empty = best-of-pool selection).
+Record Render(const std::string& dataset_id,
+              const std::string& classifier = "") {
+  const Trained& trained = Train(dataset_id, classifier);
   const data::Split& split = trained.split;
   const core::WymModel& model = trained.model;
 
@@ -108,6 +117,7 @@ Record Render(const std::string& dataset_id) {
     out.emplace_back(std::move(key), std::move(value));
   };
   add("dataset", dataset_id);
+  if (!classifier.empty()) add("classifier", model.matcher().best_name());
   add("f1", Exact(ml::F1Score(split.test.Labels(),
                               model.PredictDataset(split.test))));
 
@@ -400,6 +410,14 @@ TEST(GoldenBlockingTest, MatchesCommittedOutput) {
          << "): left entities vs right entities, default options, LSH on "
             "with the model's encoder.";
   CheckGolden("blocking", header.str(), RenderBlocking());
+}
+
+TEST(GoldenKnnTest, MatchesCommittedOutput) {
+  std::ostringstream header;
+  header << "WYM golden output: seed " << kSeed << ", scale " << kScale
+         << ", default WymConfig with classifier = KNN, DefaultSplit test "
+            "partition.";
+  CheckGolden("S-WA-KNN", header.str(), Render("S-WA", "KNN"));
 }
 
 class GoldenTest : public ::testing::TestWithParam<const char*> {};
