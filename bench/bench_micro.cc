@@ -24,6 +24,7 @@
 #include "nn/mlp.h"
 #include "embedding/semantic_encoder.h"
 #include "matching/stable_marriage.h"
+#include "ml/knn.h"
 #include "text/string_metrics.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
@@ -231,6 +232,35 @@ void BM_MlpPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpPredict);
+
+// One KNN match probability at the er_tables model's shape: 840
+// training rows x 42 features, k = 5, distance-weighted. Queries cycle
+// through 64 fixed rows.
+void BM_KnnPredict(benchmark::State& state) {
+  constexpr size_t kRows = 840;
+  constexpr size_t kFeatures = 42;
+  constexpr size_t kQueries = 64;
+  Rng rng(5);
+  la::Matrix x(kRows, kFeatures);
+  std::vector<int> y(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t j = 0; j < kFeatures; ++j) x.At(i, j) = rng.Uniform(-1, 1);
+    y[i] = rng.Uniform(0, 1) < 0.2 ? 1 : 0;
+  }
+  std::vector<std::vector<double>> queries(kQueries);
+  for (auto& query : queries) {
+    query.resize(kFeatures);
+    for (double& v : query) v = rng.Uniform(-1, 1);
+  }
+  ml::KNearestNeighbors knn;
+  knn.Fit(x, y);
+  size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(knn.PredictProba(queries[q]));
+    q = (q + 1) % kQueries;
+  }
+}
+BENCHMARK(BM_KnnPredict);
 
 // One record's relevance scoring at the T-AB shape: 39 decision units x
 // 112 features (mean ++ |diff| of the 56-d WymConfig embeddings) through

@@ -18,6 +18,11 @@ namespace {
 constexpr char kModelMagic[] = "WYM2";
 constexpr uint32_t kModelFormatVersion = 1;
 
+/// Records per chunk of the record loop: the unit of parallel work and
+/// the scope of entity reuse. Fixed, so the chunks depend only on the
+/// batch size.
+constexpr size_t kRecordChunk = 16;
+
 /// Section names of the v2 container, in write order.
 constexpr char kSectionConfig[] = "config";
 constexpr char kSectionEncoder[] = "encoder";
@@ -194,15 +199,27 @@ void WymModel::Fit(const data::Dataset& train,
   fitted_ = true;
 }
 
-TokenizedRecord WymModel::Prepare(const data::EmRecord& record) const {
-  WYM_CHECK(fitted_) << "WymModel used before Fit";
+data::Schema WymModel::InferenceSchema() const {
   data::Schema schema;
   schema.attributes.resize(num_attributes_);  // Names are not needed here.
-  WYM_CHECK_EQ(record.left.values.size(), num_attributes_);
-  WYM_CHECK_EQ(record.right.values.size(), num_attributes_);
-  TokenizedRecord tokenized = TokenizeRecord(record, schema, tokenizer_);
-  EncodeEntity(encoder_, &tokenized.left);
-  EncodeEntity(encoder_, &tokenized.right);
+  return schema;
+}
+
+TokenizedEntity WymModel::PrepareEntity(const data::Entity& entity,
+                                        const data::Schema& schema) const {
+  WYM_CHECK_EQ(entity.values.size(), num_attributes_);
+  TokenizedEntity tokenized = TokenizeEntity(entity, schema, tokenizer_);
+  EncodeEntity(encoder_, &tokenized);
+  return tokenized;
+}
+
+TokenizedRecord WymModel::Prepare(const data::EmRecord& record) const {
+  WYM_CHECK(fitted_) << "WymModel used before Fit";
+  const data::Schema schema = InferenceSchema();
+  TokenizedRecord tokenized;
+  tokenized.left = PrepareEntity(record.left, schema);
+  tokenized.right = PrepareEntity(record.right, schema);
+  tokenized.label = record.label;
   return tokenized;
 }
 
@@ -273,16 +290,30 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
   static obs::Histogram& explain_ns =
       registry.GetHistogram("explain.record_ns");
   obs::Histogram& record_ns = explain ? explain_ns : predict_ns;
+  const data::Schema schema = InferenceSchema();
   // Per-index quarantine reasons, written in parallel by record index so
   // the report is deterministic; nullptr = predicted.
   std::vector<const char*> reasons(records.size(), nullptr);
   util::ParallelFor(
-      records.size(), /*grain=*/1,
+      records.size(), kRecordChunk,
       [&](size_t begin, size_t end, size_t) {
+        // Candidate lists repeat an entity on consecutive records
+        // (MatchTables sends each left row's candidates together). A
+        // prepared entity is a pure function of its attribute values, so
+        // a side whose values equal the previous record's keeps it.
+        TokenizedRecord tokenized;
         for (size_t i = begin; i < end; ++i) {
           obs::SpanScope span(record_span);
           const std::uint64_t t0 = metrics ? obs::NowNanos() : 0;
-          const TokenizedRecord tokenized = Prepare(records[i]);
+          const data::EmRecord& record = records[i];
+          const bool first = i == begin;
+          if (first || record.left.values != records[i - 1].left.values) {
+            tokenized.left = PrepareEntity(record.left, schema);
+          }
+          if (first || record.right.values != records[i - 1].right.values) {
+            tokenized.right = PrepareEntity(record.right, schema);
+          }
+          tokenized.label = record.label;
           // Degenerate rule: with no tokens there are no units, and the
           // matcher would answer from the features of an empty unit set.
           // The slot keeps its non-match fallback (0.0 / Explanation{}).

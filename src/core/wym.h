@@ -210,6 +210,15 @@ class WymModel : public Matcher {
                   double* probabilities, Explanation* explanations,
                   PredictionReport* report, util::ThreadPool* pool) const;
 
+  /// The anonymous schema of num_attributes() attributes that inference
+  /// tokenizes against.
+  data::Schema InferenceSchema() const;
+
+  /// Tokenizes + encodes one entity description: the per-entity half of
+  /// Prepare.
+  TokenizedEntity PrepareEntity(const data::Entity& entity,
+                                const data::Schema& schema) const;
+
   WymConfig config_;
   text::Tokenizer tokenizer_;
   embedding::SemanticEncoder encoder_;

@@ -70,12 +70,14 @@ la::Vec SemanticEncoder::BaseEmbed(const std::string& token) const {
   // tokens. Two numbers within a few percent of each other activate
   // nearly identical channels; numbers an order of magnitude apart do
   // not. The subword block is kept (down-weighted) so equal numeric
-  // strings still beat merely-close ones.
+  // strings still beat merely-close ones. strtod also reads "nan",
+  // "NaN" and "nan(1)" as NaN, which would poison the vector and, through
+  // context mixing, the whole description, so a NaN token is a word.
   bool is_numeric = false;
   if (options_.numeric_dims > 0 && !token.empty()) {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    if (end != nullptr && *end == '\0') {
+    if (end != nullptr && *end == '\0' && !std::isnan(value)) {
       is_numeric = true;
       const double magnitude = std::log10(std::fabs(value) + 1.0);
       const size_t n = options_.numeric_dims;

@@ -46,6 +46,10 @@ struct SemanticEncoderOptions {
   /// basis over their log-magnitude, so "1161.61" and "1300.21" are close
   /// while "717" and "71" are not — the graded numeric proximity BERT
   /// embeddings carry for prices, years and quantities. 0 disables.
+  /// A token is numeric when strtod consumes all of it and the value is
+  /// not NaN: "nan", "NaN" and "nan(1)" embed as words. An overflowing
+  /// token ("34e605211" reads as +inf) is numeric and activates no
+  /// numeric channel.
   size_t numeric_dims = 8;
   CoocEmbedderOptions cooc;
   ContextMixerOptions context;

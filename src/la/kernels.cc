@@ -49,21 +49,22 @@ double DotF64Scalar(const double* a, const double* b, size_t n) {
   return Reduce8(s);
 }
 
-double SqDistF64Scalar(const double* a, const double* b, size_t n) {
-  double s[8] = {0.0};
-  const size_t blocks = n - n % 8;
-  size_t i = 0;
-  for (; i < blocks; i += 8) {
-    for (size_t k = 0; k < 8; ++k) {
-      const double d = a[i + k] - b[i + k];
-      s[k] += d * d;
+// Reference row-block distances: per row, the 8 partial sums of the
+// single-pair reduction (index mod 8, increasing index), then Reduce8.
+void SqDistRowsF64Scalar(const double* query, const double* packed,
+                         size_t n_rows, size_t dim, double* out) {
+  for (size_t row = 0; row < n_rows; row += kRowBlock) {
+    const double* block = packed + row * dim;
+    const size_t lanes = std::min(kRowBlock, n_rows - row);
+    for (size_t r = 0; r < lanes; ++r) {
+      double s[8] = {0.0};
+      for (size_t i = 0; i < dim; ++i) {
+        const double d = query[i] - block[i * kRowBlock + r];
+        s[i % 8] += d * d;
+      }
+      out[row + r] = Reduce8(s);
     }
   }
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s[i % 8] += d * d;
-  }
-  return Reduce8(s);
 }
 
 void AxpyF32Scalar(double scale, const float* x, float* y, size_t n) {
@@ -126,8 +127,8 @@ void DenseF64Scalar(const double* w, const double* bias, size_t in_dim,
 }
 
 const internal::KernelTable kScalarTable = {
-    DotF32Scalar, DotF64Scalar,   SqDistF64Scalar, AxpyF32Scalar,
-    AxpyF64Scalar, ScaleF32Scalar, ScaleF64Scalar, DenseF64Scalar,
+    DotF32Scalar,  DotF64Scalar,   SqDistRowsF64Scalar, AxpyF32Scalar,
+    AxpyF64Scalar, ScaleF32Scalar, ScaleF64Scalar,      DenseF64Scalar,
 };
 
 // ---------------------------------------------------------------------
@@ -256,9 +257,28 @@ double SquaredNorm(const double* a, size_t n) {
   return Active().dot_f64(a, a, n);
 }
 
-double SquaredDistance(const double* a, const double* b, size_t n) {
-  WYM_DCHECK(n == 0 || (a != nullptr && b != nullptr));
-  return Active().sqdist_f64(a, b, n);
+size_t RowBlocksSize(size_t n_rows, size_t dim) {
+  return (n_rows + kRowBlock - 1) / kRowBlock * kRowBlock * dim;
+}
+
+void PackRowBlocks(const double* rows, size_t n_rows, size_t dim,
+                   double* packed) {
+  WYM_DCHECK(n_rows == 0 || dim == 0 || (rows != nullptr && packed != nullptr));
+  std::fill(packed, packed + RowBlocksSize(n_rows, dim), 0.0);
+  for (size_t row = 0; row < n_rows; ++row) {
+    double* block = packed + (row - row % kRowBlock) * dim + row % kRowBlock;
+    for (size_t i = 0; i < dim; ++i) {
+      block[i * kRowBlock] = rows[row * dim + i];
+    }
+  }
+}
+
+void SquaredDistances(const double* query, const double* packed,
+                      size_t n_rows, size_t dim, double* out) {
+  WYM_DCHECK(n_rows == 0 ||
+             (out != nullptr &&
+              (dim == 0 || (query != nullptr && packed != nullptr))));
+  Active().sqdist_rows_f64(query, packed, n_rows, dim, out);
 }
 
 void Axpy(double scale, const float* x, float* y, size_t n) {

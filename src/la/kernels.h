@@ -16,8 +16,9 @@
 /// accumulated in double, matching the precision of the scalar code the
 /// kernels replaced. The kernel translation units are compiled with
 /// `-ffp-contract=off` so no path silently fuses multiply-add.
-/// DenseLayer is the one kernel that vectorizes across rows instead of
-/// along its reduction; its contract is stated at its declaration.
+/// DenseLayer and SquaredDistances vectorize across rows instead of
+/// along their reductions; their contracts are stated at their
+/// declarations.
 ///
 /// The path is chosen once per process: `WYM_SIMD=avx2|sse2|off`
 /// overrides the default (the best level compiled in and supported by
@@ -57,8 +58,29 @@ double Dot(const double* a, const double* b, size_t n);
 double SquaredNorm(const float* a, size_t n);
 double SquaredNorm(const double* a, size_t n);
 
-/// sum_i (a[i] - b[i])^2 — the kNN Euclidean hot loop.
-double SquaredDistance(const double* a, const double* b, size_t n);
+/// Rows per block of the row-block layout of SquaredDistances: rows
+/// are grouped kRowBlock at a time and each block is stored
+/// lane-interleaved, element i of row b * kRowBlock + r at
+/// packed[b * kRowBlock * dim + i * kRowBlock + r]. A short last block
+/// is zero-padded to full width.
+inline constexpr size_t kRowBlock = 4;
+
+/// Element count of the row-block form of `n_rows` rows of width `dim`.
+size_t RowBlocksSize(size_t n_rows, size_t dim);
+
+/// Packs row-major `rows` (n_rows x dim) into `packed`, which holds
+/// RowBlocksSize(n_rows, dim) elements.
+void PackRowBlocks(const double* rows, size_t n_rows, size_t dim,
+                   double* packed);
+
+/// out[r] = sum_i (query[i] - row_r[i])^2 for every row r of a
+/// PackRowBlocks set — the kNN Euclidean hot loop. Each out[r] is the
+/// reduction above for the pair (query, row r): 8 partial sums by index
+/// mod 8, collapsed in the fixed tree. The SIMD paths vectorize across
+/// the rows of a block, so every level, and every row's position in its
+/// block, give that single-pair value bit for bit.
+void SquaredDistances(const double* query, const double* packed,
+                      size_t n_rows, size_t dim, double* out);
 
 /// y[i] += scale * x[i]. The float form keeps the historical semantics
 /// of la::Axpy: the product is formed in double, rounded to float, then
@@ -101,7 +123,8 @@ namespace internal {
 struct KernelTable {
   double (*dot_f32)(const float*, const float*, size_t);
   double (*dot_f64)(const double*, const double*, size_t);
-  double (*sqdist_f64)(const double*, const double*, size_t);
+  void (*sqdist_rows_f64)(const double*, const double*, size_t, size_t,
+                          double*);
   void (*axpy_f32)(double, const float*, float*, size_t);
   void (*axpy_f64)(double, const double*, double*, size_t);
   void (*scale_f32)(double, float*, size_t);

@@ -65,27 +65,52 @@ double DotF64Avx2(const double* a, const double* b, size_t n) {
   return Reduce8(s);
 }
 
-double SqDistF64Avx2(const double* a, const double* b, size_t n) {
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  const size_t blocks = n - n % 8;
-  size_t i = 0;
-  for (; i < blocks; i += 8) {
-    const __m256d d_lo =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const __m256d d_hi =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4));
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
+// Row-block distances, vectorized across the 4 rows of a block: acc[k]
+// holds partial sum k (elements i = k mod 8) of all four rows, so each
+// lane runs the scalar reference's chains — d = query[i] - row[i], then
+// + d * d in increasing i — and the lanes collapse in the Reduce8 tree.
+// A short last block computes its zero-padded lanes and stores only the
+// live ones.
+void SqDistRowsF64Avx2(const double* query, const double* packed,
+                       size_t n_rows, size_t dim, double* out) {
+  const size_t blocks = dim - dim % 8;
+  for (size_t row = 0; row < n_rows; row += kRowBlock) {
+    const double* block = packed + row * dim;
+    __m256d acc[8];
+#pragma GCC unroll 8
+    for (size_t k = 0; k < 8; ++k) acc[k] = _mm256_setzero_pd();
+    size_t i = 0;
+    for (; i < blocks; i += 8) {
+#pragma GCC unroll 8
+      for (size_t k = 0; k < 8; ++k) {
+        const __m256d d =
+            _mm256_sub_pd(_mm256_broadcast_sd(query + i + k),
+                          _mm256_loadu_pd(block + (i + k) * kRowBlock));
+        acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(d, d));
+      }
+    }
+#pragma GCC unroll 8
+    for (size_t k = 0; k < 8; ++k) {
+      if (i + k < dim) {
+        const __m256d d =
+            _mm256_sub_pd(_mm256_broadcast_sd(query + i + k),
+                          _mm256_loadu_pd(block + (i + k) * kRowBlock));
+        acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(d, d));
+      }
+    }
+    const __m256d sum = _mm256_add_pd(
+        _mm256_add_pd(_mm256_add_pd(acc[0], acc[1]),
+                      _mm256_add_pd(acc[2], acc[3])),
+        _mm256_add_pd(_mm256_add_pd(acc[4], acc[5]),
+                      _mm256_add_pd(acc[6], acc[7])));
+    if (n_rows - row >= kRowBlock) {
+      _mm256_storeu_pd(out + row, sum);
+    } else {
+      double lanes[kRowBlock];
+      _mm256_storeu_pd(lanes, sum);
+      for (size_t r = 0; row + r < n_rows; ++r) out[row + r] = lanes[r];
+    }
   }
-  double s[8];
-  _mm256_storeu_pd(s + 0, acc_lo);
-  _mm256_storeu_pd(s + 4, acc_hi);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s[i % 8] += d * d;
-  }
-  return Reduce8(s);
 }
 
 void AxpyF32Avx2(double scale, const float* x, float* y, size_t n) {
@@ -236,8 +261,8 @@ void DenseF64Avx2(const double* w, const double* bias, size_t in_dim,
 }
 
 const KernelTable kAvx2Table = {
-    DotF32Avx2,  DotF64Avx2,   SqDistF64Avx2, AxpyF32Avx2,
-    AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2, DenseF64Avx2,
+    DotF32Avx2,  DotF64Avx2,   SqDistRowsF64Avx2, AxpyF32Avx2,
+    AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2,      DenseF64Avx2,
 };
 
 bool CpuHasAvx2() {

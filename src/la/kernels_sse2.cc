@@ -90,36 +90,53 @@ double DotF64Sse2(const double* a, const double* b, size_t n) {
   return Reduce8(s);
 }
 
-double SqDistF64Sse2(const double* a, const double* b, size_t n) {
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  __m128d acc45 = _mm_setzero_pd();
-  __m128d acc67 = _mm_setzero_pd();
-  const size_t blocks = n - n % 8;
-  size_t i = 0;
-  for (; i < blocks; i += 8) {
-    const __m128d d01 = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-    const __m128d d23 =
-        _mm_sub_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2));
-    const __m128d d45 =
-        _mm_sub_pd(_mm_loadu_pd(a + i + 4), _mm_loadu_pd(b + i + 4));
-    const __m128d d67 =
-        _mm_sub_pd(_mm_loadu_pd(a + i + 6), _mm_loadu_pd(b + i + 6));
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-    acc45 = _mm_add_pd(acc45, _mm_mul_pd(d45, d45));
-    acc67 = _mm_add_pd(acc67, _mm_mul_pd(d67, d67));
+// Row-block distances, vectorized across rows: each 4-row block runs as
+// two 2-lane halves. acc[k] holds partial sum k (elements i = k mod 8)
+// of the half's two rows, so each lane runs the scalar reference's
+// chains — d = query[i] - row[i], then + d * d in increasing i — and the
+// lanes collapse in the Reduce8 tree. A short last block computes its
+// zero-padded lanes and stores only the live ones.
+void SqDistRowsF64Sse2(const double* query, const double* packed,
+                       size_t n_rows, size_t dim, double* out) {
+  const size_t blocks = dim - dim % 8;
+  for (size_t row = 0; row < n_rows; row += kRowBlock) {
+    for (size_t half = 0; half < kRowBlock && row + half < n_rows;
+         half += 2) {
+      const double* lanes = packed + row * dim + half;
+      __m128d acc[8];
+#pragma GCC unroll 8
+      for (size_t k = 0; k < 8; ++k) acc[k] = _mm_setzero_pd();
+      size_t i = 0;
+      for (; i < blocks; i += 8) {
+#pragma GCC unroll 8
+        for (size_t k = 0; k < 8; ++k) {
+          const __m128d d =
+              _mm_sub_pd(_mm_set1_pd(query[i + k]),
+                         _mm_loadu_pd(lanes + (i + k) * kRowBlock));
+          acc[k] = _mm_add_pd(acc[k], _mm_mul_pd(d, d));
+        }
+      }
+#pragma GCC unroll 8
+      for (size_t k = 0; k < 8; ++k) {
+        if (i + k < dim) {
+          const __m128d d =
+              _mm_sub_pd(_mm_set1_pd(query[i + k]),
+                         _mm_loadu_pd(lanes + (i + k) * kRowBlock));
+          acc[k] = _mm_add_pd(acc[k], _mm_mul_pd(d, d));
+        }
+      }
+      const __m128d sum =
+          _mm_add_pd(_mm_add_pd(_mm_add_pd(acc[0], acc[1]),
+                                _mm_add_pd(acc[2], acc[3])),
+                     _mm_add_pd(_mm_add_pd(acc[4], acc[5]),
+                                _mm_add_pd(acc[6], acc[7])));
+      if (row + half + 1 < n_rows) {
+        _mm_storeu_pd(out + row + half, sum);
+      } else {
+        _mm_store_sd(out + row + half, sum);
+      }
+    }
   }
-  double s[8];
-  _mm_storeu_pd(s + 0, acc01);
-  _mm_storeu_pd(s + 2, acc23);
-  _mm_storeu_pd(s + 4, acc45);
-  _mm_storeu_pd(s + 6, acc67);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s[i % 8] += d * d;
-  }
-  return Reduce8(s);
 }
 
 void AxpyF32Sse2(double scale, const float* x, float* y, size_t n) {
@@ -262,8 +279,8 @@ void DenseF64Sse2(const double* w, const double* bias, size_t in_dim,
 }
 
 const KernelTable kSse2Table = {
-    DotF32Sse2,  DotF64Sse2,   SqDistF64Sse2, AxpyF32Sse2,
-    AxpyF64Sse2, ScaleF32Sse2, ScaleF64Sse2, DenseF64Sse2,
+    DotF32Sse2,  DotF64Sse2,   SqDistRowsF64Sse2, AxpyF32Sse2,
+    AxpyF64Sse2, ScaleF32Sse2, ScaleF64Sse2,      DenseF64Sse2,
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "la/kernels.h"
 #include "util/logging.h"
@@ -15,6 +16,7 @@ void KNearestNeighbors::Fit(const la::Matrix& x, const std::vector<int>& y) {
   WYM_CHECK_GT(x.rows(), 0u);
   train_x_ = x;
   train_y_ = y;
+  PackTrainingRows();
 
   // Surrogate importance from leave-in fitted probabilities on a sample
   // (full n^2 would dominate training time on larger datasets).
@@ -28,19 +30,37 @@ void KNearestNeighbors::Fit(const la::Matrix& x, const std::vector<int>& y) {
   importance_ = internal::SurrogateImportance(sample_x, probas);
 }
 
+void KNearestNeighbors::PackTrainingRows() {
+  packed_x_.resize(
+      la::kernels::RowBlocksSize(train_x_.rows(), train_x_.cols()));
+  la::kernels::PackRowBlocks(train_x_.data().data(), train_x_.rows(),
+                             train_x_.cols(), packed_x_.data());
+}
+
 double KNearestNeighbors::PredictProba(const std::vector<double>& row) const {
   WYM_CHECK_GT(train_x_.rows(), 0u) << "KNN used before Fit";
   WYM_CHECK_EQ(row.size(), train_x_.cols());
   const size_t n = train_x_.rows();
+  const size_t dim = train_x_.cols();
   const size_t k = std::min(options_.k, n);
 
-  // Partial selection of the k smallest distances.
+  // Distances in training-row order, a chunk of rows per kernel call.
+  // nth_element needs a strict weak order, which NaN keys (a non-finite
+  // feature) break; such a query has no neighbours, so it answers NaN.
   std::vector<std::pair<double, int>> distances(n);
-  for (size_t i = 0; i < n; ++i) {
-    distances[i] = {
-        la::kernels::SquaredDistance(row.data(), train_x_.Row(i), row.size()),
-        train_y_[i]};
+  constexpr size_t kChunk = 64 * la::kernels::kRowBlock;
+  double chunk[kChunk];
+  bool any_nan = false;
+  for (size_t begin = 0; begin < n; begin += kChunk) {
+    const size_t rows = std::min(kChunk, n - begin);
+    la::kernels::SquaredDistances(row.data(), packed_x_.data() + begin * dim,
+                                  rows, dim, chunk);
+    for (size_t i = 0; i < rows; ++i) {
+      any_nan |= std::isnan(chunk[i]);
+      distances[begin + i] = {chunk[i], train_y_[begin + i]};
+    }
   }
+  if (any_nan) return std::numeric_limits<double>::quiet_NaN();
   std::nth_element(distances.begin(), distances.begin() + (k - 1),
                    distances.end());
 
@@ -76,7 +96,11 @@ bool KNearestNeighbors::LoadState(serde::Deserializer* d) {
   importance_ = d->VecF64();
   // k = 0 from a damaged stream would wrap `begin() + (k - 1)` in
   // PredictProba's nth_element far past the end.
-  return d->ok() && options_.k >= 1 && train_y_.size() == train_x_.rows();
+  if (!d->ok() || options_.k < 1 || train_y_.size() != train_x_.rows()) {
+    return false;
+  }
+  PackTrainingRows();
+  return true;
 }
 
 }  // namespace wym::ml

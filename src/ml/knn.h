@@ -19,7 +19,8 @@ struct KNearestNeighborsOptions {
   bool distance_weighted = true;
 };
 
-/// Distance-weighted kNN.
+/// Distance-weighted kNN. PredictProba is const and safe to call
+/// concurrently: it keeps no scratch in the object.
 class KNearestNeighbors : public Classifier {
  public:
   using Options = KNearestNeighborsOptions;
@@ -36,8 +37,14 @@ class KNearestNeighbors : public Classifier {
   bool LoadState(serde::Deserializer* d) override;
 
  private:
+  /// Rebuilds packed_x_ from train_x_.
+  void PackTrainingRows();
+
   Options options_;
+  /// Training rows, row-major: the serialized form.
   la::Matrix train_x_;
+  /// train_x_ in the row-block layout of la::kernels::SquaredDistances.
+  std::vector<double> packed_x_;
   std::vector<int> train_y_;
   std::vector<double> importance_;
 };

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "embedding/context_mixer.h"
 #include "embedding/cooc_embedder.h"
 #include "embedding/hash_embedder.h"
@@ -191,6 +195,38 @@ TEST(SemanticEncoderTest, ExactNumberBeatsCloseNumber) {
   const la::Vec a = encoder.EncodeTokenIsolated("42166");
   EXPECT_GT(la::Cosine(a, encoder.EncodeTokenIsolated("42166")),
             la::Cosine(a, encoder.EncodeTokenIsolated("42199")));
+}
+
+/// True when every component of every vector is finite.
+bool AllFinite(const std::vector<la::Vec>& vectors) {
+  for (const la::Vec& v : vectors) {
+    for (const float x : v) {
+      if (!std::isfinite(x)) return false;
+    }
+  }
+  return true;
+}
+
+TEST(SemanticEncoderTest, NanTokensEmbedAsWords) {
+  // strtod reads these as NaN; as numbers they would poison their own
+  // vector and, through context mixing, the whole description.
+  SemanticEncoder::Options options;
+  SemanticEncoder encoder(options);
+  encoder.Fit({{"sony", "camera"}, {"sony", "lens"}});
+  const size_t numeric_base = options.hash_dim + options.cooc_dim;
+  for (const std::string token : {"nan", "NaN", "nan(1)", "-nan"}) {
+    SCOPED_TRACE(token);
+    const la::Vec v = encoder.EncodeTokenIsolated(token);
+    ASSERT_TRUE(AllFinite({v}));
+    EXPECT_NEAR(la::Norm(v), 1.0, 1e-5);
+    for (size_t k = 0; k < options.numeric_dims; ++k) {
+      EXPECT_EQ(v[numeric_base + k], 0.0f) << "numeric channel " << k;
+    }
+    EXPECT_TRUE(AllFinite(encoder.EncodeTokens({"sony", token, "camera"})));
+  }
+  // An overflowing code reads as +inf: still numeric, still finite.
+  EXPECT_TRUE(AllFinite({encoder.EncodeTokenIsolated("34e605211")}));
+  EXPECT_TRUE(AllFinite(encoder.EncodeTokens({"sony", "34e605211"})));
 }
 
 TEST(SemanticEncoderTest, PoolTokensIsNormalizedMean) {

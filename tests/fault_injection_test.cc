@@ -17,8 +17,10 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -313,6 +315,44 @@ TEST_F(FaultInjectionTest, DegenerateRecordsAreQuarantinedNotFatal) {
   EXPECT_EQ(single.probability, 0.0);
   EXPECT_EQ(single.prediction, 0);
   EXPECT_TRUE(single.units.empty());
+}
+
+TEST_F(FaultInjectionTest, NanTokenDoesNotPoisonItsEntity) {
+  // "nan" parses to NaN under strtod. As a number it made the token's
+  // embedding non-finite, context mixing spread that to every token of
+  // its description, and no unit could pair. It is a word (and a brand).
+  const size_t width = suite_->split.test.schema.size();
+  data::EmRecord record;
+  record.left.values.assign(width, "");
+  record.right.values.assign(width, "");
+  record.left.values[0] = "sony nan camera";
+  record.right.values[0] = "sony camera";
+
+  const core::TokenizedRecord prepared = suite_->model.Prepare(record);
+  ASSERT_EQ(prepared.left.size(), 3u);
+  for (const la::Vec& embedding : prepared.left.embeddings) {
+    for (const float v : embedding) ASSERT_TRUE(std::isfinite(v));
+  }
+
+  core::PredictionReport report;
+  const std::vector<core::Explanation> explained =
+      suite_->model.ExplainBatch(std::span(&record, 1), &report);
+  EXPECT_TRUE(report.clean());
+  const core::Explanation& explanation = explained.front();
+  EXPECT_TRUE(std::isfinite(explanation.probability));
+  size_t paired = 0;
+  for (const core::ExplainedUnit& unit : explanation.units) {
+    EXPECT_TRUE(std::isfinite(unit.unit.similarity));
+    EXPECT_TRUE(std::isfinite(unit.relevance));
+    EXPECT_TRUE(std::isfinite(unit.impact));
+    if (unit.unit.paired) {
+      EXPECT_EQ(unit.unit.left.token, unit.unit.right.token);
+      ++paired;
+    }
+  }
+  // (sony, sony), (camera, camera) and an unpaired "nan".
+  EXPECT_EQ(paired, 2u);
+  EXPECT_EQ(explanation.units.size(), 3u);
 }
 
 // ---------------------------------------------------------------------

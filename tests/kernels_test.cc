@@ -121,7 +121,6 @@ TEST(KernelParityTest, ReductionsBitIdenticalAcrossLevels) {
     const double dot_f64 = la::kernels::Dot(da.data(), db.data(), n);
     const double sqnorm_f32 = la::kernels::SquaredNorm(fa.data(), n);
     const double sqnorm_f64 = la::kernels::SquaredNorm(da.data(), n);
-    const double sqdist = la::kernels::SquaredDistance(da.data(), db.data(), n);
 
     for (SimdLevel level : AvailableLevels()) {
       la::kernels::SetSimdLevel(level);
@@ -132,8 +131,51 @@ TEST(KernelParityTest, ReductionsBitIdenticalAcrossLevels) {
       EXPECT_EQ(dot_f64, la::kernels::Dot(da.data(), db.data(), n));
       EXPECT_EQ(sqnorm_f32, la::kernels::SquaredNorm(fa.data(), n));
       EXPECT_EQ(sqnorm_f64, la::kernels::SquaredNorm(da.data(), n));
-      EXPECT_EQ(sqdist,
-                la::kernels::SquaredDistance(da.data(), db.data(), n));
+    }
+  }
+}
+
+/// The single-pair reference reduction of sum_i (a[i] - b[i])^2: 8
+/// partial sums by index mod 8, collapsed in the kernels' fixed tree.
+double ReferenceSquaredDistance(const double* a, const double* b, size_t n) {
+  double s[8] = {0.0};
+  for (size_t i = 0; i < n; ++i) {
+    const double d = a[i] - b[i];
+    s[i % 8] += d * d;
+  }
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+TEST(KernelParityTest, RowBlockDistancesMatchSinglePairReference) {
+  Rng rng(0xD15);
+  std::vector<size_t> row_counts = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 840};
+  std::vector<size_t> dims;
+  for (size_t dim = 0; dim <= 19; ++dim) dims.push_back(dim);
+  dims.push_back(42);
+  for (size_t n_rows : row_counts) {
+    for (size_t dim : dims) {
+      const std::vector<double> rows = RandomF64(&rng, n_rows * dim);
+      const std::vector<double> query = RandomF64(&rng, dim);
+      std::vector<double> packed(la::kernels::RowBlocksSize(n_rows, dim));
+      la::kernels::PackRowBlocks(rows.data(), n_rows, dim, packed.data());
+      for (SimdLevel level : AvailableLevels()) {
+        ScopedSimdLevel guard(level);
+        SCOPED_TRACE(testing::Message()
+                     << "rows=" << n_rows << " dim=" << dim << " level="
+                     << la::kernels::SimdLevelName(level));
+        // One slot past the end catches a write beyond the last row.
+        std::vector<double> out(n_rows + 1, -1.0);
+        la::kernels::SquaredDistances(query.data(), packed.data(), n_rows,
+                                      dim, out.data());
+        for (size_t r = 0; r < n_rows; ++r) {
+          // Bit-identical, not approximately equal.
+          ASSERT_EQ(ReferenceSquaredDistance(query.data(),
+                                             rows.data() + r * dim, dim),
+                    out[r])
+              << "row " << r;
+        }
+        EXPECT_EQ(out[n_rows], -1.0);
+      }
     }
   }
 }

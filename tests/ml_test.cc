@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "ml/boosting.h"
 #include "ml/classifier_pool.h"
@@ -13,6 +19,7 @@
 #include "ml/scaler.h"
 #include "ml/tree.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace wym::ml {
 namespace {
@@ -140,6 +147,127 @@ TEST(KnnTest, NearestNeighborWins) {
   knn.Fit(x, {0, 1});
   EXPECT_LT(knn.PredictProba({1.0}), 0.5);
   EXPECT_GT(knn.PredictProba({9.0}), 0.5);
+}
+
+/// The single-pair reference distance: 8 partial sums by index mod 8,
+/// collapsed in the kernels' fixed tree.
+double ReferenceSquaredDistance(const double* a, const double* b, size_t n) {
+  double s[8] = {0.0};
+  for (size_t i = 0; i < n; ++i) {
+    const double d = a[i] - b[i];
+    s[i % 8] += d * d;
+  }
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+/// KNearestNeighbors::PredictProba as it was with one single-pair
+/// distance call per training row, kept verbatim apart from the
+/// distance call: the reference the row-block kernel must reproduce.
+double ReferenceKnnProba(const la::Matrix& train_x,
+                         const std::vector<int>& train_y,
+                         const KNearestNeighbors::Options& options,
+                         const std::vector<double>& row) {
+  const size_t n = train_x.rows();
+  const size_t k = std::min(options.k, n);
+
+  // Partial selection of the k smallest distances.
+  std::vector<std::pair<double, int>> distances(n);
+  for (size_t i = 0; i < n; ++i) {
+    distances[i] = {
+        ReferenceSquaredDistance(row.data(), train_x.Row(i), row.size()),
+        train_y[i]};
+  }
+  std::nth_element(distances.begin(), distances.begin() + (k - 1),
+                   distances.end());
+
+  double vote1 = 0.0, total = 0.0;
+  for (size_t i = 0; i < k; ++i) {
+    const double weight =
+        options.distance_weighted
+            ? 1.0 / (std::sqrt(distances[i].first) + 1e-6)
+            : 1.0;
+    total += weight;
+    if (distances[i].second == 1) vote1 += weight;
+  }
+  return total > 0.0 ? vote1 / total : 0.5;
+}
+
+TEST(KnnTest, BitIdenticalToReference) {
+  // 83 rows x 42 features, every fourth row a copy of an earlier one so
+  // distances tie, and the queries include training rows themselves.
+  Rng rng(0x4E4E);
+  const size_t n = 83, dim = 42;
+  la::Matrix x(n, dim);
+  std::vector<int> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    y[i] = static_cast<int>(rng.Uniform(0.0, 1.0) < 0.3);
+    for (size_t j = 0; j < dim; ++j) {
+      x.At(i, j) = i % 4 == 3 ? x.At(i / 2, j) : rng.Normal(0.0, 1.0);
+    }
+  }
+  std::vector<std::vector<double>> queries;
+  for (size_t q = 0; q < 24; ++q) {
+    std::vector<double> query(dim);
+    for (double& v : query) v = rng.Normal(0.0, 1.2);
+    queries.push_back(query);
+  }
+  for (size_t i = 0; i < n; i += 7) queries.push_back(x.RowVector(i));
+
+  for (const size_t k : {size_t{1}, size_t{5}, n, n + 3}) {
+    for (const bool weighted : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " weighted="
+                                      << weighted);
+      KNearestNeighbors::Options options;
+      options.k = k;
+      options.distance_weighted = weighted;
+      KNearestNeighbors knn(options);
+      knn.Fit(x, y);
+
+      std::stringstream stream;
+      serde::Serializer s(&stream);
+      knn.SaveState(&s);
+      KNearestNeighbors loaded;
+      serde::Deserializer d(&stream);
+      ASSERT_TRUE(loaded.LoadState(&d));
+
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const double expected = ReferenceKnnProba(x, y, options, queries[q]);
+        const double fitted = knn.PredictProba(queries[q]);
+        const double reloaded = loaded.PredictProba(queries[q]);
+        // Bit-identical, not approximately equal.
+        EXPECT_EQ(std::memcmp(&expected, &fitted, sizeof(double)), 0)
+            << "query " << q;
+        EXPECT_EQ(std::memcmp(&expected, &reloaded, sizeof(double)), 0)
+            << "query " << q;
+      }
+    }
+  }
+}
+
+TEST(KnnTest, NonFiniteQueryAnswersNaN) {
+  // NaN distances would break nth_element's strict weak order; such a
+  // query has no neighbours and answers NaN for the caller to handle.
+  KNearestNeighbors knn;
+  la::Matrix x(6, 2);
+  for (size_t i = 0; i < 6; ++i) {
+    x.At(i, 0) = static_cast<double>(i);
+    x.At(i, 1) = -static_cast<double>(i);
+  }
+  knn.Fit(x, {0, 0, 0, 1, 1, 1});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(std::isnan(knn.PredictProba({nan, 1.0})));
+  EXPECT_TRUE(std::isnan(knn.PredictProba({1.0, nan})));
+  // inf - inf is NaN too; a lone inf is only far away.
+  la::Matrix far(2, 1);
+  far.At(0, 0) = inf;
+  far.At(1, 0) = 0.0;
+  KNearestNeighbors::Options options;
+  options.k = 1;
+  KNearestNeighbors one(options);
+  one.Fit(far, {1, 0});
+  EXPECT_TRUE(std::isnan(one.PredictProba({inf})));
+  EXPECT_LT(one.PredictProba({1.0}), 0.5);
 }
 
 TEST(DecisionTreeTest, PureSplitOnThreshold) {

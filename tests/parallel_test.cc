@@ -225,6 +225,75 @@ TEST_F(BatchDeterminismTest, ExplainBatchEqualsPerRecordExplain) {
   }
 }
 
+TEST_F(BatchDeterminismTest, EntityRunsMatchPerRecordCalls) {
+  // The record loop reuses a prepared entity when a record repeats the
+  // previous record's values on that side, as candidate lists do. Build
+  // such runs, some longer than a 16-record chunk, plus look-alikes
+  // whose flat token lists agree but whose tokens sit in different
+  // attributes: those must be prepared afresh.
+  const std::vector<data::EmRecord>& test = split_->test.records;
+  ASSERT_GE(test.size(), 24u);
+  std::vector<data::EmRecord> batch;
+  for (size_t j = 0; j < 20; ++j) {  // One left entity, many rights.
+    batch.push_back({test[0].left, test[j + 1].right, 0});
+  }
+  for (size_t j = 0; j < 7; ++j) {  // Many lefts, one right entity.
+    batch.push_back({test[j + 2].left, test[3].right, 0});
+  }
+  for (size_t j = 0; j < 4; ++j) {  // A pair repeated whole.
+    batch.push_back(test[5]);
+  }
+  const size_t width = split_->test.schema.size();
+  ASSERT_GE(width, 2u);
+  for (size_t j = 0; j < 6; ++j) {
+    // Look-alikes: attribute 0 and 1 joined into attribute 0, then the
+    // original split, on the left and then on the right.
+    data::EmRecord original = test[j + 6];
+    data::EmRecord joined = original;
+    joined.left.values[0] += " " + joined.left.values[1];
+    joined.left.values[1].clear();
+    batch.push_back(joined);
+    batch.push_back(original);
+    joined = original;
+    joined.right.values[1] = joined.right.values[0] + " " +
+                             joined.right.values[1];
+    joined.right.values[0].clear();
+    batch.push_back(joined);
+    batch.push_back(original);
+  }
+
+  std::vector<double> expected_probas;
+  std::vector<core::Explanation> expected;
+  for (const data::EmRecord& record : batch) {
+    expected_probas.push_back(model_->PredictProba(record));
+    expected.push_back(model_->Explain(record));
+  }
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    util::ThreadPool pool(threads);
+    const std::vector<double> probas =
+        model_->PredictProbaBatch(batch, nullptr, &pool);
+    const std::vector<core::Explanation> explained =
+        model_->ExplainBatch(batch, nullptr, &pool);
+    ASSERT_EQ(probas.size(), batch.size());
+    ASSERT_EQ(explained.size(), batch.size());
+    // Bit-identical, not approximately equal.
+    EXPECT_EQ(std::memcmp(probas.data(), expected_probas.data(),
+                          probas.size() * sizeof(double)),
+              0);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "record " << i);
+      ExpectSameExplanation(explained[i], expected[i]);
+      for (size_t u = 0; u < expected[i].units.size(); ++u) {
+        EXPECT_EQ(explained[i].units[u].unit.left.attribute,
+                  expected[i].units[u].unit.left.attribute);
+        EXPECT_EQ(explained[i].units[u].unit.right.attribute,
+                  expected[i].units[u].unit.right.attribute);
+      }
+    }
+  }
+}
+
 TEST_F(BatchDeterminismTest,
        PredictProbaBatchBitIdenticalAcrossSimdLevelsAndThreadCounts) {
   // The determinism guarantee spans both axes: every {SIMD level} x
