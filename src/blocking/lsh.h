@@ -24,7 +24,7 @@
 /// Determinism contract: hyperplanes are drawn from a seeded wym::Rng
 /// (deterministic in seed, table size and encoder dimension); signature
 /// bits come from la::kernels::Dot, which is bit-identical across
-/// scalar/SSE2/AVX2 dispatch; bucket tables are sorted flat arrays.
+/// scalar/AVX2 dispatch; bucket tables are sorted flat arrays.
 /// Candidate lists are therefore byte-identical at every WYM_THREADS
 /// and WYM_SIMD setting.
 

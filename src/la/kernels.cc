@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -15,8 +16,8 @@ namespace {
 // ---------------------------------------------------------------------
 // Portable scalar implementations. These define the reference
 // accumulation order: 8 partial sums (index mod 8, increasing index
-// within each), collapsed in one fixed tree. The SIMD paths reproduce
-// this order lane-for-lane, so all paths are bit-identical.
+// within each), collapsed in one fixed tree. The AVX2 path reproduces
+// this order lane-for-lane, so both paths are bit-identical.
 // ---------------------------------------------------------------------
 
 inline double Reduce8(const double* s) {
@@ -136,64 +137,37 @@ const internal::KernelTable kScalarTable = {
 // SetSimdLevel re-points the table for the parity tests.
 // ---------------------------------------------------------------------
 
-struct Dispatch {
-  const internal::KernelTable* table;
-  SimdLevel level;
-};
-
-const internal::KernelTable* TableFor(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return internal::Avx2Kernels();
-    case SimdLevel::kSse2:
-      return internal::Sse2Kernels();
-    case SimdLevel::kScalar:
-      return internal::ScalarKernels();
-  }
-  return nullptr;
-}
-
-Dispatch ResolveAtOrBelow(SimdLevel requested) {
-  for (int level = static_cast<int>(requested); level > 0; --level) {
-    if (const internal::KernelTable* table =
-            TableFor(static_cast<SimdLevel>(level))) {
-      return {table, static_cast<SimdLevel>(level)};
-    }
-  }
-  return {internal::ScalarKernels(), SimdLevel::kScalar};
-}
-
-SimdLevel EnvRequestedLevel() {
-  const char* raw = std::getenv("WYM_SIMD");
-  if (raw == nullptr) return SimdLevel::kAvx2;  // "auto": best available.
-  if (std::strcmp(raw, "off") == 0 || std::strcmp(raw, "scalar") == 0) {
-    return SimdLevel::kScalar;
-  }
-  if (std::strcmp(raw, "sse2") == 0) return SimdLevel::kSse2;
-  if (std::strcmp(raw, "avx2") == 0) return SimdLevel::kAvx2;
-  return SimdLevel::kAvx2;  // Unknown value: behave like "auto".
-}
-
 std::atomic<const internal::KernelTable*> g_table{nullptr};
-std::atomic<SimdLevel> g_level{SimdLevel::kScalar};
 
-/// Counts each dispatch (re-)resolution under `simd.dispatch.<level>`.
-/// Resolution happens once per process (plus explicit SetSimdLevel
-/// calls), so this is off every hot path.
-void CountDispatch(SimdLevel level) {
+SimdLevel LevelOf(const internal::KernelTable* table) {
+  return table == internal::ScalarKernels() ? SimdLevel::kScalar
+                                            : SimdLevel::kAvx2;
+}
+
+/// Points dispatch at the AVX2 table when `requested` is kAvx2 and the
+/// table exists, at the scalar table otherwise, and counts the
+/// (re-)resolution under `simd.dispatch.<level>`. That happens once per
+/// process plus explicit SetSimdLevel calls, so it is off every hot path.
+const internal::KernelTable* Apply(SimdLevel requested) {
+  const internal::KernelTable* avx2 =
+      requested == SimdLevel::kAvx2 ? internal::Avx2Kernels() : nullptr;
+  const internal::KernelTable* table =
+      avx2 != nullptr ? avx2 : internal::ScalarKernels();
+  g_table.store(table, std::memory_order_release);
   obs::Registry::Global()
-      .GetCounter(std::string("simd.dispatch.") + SimdLevelName(level))
+      .GetCounter(std::string("simd.dispatch.") + SimdLevelName(LevelOf(table)))
       .Add(1);
+  return table;
 }
 
 const internal::KernelTable& Active() {
   const internal::KernelTable* table = g_table.load(std::memory_order_acquire);
   if (table != nullptr) return *table;
-  const Dispatch resolved = ResolveAtOrBelow(EnvRequestedLevel());
-  g_level.store(resolved.level, std::memory_order_relaxed);
-  g_table.store(resolved.table, std::memory_order_release);
-  CountDispatch(resolved.level);
-  return *resolved.table;
+  // Static, so WYM_SIMD is read (and an unknown value reported) once
+  // even when threads race to the first kernel call.
+  static const SimdLevel requested =
+      RequestedSimdLevel(std::getenv("WYM_SIMD"));
+  return *Apply(requested);
 }
 
 }  // namespace
@@ -209,33 +183,29 @@ const KernelTable* Avx2Kernels() { return nullptr; }
 }  // namespace internal
 
 const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
+  return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
+}
+
+SimdLevel RequestedSimdLevel(const char* value) {
+  if (value == nullptr || std::strcmp(value, "avx2") == 0) {
+    return SimdLevel::kAvx2;
   }
-  return "unknown";
+  if (std::strcmp(value, "off") == 0 || std::strcmp(value, "scalar") == 0) {
+    return SimdLevel::kScalar;
+  }
+  std::fprintf(stderr, "wym: ignoring WYM_SIMD='%s' (expected avx2 or off)\n",
+               value);
+  return SimdLevel::kAvx2;
 }
 
 SimdLevel DetectedSimdLevel() {
-  return ResolveAtOrBelow(SimdLevel::kAvx2).level;
+  return internal::Avx2Kernels() != nullptr ? SimdLevel::kAvx2
+                                            : SimdLevel::kScalar;
 }
 
-SimdLevel ActiveSimdLevel() {
-  Active();  // Force resolution.
-  return g_level.load(std::memory_order_relaxed);
-}
+SimdLevel ActiveSimdLevel() { return LevelOf(&Active()); }
 
-SimdLevel SetSimdLevel(SimdLevel level) {
-  const Dispatch resolved = ResolveAtOrBelow(level);
-  g_level.store(resolved.level, std::memory_order_relaxed);
-  g_table.store(resolved.table, std::memory_order_release);
-  CountDispatch(resolved.level);
-  return resolved.level;
-}
+SimdLevel SetSimdLevel(SimdLevel level) { return LevelOf(Apply(level)); }
 
 double Dot(const float* a, const float* b, size_t n) {
   WYM_DCHECK(n == 0 || (a != nullptr && b != nullptr));
@@ -335,8 +305,8 @@ void DenseLayer(const double* weights, const double* bias, size_t in_dim,
                 size_t out_dim, const double* x, size_t lanes, bool relu,
                 double* out) {
   WYM_DCHECK(out_dim == 0 || lanes == 0 ||
-             (weights != nullptr && bias != nullptr && out != nullptr &&
-              (in_dim == 0 || x != nullptr)));
+             (bias != nullptr && out != nullptr &&
+              (in_dim == 0 || (weights != nullptr && x != nullptr))));
   Active().dense_f64(weights, bias, in_dim, out_dim, x, lanes, relu, out);
 }
 

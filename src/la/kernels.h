@@ -6,12 +6,12 @@
 /// \file
 /// Vectorized inner-loop kernels with runtime SIMD dispatch.
 ///
-/// Every kernel is implemented three times — portable scalar, SSE2 and
-/// AVX2 — and all paths are **bit-identical**: reductions accumulate
-/// into a fixed set of 8 partial sums (partial sum k holds the elements
-/// whose index is congruent to k mod 8, added in increasing index
-/// order) and collapse them in one fixed tree order, so the result does
-/// not depend on the selected path, the vector width, or the thread
+/// Every kernel is implemented twice — the portable scalar reference
+/// and AVX2 — and both paths are **bit-identical**: reductions
+/// accumulate into a fixed set of 8 partial sums (partial sum k holds
+/// the elements whose index is congruent to k mod 8, added in
+/// increasing index order) and collapse them in one fixed tree order,
+/// so the result does not depend on the selected path or the thread
 /// count. Products of float inputs are formed in double (exact) and
 /// accumulated in double, matching the precision of the scalar code the
 /// kernels replaced. The kernel translation units are compiled with
@@ -20,23 +20,27 @@
 /// along their reductions; their contracts are stated at their
 /// declarations.
 ///
-/// The path is chosen once per process: `WYM_SIMD=avx2|sse2|off`
-/// overrides the default (the best level compiled in and supported by
-/// the CPU). An unavailable request falls back to the best available
-/// level at or below it. See DESIGN.md "Kernel layer & runtime
-/// dispatch".
+/// The path is chosen once per process: AVX2 when it was compiled in
+/// and the CPU supports it, scalar otherwise. `WYM_SIMD=off` pins the
+/// scalar path; `WYM_SIMD=avx2` asks for the default. See DESIGN.md
+/// "Kernel layer & runtime dispatch".
 
 namespace wym::la::kernels {
 
 /// Dispatchable implementation levels, in increasing capability.
 enum class SimdLevel {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Printable name ("scalar" / "sse2" / "avx2").
+/// Printable name ("scalar" / "avx2").
 const char* SimdLevelName(SimdLevel level);
+
+/// The level a WYM_SIMD value asks for (nullptr = unset): "off" and
+/// "scalar" ask for kScalar; "avx2" and unset ask for kAvx2, which the
+/// dispatcher clamps to DetectedSimdLevel(). Any other value also asks
+/// for kAvx2 and prints one `wym:` line on stderr.
+SimdLevel RequestedSimdLevel(const char* value);
 
 /// Best level compiled into this binary and supported by this CPU.
 SimdLevel DetectedSimdLevel();
@@ -133,12 +137,10 @@ struct KernelTable {
                     const double*, size_t, bool, double*);
 };
 
-/// Scalar table (always available).
+/// Scalar table: the reference, always available.
 const KernelTable* ScalarKernels();
-/// SSE2 table, or nullptr when not compiled for this target.
-const KernelTable* Sse2Kernels();
-/// AVX2 table, or nullptr when the AVX2 TU was not built (WYM_NATIVE=OFF
-/// or unsupported compiler).
+/// AVX2 table, or nullptr when the compiler could not build the AVX2
+/// TU or the CPU lacks AVX2.
 const KernelTable* Avx2Kernels();
 
 }  // namespace internal

@@ -1,8 +1,8 @@
-// AVX2 kernel path. Compiled with -mavx2 only when the CMake option
-// WYM_NATIVE is ON and the compiler supports the flag (the dispatcher
-// additionally checks CPU support at runtime before selecting it).
+// AVX2 kernel path. Compiled with -mavx2 whenever the compiler supports
+// the flag (the dispatcher additionally checks CPU support at runtime
+// before selecting it).
 //
-// Bit-identity with the scalar/SSE2 paths: the 8 partial sums of the
+// Bit-identity with the scalar path: the 8 partial sums of the
 // reference accumulation order live in two 4-lane double accumulators,
 // added in the same per-lane order and collapsed with the same fixed
 // tree. Float products are widened to double before multiplying
@@ -265,18 +265,12 @@ const KernelTable kAvx2Table = {
     AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2,      DenseF64Avx2,
 };
 
-bool CpuHasAvx2() {
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 const KernelTable* Avx2Kernels() {
-  static const bool supported = CpuHasAvx2();
+  // This TU is only built by compilers that accept -mavx2 (GCC, Clang),
+  // which all provide __builtin_cpu_supports.
+  static const bool supported = __builtin_cpu_supports("avx2");
   return supported ? &kAvx2Table : nullptr;
 }
 

@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace wym::strings {
@@ -103,6 +104,12 @@ bool IsAlphanumericCode(std::string_view text) {
     }
   }
   return has_alpha && has_digit;
+}
+
+bool ParseUint(std::string_view text, uint64_t max, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && *out <= max;
 }
 
 std::string FormatDouble(double value, int precision) {

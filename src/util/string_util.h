@@ -1,6 +1,7 @@
 #ifndef WYM_UTIL_STRING_UTIL_H_
 #define WYM_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,10 @@ std::string Trim(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
+
+/// Parses all of `text` as a decimal integer in [0, max]; no sign, no
+/// whitespace. The one unsigned-number parser for flags and env knobs.
+bool ParseUint(std::string_view text, uint64_t max, uint64_t* out);
 
 /// True when every character is an ASCII digit (and text is non-empty).
 bool IsNumeric(std::string_view text);

@@ -1,7 +1,10 @@
 #include "util/thread_pool.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
+
+#include "util/string_util.h"
 
 // The pool publishes queue/steal counters and spans itself so every
 // parallel section is traced; obs sits below util at link time.
@@ -106,10 +109,17 @@ void ThreadPool::WorkerLoop() {
 bool ThreadPool::InWorker() { return t_in_worker; }
 
 size_t ThreadPool::DefaultThreadCount() {
-  if (const char* raw = std::getenv("WYM_THREADS")) {
-    const long parsed = std::strtol(raw, nullptr, 10);
-    if (parsed >= 1) return static_cast<size_t>(parsed);
+  return ThreadCountFor(std::getenv("WYM_THREADS"));
+}
+
+size_t ThreadPool::ThreadCountFor(const char* value) {
+  uint64_t parsed = 0;
+  if (value != nullptr && !strings::ParseUint(value, kMaxThreads, &parsed)) {
+    std::fprintf(stderr, "wym: ignoring WYM_THREADS='%s' (expected 0-%zu)\n",
+                 value, kMaxThreads);
+    parsed = 0;
   }
+  if (parsed >= 1) return parsed;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

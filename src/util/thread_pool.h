@@ -48,9 +48,18 @@ class ThreadPool {
   /// deadlocking on a saturated queue.
   static bool InWorker();
 
-  /// Thread count for the global pool: WYM_THREADS when set to a
-  /// positive integer, otherwise std::thread::hardware_concurrency().
+  /// Largest thread count WYM_THREADS may ask for.
+  static constexpr size_t kMaxThreads = 256;
+
+  /// Thread count for the global pool: ThreadCountFor(WYM_THREADS).
   static size_t DefaultThreadCount();
+
+  /// The thread count a WYM_THREADS value selects (nullptr = unset): a
+  /// decimal integer in [1, kMaxThreads] is taken as is; unset and "0"
+  /// mean std::thread::hardware_concurrency(). Any other value also
+  /// falls back to hardware concurrency and prints one `wym:` line on
+  /// stderr.
+  static size_t ThreadCountFor(const char* value);
 
   /// The lazily-started process-wide pool (sized by DefaultThreadCount
   /// at first use). Library code should reach it through ParallelFor's

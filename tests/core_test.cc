@@ -494,9 +494,8 @@ TEST(RelevanceScorerTest, BatchedScoreBitIdenticalToPerUnitPredict) {
     ASSERT_TRUE(scorer.mlp().fitted());
 
     size_t scored = 0;
-    for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSse2,
-                            SimdLevel::kAvx2}) {
-      if (level > la::kernels::DetectedSimdLevel()) continue;
+    for (SimdLevel level :
+         {SimdLevel::kScalar, la::kernels::DetectedSimdLevel()}) {
       la::kernels::SetSimdLevel(level);
       for (size_t r = 0; r < records.size(); r += 3) {
         const std::vector<double> scores = scorer.Score(records[r], units[r]);

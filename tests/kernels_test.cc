@@ -1,5 +1,5 @@
-// Tests of the SIMD kernel layer (la/kernels.h): bit-identity of every
-// dispatch path (scalar vs SSE2 vs AVX2) on randomized inputs, the
+// Tests of the SIMD kernel layer (la/kernels.h): bit-identity of both
+// dispatch paths (scalar vs AVX2) on randomized inputs, the
 // WYM_SIMD environment contract, and the end-to-end guarantee that the
 // selected path does not change pipeline outputs — identical decision
 // units and byte-identical trained model files.
@@ -53,8 +53,7 @@ class ScopedSimdLevel {
 std::vector<SimdLevel> AvailableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   const SimdLevel detected = la::kernels::DetectedSimdLevel();
-  if (detected >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
-  if (detected >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  if (detected != SimdLevel::kScalar) levels.push_back(detected);
   return levels;
 }
 
@@ -77,8 +76,33 @@ std::vector<double> RandomF64(Rng* rng, size_t n) {
 TEST(KernelDispatchTest, DetectedLevelIsAtLeastScalar) {
   EXPECT_GE(la::kernels::DetectedSimdLevel(), SimdLevel::kScalar);
   EXPECT_STREQ(la::kernels::SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(la::kernels::SimdLevelName(SimdLevel::kSse2), "sse2");
   EXPECT_STREQ(la::kernels::SimdLevelName(SimdLevel::kAvx2), "avx2");
+}
+
+TEST(KernelDispatchTest, RequestedLevelParsesWymSimdStrictly) {
+  using la::kernels::RequestedSimdLevel;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(RequestedSimdLevel(nullptr), SimdLevel::kAvx2);
+  EXPECT_EQ(RequestedSimdLevel("avx2"), SimdLevel::kAvx2);
+  EXPECT_EQ(RequestedSimdLevel("off"), SimdLevel::kScalar);
+  EXPECT_EQ(RequestedSimdLevel("scalar"), SimdLevel::kScalar);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  // The request resolves to one of the two tables.
+  ScopedSimdLevel guard(la::kernels::DetectedSimdLevel());
+  EXPECT_EQ(la::kernels::SetSimdLevel(RequestedSimdLevel("off")),
+            SimdLevel::kScalar);
+  EXPECT_EQ(la::kernels::SetSimdLevel(RequestedSimdLevel("avx2")),
+            la::kernels::DetectedSimdLevel());
+  // Unknown values, the removed "sse2" among them, ask for the default
+  // and say so once each.
+  for (const char* unknown : {"sse2", "", "AVX2", "avx2 "}) {
+    SCOPED_TRACE(unknown);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(RequestedSimdLevel(unknown), SimdLevel::kAvx2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.rfind("wym: ", 0), 0u) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
 }
 
 TEST(KernelDispatchTest, ActiveLevelRespectsWymSimdEnv) {

@@ -388,7 +388,7 @@ TEST(SimdCheckTest, IntrinsicsConfinedToKernelTus) {
 
 TEST(SimdCheckTest, Int8IntrinsicsAndHeadersCoveredOutsideKernels) {
   // Integer widening/madd intrinsics carry the same _mm prefixes and
-  // must stay confined to the kernel TUs like the float ones.
+  // must stay confined to the AVX2 kernel TU like the float ones.
   EXPECT_TRUE(HasCheck(
       Scan("src/core/x.cc",
            "__m128i s = _mm_madd_epi16(_mm_srai_epi16(v, 8), w);\n"),
@@ -401,10 +401,15 @@ TEST(SimdCheckTest, Int8IntrinsicsAndHeadersCoveredOutsideKernels) {
                        "simd-outside-kernels"));
   EXPECT_TRUE(HasCheck(Scan("src/core/x.cc", "#include <pmmintrin.h>\n"),
                        "simd-outside-kernels"));
-  // The kernel TUs themselves stay exempt for the integer intrinsics too.
+  // The AVX2 kernel TU stays exempt for the integer intrinsics too.
   EXPECT_FALSE(HasCheck(
-      Scan("src/la/kernels_sse2.cc",
+      Scan("src/la/kernels_avx2.cc",
            "__m128i s = _mm_madd_epi16(_mm_srai_epi16(v, 8), w);\n"),
+      "simd-outside-kernels"));
+  // It is the only exempt file: a revived SSE2 TU is flagged.
+  EXPECT_TRUE(HasCheck(
+      Scan("src/la/kernels_sse2.cc",
+           "#include <emmintrin.h>\n__m128d v = _mm_setzero_pd();\n"),
       "simd-outside-kernels"));
   ScanStats stats;
   EXPECT_FALSE(HasCheck(

@@ -138,17 +138,16 @@ TEST(MlpTest, PaperTopologyTrains) {
 
 // --- Batched inference: PredictRows vs the scalar forward pass ---
 //
-// The nn suite is re-run by ctest with WYM_SIMD=off and WYM_SIMD=sse2
-// (see tests/CMakeLists.txt); the tests below also sweep every level
-// through SetSimdLevel.
+// The nn suite is re-run by ctest with WYM_SIMD=off (see
+// tests/CMakeLists.txt); the tests below also sweep both levels through
+// SetSimdLevel.
 
 using la::kernels::SimdLevel;
 
 std::vector<SimdLevel> AvailableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   const SimdLevel detected = la::kernels::DetectedSimdLevel();
-  if (detected >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
-  if (detected >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  if (detected != SimdLevel::kScalar) levels.push_back(detected);
   return levels;
 }
 

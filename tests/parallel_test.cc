@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/wym.h"
@@ -41,6 +43,30 @@ TEST(ThreadPoolTest, SizeOneRunsInline) {
   bool ran = false;
   pool.Submit([&ran] { ran = true; });
   EXPECT_TRUE(ran);  // Immediately, on this thread.
+}
+
+// WYM_THREADS values are checked as strings only: no pool is built
+// from an out-of-range count.
+TEST(ThreadPoolTest, ThreadCountForParsesWymThreadsStrictly) {
+  const size_t hw = util::ThreadPool::ThreadCountFor(nullptr);
+  EXPECT_GE(hw, 1u);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(util::ThreadPool::ThreadCountFor("1"), 1u);
+  EXPECT_EQ(util::ThreadPool::ThreadCountFor("8"), 8u);
+  EXPECT_EQ(util::ThreadPool::ThreadCountFor("256"), 256u);
+  EXPECT_EQ(util::ThreadPool::ThreadCountFor("0"), hw);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  // Malformed, above the ceiling or overflowing: hardware concurrency,
+  // with one `wym:` line each.
+  for (const char* bad : {"4x", "-2", "", " 4", "257",
+                          "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(util::ThreadPool::ThreadCountFor(bad), hw);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.rfind("wym: ", 0), 0u) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
 }
 
 TEST(ParallelForTest, GrainOneCoversEveryIndexExactlyOnce) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "util/bounded_cache.h"
@@ -169,6 +171,23 @@ TEST(StringUtilTest, IsAlphanumericCode) {
   EXPECT_FALSE(strings::IsAlphanumericCode("5811"));     // No letters.
   EXPECT_FALSE(strings::IsAlphanumericCode("a1"));       // Too short.
   EXPECT_FALSE(strings::IsAlphanumericCode("a-1b"));     // Punctuation.
+}
+
+TEST(StringUtilTest, ParseUintReadsWholeDecimalWithinMax) {
+  uint64_t value = 0;
+  EXPECT_TRUE(strings::ParseUint("0", 10, &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(strings::ParseUint("256", 256, &value));
+  EXPECT_EQ(value, 256u);
+  EXPECT_TRUE(strings::ParseUint("18446744073709551615",
+                                 std::numeric_limits<uint64_t>::max(),
+                                 &value));
+  EXPECT_EQ(value, std::numeric_limits<uint64_t>::max());
+  // Trailing junk, signs, whitespace, empty, above max, overflow.
+  for (const char* bad : {"4x", "-1", "+4", " 4", "4 ", "", "0x10", "257",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(strings::ParseUint(bad, 256, &value)) << bad;
+  }
 }
 
 TEST(StringUtilTest, FormatDouble) {

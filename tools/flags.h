@@ -11,6 +11,7 @@
 #include <string>
 
 #include "util/status.h"
+#include "util/string_util.h"
 
 /// \file
 /// The command-line surface shared by wym_cli and wym_serve: the
@@ -47,14 +48,6 @@ inline int StatusExit(const Status& status) {
     default:
       return kExitUsage;
   }
-}
-
-/// Parses all of `text` as a decimal integer in [0, max]; no sign, no
-/// whitespace.
-inline bool ParseUint(const std::string& text, uint64_t max, uint64_t* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end && *out <= max;
 }
 
 /// Parses all of `text` as a finite decimal number.
@@ -96,7 +89,7 @@ class Flags {
   uint64_t GetUint(const std::string& key, uint64_t fallback,
                    uint64_t max = std::numeric_limits<uint64_t>::max()) const {
     uint64_t value = fallback;
-    if (Has(key) && !ParseUint(Get(key), max, &value)) {
+    if (Has(key) && !strings::ParseUint(Get(key), max, &value)) {
       Reject(key, "an unsigned integer no larger than " + std::to_string(max));
     }
     return value;
