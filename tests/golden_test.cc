@@ -15,7 +15,10 @@
 // its impacts pin KNN's surrogate importance, computed in Fit through
 // PredictProba. wire.txt holds the exact bytes of wym-serve/v1 requests and
 // responses and of a wym-analysis-report/v1 document, built from fixed
-// inputs whose strings carry every character JSON must escape.
+// inputs whose strings carry every character JSON must escape, plus the
+// observability artifacts of fixed inputs: a wym-journal/v1 line, a
+// wym-flight-recorder/v1 dump, a wym-telemetry/v1 document and a trace
+// file.
 // blocking.txt holds the candidate-generation output over the S-WA test
 // split's left and right entities, taken as two raw tables: the LSH-on
 // CandidateStream count and first candidates, every MatchTables match
@@ -42,6 +45,11 @@
 #include "data/split.h"
 #include "explain/report.h"
 #include "ml/metrics.h"
+#include "obs/event_log.h"
+#include "obs/metrics.h"
+#include "obs/recorder.h"
+#include "obs/trace.h"
+#include "obs/window.h"
 #include "serve/protocol.h"
 
 namespace wym {
@@ -317,6 +325,111 @@ Record RenderWire() {
   return out;
 }
 
+/// Adds one golden line per line of `text`, keyed `prefix.<i>`.
+void AddLines(const std::string& prefix, const std::string& text,
+              Record* out) {
+  std::istringstream lines(text);
+  std::string line;
+  for (int i = 0; std::getline(lines, line); ++i) {
+    out->emplace_back(prefix + "." + std::to_string(i), line);
+  }
+}
+
+obs::RequestRecord ObsRecord(std::uint64_t sequence, const char* client_id,
+                             const char* op, const char* model,
+                             obs::RequestOutcome outcome) {
+  obs::RequestRecord record;
+  record.sequence = sequence;
+  obs::SetRecordField(record.client_id, sizeof(record.client_id), client_id);
+  obs::SetRecordField(record.op, sizeof(record.op), op);
+  obs::SetRecordField(record.model, sizeof(record.model), model);
+  record.admit_ns = 1000 * sequence;
+  record.queue_ns = 10 * sequence;
+  record.run_ns = 20 * sequence;
+  record.total_ns = 30 * sequence;
+  record.pairs = static_cast<std::uint32_t>(sequence);
+  record.batches = 1;
+  record.cached = sequence % 2 == 0 ? 1 : 0;
+  record.outcome = outcome;
+  return record;
+}
+
+std::string JournalLine(const obs::RequestRecord& record) {
+  char buf[obs::kMaxJournalLine];
+  return std::string(buf, obs::RenderRequestRecord(record, buf, sizeof(buf)));
+}
+
+/// Observability artifacts of fixed inputs: journal lines, a flight
+/// recorder dump, a telemetry document from injected ticks and a trace
+/// file from fixed events.
+Record RenderObs() {
+  Record out;
+  obs::RequestRecord extreme = ObsRecord(
+      std::numeric_limits<std::uint64_t>::max(), "client-7", "predict",
+      "default#12", obs::RequestOutcome::kCacheHit);
+  extreme.admit_ns = std::numeric_limits<std::uint64_t>::max();
+  extreme.pairs = std::numeric_limits<std::uint32_t>::max();
+  out.emplace_back("journal.line.0", JournalLine(extreme));
+  out.emplace_back("journal.line.1",
+                   JournalLine(ObsRecord(3, "", "ping", "",
+                                         obs::RequestOutcome::kShed)));
+
+  obs::FlightRecorder recorder(4);
+  recorder.Record(ObsRecord(1, "a", "predict", "default#1",
+                            obs::RequestOutcome::kOk));
+  recorder.Record(ObsRecord(2, "b", "stats", "", obs::RequestOutcome::kError));
+  recorder.Record(ObsRecord(3, "c", "predict", "v2#3",
+                            obs::RequestOutcome::kDeadline));
+  AddLines("recorder.dump", recorder.DumpJson("drain"), &out);
+
+  const std::string prefix = "golden.telemetry";
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter& requests = registry.GetCounter(prefix + ".requests");
+  obs::Counter& shed = registry.GetCounter(prefix + ".shed");
+  obs::Counter& hits = registry.GetCounter(prefix + ".hits");
+  obs::Counter& misses = registry.GetCounter(prefix + ".misses");
+  obs::Histogram& latency = registry.GetHistogram(prefix + ".latency");
+  requests.Reset();
+  shed.Reset();
+  hits.Reset();
+  misses.Reset();
+  latency.Reset();
+  obs::WindowTracker::Options options;
+  options.requests_metric = prefix + ".requests";
+  options.shed_metric = prefix + ".shed";
+  options.cache_hits_metric = prefix + ".hits";
+  options.cache_misses_metric = prefix + ".misses";
+  options.latency_metric = prefix + ".latency";
+  obs::WindowTracker tracker(options);
+  constexpr std::uint64_t kSecond = 1000ull * 1000 * 1000;
+  for (std::uint64_t tick = 0; tick <= 70; tick += 7) {
+    requests.Add(3 * tick + 1);
+    shed.Add(tick % 3);
+    hits.Add(tick);
+    misses.Add(2 * tick + 1);
+    for (std::uint64_t i = 0; i <= tick; ++i) latency.Record(1000 * i + 7);
+    tracker.Tick(kSecond * tick + 123);
+  }
+  AddLines("telemetry", tracker.TelemetryJson(), &out);
+
+  const std::string trace_path =
+      ::testing::TempDir() + "wym_golden_trace.json";
+  obs::StartTracing(trace_path);
+  obs::AppendCompleteEvent("golden.fit", "wym", 1234567, 999999);
+  obs::AppendCompleteEvent("golden.predict", "serve", 1, 1);
+  obs::AppendCompleteEvent("golden.explain", "wym", 5000000000ull, 0);
+  std::string error;
+  if (!obs::StopTracingAndWrite(&error)) {
+    ADD_FAILURE() << error;
+  }
+  std::ifstream trace(trace_path, std::ios::binary);
+  std::ostringstream trace_text;
+  trace_text << trace.rdbuf();
+  std::remove(trace_path.c_str());
+  AddLines("trace", trace_text.str(), &out);
+  return out;
+}
+
 std::string GoldenPath(const std::string& name) {
   return std::string(WYM_GOLDEN_DIR) + "/" + name + ".txt";
 }
@@ -396,10 +509,13 @@ void CheckGolden(const std::string& name, const std::string& header,
 }
 
 TEST(GoldenWireTest, MatchesCommittedOutput) {
+  Record wire = RenderWire();
+  const Record observability = RenderObs();
+  wire.insert(wire.end(), observability.begin(), observability.end());
   CheckGolden("wire",
-              "wym-serve/v1 and wym-analysis-report/v1 bytes of fixed "
-              "inputs.",
-              RenderWire());
+              "wym-serve/v1, wym-analysis-report/v1 and observability "
+              "artifact bytes of fixed inputs.",
+              wire);
 }
 
 TEST(GoldenBlockingTest, MatchesCommittedOutput) {
