@@ -156,15 +156,17 @@ bool PerfReport::Write() const {
   obs::AppendJsonString(bench_name_, &json);
   json += ",\"scale\":";
   obs::AppendJsonNumber(ScaleFromEnv(), &json);
-  json += ",\"seed\":" + std::to_string(kSeed);
+  json += ",\"seed\":";
+  obs::AppendJsonUint(kSeed, &json);
   json += ",\"benchmarks\":[";
   for (size_t i = 0; i < benchmarks_.size(); ++i) {
     json += i > 0 ? ",{\"name\":" : "{\"name\":";
     obs::AppendJsonString(benchmarks_[i].name, &json);
     json += ",\"time_ns\":";
     obs::AppendJsonNumber(benchmarks_[i].time_ns, &json);
-    json += ",\"iterations\":" + std::to_string(benchmarks_[i].iterations) +
-            '}';
+    json += ",\"iterations\":";
+    obs::AppendJsonUint(benchmarks_[i].iterations, &json);
+    json += '}';
   }
   json += "],\"stages\":[";
   append_entries(stages_, "seconds", &json);

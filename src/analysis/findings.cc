@@ -61,18 +61,22 @@ std::string RenderJson(const Report& report) {
   std::string out = "{\n  \"schema\": \"wym-analysis-report/v1\",\n";
   out += "  \"pass\": ";
   obs::AppendJsonString(report.pass, &out);
-  out += ",\n  \"files_scanned\": " + std::to_string(report.files_scanned);
-  out += ",\n  \"suppressions_honored\": " +
-         std::to_string(report.suppressions_honored);
-  out += ",\n  \"stale_suppressions\": " +
-         std::to_string(report.StaleCount());
-  out += ",\n  \"exit_code\": " + std::to_string(report.ExitCode());
+  out += ",\n  \"files_scanned\": ";
+  obs::AppendJsonInt(report.files_scanned, &out);
+  out += ",\n  \"suppressions_honored\": ";
+  obs::AppendJsonInt(report.suppressions_honored, &out);
+  out += ",\n  \"stale_suppressions\": ";
+  obs::AppendJsonInt(report.StaleCount(), &out);
+  out += ",\n  \"exit_code\": ";
+  obs::AppendJsonInt(report.ExitCode(), &out);
   out += ",\n  \"findings\": [";
   for (size_t i = 0; i < report.findings.size(); ++i) {
     const lint::Finding& f = report.findings[i];
     out += i == 0 ? "\n    {\"path\": " : ",\n    {\"path\": ";
     obs::AppendJsonString(f.path, &out);
-    out += ", \"line\": " + std::to_string(f.line) + ", \"check\": ";
+    out += ", \"line\": ";
+    obs::AppendJsonInt(f.line, &out);
+    out += ", \"check\": ";
     obs::AppendJsonString(f.check, &out);
     out += ", \"severity\": \"";
     out += SeverityName(SeverityOf(f.check));

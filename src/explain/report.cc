@@ -98,7 +98,7 @@ std::string RenderExplanation(const core::Explanation& explanation,
 
 std::string ExplanationToJson(const core::Explanation& explanation) {
   std::string out = "{\"prediction\":";
-  out += std::to_string(explanation.prediction);
+  obs::AppendJsonInt(explanation.prediction, &out);
   out += ",\"probability\":";
   obs::AppendJsonFixed(explanation.probability, 6, &out);
   out += ",\"units\":[";
@@ -111,7 +111,7 @@ std::string ExplanationToJson(const core::Explanation& explanation) {
     out += ",\"phase\":\"";
     out += PhaseName(eu.unit.phase);
     out += "\",\"attribute\":";
-    out += std::to_string(eu.unit.AnchorAttribute());
+    obs::AppendJsonUint(eu.unit.AnchorAttribute(), &out);
     if (eu.unit.paired) {
       out += ",\"left\":";
       obs::AppendJsonString(eu.unit.left.token, &out);

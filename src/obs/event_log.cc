@@ -1,7 +1,7 @@
 #include "obs/event_log.h"
 
 #include <cinttypes>
-#include <cstring>
+#include <cstdio>
 #include <set>
 
 #include "obs/json.h"
@@ -28,12 +28,15 @@ const char* RequestOutcomeName(RequestOutcome outcome) {
 
 void SetRecordField(char* dst, std::size_t cap, const std::string& src) {
   if (cap == 0) return;
-  const std::size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned char c = static_cast<unsigned char>(src[i]);
-    dst[i] = (c == '"' || c == '\\' || c < 0x20) ? '_'
-                                                 : static_cast<char>(c);
+  std::size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
+  // A cut before a continuation byte (10xxxxxx) would split a code
+  // point; move it back to the sequence's lead byte, at most 3 bytes.
+  for (int back = 0; back < 3 && n > 0 && n < src.size() &&
+                     (static_cast<unsigned char>(src[n]) & 0xC0) == 0x80;
+       ++back) {
+    --n;
   }
+  src.copy(dst, n);
   dst[n] = '\0';
 }
 
@@ -43,27 +46,35 @@ const char* RenderRequestId(std::uint64_t sequence, char* buf,
   return buf;
 }
 
-std::size_t RenderRequestRecord(const RequestRecord& record, char* buf,
-                                std::size_t cap) {
+void RenderRequestRecord(const RequestRecord& record, std::string* out) {
   char id[RequestRecord::kIdBytes];
-  RenderRequestId(record.sequence, id, sizeof(id));
-  const int n = std::snprintf(
-      buf, cap,
-      "{\"schema\":\"wym-journal/v1\",\"seq\":%" PRIu64
-      ",\"id\":\"%s\",\"client_id\":\"%s\",\"op\":\"%s\",\"model\":\"%s\""
-      ",\"outcome\":\"%s\",\"admit_ns\":%" PRIu64 ",\"queue_ns\":%" PRIu64
-      ",\"run_ns\":%" PRIu64 ",\"total_ns\":%" PRIu64
-      ",\"pairs\":%u,\"batches\":%u,\"cached\":%u}",
-      record.sequence, id, record.client_id, record.op, record.model,
-      RequestOutcomeName(record.outcome), record.admit_ns, record.queue_ns,
-      record.run_ns, record.total_ns, record.pairs, record.batches,
-      record.cached);
-  if (n < 0) {
-    if (cap > 0) buf[0] = '\0';
-    return 0;
-  }
-  return static_cast<std::size_t>(n) < cap ? static_cast<std::size_t>(n)
-                                           : cap - 1;
+  *out += "{\"schema\":\"wym-journal/v1\",\"seq\":";
+  AppendJsonUint(record.sequence, out);
+  *out += ",\"id\":";
+  AppendJsonString(RenderRequestId(record.sequence, id, sizeof(id)), out);
+  *out += ",\"client_id\":";
+  AppendJsonString(record.client_id, out);
+  *out += ",\"op\":";
+  AppendJsonString(record.op, out);
+  *out += ",\"model\":";
+  AppendJsonString(record.model, out);
+  *out += ",\"outcome\":";
+  AppendJsonString(RequestOutcomeName(record.outcome), out);
+  *out += ",\"admit_ns\":";
+  AppendJsonUint(record.admit_ns, out);
+  *out += ",\"queue_ns\":";
+  AppendJsonUint(record.queue_ns, out);
+  *out += ",\"run_ns\":";
+  AppendJsonUint(record.run_ns, out);
+  *out += ",\"total_ns\":";
+  AppendJsonUint(record.total_ns, out);
+  *out += ",\"pairs\":";
+  AppendJsonUint(record.pairs, out);
+  *out += ",\"batches\":";
+  AppendJsonUint(record.batches, out);
+  *out += ",\"cached\":";
+  AppendJsonUint(record.cached, out);
+  *out += '}';
 }
 
 EventLog::EventLog(Options options) : options_(std::move(options)) {}
@@ -96,19 +107,18 @@ void EventLog::RotateLocked() {
 }
 
 void EventLog::Append(const RequestRecord& record) {
-  char line[kMaxJournalLine + 1];
-  const std::size_t n = RenderRequestRecord(record, line, sizeof(line) - 1);
-  line[n] = '\n';
-
   const std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return;
+  line_.clear();
+  RenderRequestRecord(record, &line_);
+  line_ += '\n';
   if (options_.max_bytes != 0 && active_bytes_ != 0 &&
-      active_bytes_ + n + 1 > options_.max_bytes) {
+      active_bytes_ + line_.size() > options_.max_bytes) {
     RotateLocked();
     if (file_ == nullptr) return;  // Rotation reopen failed; drop quietly.
   }
-  if (std::fwrite(line, 1, n + 1, file_) == n + 1) {
-    active_bytes_ += n + 1;
+  if (std::fwrite(line_.data(), 1, line_.size(), file_) == line_.size()) {
+    active_bytes_ += line_.size();
     ++lines_written_;
   }
   // Flushed per line so followers (wym_cli tail --follow, an operator's
@@ -136,30 +146,26 @@ std::uint64_t EventLog::rotations() const {
 
 bool ValidateJournalRecord(const JsonValue& record, const std::string& where,
                            std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
-  };
-  if (!record.IsObject()) return fail(where + ": not an object");
-
-  const JsonValue* schema = record.Find("schema");
-  if (schema == nullptr || !schema->IsString() ||
-      schema->string != "wym-journal/v1") {
-    return fail(where + ": missing schema tag wym-journal/v1");
+  if (!record.IsObject()) return RejectJson(error, where + ": not an object");
+  const JsonValue* schema =
+      RequireMember(record, "schema", JsonValue::Kind::kString, where, error);
+  if (schema == nullptr) return false;
+  if (schema->string != "wym-journal/v1") {
+    return RejectJson(error, where + ": missing schema tag wym-journal/v1");
   }
   for (const char* key : {"id", "client_id", "op", "model", "outcome"}) {
-    const JsonValue* member = record.Find(key);
-    if (member == nullptr || !member->IsString()) {
-      return fail(where + ": missing string member \"" + std::string(key) +
-                  "\"");
+    if (RequireMember(record, key, JsonValue::Kind::kString, where, error) ==
+        nullptr) {
+      return false;
     }
   }
   for (const char* key : {"seq", "admit_ns", "queue_ns", "run_ns", "total_ns",
                           "pairs", "batches", "cached"}) {
-    const JsonValue* member = record.Find(key);
-    if (member == nullptr || !member->IsNumber() || member->number < 0) {
-      return fail(where + ": missing non-negative number \"" +
-                  std::string(key) + "\"");
+    const JsonValue* member =
+        RequireMember(record, key, JsonValue::Kind::kNumber, where, error);
+    if (member == nullptr) return false;
+    if (member->number < 0) {
+      return RejectJson(error, where + ": negative \"" + key + "\"");
     }
   }
   const std::string& outcome = record.Find("outcome")->string;
@@ -167,15 +173,10 @@ bool ValidateJournalRecord(const JsonValue& record, const std::string& where,
        {"ok", "cache_hit", "shed", "deadline", "wedged", "error"}) {
     if (outcome == name) return true;
   }
-  return fail(where + ": unknown outcome \"" + outcome + "\"");
+  return RejectJson(error, where + ": unknown outcome \"" + outcome + "\"");
 }
 
 bool ValidateJournalJson(const std::string& text, std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
-  };
-
   std::set<std::uint64_t> seen_seq;
   std::size_t line_number = 0;
   std::size_t start = 0;
@@ -192,16 +193,17 @@ bool ValidateJournalJson(const std::string& text, std::string* error) {
     JsonValue record;
     std::string parse_error;
     if (!ParseJson(line, &record, &parse_error)) {
-      return fail(where + ": " + parse_error);
+      return RejectJson(error, where + ": " + parse_error);
     }
     if (!ValidateJournalRecord(record, where, error)) return false;
     const std::uint64_t seq =
         static_cast<std::uint64_t>(record.Find("seq")->number);
     if (!seen_seq.insert(seq).second) {
-      return fail(where + ": duplicate seq " + std::to_string(seq));
+      return RejectJson(error,
+                        where + ": duplicate seq " + std::to_string(seq));
     }
   }
-  if (seen_seq.empty()) return fail("journal: no records");
+  if (seen_seq.empty()) return RejectJson(error, "journal: no records");
   return true;
 }
 

@@ -18,10 +18,14 @@
 /// observability layer:
 ///
 ///  * No feedback: nothing here is read back by any computation.
-///  * Zero allocation on the append path: RequestRecord is a flat POD
-///    (fixed-size char fields, sanitized at copy time), the line is
-///    rendered with snprintf into a stack buffer, and the write is one
-///    fwrite under a mutex.
+///  * No allocation on the steady-state append path: RequestRecord is
+///    a flat POD (fixed-size char fields, truncated at a UTF-8 code
+///    point boundary at copy time), and the line is rendered with the
+///    obs/json Append* functions into the journal's reused line buffer
+///    and written with one fwrite, both under the journal's mutex.
+///    Fields are escaped once, at render time, by AppendJsonString, so
+///    the journal names exactly the client id the wire response
+///    echoes (up to the field's byte cap).
 ///  * Deterministic serialization: RenderRequestRecord is a pure
 ///    function of the record with a fixed key order, so two runs with
 ///    the same injected clock produce byte-identical journals at any
@@ -49,8 +53,8 @@ enum class RequestOutcome : std::uint8_t {
 const char* RequestOutcomeName(RequestOutcome outcome);
 
 /// One journal entry. Flat and trivially copyable on purpose: the
-/// flight recorder copies whole records into ring slots and the journal
-/// renders them without touching the heap.
+/// flight recorder copies whole records into ring slots, and the
+/// journal renders them into its reused line buffer.
 struct RequestRecord {
   static constexpr std::size_t kIdBytes = 24;
   static constexpr std::size_t kOpBytes = 16;
@@ -58,7 +62,7 @@ struct RequestRecord {
 
   /// Admission sequence number (mints the request id "q<seq>").
   std::uint64_t sequence = 0;
-  /// Client-chosen correlation id, sanitized + truncated.
+  /// Client-chosen correlation id, truncated (SetRecordField).
   char client_id[kIdBytes] = {};
   /// Wire op name ("predict", "ping", ...).
   char op[kOpBytes] = {};
@@ -82,21 +86,17 @@ struct RequestRecord {
   RequestOutcome outcome = RequestOutcome::kOk;
 };
 
-/// Truncating copy into a fixed record field that also sanitizes for
-/// JSON: '"', '\\' and control bytes become '_', so the render path can
-/// emit the field without escaping (and thus without allocating).
+/// Truncating copy into a fixed record field: at most `cap - 1` bytes
+/// of `src`, cut back to a UTF-8 code point boundary, then a NUL. The
+/// bytes are stored as they are; RenderRequestRecord escapes them.
 void SetRecordField(char* dst, std::size_t cap, const std::string& src);
 
-/// Upper bound on one rendered journal line (excluding the newline).
-inline constexpr std::size_t kMaxJournalLine = 512;
-
-/// Renders the record as one `wym-journal/v1` JSONL line (no trailing
-/// newline) into `buf`; returns the length. Fixed key order:
-/// schema, seq, id, client_id, op, model, outcome, admit_ns, queue_ns,
-/// run_ns, total_ns, pairs, batches, cached. Pure function of the
-/// record — the journal's determinism sink.
-std::size_t RenderRequestRecord(const RequestRecord& record, char* buf,
-                                std::size_t cap);
+/// Appends the record to `out` as one `wym-journal/v1` JSONL line (no
+/// trailing newline). Fixed key order: schema, seq, id, client_id, op,
+/// model, outcome, admit_ns, queue_ns, run_ns, total_ns, pairs,
+/// batches, cached. Pure function of the record — the journal's
+/// determinism sink.
+void RenderRequestRecord(const RequestRecord& record, std::string* out);
 
 /// The minted request id for a sequence number ("q00000042"); writes
 /// into `buf` (needs >= RequestRecord::kIdBytes) and returns it.
@@ -143,6 +143,9 @@ class EventLog {
   const Options options_;
   mutable std::mutex mu_;
   std::FILE* file_ = nullptr;
+  /// Render buffer for Append, reused under mu_ so a steady-state
+  /// append does not allocate.
+  std::string line_;
   std::uint64_t active_bytes_ = 0;
   std::uint64_t lines_written_ = 0;
   std::uint64_t rotations_ = 0;

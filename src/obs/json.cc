@@ -1,10 +1,10 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace wym::obs {
 
@@ -49,9 +49,8 @@ class Parser {
     for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
       if (text_[i] == '\n') ++line;
     }
-    std::ostringstream os;
-    os << "JSON parse error at line " << line << ": " << error_;
-    *error = os.str();
+    *error = "JSON parse error at line " + std::to_string(line) + ": " +
+             error_;
   }
 
   void SkipWhitespace() {
@@ -295,6 +294,26 @@ bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
   return parser.Parse(out, error);
 }
 
+const JsonValue* RequireMember(const JsonValue& value, const char* key,
+                               JsonValue::Kind kind, const std::string& where,
+                               std::string* error) {
+  const JsonValue* member = value.Find(key);
+  if (member == nullptr) {
+    RejectJson(error, where + ": missing required member \"" + key + "\"");
+    return nullptr;
+  }
+  if (member->kind != kind) {
+    RejectJson(error, where + ": member \"" + key + "\" has the wrong type");
+    return nullptr;
+  }
+  return member;
+}
+
+bool RejectJson(std::string* error, const std::string& message) {
+  if (error != nullptr) *error = message;
+  return false;
+}
+
 void AppendJsonString(std::string_view text, std::string* out) {
   static constexpr char kHex[] = "0123456789abcdef";
   *out += '"';
@@ -329,6 +348,20 @@ void AppendJsonString(std::string_view text, std::string* out) {
   }
   out->append(text.data() + run, text.size() - run);
   *out += '"';
+}
+
+void AppendJsonUint(std::uint64_t value, std::string* out) {
+  char buffer[20];  // UINT64_MAX has 20 digits.
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
+}
+
+void AppendJsonInt(std::int64_t value, std::string* out) {
+  char buffer[20];  // INT64_MIN has a sign and 19 digits.
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
 }
 
 void AppendJsonNumber(double value, std::string* out) {

@@ -187,22 +187,29 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot) {
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i > 0) out += ',';
     AppendJsonString(snapshot.counters[i].name, &out);
-    out += ':' + std::to_string(snapshot.counters[i].value);
+    out += ':';
+    AppendJsonUint(snapshot.counters[i].value, &out);
   }
   out += "},\"gauges\":{";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i > 0) out += ',';
     AppendJsonString(snapshot.gauges[i].name, &out);
-    out += ":{\"value\":" + std::to_string(snapshot.gauges[i].value) +
-           ",\"max\":" + std::to_string(snapshot.gauges[i].max) + '}';
+    out += ":{\"value\":";
+    AppendJsonInt(snapshot.gauges[i].value, &out);
+    out += ",\"max\":";
+    AppendJsonInt(snapshot.gauges[i].max, &out);
+    out += '}';
   }
   out += "},\"histograms\":{";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     if (i > 0) out += ',';
     const HistogramSnapshot& h = snapshot.histograms[i].hist;
     AppendJsonString(snapshot.histograms[i].name, &out);
-    out += ":{\"count\":" + std::to_string(h.count) +
-           ",\"sum_ns\":" + std::to_string(h.sum) + ",\"mean_ns\":";
+    out += ":{\"count\":";
+    AppendJsonUint(h.count, &out);
+    out += ",\"sum_ns\":";
+    AppendJsonUint(h.sum, &out);
+    out += ",\"mean_ns\":";
     AppendJsonNumber(h.Mean(), &out);
     out += ",\"p50_ns\":";
     AppendJsonNumber(h.Percentile(0.5), &out);

@@ -1,8 +1,6 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "obs/json.h"
 
@@ -54,88 +52,57 @@ std::vector<RequestRecord> FlightRecorder::SnapshotOrdered() const {
 }
 
 std::string FlightRecorder::DumpJson(const std::string& reason) const {
-  char reason_buf[RequestRecord::kModelBytes];
-  SetRecordField(reason_buf, sizeof(reason_buf), reason);
   const std::vector<RequestRecord> records = SnapshotOrdered();
-
-  std::string out;
-  out.reserve(64 + records.size() * kMaxJournalLine);
-  char buf[kMaxJournalLine + 1];
-  std::snprintf(buf, sizeof(buf),
-                "{\"schema\":\"wym-flight-recorder/v1\",\"reason\":\"%s\""
-                ",\"capacity\":%zu,\"recorded\":%" PRIu64 ",\"records\":[",
-                reason_buf, slots_.size(), recorded());
-  out += buf;
+  std::string out = "{\"schema\":\"wym-flight-recorder/v1\",\"reason\":";
+  AppendJsonString(reason, &out);
+  out += ",\"capacity\":";
+  AppendJsonUint(slots_.size(), &out);
+  out += ",\"recorded\":";
+  AppendJsonUint(recorded(), &out);
+  out += ",\"records\":[";
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (i != 0) out += ',';
     out += "\n  ";
-    const std::size_t n = RenderRequestRecord(records[i], buf, sizeof(buf));
-    out.append(buf, n);
+    RenderRequestRecord(records[i], &out);
   }
   out += records.empty() ? "]}\n" : "\n]}\n";
   return out;
 }
 
-bool FlightRecorder::DumpToFile(const std::string& path,
-                                const std::string& reason,
-                                std::string* error) const {
-  const std::string body = DumpJson(reason);
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    if (error != nullptr) *error = "cannot open dump file: " + tmp;
-    return false;
-  }
-  const bool written =
-      std::fwrite(body.data(), 1, body.size(), file) == body.size();
-  const bool closed = std::fclose(file) == 0;
-  if (!written || !closed) {
-    std::remove(tmp.c_str());
-    if (error != nullptr) *error = "cannot write dump file: " + tmp;
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    if (error != nullptr) *error = "cannot rename dump file to: " + path;
-    return false;
-  }
-  return true;
-}
-
 bool ValidateFlightRecorderJson(const std::string& text, std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
-  };
-
+  const std::string where = "flight recorder";
   JsonValue root;
   if (!ParseJson(text, &root, error)) return false;
   if (!root.IsObject()) {
-    return fail("flight recorder: top level is not an object");
+    return RejectJson(error, where + ": top level is not an object");
   }
-  const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || !schema->IsString() ||
-      schema->string != "wym-flight-recorder/v1") {
-    return fail("flight recorder: missing schema tag wym-flight-recorder/v1");
+  const JsonValue* schema =
+      RequireMember(root, "schema", JsonValue::Kind::kString, where, error);
+  if (schema == nullptr) return false;
+  if (schema->string != "wym-flight-recorder/v1") {
+    return RejectJson(error,
+                      where + ": missing schema tag wym-flight-recorder/v1");
   }
-  const JsonValue* reason = root.Find("reason");
-  if (reason == nullptr || !reason->IsString()) {
-    return fail("flight recorder: missing string member \"reason\"");
+  if (RequireMember(root, "reason", JsonValue::Kind::kString, where, error) ==
+      nullptr) {
+    return false;
   }
   for (const char* key : {"capacity", "recorded"}) {
-    const JsonValue* member = root.Find(key);
-    if (member == nullptr || !member->IsNumber() || member->number < 0) {
-      return fail(std::string("flight recorder: missing non-negative ") +
-                  "number \"" + key + "\"");
+    const JsonValue* member =
+        RequireMember(root, key, JsonValue::Kind::kNumber, where, error);
+    if (member == nullptr) return false;
+    if (member->number < 0) {
+      return RejectJson(error, where + ": negative \"" + key + "\"");
     }
   }
-  const JsonValue* records = root.Find("records");
-  if (records == nullptr || !records->IsArray()) {
-    return fail("flight recorder: missing array member \"records\"");
-  }
+  const JsonValue* records =
+      RequireMember(root, "records", JsonValue::Kind::kArray, where, error);
+  if (records == nullptr) return false;
   for (std::size_t i = 0; i < records->array.size(); ++i) {
-    const std::string where = "records[" + std::to_string(i) + "]";
-    if (!ValidateJournalRecord(records->array[i], where, error)) return false;
+    const std::string record_where = "records[" + std::to_string(i) + "]";
+    if (!ValidateJournalRecord(records->array[i], record_where, error)) {
+      return false;
+    }
   }
   return true;
 }

@@ -23,9 +23,9 @@
 /// fetch_add picks the slot, and a per-slot begin/end sequence pair
 /// (seqlock discipline) lets the rare snapshot reader detect and skip
 /// records torn by a concurrent overwrite. Readers never block
-/// writers. Like the rest of obs, dumping uses plain stdio (obs sits
-/// below util) and serialization is a pure function of the captured
-/// records.
+/// writers. Serialization is a pure function of the captured records;
+/// writing the dump to disk is the caller's job (obs sits below util,
+/// whose io::WriteFileAtomic wym_serve uses).
 
 namespace wym::obs {
 
@@ -49,14 +49,10 @@ class FlightRecorder {
 
   /// `wym-flight-recorder/v1` postmortem JSON: fixed key order
   /// (schema, reason, capacity, recorded, records), one journal-style
-  /// record object per ring entry. `reason` is sanitized like a record
-  /// field ("watchdog", "drain", "sigquit").
+  /// record object per ring entry. `reason` ("watchdog", "drain",
+  /// "sigquit") is written verbatim, escaped like every other string.
+  /// Callers persist it with io::WriteFileAtomic.
   std::string DumpJson(const std::string& reason) const;
-
-  /// Writes DumpJson(reason) to `path` via a temp file + rename so a
-  /// crash mid-dump never leaves a half-written artifact.
-  bool DumpToFile(const std::string& path, const std::string& reason,
-                  std::string* error) const;
 
   std::size_t capacity() const { return slots_.size(); }
   /// Total Record() calls since construction (may exceed capacity).

@@ -1,74 +1,41 @@
 #include "obs/report.h"
 
-#include <sstream>
-
 #include "obs/json.h"
 
 namespace wym::obs {
 
-namespace {
-
-bool Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-/// Requires `value` to be an object with member `key` of kind `kind`;
-/// returns the member or null with `*error` set.
-const JsonValue* RequireMember(const JsonValue& value, const char* key,
-                               JsonValue::Kind kind, const char* where,
-                               std::string* error) {
-  const JsonValue* member = value.Find(key);
-  if (member == nullptr) {
-    std::ostringstream os;
-    os << where << ": missing required member \"" << key << "\"";
-    Fail(error, os.str());
-    return nullptr;
-  }
-  if (member->kind != kind) {
-    std::ostringstream os;
-    os << where << ": member \"" << key << "\" has the wrong type";
-    Fail(error, os.str());
-    return nullptr;
-  }
-  return member;
-}
-
-}  // namespace
-
 bool ValidateTraceJson(const std::string& text, std::string* error) {
   JsonValue root;
   if (!ParseJson(text, &root, error)) return false;
-  if (!root.IsObject()) return Fail(error, "trace: top level is not an object");
+  if (!root.IsObject()) {
+    return RejectJson(error, "trace: top level is not an object");
+  }
   const JsonValue* events = RequireMember(root, "traceEvents",
                                           JsonValue::Kind::kArray, "trace",
                                           error);
   if (events == nullptr) return false;
   for (std::size_t i = 0; i < events->array.size(); ++i) {
     const JsonValue& event = events->array[i];
-    std::ostringstream where;
-    where << "traceEvents[" << i << "]";
-    const std::string w = where.str();
-    if (!event.IsObject()) return Fail(error, w + ": not an object");
+    const std::string w = "traceEvents[" + std::to_string(i) + "]";
+    if (!event.IsObject()) return RejectJson(error, w + ": not an object");
     for (const char* key : {"name", "cat", "ph"}) {
-      if (RequireMember(event, key, JsonValue::Kind::kString, w.c_str(),
-                        error) == nullptr) {
+      if (RequireMember(event, key, JsonValue::Kind::kString, w, error) ==
+          nullptr) {
         return false;
       }
     }
     for (const char* key : {"pid", "tid", "ts"}) {
-      if (RequireMember(event, key, JsonValue::Kind::kNumber, w.c_str(),
-                        error) == nullptr) {
+      if (RequireMember(event, key, JsonValue::Kind::kNumber, w, error) ==
+          nullptr) {
         return false;
       }
     }
     const JsonValue* ph = event.Find("ph");
     if (ph->string == "X") {
-      const JsonValue* dur = RequireMember(event, "dur",
-                                           JsonValue::Kind::kNumber,
-                                           w.c_str(), error);
+      const JsonValue* dur =
+          RequireMember(event, "dur", JsonValue::Kind::kNumber, w, error);
       if (dur == nullptr) return false;
-      if (dur->number < 0) return Fail(error, w + ": negative duration");
+      if (dur->number < 0) return RejectJson(error, w + ": negative duration");
     }
   }
   return true;
@@ -78,15 +45,16 @@ bool ValidateBenchReportJson(const std::string& text, std::string* error) {
   JsonValue root;
   if (!ParseJson(text, &root, error)) return false;
   if (!root.IsObject()) {
-    return Fail(error, "bench report: top level is not an object");
+    return RejectJson(error, "bench report: top level is not an object");
   }
   const JsonValue* schema = RequireMember(root, "schema",
                                           JsonValue::Kind::kString,
                                           "bench report", error);
   if (schema == nullptr) return false;
   if (schema->string != "wym-bench-report/v1") {
-    return Fail(error, "bench report: unknown schema \"" + schema->string +
-                           "\" (expected wym-bench-report/v1)");
+    return RejectJson(error, "bench report: unknown schema \"" +
+                                 schema->string +
+                                 "\" (expected wym-bench-report/v1)");
   }
   if (RequireMember(root, "bench", JsonValue::Kind::kString, "bench report",
                     error) == nullptr) {
@@ -98,16 +66,12 @@ bool ValidateBenchReportJson(const std::string& text, std::string* error) {
   if (benchmarks == nullptr) return false;
   for (std::size_t i = 0; i < benchmarks->array.size(); ++i) {
     const JsonValue& b = benchmarks->array[i];
-    std::ostringstream where;
-    where << "benchmarks[" << i << "]";
-    const std::string w = where.str();
-    if (!b.IsObject()) return Fail(error, w + ": not an object");
-    if (RequireMember(b, "name", JsonValue::Kind::kString, w.c_str(),
-                      error) == nullptr) {
-      return false;
-    }
-    if (RequireMember(b, "time_ns", JsonValue::Kind::kNumber, w.c_str(),
-                      error) == nullptr) {
+    const std::string w = "benchmarks[" + std::to_string(i) + "]";
+    if (!b.IsObject()) return RejectJson(error, w + ": not an object");
+    if (RequireMember(b, "name", JsonValue::Kind::kString, w, error) ==
+            nullptr ||
+        RequireMember(b, "time_ns", JsonValue::Kind::kNumber, w, error) ==
+            nullptr) {
       return false;
     }
   }
@@ -125,8 +89,8 @@ bool ValidateBenchReportJson(const std::string& text, std::string* error) {
   for (const char* section : {"stages", "rates"}) {
     const JsonValue* opt = root.Find(section);
     if (opt != nullptr && !opt->IsArray()) {
-      return Fail(error, std::string("bench report: \"") + section +
-                             "\" must be an array");
+      return RejectJson(error, std::string("bench report: \"") + section +
+                                   "\" must be an array");
     }
   }
   return true;
@@ -136,15 +100,16 @@ bool ValidateTelemetryJson(const std::string& text, std::string* error) {
   JsonValue root;
   if (!ParseJson(text, &root, error)) return false;
   if (!root.IsObject()) {
-    return Fail(error, "telemetry: top level is not an object");
+    return RejectJson(error, "telemetry: top level is not an object");
   }
   const JsonValue* schema = RequireMember(root, "schema",
                                           JsonValue::Kind::kString,
                                           "telemetry", error);
   if (schema == nullptr) return false;
   if (schema->string != "wym-telemetry/v1") {
-    return Fail(error, "telemetry: unknown schema \"" + schema->string +
-                           "\" (expected wym-telemetry/v1)");
+    return RejectJson(error, "telemetry: unknown schema \"" +
+                                 schema->string +
+                                 "\" (expected wym-telemetry/v1)");
   }
   for (const char* key : {"now_ns", "samples"}) {
     const JsonValue* member = RequireMember(root, key,
@@ -152,7 +117,8 @@ bool ValidateTelemetryJson(const std::string& text, std::string* error) {
                                             "telemetry", error);
     if (member == nullptr) return false;
     if (member->number < 0) {
-      return Fail(error, std::string("telemetry: negative \"") + key + "\"");
+      return RejectJson(error,
+                        std::string("telemetry: negative \"") + key + "\"");
     }
   }
   const JsonValue* windows = RequireMember(root, "windows",
@@ -160,20 +126,19 @@ bool ValidateTelemetryJson(const std::string& text, std::string* error) {
                                            "telemetry", error);
   if (windows == nullptr) return false;
   if (windows->object.empty()) {
-    return Fail(error, "telemetry: \"windows\" has no entries");
+    return RejectJson(error, "telemetry: \"windows\" has no entries");
   }
   for (const auto& [label, window] : windows->object) {
     const std::string w = "windows[\"" + label + "\"]";
-    if (!window.IsObject()) return Fail(error, w + ": not an object");
+    if (!window.IsObject()) return RejectJson(error, w + ": not an object");
     for (const char* key :
          {"window_ns", "requests", "qps", "shed", "shed_rate", "cache_hits",
           "cache_misses", "cache_hit_rate", "p50_ns", "p95_ns", "p99_ns"}) {
-      const JsonValue* member = RequireMember(window, key,
-                                              JsonValue::Kind::kNumber,
-                                              w.c_str(), error);
+      const JsonValue* member =
+          RequireMember(window, key, JsonValue::Kind::kNumber, w, error);
       if (member == nullptr) return false;
       if (member->number < 0) {
-        return Fail(error, w + ": negative \"" + key + "\"");
+        return RejectJson(error, w + ": negative \"" + key + "\"");
       }
     }
   }

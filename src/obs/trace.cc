@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "obs/json.h"
 #include "util/stopwatch.h"
 
 namespace wym::obs {
@@ -132,30 +132,42 @@ bool StopTracingAndWrite(std::string* error) {
                                      std::string_view(b.name));
             });
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
     if (error != nullptr) *error = "cannot open trace file: " + path;
     return false;
   }
   // Chrome trace_event JSON object format; "ts"/"dur" are microseconds
   // (fractional allowed), hence the /1000.0 from our nanosecond spans.
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  char buf[64];
+  // The text goes out in blocks, so a long trace never sits in memory
+  // twice.
+  constexpr std::size_t kBlockBytes = 1 << 16;
+  bool written = true;
+  std::string text = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
-    if (i > 0) out << ",";
-    out << "\n{\"name\":\"" << e.name << "\",\"cat\":\"" << e.category
-        << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.start_ns) / 1000.0);
-    out << buf << ",\"dur\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.dur_ns) / 1000.0);
-    out << buf << "}";
+    if (i > 0) text += ',';
+    text += "\n{\"name\":";
+    AppendJsonString(e.name, &text);
+    text += ",\"cat\":";
+    AppendJsonString(e.category, &text);
+    text += ",\"ph\":\"X\",\"pid\":1,\"tid\":";
+    AppendJsonUint(e.tid, &text);
+    text += ",\"ts\":";
+    AppendJsonFixed(static_cast<double>(e.start_ns) / 1000.0, 3, &text);
+    text += ",\"dur\":";
+    AppendJsonFixed(static_cast<double>(e.dur_ns) / 1000.0, 3, &text);
+    text += '}';
+    if (text.size() >= kBlockBytes) {
+      written = written &&
+                std::fwrite(text.data(), 1, text.size(), file) == text.size();
+      text.clear();
+    }
   }
-  out << "\n]}\n";
-  out.flush();
-  if (!out) {
+  text += "\n]}\n";
+  written =
+      written && std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  if (std::fclose(file) != 0 || !written) {
     if (error != nullptr) *error = "write failed: " + path;
     return false;
   }

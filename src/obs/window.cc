@@ -1,7 +1,6 @@
 #include "obs/window.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "obs/json.h"
 
 namespace wym::obs {
 
@@ -13,22 +12,33 @@ std::uint64_t SaturatingDelta(std::uint64_t now, std::uint64_t then) {
 
 }  // namespace
 
-std::string RenderWindowStats(const WindowStats& stats) {
+void RenderWindowStats(const WindowStats& stats, std::string* out) {
   // Fixed key order and fixed precision: the rendered artifact must be
   // byte-stable for a given stats value (it is diffed in tests and
   // validated in check.sh).
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"window_ns\":%" PRIu64 ",\"requests\":%" PRIu64
-      ",\"qps\":%.3f,\"shed\":%" PRIu64 ",\"shed_rate\":%.6f"
-      ",\"cache_hits\":%" PRIu64 ",\"cache_misses\":%" PRIu64
-      ",\"cache_hit_rate\":%.6f,\"p50_ns\":%.1f,\"p95_ns\":%.1f"
-      ",\"p99_ns\":%.1f}",
-      stats.window_ns, stats.requests, stats.qps, stats.shed,
-      stats.shed_rate, stats.cache_hits, stats.cache_misses,
-      stats.cache_hit_rate, stats.p50_ns, stats.p95_ns, stats.p99_ns);
-  return buf;
+  *out += "{\"window_ns\":";
+  AppendJsonUint(stats.window_ns, out);
+  *out += ",\"requests\":";
+  AppendJsonUint(stats.requests, out);
+  *out += ",\"qps\":";
+  AppendJsonFixed(stats.qps, 3, out);
+  *out += ",\"shed\":";
+  AppendJsonUint(stats.shed, out);
+  *out += ",\"shed_rate\":";
+  AppendJsonFixed(stats.shed_rate, 6, out);
+  *out += ",\"cache_hits\":";
+  AppendJsonUint(stats.cache_hits, out);
+  *out += ",\"cache_misses\":";
+  AppendJsonUint(stats.cache_misses, out);
+  *out += ",\"cache_hit_rate\":";
+  AppendJsonFixed(stats.cache_hit_rate, 6, out);
+  *out += ",\"p50_ns\":";
+  AppendJsonFixed(stats.p50_ns, 1, out);
+  *out += ",\"p95_ns\":";
+  AppendJsonFixed(stats.p95_ns, 1, out);
+  *out += ",\"p99_ns\":";
+  AppendJsonFixed(stats.p99_ns, 1, out);
+  *out += '}';
 }
 
 WindowTracker::WindowTracker() : WindowTracker(Options()) {}
@@ -110,37 +120,33 @@ WindowStats WindowTracker::Delta(std::uint64_t window_ns) const {
   return DeltaLocked(window_ns);
 }
 
-std::string WindowTracker::WindowsJson() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{";
+void WindowTracker::AppendWindowsLocked(std::string* out) const {
+  *out += '{';
   for (std::size_t i = 0; i < options_.window_ns.size(); ++i) {
-    if (i != 0) out += ',';
-    char label[32];
-    std::snprintf(label, sizeof(label), "\"%llus\":",
-                  static_cast<unsigned long long>(options_.window_ns[i] /
-                                                  1000000000ull));
-    out += label;
-    out += RenderWindowStats(DeltaLocked(options_.window_ns[i]));
+    if (i != 0) *out += ',';
+    *out += '"';
+    AppendJsonUint(options_.window_ns[i] / 1000000000ull, out);
+    *out += "s\":";
+    RenderWindowStats(DeltaLocked(options_.window_ns[i]), out);
   }
-  out += '}';
+  *out += '}';
+}
+
+std::string WindowTracker::WindowsJson() const {
+  std::string out;
+  const std::lock_guard<std::mutex> lock(mu_);
+  AppendWindowsLocked(&out);
   return out;
 }
 
 std::string WindowTracker::TelemetryJson() const {
-  std::uint64_t now_ns = 0;
-  std::size_t n = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (size_ > 0) now_ns = AtLocked(size_ - 1).now_ns;
-    n = size_;
-  }
-  char head[128];
-  std::snprintf(head, sizeof(head),
-                "{\"schema\":\"wym-telemetry/v1\",\"now_ns\":%" PRIu64
-                ",\"samples\":%zu,\"windows\":",
-                now_ns, n);
-  std::string out = head;
-  out += WindowsJson();
+  std::string out = "{\"schema\":\"wym-telemetry/v1\",\"now_ns\":";
+  const std::lock_guard<std::mutex> lock(mu_);
+  AppendJsonUint(size_ > 0 ? AtLocked(size_ - 1).now_ns : 0, &out);
+  out += ",\"samples\":";
+  AppendJsonUint(size_, &out);
+  out += ",\"windows\":";
+  AppendWindowsLocked(&out);
   out += "}\n";
   return out;
 }

@@ -49,11 +49,11 @@ struct WindowStats {
   double p99_ns = 0.0;
 };
 
-/// Fixed-key-order JSON object for one window:
+/// Appends the fixed-key-order JSON object for one window to `out`:
 /// {"window_ns":..,"requests":..,"qps":..,"shed":..,"shed_rate":..,
 ///  "cache_hits":..,"cache_misses":..,"cache_hit_rate":..,
 ///  "p50_ns":..,"p95_ns":..,"p99_ns":..}. Pure function of `stats`.
-std::string RenderWindowStats(const WindowStats& stats);
+void RenderWindowStats(const WindowStats& stats, std::string* out);
 
 class WindowTracker {
  public:
@@ -115,6 +115,8 @@ class WindowTracker {
   };
 
   WindowStats DeltaLocked(std::uint64_t window_ns) const;
+  /// Appends the WindowsJson() object; the caller holds mu_.
+  void AppendWindowsLocked(std::string* out) const;
   const Sample& AtLocked(std::size_t i) const {
     return ring_[(head_ + i) % ring_.size()];
   }

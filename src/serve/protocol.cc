@@ -241,12 +241,14 @@ std::string RenderRequest(const Request& request) {
   AppendOptionalString(",\"model\":", request.model, &out);
   if (request.explain) out += ",\"explain\":true";
   if (request.deadline_ms != 0) {
-    out += ",\"deadline_ms\":" + std::to_string(request.deadline_ms);
+    out += ",\"deadline_ms\":";
+    obs::AppendJsonUint(request.deadline_ms, &out);
   }
   AppendOptionalString(",\"name\":", request.name, &out);
   AppendOptionalString(",\"path\":", request.path, &out);
   if (request.sleep_ms != 0) {
-    out += ",\"sleep_ms\":" + std::to_string(request.sleep_ms);
+    out += ",\"sleep_ms\":";
+    obs::AppendJsonUint(request.sleep_ms, &out);
   }
   if (!request.pairs.empty()) {
     out += ",\"pairs\":[";
@@ -281,7 +283,8 @@ std::string RenderResponse(const Response& response) {
     for (size_t i = 0; i < response.results.size(); ++i) {
       const PairResult& result = response.results[i];
       if (i != 0) out += ',';
-      out += "{\"prediction\":" + std::to_string(result.prediction);
+      out += "{\"prediction\":";
+      obs::AppendJsonInt(result.prediction, &out);
       out += ",\"probability\":";
       obs::AppendJsonNumber(result.probability, &out);
       out += result.cached ? ",\"cached\":true" : ",\"cached\":false";

@@ -556,8 +556,9 @@ Response MatcherService::ExecuteDebugSleep(const RequestState& state) {
   Response response;
   response.id = request.id;
   response.op = OpName(request.op);
-  response.payload_json =
-      "{\"slept_ms\":" + std::to_string(request.sleep_ms) + "}";
+  response.payload_json = "{\"slept_ms\":";
+  obs::AppendJsonUint(request.sleep_ms, &response.payload_json);
+  response.payload_json += '}';
   return response;
 }
 
@@ -589,14 +590,20 @@ std::string MatcherService::StatsJson() const {
     executing = in_flight_.size();
     draining = draining_;
   }
-  std::string out = "{";
-  out += "\"queue_depth\":" + std::to_string(depth);
-  out += ",\"queue_bound\":" + std::to_string(options_.queue_bound);
-  out += ",\"in_flight\":" + std::to_string(executing);
-  out += std::string(",\"draining\":") + (draining ? "true" : "false");
-  out += ",\"cache\":{\"entries\":" + std::to_string(cache_.size()) +
-         ",\"capacity\":" + std::to_string(cache_.capacity()) +
-         ",\"evictions\":" + std::to_string(cache_.evictions()) + "}";
+  std::string out = "{\"queue_depth\":";
+  obs::AppendJsonUint(depth, &out);
+  out += ",\"queue_bound\":";
+  obs::AppendJsonUint(options_.queue_bound, &out);
+  out += ",\"in_flight\":";
+  obs::AppendJsonUint(executing, &out);
+  out += draining ? ",\"draining\":true" : ",\"draining\":false";
+  out += ",\"cache\":{\"entries\":";
+  obs::AppendJsonUint(cache_.size(), &out);
+  out += ",\"capacity\":";
+  obs::AppendJsonUint(cache_.capacity(), &out);
+  out += ",\"evictions\":";
+  obs::AppendJsonUint(cache_.evictions(), &out);
+  out += '}';
   out += ',';
   AppendModelList(&out);
   // Telemetry sections appear only when the matching sink is
@@ -608,15 +615,18 @@ std::string MatcherService::StatsJson() const {
   if (options_.journal != nullptr) {
     out += ",\"journal\":{\"path\":";
     obs::AppendJsonString(options_.journal->path(), &out);
-    out += ",\"lines\":" + std::to_string(options_.journal->lines_written()) +
-           ",\"rotations\":" +
-           std::to_string(options_.journal->rotations()) + "}";
+    out += ",\"lines\":";
+    obs::AppendJsonUint(options_.journal->lines_written(), &out);
+    out += ",\"rotations\":";
+    obs::AppendJsonUint(options_.journal->rotations(), &out);
+    out += '}';
   }
   if (options_.recorder != nullptr) {
-    out += ",\"recorder\":{\"capacity\":" +
-           std::to_string(options_.recorder->capacity()) +
-           ",\"recorded\":" +
-           std::to_string(options_.recorder->recorded()) + "}";
+    out += ",\"recorder\":{\"capacity\":";
+    obs::AppendJsonUint(options_.recorder->capacity(), &out);
+    out += ",\"recorded\":";
+    obs::AppendJsonUint(options_.recorder->recorded(), &out);
+    out += '}';
   }
   out += ",\"metrics\":" +
          obs::MetricsToJson(obs::Registry::Global().Snapshot());

@@ -1,10 +1,9 @@
-// Tests for the analysis extensions: label-preserving augmentation and
-// global (dataset-level) attribution.
+// Tests for the analysis extensions: global (dataset-level) attribution,
+// dataset profiling and counterfactuals.
 
 #include <gtest/gtest.h>
 
 #include "core/wym.h"
-#include "data/augmentation.h"
 #include "data/statistics.h"
 #include "data/benchmark_gen.h"
 #include "data/split.h"
@@ -15,86 +14,6 @@
 
 namespace wym {
 namespace {
-
-TEST(AugmentationTest, SizeAndSchema) {
-  const data::Dataset dataset = data::GenerateById("S-FZ", 5, 0.1);
-  data::AugmentationOptions options;
-  options.copies_per_record = 2;
-  const data::Dataset augmented = data::AugmentDataset(dataset, options);
-  EXPECT_EQ(augmented.size(), dataset.size() * 3);
-  EXPECT_EQ(augmented.schema, dataset.schema);
-  // Originals come first, unchanged.
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    EXPECT_EQ(augmented.records[i].left.values,
-              dataset.records[i].left.values);
-  }
-}
-
-TEST(AugmentationTest, PreservesLabelsAndBalance) {
-  const data::Dataset dataset = data::GenerateById("S-IA", 5, 0.3);
-  const data::Dataset augmented = data::AugmentDataset(dataset);
-  EXPECT_NEAR(augmented.MatchPercent(), dataset.MatchPercent(), 1e-9);
-}
-
-TEST(AugmentationTest, IdentityAttributeKeepsHalfItsTokens) {
-  data::Dataset dataset;
-  dataset.schema = {{"name"}};
-  data::EmRecord record;
-  record.left.values = {"alpha beta gamma delta epsilon zeta"};
-  record.right.values = {"alpha beta gamma delta epsilon zeta"};
-  record.label = 1;
-  dataset.records.push_back(record);
-
-  data::AugmentationOptions options;
-  options.copies_per_record = 50;
-  options.token_dropout = 0.9;  // Aggressive.
-  const data::Dataset augmented = data::AugmentDataset(dataset, options);
-  const text::Tokenizer tokenizer;
-  for (size_t i = 1; i < augmented.size(); ++i) {
-    EXPECT_GE(tokenizer.Tokenize(augmented.records[i].left.values[0]).size(),
-              3u);
-  }
-}
-
-TEST(AugmentationTest, Deterministic) {
-  const data::Dataset dataset = data::GenerateById("S-FZ", 9, 0.1);
-  const data::Dataset a = data::AugmentDataset(dataset);
-  const data::Dataset b = data::AugmentDataset(dataset);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.records[i].left.values, b.records[i].left.values);
-  }
-}
-
-TEST(AugmentationTest, HelpsLowDataRegime) {
-  // The paper's Fig. 5 low-data regime: with a tiny training slice of a
-  // hard dataset, augmentation should not hurt and typically helps.
-  const data::Dataset dataset = data::GenerateById("S-AG", 42, 0.6);
-  const data::Split split = data::DefaultSplit(dataset, 42);
-  data::Dataset small_train = data::Subset(
-      split.train, [&] {
-        std::vector<size_t> idx;
-        for (size_t i = 0; i < 150 && i < split.train.size(); ++i) {
-          idx.push_back(i);
-        }
-        return idx;
-      }(), "/small");
-
-  core::WymModel plain;
-  plain.Fit(small_train, split.validation);
-  const double f1_plain = ml::F1Score(split.test.Labels(),
-                                      plain.PredictDataset(split.test));
-
-  data::AugmentationOptions options;
-  options.copies_per_record = 2;
-  core::WymModel augmented_model;
-  augmented_model.Fit(data::AugmentDataset(small_train, options),
-                      split.validation);
-  const double f1_augmented = ml::F1Score(
-      split.test.Labels(), augmented_model.PredictDataset(split.test));
-
-  EXPECT_GT(f1_augmented, f1_plain - 0.1);  // Never catastrophically worse.
-}
 
 TEST(GlobalAttributionTest, AggregatesAcrossRecords) {
   const data::Dataset dataset = data::GenerateById("S-FZ", 42, 0.3);

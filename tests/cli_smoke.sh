@@ -179,12 +179,13 @@ if [ -n "$SERVE" ]; then
 
   SOCK="$WORK/wym.sock"
   # Telemetry rides along: a request journal with a deliberately tiny
-  # rotation bound (1 KB, a handful of lines) and a periodic
-  # wym-telemetry/v1 export.
+  # rotation bound (1 KB, a handful of lines), a periodic
+  # wym-telemetry/v1 export and a flight recorder dumped at drain.
   "$SERVE" --socket "$SOCK" --model "default=$WORK/model.wym" \
     --stats-out "$WORK/final-stats.json" \
     --journal "$WORK/journal.jsonl" --journal-max-kb 1 \
     --telemetry-out "$WORK/telemetry.json" --telemetry-period 1 \
+    --recorder 16 --recorder-out "$WORK/drain-recorder.json" \
     > "$WORK/serve.log" 2>&1 &
   # The binary is backgrounded directly (no subshell wrapper), so $! is
   # the server's own PID — the one SIGTERM must reach for a clean drain.
@@ -231,17 +232,29 @@ if [ -n "$SERVE" ]; then
 
   # Stats exposes the overload-policy state plus the telemetry sections
   # (windows/journal/recorder appear only when the sinks are configured;
-  # this server runs with a journal and telemetry export, no recorder).
+  # this server runs with all three).
   "$CLI" query --socket "$SOCK" --op stats > "$WORK/stats.json"
   grep -q '"queue_bound"' "$WORK/stats.json"
   grep -q '"windows"' "$WORK/stats.json"
   grep -q '"journal"' "$WORK/stats.json"
+  grep -q '"recorder"' "$WORK/stats.json"
 
   # Live observability over the running server: top renders windowed
   # rates, tail prints the newest journal lines.
   "$CLI" top --socket "$SOCK" | grep -q "qps"
   "$CLI" tail --file "$WORK/journal.jsonl" --lines 3 \
     | grep -q '"schema":"wym-journal/v1"'
+
+  # A hostile client id: '"', '\', a newline and twelve two-byte
+  # U+00E9, 28 bytes in all. The journal keeps the first 23 bytes cut
+  # back to a code point boundary (the 4 ASCII bytes and nine U+00E9),
+  # escaped in place. Sent last, so its line is in the active journal
+  # file and in the recorder ring at drain.
+  ACCENTS9=$(printf '\303\251\303\251\303\251\303\251\303\251\303\251\303\251\303\251\303\251')
+  HOSTILE_ID=$(printf 'q"\\\n%s\303\251\303\251\303\251' "$ACCENTS9")
+  EXPECTED_ID='"client_id":"q\"\\\n'"$ACCENTS9"'"'
+  "$CLI" query --socket "$SOCK" --id "$HOSTILE_ID" \
+    --left 'a|b' --right 'a|b' | grep -q "prediction"
 
   # SIGTERM: graceful drain — exit 0 and the final stats snapshot
   # flushed to --stats-out with the drained state recorded.
@@ -267,6 +280,12 @@ if [ -n "$SERVE" ]; then
   "$CLI" validate-report --file "$WORK/journal.jsonl.1" > /dev/null
   "$CLI" validate-report --file "$WORK/telemetry.json" \
     | grep -q "valid telemetry"
+  # The hostile id reads back from both artifacts as the sent prefix.
+  "$CLI" validate-report --file "$WORK/drain-recorder.json" \
+    | grep -q "flight-recorder dump"
+  grep -q '"reason":"drain"' "$WORK/drain-recorder.json"
+  grep -qF "$EXPECTED_ID" "$WORK/journal.jsonl"
+  grep -qF "$EXPECTED_ID" "$WORK/drain-recorder.json"
 
   # -------------------------------------------------------------------
   # Watchdog + flight recorder: a second short-lived server with debug

@@ -355,8 +355,9 @@ obs::RequestRecord ObsRecord(std::uint64_t sequence, const char* client_id,
 }
 
 std::string JournalLine(const obs::RequestRecord& record) {
-  char buf[obs::kMaxJournalLine];
-  return std::string(buf, obs::RenderRequestRecord(record, buf, sizeof(buf)));
+  std::string line;
+  obs::RenderRequestRecord(record, &line);
+  return line;
 }
 
 /// Observability artifacts of fixed inputs: journal lines, a flight

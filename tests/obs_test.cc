@@ -341,6 +341,25 @@ TEST(JsonWriterTest, FixedSpellsExactlyTheRequestedDigits) {
   EXPECT_EQ(huge, expected);
 }
 
+TEST(JsonWriterTest, IntegersSpellLikeToString) {
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{4294967296},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::string out = "x";  // Appends after what is there.
+    obs::AppendJsonUint(value, &out);
+    EXPECT_EQ(out.substr(1), std::to_string(value));
+    EXPECT_EQ(out[0], 'x');
+  }
+  for (const std::int64_t value :
+       {std::int64_t{0}, std::int64_t{-1}, std::int64_t{42},
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()}) {
+    std::string out;
+    obs::AppendJsonInt(value, &out);
+    EXPECT_EQ(out, std::to_string(value));
+  }
+}
+
 TEST(JsonWriterTest, NonFiniteNumbersAreWrittenAsZero) {
   for (const double value : {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
@@ -622,14 +641,47 @@ TEST(HistogramTest, DeltaSinceSubtractsBucketwise) {
   EXPECT_EQ(inverted.sum, 0u);
 }
 
-TEST(EventLogTest, SetRecordFieldSanitizesAndTruncates) {
+TEST(EventLogTest, SetRecordFieldTruncatesAtCodePointBoundary) {
   char field[8];
-  obs::SetRecordField(field, sizeof(field), "a\"b\\c\nd");
-  EXPECT_STREQ(field, "a_b_c_d");
   obs::SetRecordField(field, sizeof(field), "0123456789");
   EXPECT_STREQ(field, "0123456");  // cap-1 chars + NUL.
   obs::SetRecordField(field, sizeof(field), "");
   EXPECT_STREQ(field, "");
+
+  // 12 x U+00E9 is 24 bytes; the 23-byte client_id cap falls inside
+  // the last code point, so the field keeps 11 whole ones.
+  std::string accents;
+  for (int i = 0; i < 12; ++i) accents += "\xc3\xa9";
+  obs::RequestRecord record;
+  obs::SetRecordField(record.client_id, sizeof(record.client_id), accents);
+  EXPECT_EQ(std::string(record.client_id), accents.substr(0, 22));
+  // A 3-byte and a 4-byte code point cut after their first byte.
+  obs::SetRecordField(field, sizeof(field), "abcdef\xe2\x82\xac");
+  EXPECT_STREQ(field, "abcdef");
+  obs::SetRecordField(field, sizeof(field), "abcde\xf0\x9f\x98\x80");
+  EXPECT_STREQ(field, "abcde");
+}
+
+TEST(EventLogTest, RenderedFieldsRoundTripThroughParseJson) {
+  // '"', '\\', every byte 0x01-0x1f and a two-byte UTF-8 sequence.
+  std::string hostile = "\"\\";
+  for (char c = 0x01; c < 0x20; ++c) hostile += c;
+  hostile += "caf\xc3\xa9";
+  obs::RequestRecord record;
+  obs::SetRecordField(record.client_id, sizeof(record.client_id), hostile);
+  obs::SetRecordField(record.op, sizeof(record.op), "op\"\\\x01\xc3\xa9");
+  obs::SetRecordField(record.model, sizeof(record.model), hostile);
+  ASSERT_EQ(std::string(record.model), hostile);  // Fits whole.
+
+  std::string line;
+  obs::RenderRequestRecord(record, &line);
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(line, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.Find("client_id")->string, std::string(record.client_id));
+  EXPECT_EQ(parsed.Find("op")->string, std::string(record.op));
+  EXPECT_EQ(parsed.Find("model")->string, hostile);
+  EXPECT_TRUE(obs::ValidateJournalJson(line + "\n", &error)) << error;
 }
 
 obs::RequestRecord MakeRecord(std::uint64_t sequence) {
@@ -649,10 +701,8 @@ obs::RequestRecord MakeRecord(std::uint64_t sequence) {
 }
 
 TEST(EventLogTest, RenderRequestRecordHasFixedKeyOrder) {
-  char buf[obs::kMaxJournalLine];
-  const std::size_t n =
-      obs::RenderRequestRecord(MakeRecord(42), buf, sizeof(buf));
-  const std::string line(buf, n);
+  std::string line;
+  obs::RenderRequestRecord(MakeRecord(42), &line);
   EXPECT_EQ(line,
             "{\"schema\":\"wym-journal/v1\",\"seq\":42,\"id\":\"q00000042\","
             "\"client_id\":\"cli\",\"op\":\"predict\",\"model\":\"default#1\""
@@ -674,14 +724,13 @@ TEST(EventLogTest, ValidateJournalJsonRejectsBadJournals) {
   EXPECT_FALSE(obs::ValidateJournalJson("not json\n", &error));
   EXPECT_FALSE(obs::ValidateJournalJson("{\"schema\":\"other\"}\n", &error));
 
-  char buf[obs::kMaxJournalLine];
-  std::size_t n = obs::RenderRequestRecord(MakeRecord(1), buf, sizeof(buf));
-  const std::string line(buf, n);
+  std::string line;
+  obs::RenderRequestRecord(MakeRecord(1), &line);
   // Duplicate seq across lines is the corruption the validator exists
   // to catch; distinct seqs in any order are fine.
   EXPECT_FALSE(obs::ValidateJournalJson(line + "\n" + line + "\n", &error));
-  n = obs::RenderRequestRecord(MakeRecord(2), buf, sizeof(buf));
-  const std::string other(buf, n);
+  std::string other;
+  obs::RenderRequestRecord(MakeRecord(2), &other);
   EXPECT_TRUE(obs::ValidateJournalJson(other + "\n" + line + "\n", &error))
       << error;
 }
@@ -749,9 +798,12 @@ TEST(FlightRecorderTest, DumpJsonValidatesAndSanitizesReason) {
   EXPECT_NE(dump.find("\"reason\":\"watchdog\""), std::string::npos);
   EXPECT_NE(dump.find("\"recorded\":3"), std::string::npos);
 
-  // A hostile reason cannot break the JSON: quotes become '_'.
+  // A hostile reason cannot break the JSON, and reads back verbatim.
   const std::string hostile = recorder.DumpJson("a\"b");
   EXPECT_TRUE(obs::ValidateFlightRecorderJson(hostile, &error)) << error;
+  obs::JsonValue parsed;
+  ASSERT_TRUE(obs::ParseJson(hostile, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.Find("reason")->string, "a\"b");
 
   // An empty recorder still dumps a valid artifact.
   obs::FlightRecorder idle(2);

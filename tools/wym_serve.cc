@@ -164,9 +164,11 @@ int main(int argc, char** argv) {
     server_options.on_watchdog_recover =
         [&recorder, &recorder_out](size_t recovered) {
           (void)recovered;
-          std::string error;
-          if (!recorder->DumpToFile(recorder_out, "watchdog", &error)) {
-            std::fprintf(stderr, "flight-recorder dump: %s\n", error.c_str());
+          const Status written = io::WriteFileAtomic(
+              recorder_out, recorder->DumpJson("watchdog"));
+          if (!written.ok()) {
+            std::fprintf(stderr, "flight-recorder dump: %s\n",
+                         written.ToString().c_str());
           }
         };
   }
@@ -181,9 +183,11 @@ int main(int argc, char** argv) {
     if (g_dump_requested != 0) {
       g_dump_requested = 0;
       if (recorder != nullptr) {
-        std::string error;
-        if (!recorder->DumpToFile(recorder_out, "sigquit", &error)) {
-          std::fprintf(stderr, "flight-recorder dump: %s\n", error.c_str());
+        const Status written = io::WriteFileAtomic(
+            recorder_out, recorder->DumpJson("sigquit"));
+        if (!written.ok()) {
+          std::fprintf(stderr, "flight-recorder dump: %s\n",
+                       written.ToString().c_str());
         }
       }
     }
@@ -226,9 +230,11 @@ int main(int argc, char** argv) {
     }
   }
   if (recorder != nullptr) {
-    std::string error;
-    if (!recorder->DumpToFile(recorder_out, "drain", &error)) {
-      std::fprintf(stderr, "flight-recorder dump: %s\n", error.c_str());
+    const Status written =
+        io::WriteFileAtomic(recorder_out, recorder->DumpJson("drain"));
+    if (!written.ok()) {
+      std::fprintf(stderr, "flight-recorder dump: %s\n",
+                   written.ToString().c_str());
       return kExitIo;
     }
   }
