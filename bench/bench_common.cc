@@ -4,11 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "ml/metrics.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/io.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -53,23 +53,13 @@ double TestF1(const core::Matcher& matcher, const data::Split& split) {
                      matcher.PredictDataset(split.test));
 }
 
-double TestF1(const core::WymModel& model, const data::Split& split,
-              util::ThreadPool* pool) {
-  const std::vector<double> probabilities =
-      model.PredictProbaBatch(split.test, nullptr, pool);
-  std::vector<int> predicted(probabilities.size());
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    predicted[i] = probabilities[i] >= 0.5 ? 1 : 0;
-  }
-  return ml::F1Score(split.test.Labels(), predicted);
-}
-
 double ExplainRecPerSec(const core::WymModel& model,
-                        const data::Dataset& sample, util::ThreadPool* pool) {
+                        const data::Dataset& sample, util::ThreadPool* pool,
+                        core::PredictionReport* report) {
   if (sample.size() == 0) return 0.0;
   Stopwatch watch;
   const std::vector<core::Explanation> explanations =
-      model.ExplainBatch(sample, nullptr, pool);
+      model.ExplainBatch(sample, report, pool);
   const double seconds = watch.ElapsedSeconds();
   return static_cast<double>(explanations.size()) / std::max(seconds, 1e-9);
 }
@@ -175,11 +165,10 @@ bool PerfReport::Write() const {
   json += "],\"metrics\":" +
           obs::MetricsToJson(obs::Registry::Global().Snapshot()) + "}\n";
 
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out << json;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "perf report: cannot write %s\n", path_.c_str());
+  const Status status = io::WriteFileAtomic(path_, json);
+  if (!status.ok()) {
+    std::fprintf(stderr, "perf report: cannot write %s: %s\n", path_.c_str(),
+                 status.ToString().c_str());
     return false;
   }
   std::printf("perf report written to %s\n", path_.c_str());

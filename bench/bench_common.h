@@ -45,15 +45,12 @@ core::WymModel TrainWym(const PreparedData& data,
 /// the parallel batch path for WymModel).
 double TestF1(const core::Matcher& matcher, const data::Split& split);
 
-/// Test-set F1 of a WymModel explicitly through PredictProbaBatch on
-/// `pool` (nullptr = the global WYM_THREADS pool).
-double TestF1(const core::WymModel& model, const data::Split& split,
-              util::ThreadPool* pool);
-
 /// Explanation throughput (records/second) of ExplainBatch over `sample`
-/// on `pool` (nullptr = the global pool).
+/// on `pool` (nullptr = the global pool). `report` (optional) receives
+/// the batch's PredictionReport, stage block included.
 double ExplainRecPerSec(const core::WymModel& model,
-                        const data::Dataset& sample, util::ThreadPool* pool);
+                        const data::Dataset& sample, util::ThreadPool* pool,
+                        core::PredictionReport* report = nullptr);
 
 /// Takes the first `limit` records of a dataset (or all).
 data::Dataset Head(const data::Dataset& dataset, size_t limit);

@@ -125,8 +125,8 @@ void BM_SimilarityMatrix(benchmark::State& state) {
     }
   }
   la::Vec packed_left, packed_right;
-  core::PackUnitRows(left, &packed_left, nullptr);
-  core::PackUnitRows(right, &packed_right, nullptr);
+  core::PackUnitRows(left, &packed_left);
+  core::PackUnitRows(right, &packed_right);
   std::vector<double> out(rows * rows);
   for (auto _ : state) {
     la::kernels::SimilarityMatrix(packed_left.data(), rows,
@@ -152,8 +152,8 @@ void BM_SimilarityMatrixDim(benchmark::State& state) {
     }
   }
   la::Vec packed_left, packed_right;
-  core::PackUnitRows(left, &packed_left, nullptr);
-  core::PackUnitRows(right, &packed_right, nullptr);
+  core::PackUnitRows(left, &packed_left);
+  core::PackUnitRows(right, &packed_right);
   std::vector<double> out(rows * rows);
   for (auto _ : state) {
     la::kernels::SimilarityMatrix(packed_left.data(), rows,
@@ -179,10 +179,8 @@ void BM_UnitGeneration(benchmark::State& state) {
   core::EncodeEntity(encoder, &record.left);
   core::EncodeEntity(encoder, &record.right);
   record.left.packed_embeddings.clear();
-  record.left.embedding_norms.clear();
   record.left.embedding_dim = 0;
   record.right.packed_embeddings.clear();
-  record.right.embedding_norms.clear();
   record.right.embedding_dim = 0;
   const core::DecisionUnitGenerator generator;
   for (auto _ : state) {

@@ -11,6 +11,9 @@
 // baseline) and once on the global WYM_THREADS pool, so the speedup of
 // the deterministic parallel runtime is visible side by side. Both runs
 // produce bit-identical explanations (see DESIGN.md "Threading model").
+// The stage columns come from the 1-thread run's PredictionReport: the
+// record loop times its own stages, as shares of that run's wall time;
+// "unattr." is the remainder no stage covers.
 
 #include <cstdio>
 
@@ -35,7 +38,8 @@ int main(int argc, char** argv) {
   TablePrinter table(
       {"Dataset", "train recs", "train s", "train rec/s", "explain rec/s 1T",
        "explain rec/s " + std::to_string(n_threads) + "T", "speedup",
-       "encode %", "units %", "score %", "classify %", "impacts %"});
+       "encode %", "units %", "score %", "classify %", "impacts %",
+       "unattr. %"});
 
   for (const auto& spec : bench::SelectedSpecs()) {
     const bench::PreparedData data = bench::Prepare(spec, scale);
@@ -43,66 +47,49 @@ int main(int argc, char** argv) {
     Stopwatch train_watch;
     const core::WymModel model = bench::TrainWym(data);
     const double train_seconds = train_watch.ElapsedSeconds();
+    const double train_rps = static_cast<double>(data.split.train.size()) /
+                             std::max(train_seconds, 1e-9);
 
     const data::Dataset sample = bench::Head(data.split.test, 150);
 
-    // Batch explanation throughput: sequential baseline vs the pool.
+    // Batch explanation throughput: sequential baseline vs the pool. The
+    // sequential run also reports the record loop's own stage times, so
+    // the percentages describe one record's critical path.
+    core::PredictionReport loop;
     const double rps_1t =
-        bench::ExplainRecPerSec(model, sample, &sequential_pool);
+        bench::ExplainRecPerSec(model, sample, &sequential_pool, &loop);
     const double rps_nt = bench::ExplainRecPerSec(model, sample, nullptr);
 
-    // Per-stage timing of the inference pipeline (sequential, so the
-    // percentages describe one record's critical path).
-    double t_encode = 0.0, t_units = 0.0, t_score = 0.0, t_classify = 0.0,
-           t_impacts = 0.0;
-    Stopwatch watch;
-    for (const auto& record : sample.records) {
-      watch.Reset();
-      const core::TokenizedRecord tokenized = model.Prepare(record);
-      t_encode += watch.ElapsedSeconds();
-
-      watch.Reset();
-      core::ScoredUnitSet set;
-      set.units = model.GenerateUnits(tokenized);
-      t_units += watch.ElapsedSeconds();
-
-      watch.Reset();
-      set.scores = model.ScoreUnits(tokenized, set.units);
-      t_score += watch.ElapsedSeconds();
-
-      watch.Reset();
-      (void)model.PredictProbaFromUnits(set);
-      t_classify += watch.ElapsedSeconds();
-
-      watch.Reset();
-      (void)model.matcher().UnitImpacts(set);
-      t_impacts += watch.ElapsedSeconds();
-    }
-    const double total =
-        t_encode + t_units + t_score + t_classify + t_impacts;
+    const core::PredictionReport::Stages& st = loop.stages;
+    const std::pair<const char*, std::uint64_t> stages[] = {
+        {"encode", st.encode_ns},
+        {"units", st.units_ns},
+        {"score", st.score_ns},
+        {"classify", st.classify_ns},
+        {"impacts", st.impacts_ns}};
+    const double seconds_1t =
+        static_cast<double>(sample.size()) / std::max(rps_1t, 1e-9);
     auto pct = [&](double t) {
-      return strings::FormatDouble(total > 0 ? 100.0 * t / total : 0.0, 1);
+      return strings::FormatDouble(
+          seconds_1t > 0 ? 100.0 * t / seconds_1t : 0.0, 1);
     };
-    table.AddRow({spec.id, std::to_string(data.split.train.size()),
-                  strings::FormatDouble(train_seconds, 2),
-                  strings::FormatDouble(
-                      static_cast<double>(data.split.train.size()) /
-                          std::max(train_seconds, 1e-9),
-                      1),
-                  strings::FormatDouble(rps_1t, 1),
-                  strings::FormatDouble(rps_nt, 1),
-                  strings::FormatDouble(rps_nt / std::max(rps_1t, 1e-9), 2),
-                  pct(t_encode), pct(t_units), pct(t_score), pct(t_classify),
-                  pct(t_impacts)});
+    std::vector<std::string> row = {
+        spec.id, std::to_string(data.split.train.size()),
+        strings::FormatDouble(train_seconds, 2),
+        strings::FormatDouble(train_rps, 1), strings::FormatDouble(rps_1t, 1), strings::FormatDouble(rps_nt, 1),
+        strings::FormatDouble(rps_nt / std::max(rps_1t, 1e-9), 2)};
     report.AddStage(spec.id + ".train", train_seconds);
-    report.AddStage(spec.id + ".infer.encode", t_encode);
-    report.AddStage(spec.id + ".infer.units", t_units);
-    report.AddStage(spec.id + ".infer.score", t_score);
-    report.AddStage(spec.id + ".infer.classify", t_classify);
-    report.AddStage(spec.id + ".infer.impacts", t_impacts);
-    report.AddRate(spec.id + ".train_rec_per_sec",
-                   static_cast<double>(data.split.train.size()) /
-                       std::max(train_seconds, 1e-9));
+    double unattributed = seconds_1t;
+    for (const auto& [name, ns] : stages) {
+      const double seconds = 1e-9 * static_cast<double>(ns);
+      unattributed -= seconds;
+      row.push_back(pct(seconds));
+      report.AddStage(spec.id + ".infer." + name, seconds);
+    }
+    row.push_back(pct(unattributed));
+    report.AddStage(spec.id + ".infer.unattributed", unattributed);
+    table.AddRow(row);
+    report.AddRate(spec.id + ".train_rec_per_sec", train_rps);
     report.AddRate(spec.id + ".explain_rec_per_sec_1t", rps_1t);
     report.AddRate(spec.id + ".explain_rec_per_sec_nt", rps_nt);
     std::printf("  [done] %s\n", spec.id.c_str());
@@ -115,6 +102,7 @@ int main(int argc, char** argv) {
       "scoring + impact attribution) are a visible share of inference\n"
       "(the paper reports ~40%% on their BERT-sized stack). The 1T vs NT\n"
       "columns compare the same batch API on a 1-thread pool and on the\n"
-      "WYM_THREADS-sized global pool; outputs are bit-identical.\n");
+      "WYM_THREADS-sized global pool; outputs are bit-identical. Stage\n"
+      "shares are of the 1T wall time (stage clock needs WYM_METRICS on).\n");
   return report.Write() ? 0 : 1;
 }

@@ -37,10 +37,9 @@ int main(int argc, char** argv) {
     std::vector<double> f1(systems.size());
     {
       const core::WymModel model = bench::TrainWym(data);
-      // WYM predicts through the parallel batch path (PredictProbaBatch
-      // on the global WYM_THREADS pool); results are bit-identical to
-      // the sequential per-record loop.
-      f1[0] = bench::TestF1(model, data.split, /*pool=*/nullptr);
+      // PredictDataset is the parallel batch path (PredictProbaBatch on
+      // the global WYM_THREADS pool).
+      f1[0] = bench::TestF1(model, data.split);
     }
     {
       baselines::DmPlusMatcher model;

@@ -29,14 +29,15 @@ int main() {
     const bench::PreparedData data = bench::Prepare(spec, scale);
     const core::WymModel model = bench::TrainWym(data);
 
-    // Scored unit sets of the test records, once.
+    // Scored unit sets of the test records, once, from the record loop.
     std::vector<core::ScoredUnitSet> test_sets;
     test_sets.reserve(data.split.test.size());
-    for (const auto& record : data.split.test.records) {
-      const core::TokenizedRecord tokenized = model.Prepare(record);
+    for (const auto& explanation : model.ExplainBatch(data.split.test)) {
       core::ScoredUnitSet set;
-      set.units = model.GenerateUnits(tokenized);
-      set.scores = model.ScoreUnits(tokenized, set.units);
+      for (const auto& explained : explanation.units) {
+        set.units.push_back(explained.unit);
+        set.scores.push_back(explained.relevance);
+      }
       test_sets.push_back(std::move(set));
     }
     const std::vector<int> truth = data.split.test.Labels();

@@ -32,10 +32,9 @@ int main() {
   // (inter-attribute, threshold eta) is what rescues spilled values.
   std::map<wym::core::UnitPhase, size_t> phase_counts;
   size_t total_units = 0;
-  for (const auto& record : split.test.records) {
-    const auto tokenized = model.Prepare(record);
-    for (const auto& unit : model.GenerateUnits(tokenized)) {
-      ++phase_counts[unit.phase];
+  for (const auto& explanation : model.ExplainBatch(split.test)) {
+    for (const auto& explained : explanation.units) {
+      ++phase_counts[explained.unit.phase];
       ++total_units;
     }
   }

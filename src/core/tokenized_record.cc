@@ -40,25 +40,22 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
   return out;
 }
 
-size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed,
-                    std::vector<double>* norms) {
+size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed) {
   const size_t dim = embeddings.empty() ? 0 : embeddings.front().size();
   packed->assign(embeddings.size() * dim, 0.0f);
-  if (norms != nullptr) norms->assign(embeddings.size(), 0.0);
   for (size_t i = 0; i < embeddings.size(); ++i) {
     const la::Vec& v = embeddings[i];
     WYM_CHECK_EQ(v.size(), dim) << "ragged embedding dimensions on row " << i;
     float* row = packed->data() + i * dim;
     if (dim > 0) std::memcpy(row, v.data(), dim * sizeof(float));
     const double norm = std::sqrt(la::kernels::SquaredNorm(row, dim));
-    if (norms != nullptr) (*norms)[i] = norm;
     if (norm > 0.0) la::kernels::Scale(1.0 / norm, row, dim);
   }
   return dim;
 }
 
 void TokenizedEntity::PackEmbeddings() {
-  embedding_dim = PackUnitRows(embeddings, &packed_embeddings, &embedding_norms);
+  embedding_dim = PackUnitRows(embeddings, &packed_embeddings);
 }
 
 void EncodeEntity(const embedding::SemanticEncoder& encoder,

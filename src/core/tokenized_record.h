@@ -30,10 +30,6 @@ struct TokenizedEntity {
   /// of the decision-unit generator. Filled by PackEmbeddings /
   /// EncodeEntity; all-zero embeddings stay all-zero rows.
   la::Vec packed_embeddings;
-  /// Pre-normalization Euclidean norm of each embedding (the encoder
-  /// emits unit vectors, so these are ~1; they preserve the full cosine
-  /// for entities built with arbitrary vectors).
-  std::vector<double> embedding_norms;
   /// Row width of `packed_embeddings` (0 until packed).
   size_t embedding_dim = 0;
 
@@ -44,12 +40,11 @@ struct TokenizedEntity {
 
   /// True when packed_embeddings is in sync with embeddings' shape.
   bool HasPackedEmbeddings() const {
-    return !embeddings.empty() &&
-           packed_embeddings.size() == embeddings.size() * embedding_dim &&
-           embedding_norms.size() == embeddings.size();
+    return !embeddings.empty() && embedding_dim != 0 &&
+           packed_embeddings.size() == embeddings.size() * embedding_dim;
   }
 
-  /// (Re)builds packed_embeddings + embedding_norms from `embeddings`
+  /// (Re)builds packed_embeddings from `embeddings`
   /// (one unit-normalization per token at encode time, so every cosine
   /// downstream collapses to a dot product).
   void PackEmbeddings();
@@ -63,10 +58,8 @@ struct TokenizedRecord {
 };
 
 /// Packs `embeddings` into unit-normalized row-major float rows and
-/// returns the row width. `norms` (optional) receives each row's
-/// pre-normalization Euclidean norm. All-zero vectors stay all-zero.
-size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed,
-                    std::vector<double>* norms);
+/// returns the row width. All-zero vectors stay all-zero.
+size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed);
 
 /// Tokenizes one entity over `schema` (embeddings left empty).
 TokenizedEntity TokenizeEntity(const data::Entity& entity,

@@ -54,7 +54,7 @@ const float* PackedRows(const TokenizedEntity& entity, la::Vec* storage,
     *dim = entity.embedding_dim;
     return entity.packed_embeddings.data();
   }
-  *dim = PackUnitRows(entity.embeddings, storage, /*norms=*/nullptr);
+  *dim = PackUnitRows(entity.embeddings, storage);
   return storage->data();
 }
 

@@ -294,9 +294,18 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
   // Per-index quarantine reasons, written in parallel by record index so
   // the report is deterministic; nullptr = predicted.
   std::vector<const char*> reasons(records.size(), nullptr);
+  // Stage blocks, one per chunk and summed in chunk order, so the counts
+  // do not depend on the thread count. Only a requested report pays for
+  // the stage stamps; without one the loop reads the clock twice per
+  // record, for record_ns.
+  using Stages = PredictionReport::Stages;
+  std::vector<Stages> chunk_stages(
+      util::NumChunks(records.size(), kRecordChunk));
+  const bool stage_clock = metrics && report != nullptr;
   util::ParallelFor(
       records.size(), kRecordChunk,
-      [&](size_t begin, size_t end, size_t) {
+      [&](size_t begin, size_t end, size_t chunk) {
+        Stages& stages = chunk_stages[chunk];
         // Candidate lists repeat an entity on consecutive records
         // (MatchTables sends each left row's candidates together). A
         // prepared entity is a pure function of its attribute values, so
@@ -305,15 +314,28 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
         for (size_t i = begin; i < end; ++i) {
           obs::SpanScope span(record_span);
           const std::uint64_t t0 = metrics ? obs::NowNanos() : 0;
+          std::uint64_t stamp = t0;
+          const auto lap = [&](std::uint64_t Stages::*stage) {
+            if (!stage_clock) return;
+            const std::uint64_t now = obs::NowNanos();
+            stages.*stage += now - stamp;
+            stamp = now;
+          };
           const data::EmRecord& record = records[i];
           const bool first = i == begin;
           if (first || record.left.values != records[i - 1].left.values) {
             tokenized.left = PrepareEntity(record.left, schema);
+          } else {
+            ++stages.entity_reuses;
           }
           if (first || record.right.values != records[i - 1].right.values) {
             tokenized.right = PrepareEntity(record.right, schema);
+          } else {
+            ++stages.entity_reuses;
           }
           tokenized.label = record.label;
+          lap(&Stages::encode_ns);
+          stages.tokens += tokenized.left.size() + tokenized.right.size();
           // Degenerate rule: with no tokens there are no units, and the
           // matcher would answer from the features of an empty unit set.
           // The slot keeps its non-match fallback (0.0 / Explanation{}).
@@ -325,7 +347,13 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
           }
           ScoredUnitSet set;
           set.units = GenerateUnits(tokenized);
+          lap(&Stages::units_ns);
+          stages.units += set.size();
+          stages.paired_units += std::count_if(
+              set.units.begin(), set.units.end(),
+              [](const DecisionUnit& unit) { return unit.paired; });
           set.scores = ScoreUnits(tokenized, set.units);
+          lap(&Stages::score_ns);
           // Scorer stage boundary: relevance scores feed both the matcher
           // and the ranked explanation, so a NaN here corrupts both.
           WYM_DCHECK_FINITE(set.scores.data(), set.scores.size())
@@ -335,6 +363,7 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
             reasons[i] = "non-finite match probability";
             probability = 0.0;
           }
+          lap(&Stages::classify_ns);
           if (!explain) {
             probabilities[i] = probability;
           } else if (reasons[i] == nullptr) {
@@ -347,14 +376,32 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
               out.units.push_back(
                   {std::move(set.units[u]), set.scores[u], impacts[u]});
             }
+            lap(&Stages::impacts_ns);
           }
-          if (metrics) record_ns.Record(obs::NowNanos() - t0);
+          // The last stage stamp doubles as the record's end.
+          if (metrics) {
+            record_ns.Record((stage_clock ? stamp : obs::NowNanos()) - t0);
+          }
         }
       },
       pool);
 
   size_t quarantined = 0;
-  if (report != nullptr) *report = PredictionReport{};
+  if (report != nullptr) {
+    *report = PredictionReport{};
+    Stages& total = report->stages;
+    for (const Stages& part : chunk_stages) {
+      total.encode_ns += part.encode_ns;
+      total.units_ns += part.units_ns;
+      total.score_ns += part.score_ns;
+      total.classify_ns += part.classify_ns;
+      total.impacts_ns += part.impacts_ns;
+      total.tokens += part.tokens;
+      total.units += part.units;
+      total.paired_units += part.paired_units;
+      total.entity_reuses += part.entity_reuses;
+    }
+  }
   for (size_t i = 0; i < reasons.size(); ++i) {
     if (reasons[i] == nullptr) continue;
     ++quarantined;

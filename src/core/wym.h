@@ -88,6 +88,25 @@ struct PredictionReport {
   /// Records that went through the full pipeline.
   size_t predicted = 0;
 
+  /// Where the record loop's work went. Counts are exact and identical
+  /// at every thread count. The `*_ns` fields are filled only while
+  /// metrics are on (WYM_METRICS): per-thread wall time of each stage,
+  /// summed over the loop's chunks. Reporting only; nothing reads it
+  /// back into a computation.
+  struct Stages {
+    std::uint64_t encode_ns = 0;    ///< Tokenize + encode both sides.
+    std::uint64_t units_ns = 0;     ///< Decision-unit generation.
+    std::uint64_t score_ns = 0;     ///< Relevance scoring.
+    std::uint64_t classify_ns = 0;  ///< Match probability.
+    std::uint64_t impacts_ns = 0;   ///< Impact scores (explain only).
+    std::uint64_t tokens = 0;       ///< Tokens of both sides.
+    std::uint64_t units = 0;
+    std::uint64_t paired_units = 0;
+    /// Sides that reused the previous record's prepared entity.
+    std::uint64_t entity_reuses = 0;
+  };
+  Stages stages;
+
   bool clean() const { return quarantined.empty(); }
 };
 
@@ -135,7 +154,8 @@ class WymModel : public Matcher {
   /// Degenerate records — zero tokens on both sides, or a non-finite
   /// probability — get the non-match fallback (probability 0.0,
   /// prediction 0, no units) and are listed in `report` when non-null;
-  /// the loop never aborts on bad records and never emits NaN.
+  /// the loop never aborts on bad records and never emits NaN. A
+  /// non-null `report` also receives the loop's stage block.
 
   /// Matching probabilities for `records`, in order.
   std::vector<double> PredictProbaBatch(
@@ -203,9 +223,9 @@ class WymModel : public Matcher {
   size_t num_attributes() const { return num_attributes_; }
 
  private:
-  /// The record loop behind every entry point above. Fills
-  /// `probabilities` or, when non-null, `explanations` (one slot per
-  /// record), and `report`.
+  /// The record loop behind every entry point above, and the only code
+  /// that times the inference stages. Fills `probabilities` or, when
+  /// non-null, `explanations` (one slot per record), and `report`.
   void RunRecords(std::span<const data::EmRecord> records,
                   double* probabilities, Explanation* explanations,
                   PredictionReport* report, util::ThreadPool* pool) const;

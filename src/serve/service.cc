@@ -476,12 +476,13 @@ Response MatcherService::ExecutePredict(RequestState* state_ptr) {
         std::min(begin + kDeadlineSlicePairs, request.pairs.size());
     state.batches.fetch_add(1, std::memory_order_relaxed);
 
-    // Cache pass: resolve hits, collect misses for one batch call.
+    // Cache pass: resolve hits, collect misses (with their keys, for
+    // the insert) for one batch call.
     std::vector<size_t> miss_indices;
+    std::vector<PredictionKey> miss_keys;
     std::vector<data::EmRecord> miss_records;
     for (size_t i = begin; i < end; ++i) {
-      const PredictionKey key =
-          MakePredictionKey(request.pairs[i], model_id);
+      PredictionKey key = MakePredictionKey(request.pairs[i], model_id);
       CachedPrediction cached;
       if (cache_.Lookup(key, &cached)) {
         CacheHitCounter().Add(1);
@@ -494,6 +495,7 @@ Response MatcherService::ExecutePredict(RequestState* state_ptr) {
       }
       CacheMissCounter().Add(1);
       miss_indices.push_back(i);
+      miss_keys.push_back(std::move(key));
       miss_records.push_back(
           NormalizePair(request.pairs[i], model.num_attributes()));
     }
@@ -518,7 +520,7 @@ Response MatcherService::ExecutePredict(RequestState* state_ptr) {
       if (request.explain) {
         result.explanation_json = explain::ExplanationToJson(explanations[m]);
       }
-      cache_.Insert(MakePredictionKey(request.pairs[i], model_id),
+      cache_.Insert(miss_keys[m],
                     CachedPrediction{result.prediction, result.probability,
                                      result.explanation_json});
     }

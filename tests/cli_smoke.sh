@@ -79,6 +79,13 @@ expect_exit 3 "$CLI" explain --data "$WORK/data.csv" --record 2 \
 # Exit 2: a model file that does not exist.
 expect_exit 2 "$CLI" verify --model "$WORK/no-such-model.wym"
 
+# Exit 2: every command that reads a report or journal file, when the
+# file does not exist.
+expect_exit 2 "$CLI" validate-report --file "$WORK/no-such-report.json"
+expect_exit 2 "$CLI" compare-reports "$WORK/no-such-report.json" \
+  "$WORK/no-such-report.json"
+expect_exit 2 "$CLI" tail --file "$WORK/no-such-journal.jsonl"
+
 # Exit 1: usage errors.
 expect_exit 1 "$CLI" verify
 expect_exit 1 "$CLI" generate --dataset NOPE --out "$WORK/x.csv"

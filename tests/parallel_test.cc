@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "data/benchmark_gen.h"
 #include "data/split.h"
 #include "la/kernels.h"
+#include "obs/metrics.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
 
@@ -294,15 +296,53 @@ TEST_F(BatchDeterminismTest, EntityRunsMatchPerRecordCalls) {
     expected_probas.push_back(model_->PredictProba(record));
     expected.push_back(model_->Explain(record));
   }
+
+  // Reference stage counts. A side is reused when it repeats the
+  // previous record's values inside the same 16-record chunk. Every
+  // token sits in at least one unit (unit cover), so a record's tokens
+  // are the distinct (side, position) pairs its units reference.
+  core::PredictionReport::Stages want;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (i % 16 != 0) {
+      want.entity_reuses += batch[i].left.values == batch[i - 1].left.values;
+      want.entity_reuses +=
+          batch[i].right.values == batch[i - 1].right.values;
+    }
+    std::set<std::pair<int, size_t>> tokens;
+    for (const core::ExplainedUnit& explained : expected[i].units) {
+      const core::DecisionUnit& unit = explained.unit;
+      ++want.units;
+      if (unit.paired) {
+        ++want.paired_units;
+        tokens.insert({0, unit.left.position});
+        tokens.insert({1, unit.right.position});
+      } else {
+        tokens.insert({unit.unpaired_side == core::Side::kLeft ? 0 : 1,
+                       unit.UnpairedToken().position});
+      }
+    }
+    want.tokens += tokens.size();
+  }
+  ASSERT_GT(want.entity_reuses, 0u);
+
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
     util::ThreadPool pool(threads);
+    core::PredictionReport predict_report, explain_report;
     const std::vector<double> probas =
-        model_->PredictProbaBatch(batch, nullptr, &pool);
+        model_->PredictProbaBatch(batch, &predict_report, &pool);
     const std::vector<core::Explanation> explained =
-        model_->ExplainBatch(batch, nullptr, &pool);
+        model_->ExplainBatch(batch, &explain_report, &pool);
     ASSERT_EQ(probas.size(), batch.size());
     ASSERT_EQ(explained.size(), batch.size());
+    for (const core::PredictionReport* report :
+         {&predict_report, &explain_report}) {
+      const core::PredictionReport::Stages& got = report->stages;
+      EXPECT_EQ(got.entity_reuses, want.entity_reuses);
+      EXPECT_EQ(got.tokens, want.tokens);
+      EXPECT_EQ(got.units, want.units);
+      EXPECT_EQ(got.paired_units, want.paired_units);
+    }
     // Bit-identical, not approximately equal.
     EXPECT_EQ(std::memcmp(probas.data(), expected_probas.data(),
                           probas.size() * sizeof(double)),
@@ -318,6 +358,51 @@ TEST_F(BatchDeterminismTest, EntityRunsMatchPerRecordCalls) {
       }
     }
   }
+}
+
+TEST_F(BatchDeterminismTest, ReportChangesNoResult) {
+  // Asking for a report adds the stage clock and counters to the record
+  // loop; predictions and explanations keep their bits.
+  util::ThreadPool four(4);
+  core::PredictionReport report;
+  const std::vector<double> plain =
+      model_->PredictProbaBatch(split_->test, nullptr, &four);
+  const std::vector<double> reported =
+      model_->PredictProbaBatch(split_->test, &report, &four);
+  ASSERT_EQ(plain.size(), reported.size());
+  EXPECT_EQ(
+      std::memcmp(plain.data(), reported.data(), plain.size() * sizeof(double)),
+      0);
+  const std::vector<core::Explanation> explained_plain =
+      model_->ExplainBatch(split_->test, nullptr, &four);
+  const std::vector<core::Explanation> explained_reported =
+      model_->ExplainBatch(split_->test, &report, &four);
+  ASSERT_EQ(explained_plain.size(), explained_reported.size());
+  for (size_t i = 0; i < explained_plain.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "record " << i);
+    ExpectSameExplanation(explained_reported[i], explained_plain[i]);
+  }
+}
+
+TEST_F(BatchDeterminismTest, StageTimesFollowTheMetricsSwitch) {
+  // With metrics on (the default) every stage of an explaining batch
+  // takes measurable time; with WYM_METRICS=0 the clock is never read.
+  core::PredictionReport report;
+  (void)model_->ExplainBatch(split_->test, &report);
+  const core::PredictionReport::Stages& stages = report.stages;
+  ASSERT_GT(stages.units, 0u);
+  for (const std::uint64_t ns :
+       {stages.encode_ns, stages.units_ns, stages.score_ns,
+        stages.classify_ns, stages.impacts_ns}) {
+    if (obs::MetricsEnabled()) {
+      EXPECT_GT(ns, 0u);
+    } else {
+      EXPECT_EQ(ns, 0u);
+    }
+  }
+  // A predict-only batch computes no impacts.
+  (void)model_->PredictProbaBatch(split_->test, &report);
+  EXPECT_EQ(report.stages.impacts_ns, 0u);
 }
 
 TEST_F(BatchDeterminismTest,

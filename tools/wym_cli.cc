@@ -56,10 +56,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -79,6 +77,7 @@
 #include "obs/report.h"
 #include "serve/protocol.h"
 #include "serve/socket_io.h"
+#include "util/io.h"
 #include "flags.h"
 
 namespace {
@@ -275,14 +274,9 @@ int CmdValidateReport(const Flags& args) {
     std::fprintf(stderr, "--file <json> is required\n");
     return kExitUsage;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return kExitIo;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  std::string text;
+  const Status read = io::ReadFileToString(path, &text);
+  if (!read.ok()) return StatusExit(read);
 
   const char* kind = "bench report (wym-bench-report/v1)";
   std::string error;
@@ -317,14 +311,9 @@ int CmdValidateReport(const Flags& args) {
 /// propagate.
 int LoadBenchTimes(const std::string& path,
                    std::map<std::string, double>* times) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return kExitIo;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  std::string text;
+  const Status read = io::ReadFileToString(path, &text);
+  if (!read.ok()) return StatusExit(read);
 
   std::string error;
   if (!obs::ValidateBenchReportJson(text, &error)) {
@@ -670,16 +659,8 @@ int CmdTail(const Flags& args) {
   const size_t want = static_cast<size_t>(args.GetUint("lines", 10));
 
   std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", path.c_str());
-      return kExitIo;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
-  }
+  const Status read = io::ReadFileToString(path, &text);
+  if (!read.ok()) return StatusExit(read);
   std::vector<std::string> lines;
   size_t offset = 0;
   while (offset < text.size()) {
@@ -700,11 +681,10 @@ int CmdTail(const Flags& args) {
   while (for_ms == 0 || waited_ms < for_ms) {
     SleepMs(200);
     waited_ms += 200;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;  // Brief absence during rotation: retry.
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string current = buffer.str();
+    std::string current;
+    if (!io::ReadFileToString(path, &current).ok()) {
+      continue;  // Brief absence during rotation: retry.
+    }
     if (current.size() < offset) offset = 0;  // Rotated under us.
     size_t position = offset;
     while (position < current.size()) {

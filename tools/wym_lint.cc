@@ -24,9 +24,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +32,7 @@
 #include "analysis/include_graph.h"
 #include "analysis/source_model.h"
 #include "analysis/taint.h"
+#include "util/io.h"
 #include "util/source_scan.h"
 
 namespace fs = std::filesystem;
@@ -43,15 +42,6 @@ namespace {
 bool IsSourceFile(const fs::path& path) {
   const std::string ext = path.extension().string();
   return ext == ".h" || ext == ".cc" || ext == ".cpp";
-}
-
-bool ReadFile(const fs::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
 }
 
 // Forward-slashed path of `path` relative to `root` (or verbatim when it
@@ -169,7 +159,7 @@ int main(int argc, char** argv) {
   sources.reserve(files.size());
   for (const fs::path& file : files) {
     std::string text;
-    if (!ReadFile(file, &text)) {
+    if (!wym::io::ReadFileToString(file.string(), &text).ok()) {
       std::cerr << "wym-lint: cannot read " << file << "\n";
       return 2;
     }
