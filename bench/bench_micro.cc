@@ -24,6 +24,7 @@
 #include "nn/mlp.h"
 #include "embedding/semantic_encoder.h"
 #include "matching/stable_marriage.h"
+#include "ml/boosting.h"
 #include "ml/knn.h"
 #include "text/string_metrics.h"
 #include "text/tokenizer.h"
@@ -260,6 +261,34 @@ void BM_KnnPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnPredict);
 
+// One GBM fit (60 depth-3 trees, the pool member's options) at the S-WA
+// pool shape: 840 rows x 42 features. Half of the features take one of
+// eight levels, like the count-style unit features, so the split search
+// meets heavy value ties; about a quarter of the labels are matches.
+void BM_GbmFit(benchmark::State& state) {
+  constexpr size_t kRows = 840;
+  constexpr size_t kFeatures = 42;
+  Rng rng(9);
+  la::Matrix x(kRows, kFeatures);
+  std::vector<int> y(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t j = 0; j < kFeatures; ++j) {
+      x.At(i, j) = j % 2 == 0 ? static_cast<double>(rng.Index(8))
+                              : rng.Uniform(-1, 1);
+    }
+    const double signal = x.At(i, 0) / 8.0 + x.At(i, 1) + rng.Uniform(-1, 1);
+    y[i] = signal > 1.1 ? 1 : 0;
+  }
+  for (auto _ : state) {
+    ml::GradientBoostingClassifier gbm;
+    gbm.Fit(x, y);
+    benchmark::DoNotOptimize(gbm);
+  }
+}
+// Its own minimum time: at perf-report's 0.01 s one cold 23 ms
+// iteration would be the whole sample.
+BENCHMARK(BM_GbmFit)->Unit(benchmark::kMillisecond)->MinTime(0.2);
+
 // One record's relevance scoring at the T-AB shape: 39 decision units x
 // 112 features (mean ++ |diff| of the 56-d WymConfig embeddings) through
 // the scorer's 112 -> 64 -> 32 -> 1 network in a single batched
@@ -468,7 +497,10 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.run_type == Run::RT_Aggregate || run.error_occurred) continue;
-      report_->AddBenchmark(run.benchmark_name(), run.GetAdjustedRealTime(),
+      // GetAdjustedRealTime is in the benchmark's display unit.
+      const double time_ns = run.GetAdjustedRealTime() * 1e9 /
+                             benchmark::GetTimeUnitMultiplier(run.time_unit);
+      report_->AddBenchmark(run.benchmark_name(), time_ns,
                             static_cast<uint64_t>(run.iterations));
     }
     ConsoleReporter::ReportRuns(runs);

@@ -35,9 +35,11 @@ int main(int argc, char** argv) {
   std::printf("Thread pool: %zu thread(s) (WYM_THREADS to override).\n\n",
               n_threads);
 
+  // The pool column names itself "pool", so its header stays distinct
+  // from the 1T column at every thread count, WYM_THREADS=1 included.
   TablePrinter table(
       {"Dataset", "train recs", "train s", "train rec/s", "explain rec/s 1T",
-       "explain rec/s " + std::to_string(n_threads) + "T", "speedup",
+       "explain rec/s pool " + std::to_string(n_threads) + "T", "speedup",
        "encode %", "units %", "score %", "classify %", "impacts %",
        "unattr. %"});
 
@@ -100,7 +102,7 @@ int main(int argc, char** argv) {
       "\nShape check vs the paper: explanation throughput extrapolates to\n"
       "tens of thousands per hour; the explanation-specific stages (unit\n"
       "scoring + impact attribution) are a visible share of inference\n"
-      "(the paper reports ~40%% on their BERT-sized stack). The 1T vs NT\n"
+      "(the paper reports ~40%% on their BERT-sized stack). The 1T vs pool\n"
       "columns compare the same batch API on a 1-thread pool and on the\n"
       "WYM_THREADS-sized global pool; outputs are bit-identical. Stage\n"
       "shares are of the 1T wall time (stage clock needs WYM_METRICS on).\n");

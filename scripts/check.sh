@@ -152,8 +152,10 @@ serve_telemetry_check() {
 # valid artifacts. BM_MlpPredict / BM_MlpPredictRows gate the relevance
 # scorer's inference (one row, and one 39-unit record in one batch),
 # BM_MlpFit its training (one epoch over 2048 units on the global pool),
-# BM_JournalAppend the request journal's per-line hot path and
-# BM_KnnPredict one KNN probability at the er_tables model's shape.
+# BM_JournalAppend the request journal's per-line hot path,
+# BM_KnnPredict one KNN probability at the er_tables model's shape and
+# BM_GbmFit one GBM fit at the S-WA pool shape (the tree learners'
+# presorted split search).
 run_perf_report() {
   name=perf-report
   if [ "$ONLY" != all ] && [ "$ONLY" != "$name" ]; then
@@ -169,7 +171,7 @@ run_perf_report() {
         --target bench_micro bench_blocking wym_cli wym_serve_bin \
         >> "$log" 2>&1 \
      && "$build/bench/bench_micro" --json="$report" \
-        --benchmark_filter='BM_Dot|BM_UnitGeneration_Cached|BM_ServePredict|BM_MlpPredict|BM_MlpFit|BM_JournalAppend|BM_KnnPredict' \
+        --benchmark_filter='BM_Dot|BM_UnitGeneration_Cached|BM_ServePredict|BM_MlpPredict|BM_MlpFit|BM_JournalAppend|BM_KnnPredict|BM_GbmFit' \
         --benchmark_min_time=0.01 >> "$log" 2>&1 \
      && "$build/tools/wym_cli" validate-report --file "$report" \
         >> "$log" 2>&1 \

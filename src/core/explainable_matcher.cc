@@ -1,13 +1,36 @@
 #include "core/explainable_matcher.h"
 
 #include <cmath>
+#include <string_view>
+#include <utility>
 
 #include "ml/classifier_pool.h"
 #include "ml/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
 namespace wym::core {
+
+namespace {
+
+/// Span of one pool member's fit and threshold calibration, by member
+/// name (span names must be string literals).
+const char* MemberSpanName(std::string_view member) {
+  static constexpr std::pair<std::string_view, const char*> kSpans[] = {
+      {"LR", "fit.classifier.LR"},   {"LDA", "fit.classifier.LDA"},
+      {"KNN", "fit.classifier.KNN"}, {"DT", "fit.classifier.DT"},
+      {"NB", "fit.classifier.NB"},   {"SVM", "fit.classifier.SVM"},
+      {"AB", "fit.classifier.AB"},   {"GBM", "fit.classifier.GBM"},
+      {"RF", "fit.classifier.RF"},   {"ET", "fit.classifier.ET"},
+  };
+  for (const auto& [name, span] : kSpans) {
+    if (name == member) return span;
+  }
+  return "fit.classifier.other";
+}
+
+}  // namespace
 
 ExplainableMatcher::ExplainableMatcher(size_t num_attributes, bool simplified,
                                        Options options)
@@ -59,6 +82,7 @@ void ExplainableMatcher::Fit(const std::vector<ScoredUnitSet>& train,
   std::vector<double> f1s(pool_.size());
   util::ParallelFor(pool_.size(), 1, [&](size_t c, size_t, size_t) {
     ml::Classifier& classifier = *pool_[c];
+    const obs::SpanScope span(MemberSpanName(classifier.name()));
     classifier.Fit(x_train, train_labels);
     // Decision-threshold calibration: the benchmark label priors are
     // heavily skewed (~10% matches), so each model's best-F1 operating

@@ -32,13 +32,14 @@ void AdaBoostClassifier::Fit(const la::Matrix& x, const std::vector<int>& y) {
   stump_options.min_samples_split = 2;
 
   Rng rng(options_.seed);
+  const PresortedFeatures presorted(x);
   stumps_.clear();
   alphas_.clear();
   alpha_total_ = 0.0;
 
   for (size_t t = 0; t < options_.n_estimators; ++t) {
     RegressionTree stump(stump_options);
-    stump.Fit(x, targets, weights, all, &rng);
+    stump.Fit(x, targets, weights, all, &rng, &presorted);
 
     // Weighted error of the hard stump decision.
     double error = 0.0;
@@ -107,6 +108,7 @@ void GradientBoostingClassifier::Fit(const la::Matrix& x,
   for (size_t i = 0; i < n; ++i) all[i] = i;
 
   Rng rng(options_.seed);
+  const PresortedFeatures presorted(x);
   trees_.clear();
   trees_.reserve(options_.n_estimators);
   for (size_t t = 0; t < options_.n_estimators; ++t) {
@@ -114,7 +116,7 @@ void GradientBoostingClassifier::Fit(const la::Matrix& x,
       residuals[i] = static_cast<double>(y[i]) - Sigmoid(logits[i]);
     }
     RegressionTree tree(options_.tree);
-    tree.Fit(x, residuals, /*weights=*/{}, all, &rng);
+    tree.Fit(x, residuals, /*weights=*/{}, all, &rng, &presorted);
     for (size_t i = 0; i < n; ++i) {
       // 4x converts the mean-residual leaf value to an approximate Newton
       // step (residual variance <= 1/4 for Bernoulli).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/logging.h"
 #include "util/random.h"
@@ -25,6 +26,10 @@ void TreeEnsembleClassifier::Fit(const la::Matrix& x,
         1, static_cast<size_t>(std::sqrt(static_cast<double>(x.cols()))));
   }
 
+  // ExtraTrees draws its thresholds and never reads presorted lists.
+  std::optional<PresortedFeatures> presorted;
+  if (!tree_options.random_thresholds) presorted.emplace(x);
+
   Rng rng(options_.seed);
   trees_.clear();
   trees_.reserve(options_.n_trees);
@@ -36,7 +41,8 @@ void TreeEnsembleClassifier::Fit(const la::Matrix& x,
       for (size_t i = 0; i < n; ++i) indices[i] = i;
     }
     RegressionTree tree(tree_options);
-    tree.Fit(x, targets, /*weights=*/{}, indices, &rng);
+    tree.Fit(x, targets, /*weights=*/{}, indices, &rng,
+             presorted ? &*presorted : nullptr);
     trees_.push_back(std::move(tree));
   }
 

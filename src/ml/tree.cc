@@ -27,23 +27,85 @@ double WeightedMean(const std::vector<double>& y,
 
 }  // namespace
 
+PresortedFeatures::PresortedFeatures(const la::Matrix& x)
+    : rows_(x.rows()),
+      cols_(x.cols()),
+      columns_(x.rows() * x.cols()),
+      order_(x.rows() * x.cols()) {
+  WYM_CHECK_LE(rows_, size_t{std::numeric_limits<uint32_t>::max()});
+  for (size_t r = 0; r < rows_; ++r) {
+    for (size_t f = 0; f < cols_; ++f) columns_[f * rows_ + r] = x.At(r, f);
+  }
+  for (size_t f = 0; f < cols_; ++f) {
+    const double* column = columns_.data() + f * rows_;
+    uint32_t* order = order_.data() + f * rows_;
+    for (size_t r = 0; r < rows_; ++r) order[r] = static_cast<uint32_t>(r);
+    std::sort(order, order + rows_, [column](uint32_t a, uint32_t b) {
+      return column[a] < column[b] || (column[a] == column[b] && a < b);
+    });
+  }
+}
+
+/// The exact split search reads a node's samples of each feature in
+/// (value, row) order from `lists`: feature f's list sits at f * m (m =
+/// sample count, repeats kept) and a node owns the same position range
+/// [begin, end) in every list and in `indices`. A split stable-
+/// partitions each list, so every child range stays sorted.
+struct RegressionTree::Growth {
+  const la::Matrix& x;
+  const std::vector<double>& y;
+  const std::vector<double>& weights;
+  Rng* rng;
+  const PresortedFeatures* presorted;
+  std::vector<size_t> indices;
+  std::vector<uint32_t> lists;
+  std::vector<uint32_t> spill;     // Right-hand rows during a partition.
+  std::vector<uint8_t> goes_left;  // Per matrix row, for the split at hand.
+};
+
 RegressionTree::RegressionTree(TreeOptions options) : options_(options) {}
 
 void RegressionTree::Fit(const la::Matrix& x, const std::vector<double>& y,
                          const std::vector<double>& weights,
-                         const std::vector<size_t>& indices, Rng* rng) {
+                         const std::vector<size_t>& indices, Rng* rng,
+                         const PresortedFeatures* presorted) {
   WYM_CHECK(!indices.empty());
   WYM_CHECK_EQ(x.rows(), y.size());
   nodes_.clear();
   importance_.assign(x.cols(), 0.0);
-  std::vector<size_t> working = indices;
-  Grow(x, y, weights, &working, 0, working.size(), 0, rng);
+  Growth growth{x, y, weights, rng, presorted, indices, {}, {}, {}};
+  if (!options_.random_thresholds) {
+    WYM_CHECK(presorted != nullptr);
+    WYM_CHECK_EQ(presorted->rows(), x.rows());
+    WYM_CHECK_EQ(presorted->cols(), x.cols());
+    // Each feature's list is the presorted order with every row repeated
+    // as often as it is sampled.
+    const size_t n = x.rows();
+    const size_t m = indices.size();
+    std::vector<uint32_t> multiplicity(n, 0);
+    for (size_t idx : indices) ++multiplicity[idx];
+    growth.lists.resize(x.cols() * m);
+    uint32_t* out = growth.lists.data();
+    for (size_t f = 0; f < x.cols(); ++f) {
+      const uint32_t* order = presorted->order_.data() + f * n;
+      for (size_t r = 0; r < n; ++r) {
+        out = std::fill_n(out, multiplicity[order[r]], order[r]);
+      }
+    }
+    growth.spill.resize(m);
+    growth.goes_left.resize(n);
+  }
+  Grow(&growth, 0, indices.size(), 0);
 }
 
-int RegressionTree::Grow(const la::Matrix& x, const std::vector<double>& y,
-                         const std::vector<double>& weights,
-                         std::vector<size_t>* indices, size_t begin,
-                         size_t end, size_t depth, Rng* rng) {
+int RegressionTree::Grow(Growth* growth, size_t begin, size_t end,
+                         size_t depth) {
+  const la::Matrix& x = growth->x;
+  const std::vector<double>& y = growth->y;
+  const std::vector<double>& weights = growth->weights;
+  std::vector<size_t>* indices = &growth->indices;
+  Rng* rng = growth->rng;
+
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   nodes_[node_id].value = WeightedMean(y, weights, *indices, begin, end);
@@ -81,9 +143,6 @@ int RegressionTree::Grow(const la::Matrix& x, const std::vector<double>& y,
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_gain = 1e-12;
-
-  std::vector<std::pair<double, size_t>> sorted;  // (value, sample index)
-  sorted.reserve(count);
 
   for (size_t f = 0; f < feature_count; ++f) {
     const size_t feature = features[f];
@@ -132,25 +191,25 @@ int RegressionTree::Grow(const la::Matrix& x, const std::vector<double>& y,
       continue;
     }
 
-    // Exact scan over sorted cut points.
-    sorted.clear();
-    for (size_t i = begin; i < end; ++i) {
-      const size_t idx = (*indices)[i];
-      sorted.emplace_back(x.At(idx, feature), idx);
-    }
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.front().first == sorted.back().first) continue;
+    // Exact scan over the node's cut points in (value, row) order.
+    const uint32_t* sorted =
+        growth->lists.data() + feature * indices->size() + begin;
+    const double* column =
+        growth->presorted->columns_.data() + feature * x.rows();
+    if (column[sorted[0]] == column[sorted[count - 1]]) continue;
 
     double wl = 0.0, wyl = 0.0, wyyl = 0.0;
-    for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-      const size_t idx = sorted[i].second;
+    for (size_t i = 0; i + 1 < count; ++i) {
+      const size_t idx = sorted[i];
       const double w = weights.empty() ? 1.0 : weights[idx];
       const double v = y[idx];
       wl += w;
       wyl += w * v;
       wyyl += w * v * v;
       // Only cut between distinct values.
-      if (sorted[i].first == sorted[i + 1].first) continue;
+      const double value = column[idx];
+      const double next = column[sorted[i + 1]];
+      if (value == next) continue;
       const size_t left_count = i + 1;
       const size_t right_count = count - left_count;
       if (left_count < options_.min_samples_leaf ||
@@ -167,7 +226,7 @@ int RegressionTree::Grow(const la::Matrix& x, const std::vector<double>& y,
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(feature);
-        best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+        best_threshold = 0.5 * (value + next);
       }
     }
   }
@@ -181,12 +240,38 @@ int RegressionTree::Grow(const la::Matrix& x, const std::vector<double>& y,
   const size_t split = static_cast<size_t>(middle - indices->begin());
   if (split == begin || split == end) return node_id;  // Numeric edge case.
 
+  // Children that search for a split read the lists: partition each
+  // feature's range stably by the same predicate, so both halves stay in
+  // (value, row) order and line up with [begin, split) / [split, end).
+  if (!growth->lists.empty() && depth + 1 < options_.max_depth &&
+      std::max(split - begin, end - split) >= options_.min_samples_split) {
+    for (size_t i = begin; i < end; ++i) {
+      const size_t idx = (*indices)[i];
+      growth->goes_left[idx] = i < split;
+    }
+    uint32_t* spill = growth->spill.data();
+    for (size_t f = 0; f < d; ++f) {
+      uint32_t* list = growth->lists.data() + f * indices->size() + begin;
+      size_t left = 0, right = 0;
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t row = list[i];
+        if (growth->goes_left[row]) {
+          list[left++] = row;
+        } else {
+          spill[right++] = row;
+        }
+      }
+      WYM_DCHECK(left == split - begin);
+      std::copy(spill, spill + right, list + left);
+    }
+  }
+
   importance_[best_feature] += best_gain;
   nodes_[node_id].feature = best_feature;
   nodes_[node_id].threshold = best_threshold;
-  const int left = Grow(x, y, weights, indices, begin, split, depth + 1, rng);
+  const int left = Grow(growth, begin, split, depth + 1);
   nodes_[node_id].left = left;
-  const int right = Grow(x, y, weights, indices, split, end, depth + 1, rng);
+  const int right = Grow(growth, split, end, depth + 1);
   nodes_[node_id].right = right;
   return node_id;
 }
@@ -252,8 +337,9 @@ void DecisionTreeClassifier::Fit(const la::Matrix& x,
   std::vector<size_t> indices(x.rows());
   for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   Rng rng(options_.seed);
+  const PresortedFeatures presorted(x);
   tree_ = RegressionTree(options_.tree);
-  tree_.Fit(x, targets, /*weights=*/{}, indices, &rng);
+  tree_.Fit(x, targets, /*weights=*/{}, indices, &rng, &presorted);
 
   std::vector<double> probas(x.rows());
   for (size_t i = 0; i < x.rows(); ++i) {

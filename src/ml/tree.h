@@ -28,16 +28,43 @@ struct TreeOptions {
   bool random_thresholds = false;
 };
 
+/// Presorted attribute lists (SLIQ, Mehta, Agrawal & Rissanen 1996):
+/// every feature's rows sorted once by (value, row index). A classifier
+/// builds one per Fit and hands it to each of its trees, so the exact
+/// split search never sorts again; trees keep no reference to it.
+/// Holds 12 bytes per matrix cell (a column-major copy of x and one
+/// 32-bit row index); the values must not be NaN.
+class PresortedFeatures {
+ public:
+  explicit PresortedFeatures(const la::Matrix& x);
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
+
+ private:
+  friend class RegressionTree;
+
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  /// x column-major: feature f of row r at f * rows_ + r.
+  std::vector<double> columns_;
+  /// Feature f's rows in (value, row) order at f * rows_.
+  std::vector<uint32_t> order_;
+};
+
 /// A fitted regression tree (flat node array).
 class RegressionTree {
  public:
   explicit RegressionTree(TreeOptions options = {});
 
-  /// Fits on the rows of x listed in `indices` against targets y with
-  /// per-sample weights (pass empty weights for uniform).
+  /// Fits on the rows of x listed in `indices` (repeats allowed, e.g. a
+  /// bootstrap sample) against targets y with per-sample weights (pass
+  /// empty weights for uniform). `presorted` must be built from x; it is
+  /// required unless options.random_thresholds, which never reads it.
   void Fit(const la::Matrix& x, const std::vector<double>& y,
            const std::vector<double>& weights,
-           const std::vector<size_t>& indices, Rng* rng);
+           const std::vector<size_t>& indices, Rng* rng,
+           const PresortedFeatures* presorted);
 
   /// Predicted value for a feature row.
   double Predict(const double* row) const;
@@ -66,9 +93,12 @@ class RegressionTree {
     double value = 0.0;
   };
 
-  int Grow(const la::Matrix& x, const std::vector<double>& y,
-           const std::vector<double>& weights, std::vector<size_t>* indices,
-           size_t begin, size_t end, size_t depth, Rng* rng);
+  /// One Fit's inputs and working lists (tree.cc).
+  struct Growth;
+
+  /// Grows the subtree over positions [begin, end) of the growth's
+  /// index array (and of every feature's sorted list); returns its id.
+  int Grow(Growth* growth, size_t begin, size_t end, size_t depth);
 
   TreeOptions options_;
   std::vector<Node> nodes_;

@@ -12,31 +12,23 @@ namespace wym::nn {
 
 namespace {
 
-/// Adam state for one parameter tensor (flat).
-struct AdamState {
-  std::vector<double> m;
-  std::vector<double> v;
-};
-
 constexpr double kBeta1 = 0.9;
 constexpr double kBeta2 = 0.999;
 constexpr double kEpsilon = 1e-8;
 
-void AdamStep(std::vector<double>* params, const std::vector<double>& grads,
-              AdamState* state, double lr, double weight_decay, size_t t) {
-  if (state->m.empty()) {
-    state->m.assign(params->size(), 0.0);
-    state->v.assign(params->size(), 0.0);
-  }
-  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t));
-  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t));
-  for (size_t i = 0; i < params->size(); ++i) {
-    const double g = grads[i] + weight_decay * (*params)[i];
-    state->m[i] = kBeta1 * state->m[i] + (1.0 - kBeta1) * g;
-    state->v[i] = kBeta2 * state->v[i] + (1.0 - kBeta2) * g * g;
-    const double m_hat = state->m[i] / bias1;
-    const double v_hat = state->v[i] / bias2;
-    (*params)[i] -= lr * m_hat / (std::sqrt(v_hat) + kEpsilon);
+/// One Adam update of `n` parameters from their gradients, with L2 decay
+/// folded into the gradient; bias1/bias2 are the step's bias
+/// corrections 1 - beta^t.
+void AdamUpdate(double* params, const double* grads, double* m, double* v,
+                size_t n, double lr, double weight_decay, double bias1,
+                double bias2) {
+  for (size_t i = 0; i < n; ++i) {
+    const double g = grads[i] + weight_decay * params[i];
+    m[i] = kBeta1 * m[i] + (1.0 - kBeta1) * g;
+    v[i] = kBeta2 * v[i] + (1.0 - kBeta2) * g * g;
+    const double m_hat = m[i] / bias1;
+    const double v_hat = v[i] / bias2;
+    params[i] -= lr * m_hat / (std::sqrt(v_hat) + kEpsilon);
   }
 }
 
@@ -72,22 +64,19 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
   }
   const size_t n_layers = layers_.size();
 
-  // Per-layer Adam state.
-  std::vector<AdamState> weight_state(n_layers);
-  std::vector<AdamState> bias_state(n_layers);
-
   std::vector<size_t> order(x.rows());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  // Minibatch scratch, sized once. Row k of hidden[l] / deltas[l] is
-  // the k-th sample of the batch: layer l's post-ReLU output and the
-  // loss gradient at its pre-activation. Gradients are flat per layer,
-  // weights in la::Matrix row-major order.
+  // Minibatch scratch and Adam state, sized once. Row k of hidden[l] /
+  // deltas[l] is the k-th sample of the batch: layer l's post-ReLU
+  // output and the loss gradient at its pre-activation. Adam moments are
+  // flat per layer, weights in la::Matrix row-major order.
   const size_t batch = std::min(options_.batch_size, x.rows());
   std::vector<std::vector<double>> hidden(n_layers - 1);
   std::vector<std::vector<double>> deltas(n_layers);
-  std::vector<std::vector<double>> grad_w(n_layers);
-  std::vector<std::vector<double>> grad_b(n_layers);
+  std::vector<std::vector<double>> m_w(n_layers), v_w(n_layers);
+  std::vector<std::vector<double>> m_b(n_layers), v_b(n_layers);
+  size_t max_inputs = 0;
   // Gradient cells (layer, output row) in layer order; cell_cost[c] is
   // the per-sample work of the cells before c, for balanced chunks.
   std::vector<std::pair<size_t, size_t>> cells;
@@ -96,8 +85,11 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
     const la::Matrix& w = layers_[l].weights;
     if (l + 1 < n_layers) hidden[l].resize(batch * w.rows());
     deltas[l].resize(batch * w.rows());
-    grad_w[l].resize(w.data().size());
-    grad_b[l].resize(w.rows());
+    m_w[l].assign(w.data().size(), 0.0);
+    v_w[l].assign(w.data().size(), 0.0);
+    m_b[l].assign(w.rows(), 0.0);
+    v_b[l].assign(w.rows(), 0.0);
+    max_inputs = std::max(max_inputs, w.cols());
     for (size_t o = 0; o < w.rows(); ++o) {
       cells.emplace_back(l, o);
       cell_cost.push_back(cell_cost.back() + w.cols() + 1);
@@ -122,6 +114,8 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
   const auto [a_width, b_width] = BufferWidths();
   const size_t chunk_scratch = (a_width + b_width) * kBlockRows;
   std::vector<double> block_scratch(block_chunks * chunk_scratch);
+  // One weight-row gradient per chunk of phase B.
+  std::vector<double> grad_scratch(threads * max_inputs);
 
   size_t step = 0;
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -176,16 +170,21 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
           },
           &executor);
 
-      // (B) Gradients, parallel over (layer, output-row) cells; each cell
-      // adds its samples in batch order.
+      // (B) Gradients and the Adam step, parallel over (layer,
+      // output-row) cells: each cell adds its samples in batch order,
+      // then updates its weight row and bias element. Phase B reads no
+      // weights, so updating them in place races with nothing.
+      ++step;
+      const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(step));
+      const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(step));
       util::ParallelFor(
           chunks, 1,
           [&](size_t chunk, size_t, size_t) {
+            double* gw = grad_scratch.data() + chunk * max_inputs;
             const size_t end = first_cell(chunk + 1, chunks);
             for (size_t c = first_cell(chunk, chunks); c < end; ++c) {
               const auto [l, o] = cells[c];
-              const la::Matrix& w = layers_[l].weights;
-              double* gw = grad_w[l].data() + o * w.cols();
+              la::Matrix& w = layers_[l].weights;
               std::fill(gw, gw + w.cols(), 0.0);
               double gb = 0.0;
               for (size_t k = 0; k < rows; ++k) {
@@ -197,19 +196,16 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
                 la::kernels::Axpy(d, input, gw, w.cols());
                 gb += d;
               }
-              grad_b[l][o] = gb;
+              const size_t row = o * w.cols();
+              AdamUpdate(w.Row(o), gw, m_w[l].data() + row,
+                         v_w[l].data() + row, w.cols(),
+                         options_.learning_rate, options_.weight_decay,
+                         bias1, bias2);
+              AdamUpdate(&layers_[l].bias[o], &gb, &m_b[l][o], &v_b[l][o], 1,
+                         options_.learning_rate, 0.0, bias1, bias2);
             }
           },
           &executor);
-
-      // (C) Adam.
-      ++step;
-      for (size_t l = 0; l < n_layers; ++l) {
-        AdamStep(&layers_[l].weights.data(), grad_w[l], &weight_state[l],
-                 options_.learning_rate, options_.weight_decay, step);
-        AdamStep(&layers_[l].bias, grad_b[l], &bias_state[l],
-                 options_.learning_rate, 0.0, step);
-      }
     }
   }
   fitted_ = true;

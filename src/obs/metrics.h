@@ -177,7 +177,7 @@ class Histogram {
     return (b + 1 >= 64) ? ~0ull : (1ull << (b + 1)) - 1;
   }
 
- private:
+  /// The bucket `sample` is counted in.
   static std::size_t BucketIndex(std::uint64_t sample) {
     std::size_t b = 0;
     while (sample > 1 && b + 1 < kBuckets) {
@@ -186,6 +186,8 @@ class Histogram {
     }
     return b;
   }
+
+ private:
 
   struct Shard {
     std::array<internal::PaddedAtomicU64, kBuckets> buckets;

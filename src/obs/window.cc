@@ -1,5 +1,7 @@
 #include "obs/window.h"
 
+#include <utility>
+
 #include "obs/json.h"
 
 namespace wym::obs {
@@ -47,13 +49,9 @@ WindowTracker::WindowTracker(Options options)
     : options_(std::move(options)),
       ring_(options_.capacity == 0 ? 1 : options_.capacity) {}
 
-void WindowTracker::Tick(std::uint64_t now_ns) {
-  // Sample outside the lock: registry reads take the registry mutex
-  // plus shard loads, and holding two locks here would be the only
-  // place obs nests them.
+WindowSample WindowTracker::SampleRegistry() const {
   Registry& registry = Registry::Global();
-  Sample sample;
-  sample.now_ns = now_ns;
+  WindowSample sample;
   sample.requests = registry.GetCounter(options_.requests_metric).Value();
   sample.shed = registry.GetCounter(options_.shed_metric).Value();
   sample.cache_hits =
@@ -62,15 +60,26 @@ void WindowTracker::Tick(std::uint64_t now_ns) {
       registry.GetCounter(options_.cache_misses_metric).Value();
   sample.latency =
       registry.GetHistogram(options_.latency_metric).Snapshot();
+  return sample;
+}
 
+void WindowTracker::Observe(std::uint64_t now_ns, WindowSample sample) {
+  Sample stamped{now_ns, std::move(sample)};
   const std::lock_guard<std::mutex> lock(mu_);
   if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = std::move(sample);
+    ring_[(head_ + size_) % ring_.size()] = std::move(stamped);
     ++size_;
   } else {
-    ring_[head_] = std::move(sample);
+    ring_[head_] = std::move(stamped);
     head_ = (head_ + 1) % ring_.size();
   }
+}
+
+void WindowTracker::Tick(std::uint64_t now_ns) {
+  // Sample outside the lock: registry reads take the registry mutex
+  // plus shard loads, and holding two locks here would be the only
+  // place obs nests them.
+  Observe(now_ns, SampleRegistry());
 }
 
 WindowStats WindowTracker::DeltaLocked(std::uint64_t window_ns) const {
@@ -89,12 +98,13 @@ WindowStats WindowTracker::DeltaLocked(std::uint64_t window_ns) const {
     }
   }
 
+  const WindowSample& now = newest.values;
+  const WindowSample& then = base->values;
   stats.window_ns = SaturatingDelta(newest.now_ns, base->now_ns);
-  stats.requests = SaturatingDelta(newest.requests, base->requests);
-  stats.shed = SaturatingDelta(newest.shed, base->shed);
-  stats.cache_hits = SaturatingDelta(newest.cache_hits, base->cache_hits);
-  stats.cache_misses =
-      SaturatingDelta(newest.cache_misses, base->cache_misses);
+  stats.requests = SaturatingDelta(now.requests, then.requests);
+  stats.shed = SaturatingDelta(now.shed, then.shed);
+  stats.cache_hits = SaturatingDelta(now.cache_hits, then.cache_hits);
+  stats.cache_misses = SaturatingDelta(now.cache_misses, then.cache_misses);
   if (stats.window_ns > 0) {
     stats.qps = static_cast<double>(stats.requests) /
                 (static_cast<double>(stats.window_ns) / 1e9);
@@ -108,7 +118,7 @@ WindowStats WindowTracker::DeltaLocked(std::uint64_t window_ns) const {
     stats.cache_hit_rate = static_cast<double>(stats.cache_hits) /
                            static_cast<double>(lookups);
   }
-  const HistogramSnapshot delta = newest.latency.DeltaSince(base->latency);
+  const HistogramSnapshot delta = now.latency.DeltaSince(then.latency);
   stats.p50_ns = delta.Percentile(0.50);
   stats.p95_ns = delta.Percentile(0.95);
   stats.p99_ns = delta.Percentile(0.99);

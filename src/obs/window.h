@@ -16,15 +16,17 @@
 /// The registry's counters and histograms are since-boot aggregates;
 /// an operator asking "what is p99 *right now*" needs deltas. A
 /// WindowTracker samples a fixed set of serving metrics on every
-/// Tick(now_ns) into a bounded ring and computes window stats as the
-/// difference between the newest sample and the latest sample at
-/// least `window_ns` older — rates from counter deltas, percentiles
-/// from bucket-wise histogram deltas (HistogramSnapshot::DeltaSince).
+/// Tick(now_ns) (registry sampling, then Observe) into a bounded ring
+/// and computes window stats as the difference between the newest
+/// sample and the latest sample at least `window_ns` older — rates
+/// from counter deltas, percentiles from bucket-wise histogram deltas
+/// (HistogramSnapshot::DeltaSince).
 ///
 /// Contracts, shared with the rest of obs:
 ///  * Read-only over the registry; nothing feeds back into serving.
-///  * The clock is injected (Tick takes now_ns), so tests drive it
-///    deterministically and serialization is a pure function of the
+///  * The clock is injected (Tick takes now_ns) and so can the samples
+///    be (Observe), so tests drive both deterministically, with or
+///    without WYM_METRICS, and serialization is a pure function of the
 ///    collected samples.
 ///  * `wym-telemetry/v1` output has a fixed key order.
 
@@ -47,6 +49,16 @@ struct WindowStats {
   double p50_ns = 0.0;
   double p95_ns = 0.0;
   double p99_ns = 0.0;
+};
+
+/// One reading of the serving metrics a WindowTracker follows: the
+/// since-boot counter values and latency histogram.
+struct WindowSample {
+  std::uint64_t requests = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  HistogramSnapshot latency;
 };
 
 /// Appends the fixed-key-order JSON object for one window to `out`:
@@ -81,8 +93,14 @@ class WindowTracker {
   WindowTracker(const WindowTracker&) = delete;
   WindowTracker& operator=(const WindowTracker&) = delete;
 
-  /// Samples the global registry at `now_ns` (the caller's injected
-  /// clock) into the ring, evicting the oldest sample when full.
+  /// Reads the configured metrics from the global registry.
+  WindowSample SampleRegistry() const;
+
+  /// Appends `sample`, taken at `now_ns` (the caller's injected clock),
+  /// to the ring, evicting the oldest sample when full.
+  void Observe(std::uint64_t now_ns, WindowSample sample);
+
+  /// Observe(now_ns, SampleRegistry()).
   void Tick(std::uint64_t now_ns);
 
   /// Stats over (roughly) the last `window_ns`: newest sample vs the
@@ -107,11 +125,7 @@ class WindowTracker {
  private:
   struct Sample {
     std::uint64_t now_ns = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    HistogramSnapshot latency;
+    WindowSample values;
   };
 
   WindowStats DeltaLocked(std::uint64_t window_ns) const;

@@ -38,6 +38,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/findings.h"
 #include "blocking/candidate_stream.h"
 #include "core/wym.h"
@@ -383,38 +385,30 @@ Record RenderObs() {
                             obs::RequestOutcome::kDeadline));
   AddLines("recorder.dump", recorder.DumpJson("drain"), &out);
 
-  const std::string prefix = "golden.telemetry";
-  obs::Registry& registry = obs::Registry::Global();
-  obs::Counter& requests = registry.GetCounter(prefix + ".requests");
-  obs::Counter& shed = registry.GetCounter(prefix + ".shed");
-  obs::Counter& hits = registry.GetCounter(prefix + ".hits");
-  obs::Counter& misses = registry.GetCounter(prefix + ".misses");
-  obs::Histogram& latency = registry.GetHistogram(prefix + ".latency");
-  requests.Reset();
-  shed.Reset();
-  hits.Reset();
-  misses.Reset();
-  latency.Reset();
-  obs::WindowTracker::Options options;
-  options.requests_metric = prefix + ".requests";
-  options.shed_metric = prefix + ".shed";
-  options.cache_hits_metric = prefix + ".hits";
-  options.cache_misses_metric = prefix + ".misses";
-  options.latency_metric = prefix + ".latency";
-  obs::WindowTracker tracker(options);
+  // Fixed samples, not registry counters: the telemetry bytes are a
+  // function of the samples alone, also under WYM_METRICS=0.
+  obs::WindowTracker tracker;
+  obs::WindowSample sample;
+  sample.latency.buckets.assign(obs::Histogram::kBuckets, 0);
   constexpr std::uint64_t kSecond = 1000ull * 1000 * 1000;
   for (std::uint64_t tick = 0; tick <= 70; tick += 7) {
-    requests.Add(3 * tick + 1);
-    shed.Add(tick % 3);
-    hits.Add(tick);
-    misses.Add(2 * tick + 1);
-    for (std::uint64_t i = 0; i <= tick; ++i) latency.Record(1000 * i + 7);
-    tracker.Tick(kSecond * tick + 123);
+    sample.requests += 3 * tick + 1;
+    sample.shed += tick % 3;
+    sample.cache_hits += tick;
+    sample.cache_misses += 2 * tick + 1;
+    for (std::uint64_t i = 0; i <= tick; ++i) {
+      const std::uint64_t ns = 1000 * i + 7;
+      ++sample.latency.buckets[obs::Histogram::BucketIndex(ns)];
+      ++sample.latency.count;
+      sample.latency.sum += ns;
+    }
+    tracker.Observe(kSecond * tick + 123, sample);
   }
   AddLines("telemetry", tracker.TelemetryJson(), &out);
 
   const std::string trace_path =
-      ::testing::TempDir() + "wym_golden_trace.json";
+      ::testing::TempDir() + "wym_golden_trace." +
+      std::to_string(::getpid()) + ".json";
   obs::StartTracing(trace_path);
   obs::AppendCompleteEvent("golden.fit", "wym", 1234567, 999999);
   obs::AppendCompleteEvent("golden.predict", "serve", 1, 1);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -361,8 +362,235 @@ TEST(RegressionTreeTest, WeightedSamplesShiftLeaf) {
   x.At(0, 0) = 0.0;
   x.At(1, 0) = 0.0;
   Rng rng(1);
-  tree.Fit(x, {0.0, 1.0}, {1.0, 3.0}, {0, 1}, &rng);
+  const PresortedFeatures presorted(x);
+  tree.Fit(x, {0.0, 1.0}, {1.0, 3.0}, {0, 1}, &rng, &presorted);
   EXPECT_NEAR(tree.Predict({0.0}), 0.75, 1e-9);
+}
+
+/// The split search as it was before presorted lists: every node sorts
+/// each candidate feature's (value, row) pairs. RegressionTree must grow
+/// the same tree, so both serialize to the same bytes.
+class SortPerNodeTree {
+ public:
+  explicit SortPerNodeTree(TreeOptions options) : options_(options) {}
+
+  void Fit(const la::Matrix& x, const std::vector<double>& y,
+           const std::vector<double>& weights,
+           const std::vector<size_t>& indices, Rng* rng) {
+    nodes_.clear();
+    importance_.assign(x.cols(), 0.0);
+    std::vector<size_t> working = indices;
+    Grow(x, y, weights, &working, 0, working.size(), 0, rng);
+  }
+
+  std::string SaveBytes() const {
+    std::ostringstream stream;
+    serde::Serializer s(&stream);
+    s.Tag("tree/v1");
+    s.U64(nodes_.size());
+    for (const Node& node : nodes_) {
+      s.I64(node.feature);
+      s.F64(node.threshold);
+      s.I64(node.left);
+      s.I64(node.right);
+      s.F64(node.value);
+    }
+    s.VecF64(importance_);
+    return stream.str();
+  }
+
+ private:
+  struct Node {
+    int feature = -1;
+    double threshold = 0.0;
+    int left = -1;
+    int right = -1;
+    double value = 0.0;
+  };
+
+  int Grow(const la::Matrix& x, const std::vector<double>& y,
+           const std::vector<double>& weights, std::vector<size_t>* indices,
+           size_t begin, size_t end, size_t depth, Rng* rng) {
+    const int node_id = static_cast<int>(nodes_.size());
+    nodes_.emplace_back();
+    double sum = 0.0, total = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      const size_t idx = (*indices)[i];
+      const double w = weights.empty() ? 1.0 : weights[idx];
+      sum += w * y[idx];
+      total += w;
+    }
+    nodes_[node_id].value = total > 0.0 ? sum / total : 0.0;
+
+    const size_t count = end - begin;
+    if (depth >= options_.max_depth || count < options_.min_samples_split) {
+      return node_id;
+    }
+    double w_total = 0.0, wy_total = 0.0, wyy_total = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      const size_t idx = (*indices)[i];
+      const double w = weights.empty() ? 1.0 : weights[idx];
+      const double v = y[idx];
+      w_total += w;
+      wy_total += w * v;
+      wyy_total += w * v * v;
+    }
+    if (w_total <= 0.0) return node_id;
+    const double parent_sse = wyy_total - wy_total * wy_total / w_total;
+    if (parent_sse <= 1e-12) return node_id;
+
+    const size_t d = x.cols();
+    std::vector<size_t> features(d);
+    for (size_t j = 0; j < d; ++j) features[j] = j;
+    size_t feature_count = d;
+    if (options_.max_features > 0 && options_.max_features < d) {
+      rng->Shuffle(&features);
+      feature_count = options_.max_features;
+    }
+
+    int best_feature = -1;
+    double best_threshold = 0.0;
+    double best_gain = 1e-12;
+    std::vector<std::pair<double, size_t>> sorted;
+    for (size_t f = 0; f < feature_count; ++f) {
+      const size_t feature = features[f];
+      sorted.clear();
+      for (size_t i = begin; i < end; ++i) {
+        const size_t idx = (*indices)[i];
+        sorted.emplace_back(x.At(idx, feature), idx);
+      }
+      std::sort(sorted.begin(), sorted.end());
+      if (sorted.front().first == sorted.back().first) continue;
+      double wl = 0.0, wyl = 0.0, wyyl = 0.0;
+      for (size_t i = 0; i + 1 < sorted.size(); ++i) {
+        const size_t idx = sorted[i].second;
+        const double w = weights.empty() ? 1.0 : weights[idx];
+        const double v = y[idx];
+        wl += w;
+        wyl += w * v;
+        wyyl += w * v * v;
+        if (sorted[i].first == sorted[i + 1].first) continue;
+        const size_t left_count = i + 1;
+        const size_t right_count = count - left_count;
+        if (left_count < options_.min_samples_leaf ||
+            right_count < options_.min_samples_leaf) {
+          continue;
+        }
+        const double wr = w_total - wl;
+        if (wl <= 0.0 || wr <= 0.0) continue;
+        const double left_sse = wyyl - wyl * wyl / wl;
+        const double wyr = wy_total - wyl;
+        const double wyyr = wyy_total - wyyl;
+        const double right_sse = wyyr - wyr * wyr / wr;
+        const double gain = parent_sse - left_sse - right_sse;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = static_cast<int>(feature);
+          best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+        }
+      }
+    }
+    if (best_feature < 0) return node_id;
+
+    auto middle = std::partition(
+        indices->begin() + begin, indices->begin() + end,
+        [&](size_t idx) { return x.At(idx, best_feature) <= best_threshold; });
+    const size_t split = static_cast<size_t>(middle - indices->begin());
+    if (split == begin || split == end) return node_id;
+    importance_[best_feature] += best_gain;
+    nodes_[node_id].feature = best_feature;
+    nodes_[node_id].threshold = best_threshold;
+    const int left = Grow(x, y, weights, indices, begin, split, depth + 1, rng);
+    nodes_[node_id].left = left;
+    const int right = Grow(x, y, weights, indices, split, end, depth + 1, rng);
+    nodes_[node_id].right = right;
+    return node_id;
+  }
+
+  TreeOptions options_;
+  std::vector<Node> nodes_;
+  std::vector<double> importance_;
+};
+
+std::string TreeBytes(const RegressionTree& tree) {
+  std::ostringstream stream;
+  serde::Serializer s(&stream);
+  tree.Save(&s);
+  return stream.str();
+}
+
+TEST(RegressionTreeTest, PresortedGrowthEqualsSortPerNode) {
+  // Random matrices with heavy ties (few distinct levels, constant
+  // columns, 0.0 beside -0.0), 0/1 or real targets, AdaBoost-style
+  // weights, bootstrap repeats and subsets, and the option edges. Three
+  // trees per matrix share one PresortedFeatures, as in a boosted Fit.
+  size_t splits = 0, bootstraps = 0;
+  for (uint64_t seed = 1; seed <= 80; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const size_t n = 2 + rng.Index(90);
+    const size_t d = 1 + rng.Index(7);
+    la::Matrix x(n, d);
+    for (size_t f = 0; f < d; ++f) {
+      const size_t levels = rng.Index(5);  // 0 = continuous.
+      const bool constant = rng.Index(8) == 0;
+      for (size_t r = 0; r < n; ++r) {
+        double v = levels == 0 ? rng.Uniform(-1, 1)
+                               : 0.5 * static_cast<double>(rng.Index(levels));
+        if (constant) v = 0.25;
+        if (v == 0.0 && rng.Index(2) == 0) v = -0.0;
+        x.At(r, f) = v;
+      }
+    }
+    const bool real_targets = rng.Index(2) == 0;
+    std::vector<double> y(n);
+    for (double& v : y) {
+      v = real_targets ? rng.Uniform(-1, 1)
+                       : static_cast<double>(rng.Index(2));
+    }
+    std::vector<double> weights;
+    if (rng.Index(2) == 0) {
+      weights.resize(n);
+      double total = 0.0;
+      for (double& w : weights) total += (w = std::exp(rng.Uniform(-2, 2)));
+      for (double& w : weights) w /= total;
+      if (rng.Index(4) == 0) weights[rng.Index(n)] = 0.0;
+    }
+    const PresortedFeatures presorted(x);
+    for (int t = 0; t < 3; ++t) {
+      TreeOptions options;
+      options.max_depth = std::vector<size_t>{0, 1, 2, 3, 10}[rng.Index(5)];
+      options.min_samples_leaf = std::vector<size_t>{1, 2, 5}[rng.Index(3)];
+      options.min_samples_split = std::vector<size_t>{2, 4, 10}[rng.Index(3)];
+      options.max_features = std::vector<size_t>{0, 1, d / 2 + 1, d + 1}
+          [rng.Index(4)];
+      std::vector<size_t> indices;
+      switch (rng.Index(3)) {
+        case 0:
+          for (size_t i = 0; i < n; ++i) indices.push_back(i);
+          break;
+        case 1:
+          for (size_t i = 0; i < n; ++i) indices.push_back(rng.Index(n));
+          ++bootstraps;
+          break;
+        default:
+          for (size_t i = 0; i < n; ++i) {
+            if (rng.Index(3) != 0) indices.push_back(i);
+          }
+          if (indices.empty()) indices.push_back(rng.Index(n));
+      }
+      const uint64_t tree_seed = seed * 131 + t;
+      Rng reference_rng(tree_seed), rng_under_test(tree_seed);
+      SortPerNodeTree reference(options);
+      reference.Fit(x, y, weights, indices, &reference_rng);
+      RegressionTree tree(options);
+      tree.Fit(x, y, weights, indices, &rng_under_test, &presorted);
+      ASSERT_EQ(TreeBytes(tree), reference.SaveBytes()) << "tree " << t;
+      splits += tree.node_count() / 2;
+    }
+  }
+  EXPECT_GT(splits, 200u) << "too few splits: the test lost coverage";
+  EXPECT_GT(bootstraps, 30u);
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,8 +21,11 @@
 #include "data/benchmark_gen.h"
 #include "data/split.h"
 #include "la/kernels.h"
+#include "nn/mlp.h"
 #include "obs/metrics.h"
 #include "util/parallel.h"
+#include "util/random.h"
+#include "util/serde.h"
 #include "util/thread_pool.h"
 
 namespace wym {
@@ -161,6 +165,46 @@ TEST(ParallelForTest, ChunkStructureIndependentOfThreadCount) {
   };
   util::ThreadPool one(1), eight(8);
   EXPECT_EQ(chunks_with(&one), chunks_with(&eight));
+}
+
+// --- Determinism of MLP training ---
+
+TEST(MlpTrainingDeterminismTest, SaveBytesEqualAcrossThreadsAndSimdOff) {
+  // Three hidden layers, a ragged last minibatch and more gradient cells
+  // than threads: the Adam step runs inside the parallel gradient phase,
+  // one (layer, output-row) cell per update, so the trained bytes must
+  // not depend on the pool or on the kernel level.
+  Rng rng(23);
+  la::Matrix x(150, 10);
+  std::vector<double> y(x.rows());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t i = 0; i < x.cols(); ++i) x.At(r, i) = rng.Uniform(-1, 1);
+    y[r] = rng.Uniform(-1, 1);
+  }
+  nn::MlpOptions options;
+  options.hidden = {24, 12, 6};
+  options.epochs = 3;
+  options.batch_size = 32;
+  options.learning_rate = 0.01;
+  auto save_bytes = [&](util::ThreadPool* pool) {
+    nn::Mlp mlp(options);
+    mlp.Fit(x, y, pool);
+    std::ostringstream stream;
+    serde::Serializer s(&stream);
+    mlp.Save(&s);
+    return stream.str();
+  };
+
+  util::ThreadPool one(1), four(4);
+  const std::string reference = save_bytes(&one);
+  EXPECT_EQ(save_bytes(&four), reference) << "4 threads";
+  const la::kernels::SimdLevel ambient = la::kernels::ActiveSimdLevel();
+  la::kernels::SetSimdLevel(la::kernels::SimdLevel::kScalar);
+  const std::string scalar_one = save_bytes(&one);
+  const std::string scalar_four = save_bytes(&four);
+  la::kernels::SetSimdLevel(ambient);
+  EXPECT_EQ(scalar_one, reference) << "WYM_SIMD=off, 1 thread";
+  EXPECT_EQ(scalar_four, reference) << "WYM_SIMD=off, 4 threads";
 }
 
 // --- End-to-end determinism of the batch inference APIs ---
