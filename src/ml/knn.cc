@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "la/kernels.h"
 #include "util/logging.h"
@@ -44,34 +46,44 @@ double KNearestNeighbors::PredictProba(const std::vector<double>& row) const {
   const size_t dim = train_x_.cols();
   const size_t k = std::min(options_.k, n);
 
-  // Distances in training-row order, a chunk of rows per kernel call.
-  // nth_element needs a strict weak order, which NaN keys (a non-finite
-  // feature) break; such a query has no neighbours, so it answers NaN.
-  std::vector<std::pair<double, int>> distances(n);
+  // The k smallest (squared distance, label) pairs so far, a max-heap
+  // under pair order: the front is the pair the next nearer one evicts.
+  // A NaN distance (a non-finite feature) has no place in that order,
+  // so it is caught before it is compared: such a query has no
+  // neighbours and answers NaN.
+  std::vector<std::pair<double, int>> nearest;
+  nearest.reserve(k);
   constexpr size_t kChunk = 64 * la::kernels::kRowBlock;
   double chunk[kChunk];
-  bool any_nan = false;
   for (size_t begin = 0; begin < n; begin += kChunk) {
     const size_t rows = std::min(kChunk, n - begin);
     la::kernels::SquaredDistances(row.data(), packed_x_.data() + begin * dim,
                                   rows, dim, chunk);
     for (size_t i = 0; i < rows; ++i) {
-      any_nan |= std::isnan(chunk[i]);
-      distances[begin + i] = {chunk[i], train_y_[begin + i]};
+      if (std::isnan(chunk[i])) return std::numeric_limits<double>::quiet_NaN();
+      const std::pair<double, int> pair{chunk[i], train_y_[begin + i]};
+      if (nearest.size() < k) {
+        nearest.push_back(pair);
+        std::push_heap(nearest.begin(), nearest.end());
+      } else if (pair < nearest.front()) {
+        std::pop_heap(nearest.begin(), nearest.end());
+        nearest.back() = pair;
+        std::push_heap(nearest.begin(), nearest.end());
+      }
     }
   }
-  if (any_nan) return std::numeric_limits<double>::quiet_NaN();
-  std::nth_element(distances.begin(), distances.begin() + (k - 1),
-                   distances.end());
+  // Nearest first: the sum below is a function of the k pairs alone,
+  // not of the training rows' order.
+  std::sort_heap(nearest.begin(), nearest.end());
 
   double vote1 = 0.0, total = 0.0;
   for (size_t i = 0; i < k; ++i) {
     const double weight =
         options_.distance_weighted
-            ? 1.0 / (std::sqrt(distances[i].first) + 1e-6)
+            ? 1.0 / (std::sqrt(nearest[i].first) + 1e-6)
             : 1.0;
     total += weight;
-    if (distances[i].second == 1) vote1 += weight;
+    if (nearest[i].second == 1) vote1 += weight;
   }
   return total > 0.0 ? vote1 / total : 0.5;
 }
@@ -94,8 +106,8 @@ bool KNearestNeighbors::LoadState(serde::Deserializer* d) {
   const std::vector<uint64_t> labels = d->VecU64();
   train_y_.assign(labels.begin(), labels.end());
   importance_ = d->VecF64();
-  // k = 0 from a damaged stream would wrap `begin() + (k - 1)` in
-  // PredictProba's nth_element far past the end.
+  // k = 0 from a damaged stream would leave PredictProba's heap empty,
+  // and its first eviction test reads the front of that empty heap.
   if (!d->ok() || options_.k < 1 || train_y_.size() != train_x_.rows()) {
     return false;
   }

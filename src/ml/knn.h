@@ -7,8 +7,13 @@
 #include "ml/classifier.h"
 
 /// \file
-/// k-nearest-neighbours classifier (brute-force Euclidean). Matches the
-/// KNN member of the paper's classifier pool.
+/// k-nearest-neighbours classifier. Matches the KNN member of the
+/// paper's classifier pool. A query's squared Euclidean distance to
+/// every training row is computed; a bounded max-heap keeps the k
+/// smallest (squared distance, label) pairs, so a distance tie goes to
+/// label 0, and the vote sums their weights nearest first in ascending
+/// pair order. The answer is a function of the query and the training
+/// multiset alone: permuting the training rows changes no bit of it.
 
 namespace wym::ml {
 

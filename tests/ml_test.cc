@@ -161,9 +161,9 @@ double ReferenceSquaredDistance(const double* a, const double* b, size_t n) {
   return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
-/// KNearestNeighbors::PredictProba as it was with one single-pair
-/// distance call per training row, kept verbatim apart from the
-/// distance call: the reference the row-block kernel must reproduce.
+/// The defined KNN answer: every (distance, label) pair from the
+/// single-pair reference distance, fully sorted, and the first k
+/// weights summed nearest first.
 double ReferenceKnnProba(const la::Matrix& train_x,
                          const std::vector<int>& train_y,
                          const KNearestNeighbors::Options& options,
@@ -171,15 +171,13 @@ double ReferenceKnnProba(const la::Matrix& train_x,
   const size_t n = train_x.rows();
   const size_t k = std::min(options.k, n);
 
-  // Partial selection of the k smallest distances.
   std::vector<std::pair<double, int>> distances(n);
   for (size_t i = 0; i < n; ++i) {
     distances[i] = {
         ReferenceSquaredDistance(row.data(), train_x.Row(i), row.size()),
         train_y[i]};
   }
-  std::nth_element(distances.begin(), distances.begin() + (k - 1),
-                   distances.end());
+  std::sort(distances.begin(), distances.end());
 
   double vote1 = 0.0, total = 0.0;
   for (size_t i = 0; i < k; ++i) {
@@ -193,26 +191,40 @@ double ReferenceKnnProba(const la::Matrix& train_x,
   return total > 0.0 ? vote1 / total : 0.5;
 }
 
-TEST(KnnTest, BitIdenticalToReference) {
-  // 83 rows x 42 features, every fourth row a copy of an earlier one so
-  // distances tie, and the queries include training rows themselves.
+struct KnnFixture {
+  la::Matrix x;
+  std::vector<int> y;
+  std::vector<std::vector<double>> queries;
+};
+
+/// n rows x 42 features, every fourth row a copy of an earlier one so
+/// distances tie (often across labels), and the queries include
+/// training rows themselves.
+KnnFixture MakeTieHeavyKnnFixture(size_t n) {
   Rng rng(0x4E4E);
-  const size_t n = 83, dim = 42;
-  la::Matrix x(n, dim);
-  std::vector<int> y(n);
+  const size_t dim = 42;
+  KnnFixture f{la::Matrix(n, dim), std::vector<int>(n), {}};
   for (size_t i = 0; i < n; ++i) {
-    y[i] = static_cast<int>(rng.Uniform(0.0, 1.0) < 0.3);
+    f.y[i] = static_cast<int>(rng.Uniform(0.0, 1.0) < 0.3);
     for (size_t j = 0; j < dim; ++j) {
-      x.At(i, j) = i % 4 == 3 ? x.At(i / 2, j) : rng.Normal(0.0, 1.0);
+      f.x.At(i, j) = i % 4 == 3 ? f.x.At(i / 2, j) : rng.Normal(0.0, 1.0);
     }
   }
-  std::vector<std::vector<double>> queries;
   for (size_t q = 0; q < 24; ++q) {
     std::vector<double> query(dim);
     for (double& v : query) v = rng.Normal(0.0, 1.2);
-    queries.push_back(query);
+    f.queries.push_back(query);
   }
-  for (size_t i = 0; i < n; i += 7) queries.push_back(x.RowVector(i));
+  for (size_t i = 0; i < n; i += 7) f.queries.push_back(f.x.RowVector(i));
+  return f;
+}
+
+TEST(KnnTest, BitIdenticalToReference) {
+  const KnnFixture f = MakeTieHeavyKnnFixture(83);
+  const la::Matrix& x = f.x;
+  const std::vector<int>& y = f.y;
+  const std::vector<std::vector<double>>& queries = f.queries;
+  const size_t n = x.rows();
 
   for (const size_t k : {size_t{1}, size_t{5}, n, n + 3}) {
     for (const bool weighted : {true, false}) {
@@ -245,9 +257,90 @@ TEST(KnnTest, BitIdenticalToReference) {
   }
 }
 
+TEST(KnnTest, ProbabilityIgnoresTrainingRowOrder) {
+  for (const size_t n : {size_t{83}, size_t{840}}) {
+    const KnnFixture f = MakeTieHeavyKnnFixture(n);
+    std::vector<size_t> reversed(n);
+    for (size_t i = 0; i < n; ++i) reversed[i] = n - 1 - i;
+    std::vector<size_t> shuffled(n);
+    for (size_t i = 0; i < n; ++i) shuffled[i] = i;
+    Rng rng(n);
+    rng.Shuffle(&shuffled);
+
+    for (const size_t k : {size_t{1}, size_t{5}, n, n + 3}) {
+      for (const bool weighted : {true, false}) {
+        KNearestNeighbors::Options options;
+        options.k = k;
+        options.distance_weighted = weighted;
+        KNearestNeighbors knn(options);
+        knn.Fit(f.x, f.y);
+        for (const auto* order : {&reversed, &shuffled}) {
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " k=" << k << " weighted=" << weighted
+                       << (order == &reversed ? " reversed" : " shuffled"));
+          la::Matrix x(n, f.x.cols());
+          std::vector<int> y(n);
+          for (size_t i = 0; i < n; ++i) {
+            const size_t from = (*order)[i];
+            y[i] = f.y[from];
+            for (size_t j = 0; j < x.cols(); ++j) x.At(i, j) = f.x.At(from, j);
+          }
+          KNearestNeighbors permuted(options);
+          permuted.Fit(x, y);
+          for (size_t q = 0; q < f.queries.size(); ++q) {
+            const double expected = knn.PredictProba(f.queries[q]);
+            const double actual = permuted.PredictProba(f.queries[q]);
+            EXPECT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+                << "query " << q;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnTest, RowsInDecreasingDistanceAllEnterTheHeap) {
+  // Each training row is nearer the query (the origin) than every row
+  // before it, so every row evicts the current k-th nearest. Rows come
+  // in equal-distance pairs labelled 1 then 0, so each pair's second
+  // row also wins the label tie against its first.
+  const size_t n = 300, dim = 42;
+  la::Matrix x(n, dim);
+  std::vector<int> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    y[i] = i % 2 == 0 ? 1 : 0;
+    for (size_t j = 0; j < dim; ++j) {
+      x.At(i, j) = static_cast<double>((n - i + 1) / 2) * (j % 2 ? 0.5 : -1.0);
+    }
+  }
+  const std::vector<double> query(dim, 0.0);
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{5}, size_t{64}, n}) {
+    for (const bool weighted : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " weighted="
+                                      << weighted);
+      KNearestNeighbors::Options options;
+      options.k = k;
+      options.distance_weighted = weighted;
+      KNearestNeighbors knn(options);
+      knn.Fit(x, y);
+      const double expected = ReferenceKnnProba(x, y, options, query);
+      const double actual = knn.PredictProba(query);
+      EXPECT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0);
+    }
+  }
+  // The nearest pair ties at one distance; the tie goes to label 0.
+  KNearestNeighbors::Options one;
+  one.k = 1;
+  KNearestNeighbors nearest(one);
+  nearest.Fit(x, y);
+  EXPECT_EQ(nearest.PredictProba(query), 0.0);
+}
+
 TEST(KnnTest, NonFiniteQueryAnswersNaN) {
-  // NaN distances would break nth_element's strict weak order; such a
-  // query has no neighbours and answers NaN for the caller to handle.
+  // NaN distances have no place in the (distance, label) order the
+  // neighbour heap keeps, so they are caught before any comparison;
+  // such a query has no neighbours and answers NaN for the caller to
+  // handle.
   KNearestNeighbors knn;
   la::Matrix x(6, 2);
   for (size_t i = 0; i < 6; ++i) {
