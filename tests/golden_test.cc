@@ -53,6 +53,9 @@
 #include "obs/trace.h"
 #include "obs/window.h"
 #include "serve/protocol.h"
+#include "util/crc32c.h"
+#include "util/framed_file.h"
+#include "util/status.h"
 
 namespace wym {
 namespace {
@@ -114,6 +117,37 @@ const Trained& Train(const std::string& dataset_id,
   return *slot;
 }
 
+/// "<section> <crc32c>" of every section of `model`'s file, in file
+/// order: the bytes SaveToFile writes, which must not depend on the
+/// thread count, the SIMD level or the metrics setting.
+std::vector<std::pair<std::string, std::string>> SectionCrcs(
+    const core::WymModel& model) {
+  const std::string path = ::testing::TempDir() + "wym_golden_model." +
+                           std::to_string(::getpid()) + ".wym";
+  std::vector<std::pair<std::string, std::string>> out;
+  const Status saved = model.SaveToFile(path);
+  if (!saved.ok()) {
+    ADD_FAILURE() << saved.ToString();
+    return out;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
+  std::vector<io::FileFrame> frames;
+  const Status decoded =
+      io::DecodeFramedFile(bytes.str(), "WYM2", 1, nullptr, &frames);
+  if (!decoded.ok()) {
+    ADD_FAILURE() << decoded.ToString();
+    return out;
+  }
+  for (const io::FileFrame& frame : frames) {
+    out.emplace_back(frame.name, crc32c::ToHex(crc32c::Crc32c(frame.payload)));
+  }
+  return out;
+}
+
 /// Renders the golden record of the model trained on `dataset_id` with
 /// `classifier` pinned (empty = best-of-pool selection).
 Record Render(const std::string& dataset_id,
@@ -130,6 +164,11 @@ Record Render(const std::string& dataset_id,
   if (!classifier.empty()) add("classifier", model.matcher().best_name());
   add("f1", Exact(ml::F1Score(split.test.Labels(),
                               model.PredictDataset(split.test))));
+  if (classifier.empty()) {
+    for (const auto& [section, crc] : SectionCrcs(model)) {
+      add("model." + section + ".crc32c", crc);
+    }
+  }
 
   const std::vector<double> probabilities =
       model.PredictProbaBatch(split.test);
@@ -529,6 +568,14 @@ TEST(GoldenKnnTest, MatchesCommittedOutput) {
          << ", default WymConfig with classifier = KNN, DefaultSplit test "
             "partition.";
   CheckGolden("S-WA-KNN", header.str(), Render("S-WA", "KNN"));
+}
+
+TEST(GoldenNbTest, MatchesCommittedOutput) {
+  std::ostringstream header;
+  header << "WYM golden output: seed " << kSeed << ", scale " << kScale
+         << ", default WymConfig with classifier = NB, DefaultSplit test "
+            "partition.";
+  CheckGolden("S-WA-NB", header.str(), Render("S-WA", "NB"));
 }
 
 class GoldenTest : public ::testing::TestWithParam<const char*> {};

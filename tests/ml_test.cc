@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -104,6 +106,55 @@ TEST_P(PoolTest, RefitIsDeterministic) {
                      b->PredictProba(p.x.RowVector(i)))
         << GetParam();
   }
+}
+
+TEST_P(PoolTest, SignedImportanceMatchesPinnedBits) {
+  // Each member's SignedImportance on MakeProblem(600, 11) at seed 1, as
+  // %.17g. 600 rows is more than KNN's 512-row surrogate sample, so the
+  // sample boundary is pinned as well as every member's bits.
+  const std::map<std::string, std::vector<std::string>> pinned = {
+      {"LR",
+       {"3.8599649515976826", "-1.9390864855419379",
+        "-0.078853421552857669"}},
+      {"LDA",
+       {"5.3060074092509524", "-2.6811324412806856",
+        "0.074916300608905362"}},
+      {"KNN",
+       {"10.179350451230309", "-11.433326961217652",
+        "-0.33869667827158356"}},
+      {"DT",
+       {"10.188332949482557", "-11.46633253547529",
+        "-0.39220156864498934"}},
+      {"NB",
+       {"6.5867488574504405", "-7.5442000107523297",
+        "-0.33888508628450859"}},
+      {"SVM",
+       {"2.8875566682956073", "-1.2827399437913776",
+        "0.10148573810337082"}},
+      {"AB",
+       {"1.2989611946444857", "-1.5329413031409049",
+        "-0.11862355370229415"}},
+      {"GBM",
+       {"2.2480881951067087", "-2.5514518575483098",
+        "-0.074371300672405632"}},
+      {"RF",
+       {"6.1253806244744764", "-8.5341134094302493",
+        "-0.11964953537074986"}},
+      {"ET",
+       {"1.9938010617223565", "-2.5708528878109491",
+        "-0.095054804361161413"}},
+  };
+  auto classifier = MakeClassifier(GetParam(), 1);
+  const Problem p = MakeProblem(600, 11);
+  classifier->Fit(p.x, p.y);
+  std::vector<std::string> actual;
+  for (const double value : classifier->SignedImportance()) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    actual.emplace_back(buf);
+  }
+  ASSERT_EQ(pinned.count(GetParam()), 1u) << GetParam();
+  EXPECT_EQ(actual, pinned.at(GetParam())) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPoolMembers, PoolTest,
