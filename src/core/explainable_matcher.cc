@@ -109,7 +109,10 @@ void ExplainableMatcher::Fit(const std::vector<ScoredUnitSet>& train,
   }
   WYM_CHECK(best_ != nullptr);
   best_name_ = best_->name();
-  raw_coefficients_ = scaler_.RawCoefficients(best_->SignedImportance());
+  // The one attribution of the fit: the selected member's, on the rows
+  // it was trained on.
+  raw_coefficients_ =
+      scaler_.RawCoefficients(best_->SignedImportance(x_train));
 }
 
 double ExplainableMatcher::PredictProba(const ScoredUnitSet& set) const {
@@ -159,7 +162,7 @@ std::vector<double> ExplainableMatcher::UnitImpacts(
 }
 
 void ExplainableMatcher::Save(serde::Serializer* s) const {
-  s->Tag("matcher/v1");
+  s->Tag("matcher/v2");
   s->U64(extractor_.num_attributes());
   s->Bool(extractor_.simplified());
   s->Bool(fitted());
@@ -173,7 +176,7 @@ void ExplainableMatcher::Save(serde::Serializer* s) const {
 }
 
 bool ExplainableMatcher::Load(serde::Deserializer* d) {
-  if (!d->Tag("matcher/v1")) return false;
+  if (!d->Tag("matcher/v2")) return false;
   const size_t num_attributes = d->U64();
   const bool simplified = d->Bool();
   extractor_ = FeatureExtractor(num_attributes, simplified);

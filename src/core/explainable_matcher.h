@@ -91,7 +91,9 @@ class ExplainableMatcher {
   double best_validation_f1_ = 0.0;
   double best_threshold_ = 0.5;
   std::vector<double> thresholds_;
-  /// Coefficients of the best model translated to raw feature space.
+  /// The selected member's SignedImportance on the training rows,
+  /// translated to raw feature space: computed once in Fit, and the one
+  /// stored copy of the attribution (no classifier keeps one).
   std::vector<double> raw_coefficients_;
 };
 

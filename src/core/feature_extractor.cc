@@ -1,6 +1,8 @@
 #include "core/feature_extractor.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <string>
 
 #include "util/logging.h"
 
@@ -8,10 +10,46 @@ namespace wym::core {
 
 namespace {
 
-/// Statistic kinds emitted over a group of unit indices.
-enum class Stat { kCount, kSum, kMean, kMedian, kMax, kMin, kRange };
+/// Unit groups, numbered as Compute fills them: the record- and
+/// description-scope groups, then for attribute a its paired units at
+/// kAttributeGroups + 2a and its unpaired units at kAttributeGroups +
+/// 2a + 1.
+enum Group : size_t {
+  kAll,
+  kPositive,
+  kNegative,
+  kPaired,
+  kUnpaired,
+  kLeftUnpaired,
+  kRightUnpaired,
+  kAttributeGroups,
+};
 
-const char* StatName(Stat stat) {
+std::string GroupName(size_t group) {
+  switch (group) {
+    case kAll:
+      return "all";
+    case kPositive:
+      return "pos";
+    case kNegative:
+      return "neg";
+    case kPaired:
+      return "paired";
+    case kUnpaired:
+      return "unpaired";
+    case kLeftUnpaired:
+      return "left_unpaired";
+    case kRightUnpaired:
+      return "right_unpaired";
+  }
+  const size_t offset = group - kAttributeGroups;
+  return "attr" + std::to_string(offset / 2) +
+         (offset % 2 == 0 ? "_paired" : "_unpaired");
+}
+
+}  // namespace
+
+const char* FeatureExtractor::StatName(Stat stat) {
   switch (stat) {
     case Stat::kCount:
       return "count";
@@ -31,11 +69,11 @@ const char* StatName(Stat stat) {
   return "?";
 }
 
-/// Emits one statistic over the group `members` (unit indices) and, when
-/// `attribution` is non-null, the corresponding per-unit weights.
-void EmitStat(Stat stat, const std::vector<size_t>& members,
-              const std::vector<double>& scores, size_t feature_index,
-              std::vector<double>* features, UnitAttribution* attribution) {
+void FeatureExtractor::EmitStat(Stat stat, const std::vector<size_t>& members,
+                                const std::vector<double>& scores,
+                                size_t feature_index,
+                                std::vector<double>* features,
+                                UnitAttribution* attribution) {
   const size_t n = members.size();
   const bool magnitude = (stat == Stat::kCount);
   auto attribute = [&](size_t unit, double weight) {
@@ -122,57 +160,38 @@ void EmitStat(Stat stat, const std::vector<size_t>& members,
   }
 }
 
-}  // namespace
-
 FeatureExtractor::FeatureExtractor(size_t num_attributes, bool simplified)
     : num_attributes_(num_attributes), simplified_(simplified) {
-  auto add = [&](const std::string& group, Stat stat) {
-    names_.push_back(group + "_" + StatName(stat));
+  auto add = [&](size_t group, std::initializer_list<Stat> stats) {
+    for (const Stat stat : stats) layout_.push_back({group, stat});
   };
   if (simplified_) {
     // Paper §5.1.3: 6 features — count and average over all scores, the
     // positive scores and the negative scores.
-    add("all", Stat::kCount);
-    add("all", Stat::kMean);
-    add("pos", Stat::kCount);
-    add("pos", Stat::kMean);
-    add("neg", Stat::kCount);
-    add("neg", Stat::kMean);
-    return;
+    add(kAll, {Stat::kCount, Stat::kMean});
+    add(kPositive, {Stat::kCount, Stat::kMean});
+    add(kNegative, {Stat::kCount, Stat::kMean});
+  } else {
+    for (size_t a = 0; a < num_attributes_; ++a) {
+      add(kAttributeGroups + 2 * a,
+          {Stat::kCount, Stat::kMean, Stat::kMax, Stat::kMin});
+      add(kAttributeGroups + 2 * a + 1,
+          {Stat::kCount, Stat::kMean, Stat::kMin});
+    }
+    // Entity-description scope.
+    add(kLeftUnpaired, {Stat::kCount, Stat::kMean});
+    add(kRightUnpaired, {Stat::kCount, Stat::kMean});
+    // Record scope.
+    add(kAll, {Stat::kCount, Stat::kSum, Stat::kMean, Stat::kMedian,
+               Stat::kMax, Stat::kMin, Stat::kRange});
+    add(kPositive, {Stat::kCount, Stat::kSum, Stat::kMean});
+    add(kNegative, {Stat::kCount, Stat::kSum, Stat::kMean});
+    add(kPaired, {Stat::kCount, Stat::kMean});
+    add(kUnpaired, {Stat::kCount, Stat::kMean});
   }
-  for (size_t a = 0; a < num_attributes_; ++a) {
-    const std::string attr = "attr" + std::to_string(a);
-    add(attr + "_paired", Stat::kCount);
-    add(attr + "_paired", Stat::kMean);
-    add(attr + "_paired", Stat::kMax);
-    add(attr + "_paired", Stat::kMin);
-    add(attr + "_unpaired", Stat::kCount);
-    add(attr + "_unpaired", Stat::kMean);
-    add(attr + "_unpaired", Stat::kMin);
+  for (const Feature& feature : layout_) {
+    names_.push_back(GroupName(feature.group) + "_" + StatName(feature.stat));
   }
-  // Entity-description scope.
-  add("left_unpaired", Stat::kCount);
-  add("left_unpaired", Stat::kMean);
-  add("right_unpaired", Stat::kCount);
-  add("right_unpaired", Stat::kMean);
-  // Record scope.
-  add("all", Stat::kCount);
-  add("all", Stat::kSum);
-  add("all", Stat::kMean);
-  add("all", Stat::kMedian);
-  add("all", Stat::kMax);
-  add("all", Stat::kMin);
-  add("all", Stat::kRange);
-  add("pos", Stat::kCount);
-  add("pos", Stat::kSum);
-  add("pos", Stat::kMean);
-  add("neg", Stat::kCount);
-  add("neg", Stat::kSum);
-  add("neg", Stat::kMean);
-  add("paired", Stat::kCount);
-  add("paired", Stat::kMean);
-  add("unpaired", Stat::kCount);
-  add("unpaired", Stat::kMean);
 }
 
 void FeatureExtractor::Compute(const ScoredUnitSet& set,
@@ -185,76 +204,34 @@ void FeatureExtractor::Compute(const ScoredUnitSet& set,
     attribution->assign(set.size(), {});
   }
 
-  // Group memberships.
-  std::vector<size_t> all, positive, negative, paired, unpaired;
-  std::vector<size_t> left_unpaired, right_unpaired;
-  std::vector<std::vector<size_t>> attr_paired(num_attributes_);
-  std::vector<std::vector<size_t>> attr_unpaired(num_attributes_);
+  // Group memberships, numbered as in Group.
+  std::vector<std::vector<size_t>> groups(kAttributeGroups +
+                                          2 * num_attributes_);
   for (size_t u = 0; u < set.size(); ++u) {
     const DecisionUnit& unit = set.units[u];
-    all.push_back(u);
-    (set.scores[u] > 0.0 ? positive : negative).push_back(u);
+    groups[kAll].push_back(u);
+    groups[set.scores[u] > 0.0 ? kPositive : kNegative].push_back(u);
     const size_t attr = std::min(unit.AnchorAttribute(),
                                  num_attributes_ == 0 ? 0
                                                       : num_attributes_ - 1);
     if (unit.paired) {
-      paired.push_back(u);
-      if (num_attributes_ > 0) attr_paired[attr].push_back(u);
+      groups[kPaired].push_back(u);
+      if (num_attributes_ > 0) groups[kAttributeGroups + 2 * attr].push_back(u);
     } else {
-      unpaired.push_back(u);
-      if (num_attributes_ > 0) attr_unpaired[attr].push_back(u);
-      (unit.unpaired_side == Side::kLeft ? left_unpaired : right_unpaired)
+      groups[kUnpaired].push_back(u);
+      if (num_attributes_ > 0) {
+        groups[kAttributeGroups + 2 * attr + 1].push_back(u);
+      }
+      groups[unit.unpaired_side == Side::kLeft ? kLeftUnpaired
+                                               : kRightUnpaired]
           .push_back(u);
     }
   }
 
-  size_t f = 0;
-  auto emit = [&](Stat stat, const std::vector<size_t>& group) {
-    EmitStat(stat, group, set.scores, f++, features, attribution);
-  };
-
-  if (simplified_) {
-    emit(Stat::kCount, all);
-    emit(Stat::kMean, all);
-    emit(Stat::kCount, positive);
-    emit(Stat::kMean, positive);
-    emit(Stat::kCount, negative);
-    emit(Stat::kMean, negative);
-    WYM_CHECK_EQ(f, dim());
-    return;
+  for (size_t f = 0; f < layout_.size(); ++f) {
+    EmitStat(layout_[f].stat, groups[layout_[f].group], set.scores, f,
+             features, attribution);
   }
-
-  for (size_t a = 0; a < num_attributes_; ++a) {
-    emit(Stat::kCount, attr_paired[a]);
-    emit(Stat::kMean, attr_paired[a]);
-    emit(Stat::kMax, attr_paired[a]);
-    emit(Stat::kMin, attr_paired[a]);
-    emit(Stat::kCount, attr_unpaired[a]);
-    emit(Stat::kMean, attr_unpaired[a]);
-    emit(Stat::kMin, attr_unpaired[a]);
-  }
-  emit(Stat::kCount, left_unpaired);
-  emit(Stat::kMean, left_unpaired);
-  emit(Stat::kCount, right_unpaired);
-  emit(Stat::kMean, right_unpaired);
-  emit(Stat::kCount, all);
-  emit(Stat::kSum, all);
-  emit(Stat::kMean, all);
-  emit(Stat::kMedian, all);
-  emit(Stat::kMax, all);
-  emit(Stat::kMin, all);
-  emit(Stat::kRange, all);
-  emit(Stat::kCount, positive);
-  emit(Stat::kSum, positive);
-  emit(Stat::kMean, positive);
-  emit(Stat::kCount, negative);
-  emit(Stat::kSum, negative);
-  emit(Stat::kMean, negative);
-  emit(Stat::kCount, paired);
-  emit(Stat::kMean, paired);
-  emit(Stat::kCount, unpaired);
-  emit(Stat::kMean, unpaired);
-  WYM_CHECK_EQ(f, dim());
 }
 
 std::vector<double> FeatureExtractor::Extract(const ScoredUnitSet& set) const {

@@ -52,7 +52,7 @@ class FeatureExtractor {
   explicit FeatureExtractor(size_t num_attributes, bool simplified = false);
 
   /// Number of features produced.
-  size_t dim() const { return names_.size(); }
+  size_t dim() const { return layout_.size(); }
 
   /// Stable, human-readable feature names (used by tests and benches).
   const std::vector<std::string>& feature_names() const { return names_; }
@@ -70,11 +70,34 @@ class FeatureExtractor {
   UnitAttribution Attribution(const ScoredUnitSet& set) const;
 
  private:
+  /// The statistics a feature takes over its group of units.
+  enum class Stat { kCount, kSum, kMean, kMedian, kMax, kMin, kRange };
+
+  /// One feature: `stat` over the units of group `group` (the group
+  /// numbering is in feature_extractor.cc).
+  struct Feature {
+    size_t group;
+    Stat stat;
+  };
+
+  static const char* StatName(Stat stat);
+
+  /// Emits `stat` over `members` (unit indices) as feature
+  /// `feature_index` and, when `attribution` is non-null, its per-unit
+  /// weights.
+  static void EmitStat(Stat stat, const std::vector<size_t>& members,
+                       const std::vector<double>& scores,
+                       size_t feature_index, std::vector<double>* features,
+                       UnitAttribution* attribution);
+
   void Compute(const ScoredUnitSet& set, std::vector<double>* features,
                UnitAttribution* attribution) const;
 
   size_t num_attributes_;
   bool simplified_;
+  /// The feature layout, in feature order: built once by the
+  /// constructor; names_ is rendered from it and Compute walks it.
+  std::vector<Feature> layout_;
   std::vector<std::string> names_;
 };
 

@@ -208,7 +208,11 @@ void RelevanceScorer::Save(serde::Serializer* s) const {
 
 bool RelevanceScorer::Load(serde::Deserializer* d) {
   if (!d->Tag("scorer/v1")) return false;
-  options_.kind = static_cast<ScorerKind>(d->U64());
+  const uint64_t kind = d->U64();
+  if (!d->ok() || kind > static_cast<uint64_t>(ScorerKind::kCosine)) {
+    return false;
+  }
+  options_.kind = static_cast<ScorerKind>(kind);
   options_.alpha = d->F64();
   options_.beta = d->F64();
   fitted_ = d->Bool();

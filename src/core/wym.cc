@@ -445,8 +445,9 @@ void WriteConfigFields(serde::Serializer* s, const WymConfig& config,
 }
 
 /// Reads WriteConfigFields output. `rule_count` and `num_attributes`
-/// are returned separately (rules are code, not data).
-void ReadConfigFields(serde::Deserializer* d, WymConfig* config,
+/// are returned separately (rules are code, not data). Returns false on
+/// an out-of-range enum.
+bool ReadConfigFields(serde::Deserializer* d, WymConfig* config,
                       uint64_t* rule_count, uint64_t* num_attributes) {
   config->tokenizer.lowercase = d->Bool();
   config->tokenizer.remove_stopwords = d->Bool();
@@ -454,11 +455,16 @@ void ReadConfigFields(serde::Deserializer* d, WymConfig* config,
   config->generator.theta = d->F64();
   config->generator.eta = d->F64();
   config->generator.epsilon = d->F64();
-  config->generator.similarity = static_cast<PairingSimilarity>(d->U64());
+  const uint64_t similarity = d->U64();
+  if (similarity > static_cast<uint64_t>(PairingSimilarity::kJaroWinkler)) {
+    return false;
+  }
+  config->generator.similarity = static_cast<PairingSimilarity>(similarity);
   *rule_count = d->U64();
   config->simplified_features = d->Bool();
   config->classifier = d->Str();
   *num_attributes = d->U64();
+  return true;
 }
 
 Status CheckRuleCount(uint64_t rule_count,
@@ -539,8 +545,9 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   if (!config_reader.Tag("wym-config/v2")) {
     return Status::Corruption("bad config section tag: " + path);
   }
-  ReadConfigFields(&config_reader, &config, &rule_count, &num_attributes);
-  if (!config_reader.ok()) {
+  if (!ReadConfigFields(&config_reader, &config, &rule_count,
+                        &num_attributes) ||
+      !config_reader.ok()) {
     return Status::Corruption("bad config section: " + path);
   }
   WYM_RETURN_IF_ERROR(CheckRuleCount(rule_count, rules));

@@ -166,19 +166,30 @@ void SemanticEncoder::Save(serde::Serializer* s) const {
 bool SemanticEncoder::Load(serde::Deserializer* d) {
   if (!d->Tag("encoder/v1")) return false;
   Options options;
-  options.mode = static_cast<EncoderMode>(d->U64());
+  const uint64_t mode = d->U64();
   options.hash_dim = d->U64();
   options.cooc_dim = d->U64();
   options.numeric_dims = d->U64();
   options.context.blend = d->F64();
   options.context.temperature = d->F64();
   options.seed = d->U64();
-  if (!d->ok()) return false;
+  // A zero hash_dim divides by zero in HashEmbedder::Embed, and the
+  // numeric channel's centres divide by numeric_dims - 1.
+  if (!d->ok() || mode > static_cast<uint64_t>(EncoderMode::kSiamese) ||
+      options.hash_dim == 0 || options.hash_dim > 4096 ||
+      options.cooc_dim == 0 || options.cooc_dim > 4096 ||
+      options.numeric_dims == 1 || options.numeric_dims > 4096) {
+    return false;
+  }
+  options.mode = static_cast<EncoderMode>(mode);
   *this = SemanticEncoder(options);
   fitted_ = d->Bool();
   if (!cooc_.Load(d)) return false;
   if (!calibrator_.Load(d)) return false;
-  return d->ok();
+  // BaseEmbed copies cooc_dim values of each cooc vector, and Apply
+  // requires one calibration weight per output channel.
+  return d->ok() && cooc_.dim() == options.cooc_dim &&
+         (!calibrator_.fitted() || calibrator_.weights().size() == dim());
 }
 
 }  // namespace wym::embedding

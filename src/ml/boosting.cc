@@ -66,10 +66,6 @@ void AdaBoostClassifier::Fit(const la::Matrix& x, const std::vector<int>& y) {
     WYM_CHECK_GT(z, 0.0);
     for (double& w : weights) w /= z;
   }
-
-  std::vector<double> probas(n);
-  for (size_t i = 0; i < n; ++i) probas[i] = PredictProba(x.RowVector(i));
-  importance_ = internal::SurrogateImportance(x, probas);
 }
 
 double AdaBoostClassifier::Score(const std::vector<double>& row) const {
@@ -124,10 +120,6 @@ void GradientBoostingClassifier::Fit(const la::Matrix& x,
     }
     trees_.push_back(std::move(tree));
   }
-
-  std::vector<double> probas(n);
-  for (size_t i = 0; i < n; ++i) probas[i] = Sigmoid(logits[i]);
-  importance_ = internal::SurrogateImportance(x, probas);
 }
 
 double GradientBoostingClassifier::Logit(const std::vector<double>& row) const {
@@ -150,7 +142,6 @@ void AdaBoostClassifier::SaveState(serde::Serializer* s) const {
   for (const RegressionTree& stump : stumps_) stump.Save(s);
   s->VecF64(alphas_);
   s->F64(alpha_total_);
-  s->VecF64(importance_);
 }
 
 bool AdaBoostClassifier::LoadState(serde::Deserializer* d) {
@@ -163,7 +154,6 @@ bool AdaBoostClassifier::LoadState(serde::Deserializer* d) {
   }
   alphas_ = d->VecF64();
   alpha_total_ = d->F64();
-  importance_ = d->VecF64();
   return d->ok() && alphas_.size() == stumps_.size();
 }
 
@@ -173,7 +163,6 @@ void GradientBoostingClassifier::SaveState(serde::Serializer* s) const {
   s->F64(base_logit_);
   s->U64(trees_.size());
   for (const RegressionTree& tree : trees_) tree.Save(s);
-  s->VecF64(importance_);
 }
 
 bool GradientBoostingClassifier::LoadState(serde::Deserializer* d) {
@@ -186,7 +175,6 @@ bool GradientBoostingClassifier::LoadState(serde::Deserializer* d) {
   for (RegressionTree& tree : trees_) {
     if (!tree.Load(d)) return false;
   }
-  importance_ = d->VecF64();
   return d->ok();
 }
 

@@ -30,9 +30,6 @@ class AdaBoostClassifier : public Classifier {
   const char* name() const override { return "AB"; }
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override {
-    return importance_;
-  }
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;
 
@@ -44,7 +41,6 @@ class AdaBoostClassifier : public Classifier {
   std::vector<RegressionTree> stumps_;
   std::vector<double> alphas_;
   double alpha_total_ = 0.0;
-  std::vector<double> importance_;
 };
 
 /// Options for GradientBoostingClassifier.
@@ -69,9 +65,6 @@ class GradientBoostingClassifier : public Classifier {
   const char* name() const override { return "GBM"; }
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override {
-    return importance_;
-  }
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;
 
@@ -81,7 +74,6 @@ class GradientBoostingClassifier : public Classifier {
   Options options_;
   double base_logit_ = 0.0;
   std::vector<RegressionTree> trees_;
-  std::vector<double> importance_;
 };
 
 }  // namespace wym::ml

@@ -13,6 +13,14 @@ std::vector<int> Classifier::PredictBatch(const la::Matrix& x) const {
   return out;
 }
 
+std::vector<double> Classifier::SignedImportance(const la::Matrix& x) const {
+  std::vector<double> probas(x.rows());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    probas[i] = PredictProba(x.RowVector(i));
+  }
+  return internal::SurrogateImportance(x, probas);
+}
+
 namespace internal {
 
 std::vector<double> SurrogateImportance(const la::Matrix& x,

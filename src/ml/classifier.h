@@ -38,12 +38,15 @@ class Classifier {
   std::vector<int> PredictBatch(const la::Matrix& x) const;
 
   /// Signed per-feature attribution used by the explainable matcher's
-  /// inverse feature transformation (paper §4.3 "coefficients learned").
-  /// Exact coefficients for linear models; for the non-linear pool members
-  /// a fitted-margin surrogate (see classifier.cc) computed during Fit.
-  virtual std::vector<double> SignedImportance() const = 0;
+  /// inverse feature transformation (paper §4.3 "coefficients learned"),
+  /// computed on demand from the fitted model and its training rows `x`;
+  /// nothing of it is stored. Linear members return their exact
+  /// coefficients. This default is the fitted-margin surrogate
+  /// internal::SurrogateImportance over this model's PredictProba on
+  /// every row of `x`.
+  virtual std::vector<double> SignedImportance(const la::Matrix& x) const;
 
-  /// True when SignedImportance() returns exact model coefficients.
+  /// True when SignedImportance returns exact model coefficients.
   virtual bool IsLinear() const { return false; }
 
   /// Serializes the trained state (not training hyper-parameters).
@@ -57,8 +60,8 @@ namespace internal {
 /// Surrogate signed importance for non-linear classifiers: the slope of a
 /// univariate regression of the model's fitted log-odds on each feature.
 /// Positive slope = feature pushes toward match, mirroring a linear
-/// coefficient's reading. `probas` are the model's fitted probabilities on
-/// the training rows.
+/// coefficient's reading. `probas` are the model's probabilities on the
+/// rows of `x`.
 std::vector<double> SurrogateImportance(const la::Matrix& x,
                                         const std::vector<double>& probas);
 

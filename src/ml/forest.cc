@@ -45,10 +45,6 @@ void TreeEnsembleClassifier::Fit(const la::Matrix& x,
              presorted ? &*presorted : nullptr);
     trees_.push_back(std::move(tree));
   }
-
-  std::vector<double> probas(n);
-  for (size_t i = 0; i < n; ++i) probas[i] = PredictProba(x.RowVector(i));
-  importance_ = internal::SurrogateImportance(x, probas);
 }
 
 double TreeEnsembleClassifier::PredictProba(
@@ -63,7 +59,6 @@ void TreeEnsembleClassifier::SaveState(serde::Serializer* s) const {
   s->Tag("forest/v1");
   s->U64(trees_.size());
   for (const RegressionTree& tree : trees_) tree.Save(s);
-  s->VecF64(importance_);
 }
 
 bool TreeEnsembleClassifier::LoadState(serde::Deserializer* d) {
@@ -74,7 +69,6 @@ bool TreeEnsembleClassifier::LoadState(serde::Deserializer* d) {
   for (RegressionTree& tree : trees_) {
     if (!tree.Load(d)) return false;
   }
-  importance_ = d->VecF64();
   return d->ok();
 }
 

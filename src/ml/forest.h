@@ -34,9 +34,6 @@ class TreeEnsembleClassifier : public Classifier {
 
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override {
-    return importance_;
-  }
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;
 
@@ -47,7 +44,6 @@ class TreeEnsembleClassifier : public Classifier {
 
  private:
   std::vector<RegressionTree> trees_;
-  std::vector<double> importance_;
 };
 
 /// Breiman random forest ("RF").

@@ -19,17 +19,16 @@ void KNearestNeighbors::Fit(const la::Matrix& x, const std::vector<int>& y) {
   train_x_ = x;
   train_y_ = y;
   PackTrainingRows();
+}
 
-  // Surrogate importance from leave-in fitted probabilities on a sample
-  // (full n^2 would dominate training time on larger datasets).
+std::vector<double> KNearestNeighbors::SignedImportance(
+    const la::Matrix& x) const {
   const size_t sample = std::min<size_t>(x.rows(), 512);
   la::Matrix sample_x(sample, x.cols());
-  std::vector<double> probas(sample);
   for (size_t i = 0; i < sample; ++i) {
-    for (size_t j = 0; j < x.cols(); ++j) sample_x.At(i, j) = x.At(i, j);
-    probas[i] = PredictProba(x.RowVector(i));
+    std::copy(x.Row(i), x.Row(i) + x.cols(), sample_x.Row(i));
   }
-  importance_ = internal::SurrogateImportance(sample_x, probas);
+  return Classifier::SignedImportance(sample_x);
 }
 
 void KNearestNeighbors::PackTrainingRows() {
@@ -95,7 +94,6 @@ void KNearestNeighbors::SaveState(serde::Serializer* s) const {
   train_x_.Save(s);
   std::vector<uint64_t> labels(train_y_.begin(), train_y_.end());
   s->VecU64(labels);
-  s->VecF64(importance_);
 }
 
 bool KNearestNeighbors::LoadState(serde::Deserializer* d) {
@@ -105,7 +103,6 @@ bool KNearestNeighbors::LoadState(serde::Deserializer* d) {
   if (!train_x_.Load(d)) return false;
   const std::vector<uint64_t> labels = d->VecU64();
   train_y_.assign(labels.begin(), labels.end());
-  importance_ = d->VecF64();
   // k = 0 from a damaged stream would leave PredictProba's heap empty,
   // and its first eviction test reads the front of that empty heap.
   if (!d->ok() || options_.k < 1 || train_y_.size() != train_x_.rows()) {

@@ -35,9 +35,9 @@ class KNearestNeighbors : public Classifier {
   const char* name() const override { return "KNN"; }
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override {
-    return importance_;
-  }
+  /// The shared surrogate over the first 512 rows of `x` only:
+  /// PredictProba is O(n), so every row would make it O(n^2).
+  std::vector<double> SignedImportance(const la::Matrix& x) const override;
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;
 
@@ -51,7 +51,6 @@ class KNearestNeighbors : public Classifier {
   /// train_x_ in the row-block layout of la::kernels::SquaredDistances.
   std::vector<double> packed_x_;
   std::vector<int> train_y_;
-  std::vector<double> importance_;
 };
 
 }  // namespace wym::ml

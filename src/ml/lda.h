@@ -28,7 +28,9 @@ class LinearDiscriminant : public Classifier {
   const char* name() const override { return "LDA"; }
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override { return weights_; }
+  std::vector<double> SignedImportance(const la::Matrix&) const override {
+    return weights_;
+  }
   bool IsLinear() const override { return true; }
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;

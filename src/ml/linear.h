@@ -32,7 +32,9 @@ class LogisticRegression : public Classifier {
   const char* name() const override { return "LR"; }
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override { return weights_; }
+  std::vector<double> SignedImportance(const la::Matrix&) const override {
+    return weights_;
+  }
   bool IsLinear() const override { return true; }
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;
@@ -63,7 +65,9 @@ class LinearSvm : public Classifier {
   const char* name() const override { return "SVM"; }
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override { return weights_; }
+  std::vector<double> SignedImportance(const la::Matrix&) const override {
+    return weights_;
+  }
   bool IsLinear() const override { return true; }
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;

@@ -55,11 +55,6 @@ void GaussianNaiveBayes::Fit(const la::Matrix& x, const std::vector<int>& y) {
         std::max(1.0, static_cast<double>(counts[c])) /
         static_cast<double>(n));
   }
-
-  // Signed surrogate importance from fitted probabilities.
-  std::vector<double> probas(n);
-  for (size_t i = 0; i < n; ++i) probas[i] = PredictProba(x.RowVector(i));
-  importance_ = internal::SurrogateImportance(x, probas);
 }
 
 double GaussianNaiveBayes::PredictProba(const std::vector<double>& row) const {
@@ -87,7 +82,6 @@ void GaussianNaiveBayes::SaveState(serde::Serializer* s) const {
     s->VecF64(var_[c]);
     s->F64(log_prior_[c]);
   }
-  s->VecF64(importance_);
 }
 
 bool GaussianNaiveBayes::LoadState(serde::Deserializer* d) {
@@ -97,7 +91,6 @@ bool GaussianNaiveBayes::LoadState(serde::Deserializer* d) {
     var_[c] = d->VecF64();
     log_prior_[c] = d->F64();
   }
-  importance_ = d->VecF64();
   if (!d->ok() || mean_[0].size() != var_[0].size() ||
       mean_[1].size() != mean_[0].size() ||
       var_[1].size() != var_[0].size()) {

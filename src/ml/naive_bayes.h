@@ -29,9 +29,6 @@ class GaussianNaiveBayes : public Classifier {
   const char* name() const override { return "NB"; }
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override {
-    return importance_;
-  }
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;
 
@@ -40,7 +37,6 @@ class GaussianNaiveBayes : public Classifier {
   std::vector<double> mean_[2];
   std::vector<double> var_[2];
   double log_prior_[2] = {0.0, 0.0};
-  std::vector<double> importance_;
 };
 
 }  // namespace wym::ml

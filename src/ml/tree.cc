@@ -72,7 +72,6 @@ void RegressionTree::Fit(const la::Matrix& x, const std::vector<double>& y,
   WYM_CHECK(!indices.empty());
   WYM_CHECK_EQ(x.rows(), y.size());
   nodes_.clear();
-  importance_.assign(x.cols(), 0.0);
   Growth growth{x, y, weights, rng, presorted, indices, {}, {}, {}};
   if (!options_.random_thresholds) {
     WYM_CHECK(presorted != nullptr);
@@ -266,7 +265,6 @@ int RegressionTree::Grow(Growth* growth, size_t begin, size_t end,
     }
   }
 
-  importance_[best_feature] += best_gain;
   nodes_[node_id].feature = best_feature;
   nodes_[node_id].threshold = best_threshold;
   const int left = Grow(growth, begin, split, depth + 1);
@@ -297,13 +295,12 @@ void RegressionTree::Save(serde::Serializer* s) const {
     s->I64(node.right);
     s->F64(node.value);
   }
-  s->VecF64(importance_);
 }
 
 bool RegressionTree::Load(serde::Deserializer* d) {
   if (!d->Tag("tree/v1")) return false;
   const uint64_t count = d->U64();
-  if (!d->ok() || count > (1u << 26)) return false;
+  if (!d->ok() || count == 0 || count > (1u << 26)) return false;
   nodes_.assign(count, {});
   for (Node& node : nodes_) {
     node.feature = static_cast<int>(d->I64());
@@ -312,12 +309,15 @@ bool RegressionTree::Load(serde::Deserializer* d) {
     node.right = static_cast<int>(d->I64());
     node.value = d->F64();
   }
-  importance_ = d->VecF64();
   if (!d->ok()) return false;
-  // Structural sanity: children must stay in bounds.
-  for (const Node& node : nodes_) {
+  // Structural sanity: children stay in bounds, and every child id is
+  // greater than its parent's, as Grow's preorder ids are. So Predict's
+  // walk only moves forward and ends at a leaf: no cycle, no hang.
+  for (size_t id = 0; id < nodes_.size(); ++id) {
+    const Node& node = nodes_[id];
     if (node.feature >= 0 &&
-        (node.left < 0 || node.right < 0 ||
+        (node.left <= static_cast<int>(id) ||
+         node.right <= static_cast<int>(id) ||
          static_cast<size_t>(node.left) >= nodes_.size() ||
          static_cast<size_t>(node.right) >= nodes_.size())) {
       return false;
@@ -340,12 +340,6 @@ void DecisionTreeClassifier::Fit(const la::Matrix& x,
   const PresortedFeatures presorted(x);
   tree_ = RegressionTree(options_.tree);
   tree_.Fit(x, targets, /*weights=*/{}, indices, &rng, &presorted);
-
-  std::vector<double> probas(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    probas[i] = tree_.Predict(x.Row(i));
-  }
-  importance_ = internal::SurrogateImportance(x, probas);
 }
 
 double DecisionTreeClassifier::PredictProba(
@@ -356,14 +350,11 @@ double DecisionTreeClassifier::PredictProba(
 void DecisionTreeClassifier::SaveState(serde::Serializer* s) const {
   s->Tag("dt/v1");
   tree_.Save(s);
-  s->VecF64(importance_);
 }
 
 bool DecisionTreeClassifier::LoadState(serde::Deserializer* d) {
   if (!d->Tag("dt/v1")) return false;
-  if (!tree_.Load(d)) return false;
-  importance_ = d->VecF64();
-  return d->ok();
+  return tree_.Load(d);
 }
 
 }  // namespace wym::ml

@@ -72,11 +72,6 @@ class RegressionTree {
     return Predict(row.data());
   }
 
-  /// Total impurity decrease attributed to each feature (unsigned).
-  const std::vector<double>& feature_importance() const {
-    return importance_;
-  }
-
   size_t node_count() const { return nodes_.size(); }
   bool fitted() const { return !nodes_.empty(); }
 
@@ -102,7 +97,6 @@ class RegressionTree {
 
   TreeOptions options_;
   std::vector<Node> nodes_;
-  std::vector<double> importance_;
 };
 
 /// Options for DecisionTreeClassifier.
@@ -121,16 +115,12 @@ class DecisionTreeClassifier : public Classifier {
   const char* name() const override { return "DT"; }
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
-  std::vector<double> SignedImportance() const override {
-    return importance_;
-  }
   void SaveState(serde::Serializer* s) const override;
   bool LoadState(serde::Deserializer* d) override;
 
  private:
   Options options_;
   RegressionTree tree_;
-  std::vector<double> importance_;
 };
 
 }  // namespace wym::ml

@@ -17,10 +17,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -234,6 +236,135 @@ TEST_F(FaultInjectionTest, V1FileIsRejectedAsCorruption) {
   const Status verified = core::WymModel::VerifyFile(v1_path, &summary);
   EXPECT_EQ(verified.code(), Status::Code::kCorruption) << verified.ToString();
   std::remove(v1_path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Crafted files: valid CRCs, hostile contents
+// ---------------------------------------------------------------------
+
+/// The model-file magic and format version written by core/wym.cc.
+constexpr char kModelMagic[] = "WYM2";
+constexpr uint32_t kModelVersion = 1;
+
+/// Loads the model file `bytes` after `edit` has rewritten the payload
+/// lines of section `section`; the file is re-framed with correct CRCs,
+/// so only the section's own checks can refuse it.
+template <typename Edit>
+Status LoadCrafted(const std::string& bytes, const std::string& section,
+                   Edit edit) {
+  std::vector<io::FileFrame> frames;
+  const Status decoded =
+      io::DecodeFramedFile(bytes, kModelMagic, kModelVersion, nullptr, &frames);
+  if (!decoded.ok()) return decoded;
+  bool found = false;
+  for (io::FileFrame& frame : frames) {
+    if (frame.name != section) continue;
+    found = true;
+    std::vector<std::string> lines;
+    std::istringstream in(frame.payload);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    edit(&lines);
+    frame.payload.clear();
+    for (const std::string& line : lines) frame.payload += line + '\n';
+  }
+  if (!found) return Status::NotFound("no section " + section);
+  const std::string path = testing::TempDir() + "/wym_crafted." +
+                           std::to_string(::getpid()) + ".wym";
+  WYM_RETURN_IF_ERROR(io::WriteFileAtomic(
+      path, io::EncodeFramedFile(kModelMagic, kModelVersion, frames)));
+  const auto loaded = core::WymModel::LoadFromFile(path);
+  std::remove(path.c_str());
+  return loaded.status();
+}
+
+void ExpectCorruption(const Status& status, const std::string& what) {
+  EXPECT_EQ(status.code(), Status::Code::kCorruption)
+      << what << ": " << status.ToString();
+}
+
+TEST_F(FaultInjectionTest, ZeroEncoderDimensionIsCorruption) {
+  // The re-framing alone must not be what these tests detect.
+  ASSERT_TRUE(LoadCrafted(suite_->clean_bytes, "encoder",
+                          [](std::vector<std::string>*) {})
+                  .ok());
+  // Encoder lines: tag, mode, hash_dim, cooc_dim, numeric_dims. A zero
+  // hash_dim used to load and then divide by zero on the first token.
+  for (const size_t line : {2u, 3u}) {
+    ExpectCorruption(
+        LoadCrafted(suite_->clean_bytes, "encoder",
+                    [line](std::vector<std::string>* lines) {
+                      (*lines)[line] = "0";
+                    }),
+        "zero dimension at encoder line " + std::to_string(line));
+  }
+  ExpectCorruption(LoadCrafted(suite_->clean_bytes, "encoder",
+                               [](std::vector<std::string>* lines) {
+                                 (*lines)[2] = "4097";
+                               }),
+                   "hash_dim above the cap");
+}
+
+TEST_F(FaultInjectionTest, OutOfRangeEnumIsCorruption) {
+  // Encoder mode (line 1), scorer kind (line 1) and the config's pairing
+  // similarity (line 7) are each one past their last enumerator.
+  ExpectCorruption(LoadCrafted(suite_->clean_bytes, "encoder",
+                               [](std::vector<std::string>* lines) {
+                                 (*lines)[1] = "3";
+                               }),
+                   "encoder mode");
+  ExpectCorruption(LoadCrafted(suite_->clean_bytes, "scorer",
+                               [](std::vector<std::string>* lines) {
+                                 (*lines)[1] = "3";
+                               }),
+                   "scorer kind");
+  ExpectCorruption(LoadCrafted(suite_->clean_bytes, "config",
+                               [](std::vector<std::string>* lines) {
+                                 (*lines)[7] = "2";
+                               }),
+                   "pairing similarity");
+}
+
+TEST_F(FaultInjectionTest, MatcherV1SectionIsCorruption) {
+  // matcher/v1 sections also stored an importance vector in every
+  // classifier and tree; they are refused, not misparsed.
+  ExpectCorruption(LoadCrafted(suite_->clean_bytes, "matcher",
+                               [](std::vector<std::string>* lines) {
+                                 ASSERT_EQ((*lines)[0], "10 matcher/v2");
+                                 (*lines)[0] = "10 matcher/v1";
+                               }),
+                   "matcher/v1 tag");
+}
+
+TEST_F(FaultInjectionTest, TreeCycleIsCorruption) {
+  // A GBM whose first tree's root names itself as its left child used
+  // to load and then loop forever in the first prediction.
+  core::WymConfig config;
+  config.classifier = "GBM";
+  core::WymModel gbm(config);
+  gbm.Fit(suite_->split.train, suite_->split.validation);
+  const std::string path = testing::TempDir() + "/wym_fault_gbm." +
+                           std::to_string(::getpid()) + ".wym";
+  ASSERT_TRUE(gbm.SaveToFile(path).ok());
+  std::string bytes;
+  ASSERT_TRUE(io::ReadFileToString(path, &bytes).ok());
+  std::remove(path.c_str());
+
+  // Tree lines: tag, node count, then per node feature, threshold,
+  // left, right, value.
+  const auto root_child = [](size_t offset, std::string value) {
+    return [offset, value](std::vector<std::string>* lines) {
+      const auto tag = std::find(lines->begin(), lines->end(), "7 tree/v1");
+      ASSERT_NE(tag, lines->end());
+      ASSERT_NE(*(tag + 2), "-1") << "root is a leaf";
+      *(tag + offset) = value;
+    };
+  };
+  ExpectCorruption(LoadCrafted(bytes, "matcher", root_child(4, "0")),
+                   "root is its own left child");
+  ExpectCorruption(LoadCrafted(bytes, "matcher", root_child(5, "0")),
+                   "root is its own right child");
+  EXPECT_TRUE(LoadCrafted(bytes, "matcher", root_child(2, "0")).ok())
+      << "changing a split feature keeps the tree well formed";
 }
 
 // ---------------------------------------------------------------------

@@ -10,15 +10,18 @@
 // probability of the first kProbabilities test records, and for the
 // first kExplained test records every decision unit's phase, tokens,
 // %.17g similarity and %.17g impact, plus the exact ExplanationToJson
-// bytes. S-WA-KNN.txt is the same render of an S-WA model whose
-// classifier is pinned to KNN, which no default selection picks here;
-// its impacts pin KNN's surrogate importance, computed in Fit through
-// PredictProba. wire.txt holds the exact bytes of wym-serve/v1 requests and
-// responses and of a wym-analysis-report/v1 document, built from fixed
-// inputs whose strings carry every character JSON must escape, plus the
-// observability artifacts of fixed inputs: a wym-journal/v1 line, a
-// wym-flight-recorder/v1 dump, a wym-telemetry/v1 document and a trace
-// file.
+// bytes; S-WA.txt and T-AB.txt also hold the CRC32C of each section of
+// the saved model file. S-WA-KNN.txt and S-WA-NB.txt are the same render
+// of S-WA models whose classifier is pinned to KNN (which no default
+// selection picks here) and to NB (which both serve benchmarks select);
+// their impacts pin the surrogate importance that
+// ExplainableMatcher::Fit asks of the selected member, KNN's over its
+// 512-row sample of PredictProba. wire.txt holds the exact bytes of
+// wym-serve/v1 requests and responses and of a wym-analysis-report/v1
+// document, built from fixed inputs whose strings carry every character
+// JSON must escape, plus the observability artifacts of fixed inputs: a
+// wym-journal/v1 line, a wym-flight-recorder/v1 dump, a wym-telemetry/v1
+// document and a trace file.
 // blocking.txt holds the candidate-generation output over the S-WA test
 // split's left and right entities, taken as two raw tables: the LSH-on
 // CandidateStream count and first candidates, every MatchTables match
@@ -55,6 +58,7 @@
 #include "serve/protocol.h"
 #include "util/crc32c.h"
 #include "util/framed_file.h"
+#include "util/io.h"
 #include "util/status.h"
 
 namespace wym {
@@ -125,21 +129,16 @@ std::vector<std::pair<std::string, std::string>> SectionCrcs(
   const std::string path = ::testing::TempDir() + "wym_golden_model." +
                            std::to_string(::getpid()) + ".wym";
   std::vector<std::pair<std::string, std::string>> out;
-  const Status saved = model.SaveToFile(path);
-  if (!saved.ok()) {
-    ADD_FAILURE() << saved.ToString();
-    return out;
-  }
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  in.close();
-  std::remove(path.c_str());
+  std::string bytes;
   std::vector<io::FileFrame> frames;
-  const Status decoded =
-      io::DecodeFramedFile(bytes.str(), "WYM2", 1, nullptr, &frames);
-  if (!decoded.ok()) {
-    ADD_FAILURE() << decoded.ToString();
+  Status status = model.SaveToFile(path);
+  if (status.ok()) status = io::ReadFileToString(path, &bytes);
+  std::remove(path.c_str());
+  if (status.ok()) {
+    status = io::DecodeFramedFile(bytes, "WYM2", 1, nullptr, &frames);
+  }
+  if (!status.ok()) {
+    ADD_FAILURE() << status.ToString();
     return out;
   }
   for (const io::FileFrame& frame : frames) {

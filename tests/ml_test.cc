@@ -86,7 +86,7 @@ TEST_P(PoolTest, SignedImportanceFollowsFeatureDirection) {
   auto classifier = MakeClassifier(GetParam(), 1);
   const Problem p = MakeProblem(400, 11);
   classifier->Fit(p.x, p.y);
-  const std::vector<double> importance = classifier->SignedImportance();
+  const std::vector<double> importance = classifier->SignedImportance(p.x);
   ASSERT_EQ(importance.size(), 3u) << GetParam();
   // Feature 0 pushes toward class 1, feature 1 away from it.
   EXPECT_GT(importance[0], 0.0) << GetParam();
@@ -148,7 +148,7 @@ TEST_P(PoolTest, SignedImportanceMatchesPinnedBits) {
   const Problem p = MakeProblem(600, 11);
   classifier->Fit(p.x, p.y);
   std::vector<std::string> actual;
-  for (const double value : classifier->SignedImportance()) {
+  for (const double value : classifier->SignedImportance(p.x)) {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     actual.emplace_back(buf);
@@ -176,7 +176,7 @@ TEST(LogisticRegressionTest, CoefficientsRecoverSigns) {
   const Problem p = MakeProblem(600, 2);
   lr.Fit(p.x, p.y);
   EXPECT_TRUE(lr.IsLinear());
-  const auto w = lr.SignedImportance();
+  const auto w = lr.SignedImportance(p.x);
   EXPECT_GT(w[0], 0.0);
   EXPECT_LT(w[1], 0.0);
 }
@@ -522,7 +522,6 @@ class SortPerNodeTree {
            const std::vector<double>& weights,
            const std::vector<size_t>& indices, Rng* rng) {
     nodes_.clear();
-    importance_.assign(x.cols(), 0.0);
     std::vector<size_t> working = indices;
     Grow(x, y, weights, &working, 0, working.size(), 0, rng);
   }
@@ -539,7 +538,6 @@ class SortPerNodeTree {
       s.I64(node.right);
       s.F64(node.value);
     }
-    s.VecF64(importance_);
     return stream.str();
   }
 
@@ -641,7 +639,6 @@ class SortPerNodeTree {
         [&](size_t idx) { return x.At(idx, best_feature) <= best_threshold; });
     const size_t split = static_cast<size_t>(middle - indices->begin());
     if (split == begin || split == end) return node_id;
-    importance_[best_feature] += best_gain;
     nodes_[node_id].feature = best_feature;
     nodes_[node_id].threshold = best_threshold;
     const int left = Grow(x, y, weights, indices, begin, split, depth + 1, rng);
@@ -653,7 +650,6 @@ class SortPerNodeTree {
 
   TreeOptions options_;
   std::vector<Node> nodes_;
-  std::vector<double> importance_;
 };
 
 std::string TreeBytes(const RegressionTree& tree) {
