@@ -184,15 +184,18 @@ bool ExplainableMatcher::Load(serde::Deserializer* d) {
   pool_.clear();
   best_ = nullptr;
   if (!was_fitted) return d->ok();
-  if (!scaler_.Load(d)) return false;
+  // Every member state must take rows of the extractor's width: a
+  // narrower one would be read past its end at the first prediction.
+  const size_t dim = extractor_.dim();
+  if (!scaler_.Load(d, dim)) return false;
   best_name_ = d->Str();
   auto classifier = ml::MakeClassifier(best_name_, /*seed=*/0);
   if (classifier == nullptr) return false;
-  if (!classifier->LoadState(d)) return false;
+  if (!classifier->LoadState(d, dim)) return false;
   best_validation_f1_ = d->F64();
   best_threshold_ = d->F64();
   raw_coefficients_ = d->VecF64();
-  if (!d->ok() || raw_coefficients_.size() != extractor_.dim()) return false;
+  if (!d->ok() || raw_coefficients_.size() != dim) return false;
   pool_.push_back(std::move(classifier));
   best_ = pool_.back().get();
   thresholds_.assign(1, best_threshold_);

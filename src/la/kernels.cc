@@ -127,9 +127,18 @@ void DenseF64Scalar(const double* w, const double* bias, size_t in_dim,
   }
 }
 
+// Reference row accumulation: one Axpy per row, in row order.
+void AddRowsF64Scalar(const double* weights, const double* const* rows,
+                      size_t n_rows, size_t width, double* out) {
+  for (size_t k = 0; k < n_rows; ++k) {
+    AxpyF64Scalar(weights[k], rows[k], out, width);
+  }
+}
+
 const internal::KernelTable kScalarTable = {
-    DotF32Scalar,  DotF64Scalar,   SqDistRowsF64Scalar, AxpyF32Scalar,
-    AxpyF64Scalar, ScaleF32Scalar, ScaleF64Scalar,      DenseF64Scalar,
+    DotF32Scalar,          DotF64Scalar,   SqDistRowsF64Scalar,
+    AxpyF32Scalar,         AxpyF64Scalar,  ScaleF32Scalar,
+    ScaleF64Scalar,        DenseF64Scalar, AddRowsF64Scalar,
 };
 
 // ---------------------------------------------------------------------
@@ -308,6 +317,35 @@ void DenseLayer(const double* weights, const double* bias, size_t in_dim,
              (bias != nullptr && out != nullptr &&
               (in_dim == 0 || (weights != nullptr && x != nullptr))));
   Active().dense_f64(weights, bias, in_dim, out_dim, x, lanes, relu, out);
+}
+
+void WeightedRowSum(const double* weights, size_t weight_stride,
+                    const double* const* rows, size_t n_rows, size_t width,
+                    double* out) {
+  WYM_DCHECK(width == 0 || (out != nullptr &&
+                            (n_rows == 0 ||
+                             (weights != nullptr && rows != nullptr))));
+  std::fill(out, out + width, 0.0);
+  const internal::KernelTable& table = Active();
+  // Gather the nonzero-weighted rows, a batch at a time, so the kernel's
+  // inner loop has no data-dependent branch.
+  constexpr size_t kGather = 128;
+  double gathered_weights[kGather];
+  const double* gathered_rows[kGather];
+  size_t k = 0;
+  while (k < n_rows) {
+    size_t n = 0;
+    for (; k < n_rows && n < kGather; ++k) {
+      const double w = weights[k * weight_stride];
+      if (w == 0.0) continue;
+      gathered_weights[n] = w;
+      gathered_rows[n] = rows[k];
+      ++n;
+    }
+    if (n > 0) {
+      table.add_rows_f64(gathered_weights, gathered_rows, n, width, out);
+    }
+  }
 }
 
 }  // namespace wym::la::kernels

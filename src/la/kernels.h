@@ -120,6 +120,20 @@ void DenseLayer(const double* weights, const double* bias, size_t in_dim,
                 size_t out_dim, const double* x, size_t lanes, bool relu,
                 double* out);
 
+/// Weighted sum of rows, one sequential chain per element:
+///   out[i] = 0.0, then out[i] += weights[k * weight_stride] * rows[k][i]
+/// for k = 0 .. n_rows-1 in increasing k, skipping every k whose weight
+/// is 0.0 (or -0.0), with the multiply and the add separate. That is the
+/// result of zero-filling `out` and calling Axpy once per nonzero weight
+/// in order, so every path is bit-identical to that loop. The nonzero
+/// rows are gathered first, and the SIMD path keeps a tile of `out` in
+/// registers while it walks them. The MLP's weight-row gradients (batch
+/// rows weighted by one output's deltas) and back-propagated deltas
+/// (weight rows weighted by one sample's deltas) are both this sum.
+void WeightedRowSum(const double* weights, size_t weight_stride,
+                    const double* const* rows, size_t n_rows, size_t width,
+                    double* out);
+
 namespace internal {
 
 /// One fully-populated implementation table; the dispatcher selects one
@@ -135,6 +149,10 @@ struct KernelTable {
   void (*scale_f64)(double, double*, size_t);
   void (*dense_f64)(const double*, const double*, size_t, size_t,
                     const double*, size_t, bool, double*);
+  /// out[i] += w[k] * rows[k][i] for every k < n in increasing k: the
+  /// gathered inner loop of WeightedRowSum.
+  void (*add_rows_f64)(const double*, const double* const*, size_t, size_t,
+                       double*);
 };
 
 /// Scalar table: the reference, always available.

@@ -260,9 +260,62 @@ void DenseF64Avx2(const double* w, const double* bias, size_t in_dim,
   }
 }
 
+// Row accumulation over a tile of V 4-element vectors of `out`, held in
+// registers for the whole walk over the rows: each element runs the
+// scalar chain (+ w * row[i] per row in row order, multiply and add
+// separate). A `partial` tile covers the last 1-3 elements through masked
+// loads and stores. `rows` are offset by the tile's first element.
+template <size_t V, bool kPartial>
+inline void AddRowsTileAvx2(const double* weights, const double* const* rows,
+                            size_t n_rows, size_t offset, size_t width,
+                            double* out) {
+  const __m256i mask = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(width - offset)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+  __m256d acc[V];
+#pragma GCC unroll 4
+  for (size_t v = 0; v < V; ++v) {
+    acc[v] = kPartial ? _mm256_maskload_pd(out + offset, mask)
+                      : _mm256_loadu_pd(out + offset + 4 * v);
+  }
+  for (size_t k = 0; k < n_rows; ++k) {
+    const __m256d w = _mm256_broadcast_sd(weights + k);
+    const double* row = rows[k] + offset;
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) {
+      const __m256d x = kPartial ? _mm256_maskload_pd(row, mask)
+                                 : _mm256_loadu_pd(row + 4 * v);
+      acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(w, x));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t v = 0; v < V; ++v) {
+    if (kPartial) {
+      _mm256_maskstore_pd(out + offset, mask, acc[v]);
+    } else {
+      _mm256_storeu_pd(out + offset + 4 * v, acc[v]);
+    }
+  }
+}
+
+void AddRowsF64Avx2(const double* weights, const double* const* rows,
+                    size_t n_rows, size_t width, double* out) {
+  size_t i = 0;
+  for (; i + 16 <= width; i += 16) {
+    AddRowsTileAvx2<4, false>(weights, rows, n_rows, i, width, out);
+  }
+  for (; i + 4 <= width; i += 4) {
+    AddRowsTileAvx2<1, false>(weights, rows, n_rows, i, width, out);
+  }
+  if (i < width) {
+    AddRowsTileAvx2<1, true>(weights, rows, n_rows, i, width, out);
+  }
+}
+
 const KernelTable kAvx2Table = {
-    DotF32Avx2,  DotF64Avx2,   SqDistRowsF64Avx2, AxpyF32Avx2,
-    AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2,      DenseF64Avx2,
+    DotF32Avx2,          DotF64Avx2,   SqDistRowsF64Avx2,
+    AxpyF32Avx2,         AxpyF64Avx2,  ScaleF32Avx2,
+    ScaleF64Avx2,        DenseF64Avx2, AddRowsF64Avx2,
 };
 
 }  // namespace

@@ -144,13 +144,13 @@ void AdaBoostClassifier::SaveState(serde::Serializer* s) const {
   s->F64(alpha_total_);
 }
 
-bool AdaBoostClassifier::LoadState(serde::Deserializer* d) {
+bool AdaBoostClassifier::LoadState(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("adaboost/v1")) return false;
   const uint64_t count = d->U64();
   if (!d->ok() || count > 4096) return false;
   stumps_.assign(count, RegressionTree(TreeOptions{}));
   for (RegressionTree& stump : stumps_) {
-    if (!stump.Load(d)) return false;
+    if (!stump.Load(d, dim)) return false;
   }
   alphas_ = d->VecF64();
   alpha_total_ = d->F64();
@@ -165,7 +165,8 @@ void GradientBoostingClassifier::SaveState(serde::Serializer* s) const {
   for (const RegressionTree& tree : trees_) tree.Save(s);
 }
 
-bool GradientBoostingClassifier::LoadState(serde::Deserializer* d) {
+bool GradientBoostingClassifier::LoadState(serde::Deserializer* d,
+                                           size_t dim) {
   if (!d->Tag("gbm/v1")) return false;
   options_.learning_rate = d->F64();
   base_logit_ = d->F64();
@@ -173,7 +174,7 @@ bool GradientBoostingClassifier::LoadState(serde::Deserializer* d) {
   if (!d->ok() || count > 4096) return false;
   trees_.assign(count, RegressionTree(options_.tree));
   for (RegressionTree& tree : trees_) {
-    if (!tree.Load(d)) return false;
+    if (!tree.Load(d, dim)) return false;
   }
   return d->ok();
 }

@@ -31,7 +31,7 @@ class AdaBoostClassifier : public Classifier {
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
  private:
   /// Weighted ensemble score in (-inf, inf); positive = class 1.
@@ -66,7 +66,7 @@ class GradientBoostingClassifier : public Classifier {
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
  private:
   double Logit(const std::vector<double>& row) const;

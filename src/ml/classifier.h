@@ -51,8 +51,11 @@ class Classifier {
 
   /// Serializes the trained state (not training hyper-parameters).
   virtual void SaveState(serde::Serializer* s) const = 0;
-  /// Restores SaveState()d state; returns false on malformed input.
-  virtual bool LoadState(serde::Deserializer* d) = 0;
+  /// Restores SaveState()d state for feature rows of width `dim`;
+  /// returns false on malformed input, including a state of another
+  /// width (a weight, moment or training-row count that differs, or a
+  /// split on a feature >= dim), which would read past a row.
+  virtual bool LoadState(serde::Deserializer* d, size_t dim) = 0;
 };
 
 namespace internal {

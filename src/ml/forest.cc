@@ -61,13 +61,13 @@ void TreeEnsembleClassifier::SaveState(serde::Serializer* s) const {
   for (const RegressionTree& tree : trees_) tree.Save(s);
 }
 
-bool TreeEnsembleClassifier::LoadState(serde::Deserializer* d) {
+bool TreeEnsembleClassifier::LoadState(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("forest/v1")) return false;
   const uint64_t count = d->U64();
   if (!d->ok() || count > 4096) return false;
   trees_.assign(count, RegressionTree(options_.tree));
   for (RegressionTree& tree : trees_) {
-    if (!tree.Load(d)) return false;
+    if (!tree.Load(d, dim)) return false;
   }
   return d->ok();
 }

@@ -35,7 +35,7 @@ class TreeEnsembleClassifier : public Classifier {
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
  protected:
   explicit TreeEnsembleClassifier(Options options);

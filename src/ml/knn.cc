@@ -96,7 +96,7 @@ void KNearestNeighbors::SaveState(serde::Serializer* s) const {
   s->VecU64(labels);
 }
 
-bool KNearestNeighbors::LoadState(serde::Deserializer* d) {
+bool KNearestNeighbors::LoadState(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("knn/v1")) return false;
   options_.k = d->U64();
   options_.distance_weighted = d->Bool();
@@ -105,7 +105,8 @@ bool KNearestNeighbors::LoadState(serde::Deserializer* d) {
   train_y_.assign(labels.begin(), labels.end());
   // k = 0 from a damaged stream would leave PredictProba's heap empty,
   // and its first eviction test reads the front of that empty heap.
-  if (!d->ok() || options_.k < 1 || train_y_.size() != train_x_.rows()) {
+  if (!d->ok() || options_.k < 1 || train_y_.size() != train_x_.rows() ||
+      train_x_.cols() != dim) {
     return false;
   }
   PackTrainingRows();

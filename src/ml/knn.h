@@ -39,7 +39,7 @@ class KNearestNeighbors : public Classifier {
   /// PredictProba is O(n), so every row would make it O(n^2).
   std::vector<double> SignedImportance(const la::Matrix& x) const override;
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
  private:
   /// Rebuilds packed_x_ from train_x_.

@@ -83,11 +83,13 @@ void LinearDiscriminant::SaveState(serde::Serializer* s) const {
   s->F64(bias_);
 }
 
-bool LinearDiscriminant::LoadState(serde::Deserializer* d) {
+bool LinearDiscriminant::LoadState(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("lda/v1")) return false;
   weights_ = d->VecF64();
   bias_ = d->F64();
-  if (!d->ok() || !std::isfinite(bias_)) return false;
+  if (!d->ok() || weights_.size() != dim || !std::isfinite(bias_)) {
+    return false;
+  }
   // A single non-finite weight would turn every prediction into NaN.
   for (const double w : weights_) {
     if (!std::isfinite(w)) return false;

@@ -33,7 +33,7 @@ class LinearDiscriminant : public Classifier {
   }
   bool IsLinear() const override { return true; }
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
  private:
   Options options_;

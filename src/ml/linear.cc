@@ -115,11 +115,11 @@ void LogisticRegression::SaveState(serde::Serializer* s) const {
   s->F64(bias_);
 }
 
-bool LogisticRegression::LoadState(serde::Deserializer* d) {
+bool LogisticRegression::LoadState(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("lr/v1")) return false;
   weights_ = d->VecF64();
   bias_ = d->F64();
-  return d->ok();
+  return d->ok() && weights_.size() == dim;
 }
 
 void LinearSvm::SaveState(serde::Serializer* s) const {
@@ -129,12 +129,12 @@ void LinearSvm::SaveState(serde::Serializer* s) const {
   s->F64(proba_scale_);
 }
 
-bool LinearSvm::LoadState(serde::Deserializer* d) {
+bool LinearSvm::LoadState(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("svm/v1")) return false;
   weights_ = d->VecF64();
   bias_ = d->F64();
   proba_scale_ = d->F64();
-  return d->ok();
+  return d->ok() && weights_.size() == dim;
 }
 
 }  // namespace wym::ml

@@ -37,7 +37,7 @@ class LogisticRegression : public Classifier {
   }
   bool IsLinear() const override { return true; }
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
   double intercept() const { return bias_; }
 
@@ -70,7 +70,7 @@ class LinearSvm : public Classifier {
   }
   bool IsLinear() const override { return true; }
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
  private:
   double Margin(const std::vector<double>& row) const;

@@ -84,21 +84,18 @@ void GaussianNaiveBayes::SaveState(serde::Serializer* s) const {
   }
 }
 
-bool GaussianNaiveBayes::LoadState(serde::Deserializer* d) {
+bool GaussianNaiveBayes::LoadState(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("nb/v1")) return false;
   for (int c = 0; c < 2; ++c) {
     mean_[c] = d->VecF64();
     var_[c] = d->VecF64();
     log_prior_[c] = d->F64();
   }
-  if (!d->ok() || mean_[0].size() != var_[0].size() ||
-      mean_[1].size() != mean_[0].size() ||
-      var_[1].size() != var_[0].size()) {
-    return false;
-  }
+  if (!d->ok()) return false;
   // Variances feed log() and a division: a zero/negative/non-finite one
   // from a damaged stream would poison the likelihood with NaN.
   for (int c = 0; c < 2; ++c) {
+    if (mean_[c].size() != dim || var_[c].size() != dim) return false;
     for (const double v : var_[c]) {
       if (!std::isfinite(v) || v <= 0.0) return false;
     }

@@ -30,7 +30,7 @@ class GaussianNaiveBayes : public Classifier {
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
  private:
   Options options_;

@@ -68,12 +68,12 @@ void StandardScaler::Save(serde::Serializer* s) const {
   s->VecF64(scale_);
 }
 
-bool StandardScaler::Load(serde::Deserializer* d) {
+bool StandardScaler::Load(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("scaler/v1")) return false;
   fitted_ = d->Bool();
   mean_ = d->VecF64();
   scale_ = d->VecF64();
-  if (!d->ok() || mean_.size() != scale_.size()) return false;
+  if (!d->ok() || mean_.size() != dim || scale_.size() != dim) return false;
   // Every scale entry is a divisor; Fit guarantees them positive, so a
   // zero/negative/non-finite one can only come from a damaged stream.
   for (const double s : scale_) {

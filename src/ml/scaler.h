@@ -33,7 +33,7 @@ class StandardScaler {
 
   /// Serialization (see util/serde.h).
   void Save(serde::Serializer* s) const;
-  bool Load(serde::Deserializer* d);
+  bool Load(serde::Deserializer* d, size_t dim);
 
   bool fitted() const { return fitted_; }
   const std::vector<double>& mean() const { return mean_; }

@@ -297,7 +297,7 @@ void RegressionTree::Save(serde::Serializer* s) const {
   }
 }
 
-bool RegressionTree::Load(serde::Deserializer* d) {
+bool RegressionTree::Load(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("tree/v1")) return false;
   const uint64_t count = d->U64();
   if (!d->ok() || count == 0 || count > (1u << 26)) return false;
@@ -310,13 +310,15 @@ bool RegressionTree::Load(serde::Deserializer* d) {
     node.value = d->F64();
   }
   if (!d->ok()) return false;
-  // Structural sanity: children stay in bounds, and every child id is
-  // greater than its parent's, as Grow's preorder ids are. So Predict's
-  // walk only moves forward and ends at a leaf: no cycle, no hang.
+  // Structural sanity: split features index the row, children stay in
+  // bounds, and every child id is greater than its parent's, as Grow's
+  // preorder ids are. So Predict's walk reads only inside the row, only
+  // moves forward and ends at a leaf: no cycle, no hang.
   for (size_t id = 0; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
     if (node.feature >= 0 &&
-        (node.left <= static_cast<int>(id) ||
+        (static_cast<size_t>(node.feature) >= dim ||
+         node.left <= static_cast<int>(id) ||
          node.right <= static_cast<int>(id) ||
          static_cast<size_t>(node.left) >= nodes_.size() ||
          static_cast<size_t>(node.right) >= nodes_.size())) {
@@ -352,9 +354,9 @@ void DecisionTreeClassifier::SaveState(serde::Serializer* s) const {
   tree_.Save(s);
 }
 
-bool DecisionTreeClassifier::LoadState(serde::Deserializer* d) {
+bool DecisionTreeClassifier::LoadState(serde::Deserializer* d, size_t dim) {
   if (!d->Tag("dt/v1")) return false;
-  return tree_.Load(d);
+  return tree_.Load(d, dim);
 }
 
 }  // namespace wym::ml

@@ -75,9 +75,10 @@ class RegressionTree {
   size_t node_count() const { return nodes_.size(); }
   bool fitted() const { return !nodes_.empty(); }
 
-  /// Serialization (see util/serde.h).
+  /// Serialization (see util/serde.h). Load refuses a tree that splits
+  /// on a feature >= `dim`, the width of the rows it will predict.
   void Save(serde::Serializer* s) const;
-  bool Load(serde::Deserializer* d);
+  bool Load(serde::Deserializer* d, size_t dim);
 
  private:
   struct Node {
@@ -116,7 +117,7 @@ class DecisionTreeClassifier : public Classifier {
   void Fit(const la::Matrix& x, const std::vector<int>& y) override;
   double PredictProba(const std::vector<double>& row) const override;
   void SaveState(serde::Serializer* s) const override;
-  bool LoadState(serde::Deserializer* d) override;
+  bool LoadState(serde::Deserializer* d, size_t dim) override;
 
  private:
   Options options_;

@@ -16,6 +16,10 @@ constexpr double kBeta1 = 0.9;
 constexpr double kBeta2 = 0.999;
 constexpr double kEpsilon = 1e-8;
 
+/// Chunks of Fit's gradient phase, each a run of (layer, output-row)
+/// cells of about equal cost: enough to balance a few threads.
+constexpr size_t kGradChunks = 32;
+
 /// One Adam update of `n` parameters from their gradients, with L2 decay
 /// folded into the gradient; bias1/bias2 are the step's bias
 /// corrections 1 - beta^t.
@@ -69,11 +73,16 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
 
   // Minibatch scratch and Adam state, sized once. Row k of hidden[l] /
   // deltas[l] is the k-th sample of the batch: layer l's post-ReLU
-  // output and the loss gradient at its pre-activation. Adam moments are
+  // output and the loss gradient at its pre-activation. inputs[l][k]
+  // points at layer l's input row of sample k (the feature row for layer
+  // 0, set per minibatch; a row of hidden[l - 1] otherwise), and
+  // weight_rows[l][o] at row o of layer l's weights. Adam moments are
   // flat per layer, weights in la::Matrix row-major order.
   const size_t batch = std::min(options_.batch_size, x.rows());
   std::vector<std::vector<double>> hidden(n_layers - 1);
   std::vector<std::vector<double>> deltas(n_layers);
+  std::vector<std::vector<const double*>> inputs(n_layers);
+  std::vector<std::vector<const double*>> weight_rows(n_layers);
   std::vector<std::vector<double>> m_w(n_layers), v_w(n_layers);
   std::vector<std::vector<double>> m_b(n_layers), v_b(n_layers);
   size_t max_inputs = 0;
@@ -85,6 +94,11 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
     const la::Matrix& w = layers_[l].weights;
     if (l + 1 < n_layers) hidden[l].resize(batch * w.rows());
     deltas[l].resize(batch * w.rows());
+    inputs[l].resize(batch);
+    for (size_t k = 0; l > 0 && k < batch; ++k) {
+      inputs[l][k] = hidden[l - 1].data() + k * w.cols();
+    }
+    for (size_t o = 0; o < w.rows(); ++o) weight_rows[l].push_back(w.Row(o));
     m_w[l].assign(w.data().size(), 0.0);
     v_w[l].assign(w.data().size(), 0.0);
     m_b[l].assign(w.rows(), 0.0);
@@ -95,27 +109,26 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
       cell_cost.push_back(cell_cost.back() + w.cols() + 1);
     }
   }
-  const auto first_cell = [&](size_t chunk, size_t chunks) -> size_t {
-    const size_t target = cell_cost.back() * chunk / chunks;
+  const auto first_cell = [&](size_t chunk) -> size_t {
+    const size_t target = cell_cost.back() * chunk / kGradChunks;
     return std::lower_bound(cell_cost.begin(), cell_cost.end(), target) -
            cell_cost.begin();
   };
 
-  // Few, large chunks: at most one per pool thread, since a ParallelFor
-  // call costs tens of microseconds against about half a millisecond of
-  // work per 128-sample minibatch. Chunking never changes a result:
-  // every sample's chain and every gradient cell's chain runs whole
-  // inside one chunk.
-  util::ThreadPool& executor =
-      pool != nullptr ? *pool : util::ThreadPool::Global();
-  const size_t threads = std::max<size_t>(executor.size(), 1);
-  const size_t block_chunks =
-      std::min(threads, (batch + kBlockRows - 1) / kBlockRows);
+  // One team for the whole fit: each minibatch is two short phases, so
+  // the helpers stay awake between them instead of being woken twice per
+  // minibatch. Phase A runs one chunk per block of kBlockRows samples,
+  // phase B kGradChunks chunks of gradient cells; neither count depends
+  // on the thread count, and chunking never changes a result: every
+  // sample's chain and every gradient cell's chain runs whole inside one
+  // chunk.
+  util::Team team(pool);
+  const size_t max_blocks = (batch + kBlockRows - 1) / kBlockRows;
   const auto [a_width, b_width] = BufferWidths();
-  const size_t chunk_scratch = (a_width + b_width) * kBlockRows;
-  std::vector<double> block_scratch(block_chunks * chunk_scratch);
+  const size_t block_scratch_size = (a_width + b_width) * kBlockRows;
+  std::vector<double> block_scratch(max_blocks * block_scratch_size);
   // One weight-row gradient per chunk of phase B.
-  std::vector<double> grad_scratch(threads * max_inputs);
+  std::vector<double> grad_scratch(kGradChunks * max_inputs);
 
   size_t step = 0;
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -125,87 +138,69 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
       const size_t* batch_rows = order.data() + start;
       const size_t rows = std::min(order.size() - start, options_.batch_size);
       const double inv_batch = 1.0 / static_cast<double>(rows);
-      const size_t blocks = (rows + kBlockRows - 1) / kBlockRows;
-      const size_t chunks = std::min(threads, blocks);
 
-      // (A) Forward pass and deltas, parallel over blocks of samples.
-      util::ParallelFor(
-          blocks, (blocks + chunks - 1) / chunks,
-          [&](size_t block_begin, size_t block_end, size_t chunk) {
-            double* current = block_scratch.data() + chunk * chunk_scratch;
-            double* next = current + a_width * kBlockRows;
-            for (size_t b = block_begin; b < block_end; ++b) {
-              const size_t first = b * kBlockRows;
-              const size_t lanes = std::min(kBlockRows, rows - first);
-              for (size_t r = 0; r < lanes; ++r) {
-                const double* row = x.Row(batch_rows[first + r]);
-                for (size_t i = 0; i < input_dim_; ++i) {
-                  current[i * lanes + r] = row[i];
-                }
-              }
-              const double* out =
-                  ForwardBlock(current, next, lanes, &hidden, first);
-              for (size_t r = 0; r < lanes; ++r) {
-                const size_t k = first + r;
-                // d(0.5*(out-y)^2)/dout
-                deltas.back()[k] = (out[r] - y[batch_rows[k]]) * inv_batch;
-                // Back through layer l's weights and layer l-1's ReLU.
-                for (size_t l = n_layers - 1; l > 0; --l) {
-                  const la::Matrix& w = layers_[l].weights;
-                  const double* delta = deltas[l].data() + k * w.rows();
-                  double* prev_delta = deltas[l - 1].data() + k * w.cols();
-                  std::fill(prev_delta, prev_delta + w.cols(), 0.0);
-                  for (size_t o = 0; o < w.rows(); ++o) {
-                    if (delta[o] == 0.0) continue;
-                    la::kernels::Axpy(delta[o], w.Row(o), prev_delta,
-                                      w.cols());
-                  }
-                  const double* prev_act = hidden[l - 1].data() + k * w.cols();
-                  for (size_t i = 0; i < w.cols(); ++i) {
-                    if (prev_act[i] <= 0.0) prev_delta[i] = 0.0;  // ReLU'
-                  }
-                }
-              }
+      // (A) Forward pass and deltas, one block of samples per chunk.
+      team.Run((rows + kBlockRows - 1) / kBlockRows, [&](size_t b) {
+        double* current = block_scratch.data() + b * block_scratch_size;
+        double* next = current + a_width * kBlockRows;
+        const size_t first = b * kBlockRows;
+        const size_t lanes = std::min(kBlockRows, rows - first);
+        for (size_t r = 0; r < lanes; ++r) {
+          const double* row = x.Row(batch_rows[first + r]);
+          inputs[0][first + r] = row;
+          for (size_t i = 0; i < input_dim_; ++i) {
+            current[i * lanes + r] = row[i];
+          }
+        }
+        const double* out = ForwardBlock(current, next, lanes, &hidden, first);
+        for (size_t r = 0; r < lanes; ++r) {
+          const size_t k = first + r;
+          // d(0.5*(out-y)^2)/dout
+          deltas.back()[k] = (out[r] - y[batch_rows[k]]) * inv_batch;
+          // Back through layer l's weights and layer l-1's ReLU.
+          for (size_t l = n_layers - 1; l > 0; --l) {
+            const la::Matrix& w = layers_[l].weights;
+            double* prev_delta = deltas[l - 1].data() + k * w.cols();
+            la::kernels::WeightedRowSum(deltas[l].data() + k * w.rows(), 1,
+                                        weight_rows[l].data(), w.rows(),
+                                        w.cols(), prev_delta);
+            const double* prev_act = hidden[l - 1].data() + k * w.cols();
+            for (size_t i = 0; i < w.cols(); ++i) {
+              if (prev_act[i] <= 0.0) prev_delta[i] = 0.0;  // ReLU'
             }
-          },
-          &executor);
+          }
+        }
+      });
 
-      // (B) Gradients and the Adam step, parallel over (layer,
-      // output-row) cells: each cell adds its samples in batch order,
-      // then updates its weight row and bias element. Phase B reads no
-      // weights, so updating them in place races with nothing.
+      // (B) Gradients and the Adam step over (layer, output-row) cells:
+      // each cell sums its samples in batch order, then updates its
+      // weight row and bias element. Phase B reads no weights, so
+      // updating them in place races with nothing.
       ++step;
       const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(step));
       const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(step));
-      util::ParallelFor(
-          chunks, 1,
-          [&](size_t chunk, size_t, size_t) {
-            double* gw = grad_scratch.data() + chunk * max_inputs;
-            const size_t end = first_cell(chunk + 1, chunks);
-            for (size_t c = first_cell(chunk, chunks); c < end; ++c) {
-              const auto [l, o] = cells[c];
-              la::Matrix& w = layers_[l].weights;
-              std::fill(gw, gw + w.cols(), 0.0);
-              double gb = 0.0;
-              for (size_t k = 0; k < rows; ++k) {
-                const double d = deltas[l][k * w.rows() + o];
-                if (d == 0.0) continue;
-                const double* input = l == 0 ? x.Row(batch_rows[k])
-                                             : hidden[l - 1].data() +
-                                                   k * w.cols();
-                la::kernels::Axpy(d, input, gw, w.cols());
-                gb += d;
-              }
-              const size_t row = o * w.cols();
-              AdamUpdate(w.Row(o), gw, m_w[l].data() + row,
-                         v_w[l].data() + row, w.cols(),
-                         options_.learning_rate, options_.weight_decay,
-                         bias1, bias2);
-              AdamUpdate(&layers_[l].bias[o], &gb, &m_b[l][o], &v_b[l][o], 1,
-                         options_.learning_rate, 0.0, bias1, bias2);
-            }
-          },
-          &executor);
+      team.Run(kGradChunks, [&](size_t chunk) {
+        double* gw = grad_scratch.data() + chunk * max_inputs;
+        const size_t end = first_cell(chunk + 1);
+        for (size_t c = first_cell(chunk); c < end; ++c) {
+          const auto [l, o] = cells[c];
+          la::Matrix& w = layers_[l].weights;
+          const double* delta = deltas[l].data() + o;  // Stride w.rows().
+          la::kernels::WeightedRowSum(delta, w.rows(), inputs[l].data(), rows,
+                                      w.cols(), gw);
+          double gb = 0.0;
+          for (size_t k = 0; k < rows; ++k) {
+            const double d = delta[k * w.rows()];
+            if (d != 0.0) gb += d;
+          }
+          const size_t row = o * w.cols();
+          AdamUpdate(w.Row(o), gw, m_w[l].data() + row, v_w[l].data() + row,
+                     w.cols(), options_.learning_rate, options_.weight_decay,
+                     bias1, bias2);
+          AdamUpdate(&layers_[l].bias[o], &gb, &m_b[l][o], &v_b[l][o], 1,
+                     options_.learning_rate, 0.0, bias1, bias2);
+        }
+      });
     }
   }
   fitted_ = true;

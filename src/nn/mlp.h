@@ -42,15 +42,16 @@ class Mlp {
   /// Trains on rows of `x` against scalar targets `y` with MSE loss.
   /// Requires x.rows() == y.size(), x.rows() > 0 and batch_size > 0.
   ///
-  /// Each minibatch runs in two phases on `pool` (the global pool when
-  /// nullptr): forward passes and back-propagated deltas in parallel
-  /// over blocks of samples (the weights are fixed within a minibatch,
-  /// so samples are independent), then gradients in parallel over
-  /// (layer, output-row) cells, each adding its samples in batch order
-  /// and applying the Adam step to its own weight row and bias element.
-  /// Every floating-point chain is the one of a plain per-sample loop,
-  /// so the trained weights are bit-identical at every thread count and
-  /// every SIMD level.
+  /// Each minibatch runs in two phases on one util::Team over `pool`
+  /// (the global pool when nullptr), kept for the whole fit: forward
+  /// passes and back-propagated deltas in parallel over blocks of
+  /// kBlockRows samples (the weights are fixed within a minibatch, so
+  /// samples are independent), then gradients in parallel over (layer,
+  /// output-row) cells, each adding its samples in batch order
+  /// (la::kernels::WeightedRowSum) and applying the Adam step to its own
+  /// weight row and bias element. Every floating-point chain is the one
+  /// of a plain per-sample loop, so the trained weights are
+  /// bit-identical at every thread count and every SIMD level.
   void Fit(const la::Matrix& x, const std::vector<double>& y,
            util::ThreadPool* pool = nullptr);
 

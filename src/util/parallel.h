@@ -6,13 +6,15 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "util/thread_pool.h"
 
 /// \file
-/// Deterministic data-parallel loop on top of ThreadPool.
+/// Deterministic data-parallel loops on top of ThreadPool: ParallelFor
+/// for one loop, Team for many back-to-back phases.
 ///
 /// The determinism contract: the chunk structure of ParallelFor depends
 /// ONLY on (n, grain) — never on the pool size or scheduling — so a
@@ -83,6 +85,55 @@ inline void ParallelFor(
     if (errors[c]) std::rethrow_exception(errors[c]);
   }
 }
+
+/// CPUs this process may run on (its affinity mask; at least 1).
+size_t AvailableCpus();
+
+/// A team of threads for many short, back-to-back parallel phases.
+///
+/// A ParallelFor call wakes sleeping pool workers, which costs tens of
+/// microseconds; a loop of thousands of sub-millisecond phases pays that
+/// on every phase. A Team keeps its helpers awake between phases: the
+/// constructor submits up to min(pool size, AvailableCpus()) - 1 helper
+/// tasks to `pool` (the global pool when nullptr), and each Run hands a
+/// fixed list of chunks, one at a time from an atomic counter, to the
+/// caller and whichever helpers have joined. Between phases a helper
+/// spins for a bounded time, then blocks on a futex (std::atomic::wait).
+///
+/// The team never waits for a helper to join: the caller runs every
+/// chunk that nobody else claims. So a busy pool, a caller that is
+/// itself a pool worker and a pool of size <= 1 all just run the phases
+/// inline. The chunk list is the caller's, so results never depend on
+/// who ran a chunk. While the team lives its helpers occupy pool
+/// workers; `fn` must not wait for other work on the same pool.
+class Team {
+ public:
+  explicit Team(ThreadPool* pool = nullptr);
+
+  /// Releases the helpers; those still queued exit as soon as they run.
+  ~Team();
+
+  Team(const Team&) = delete;
+  Team& operator=(const Team&) = delete;
+
+  /// Largest chunk count one Run accepts.
+  static constexpr size_t kMaxChunks = size_t{1} << 19;
+
+  /// Runs fn(chunk) for every chunk in [0, chunks) and returns when all
+  /// have run. Exceptions: as ParallelFor — inline (no helpers, or one
+  /// chunk) the first throwing chunk propagates at once; otherwise every
+  /// chunk still runs and the lowest-index failure is rethrown.
+  void Run(size_t chunks, const std::function<void(size_t chunk)>& fn);
+
+  /// Helper tasks submitted to the pool (0 = every phase runs inline).
+  size_t helpers() const { return helpers_; }
+
+ private:
+  struct Shared;
+
+  std::shared_ptr<Shared> shared_;
+  size_t helpers_ = 0;
+};
 
 }  // namespace wym::util
 

@@ -34,6 +34,7 @@
 #include "util/framed_file.h"
 #include "util/io.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace wym {
 namespace {
@@ -335,19 +336,53 @@ TEST_F(FaultInjectionTest, MatcherV1SectionIsCorruption) {
                    "matcher/v1 tag");
 }
 
+/// The saved bytes of a model trained on the suite's split with the
+/// classifier pinned to `classifier`.
+std::string PinnedModelBytes(const data::Split& split,
+                             const std::string& classifier) {
+  core::WymConfig config;
+  config.classifier = classifier;
+  core::WymModel model(config);
+  model.Fit(split.train, split.validation);
+  const std::string path = testing::TempDir() + "/wym_fault_" + classifier +
+                           "." + std::to_string(::getpid()) + ".wym";
+  std::string bytes;
+  EXPECT_TRUE(model.SaveToFile(path).ok());
+  EXPECT_TRUE(io::ReadFileToString(path, &bytes).ok());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// Index of the first payload line equal to `line` (a serde tag line
+/// such as "6 knn/v1"); fails the test, and returns 0, when there is
+/// none.
+size_t LineOf(const std::vector<std::string>& lines, const std::string& line) {
+  const auto it = std::find(lines.begin(), lines.end(), line);
+  if (it == lines.end()) {
+    ADD_FAILURE() << "no line " << line;
+    return 0;
+  }
+  return static_cast<size_t>(it - lines.begin());
+}
+
+/// Drops the last value of the serde vector whose length is on line
+/// `count_line`; returns the line after the shortened vector.
+size_t DropLastValue(std::vector<std::string>* lines, size_t count_line) {
+  const size_t count = std::stoull(lines->at(count_line));
+  const size_t last = count_line + count;
+  if (count == 0 || last >= lines->size()) {
+    ADD_FAILURE() << "no vector to shorten at line " << count_line;
+    return count_line;
+  }
+  (*lines)[count_line] = std::to_string(count - 1);
+  lines->erase(lines->begin() + static_cast<std::ptrdiff_t>(last));
+  return last;
+}
+
 TEST_F(FaultInjectionTest, TreeCycleIsCorruption) {
   // A GBM whose first tree's root names itself as its left child used
   // to load and then loop forever in the first prediction.
-  core::WymConfig config;
-  config.classifier = "GBM";
-  core::WymModel gbm(config);
-  gbm.Fit(suite_->split.train, suite_->split.validation);
-  const std::string path = testing::TempDir() + "/wym_fault_gbm." +
-                           std::to_string(::getpid()) + ".wym";
-  ASSERT_TRUE(gbm.SaveToFile(path).ok());
-  std::string bytes;
-  ASSERT_TRUE(io::ReadFileToString(path, &bytes).ok());
-  std::remove(path.c_str());
+  const std::string bytes = PinnedModelBytes(suite_->split, "GBM");
 
   // Tree lines: tag, node count, then per node feature, threshold,
   // left, right, value.
@@ -365,6 +400,84 @@ TEST_F(FaultInjectionTest, TreeCycleIsCorruption) {
                    "root is its own right child");
   EXPECT_TRUE(LoadCrafted(bytes, "matcher", root_child(2, "0")).ok())
       << "changing a split feature keeps the tree well formed";
+}
+
+TEST_F(FaultInjectionTest, SplitFeatureOutsideTheRowIsCorruption) {
+  // A GBM whose first root splits on feature 999 of a 42-wide row used
+  // to load, and Predict then read past the row (an ASan
+  // heap-buffer-overflow in RegressionTree::Predict).
+  ExpectCorruption(
+      LoadCrafted(PinnedModelBytes(suite_->split, "GBM"), "matcher",
+                  [](std::vector<std::string>* lines) {
+                    // Tree lines: tag, node count, root feature, ...
+                    const size_t root = LineOf(*lines, "7 tree/v1") + 2;
+                    ASSERT_NE((*lines)[root], "-1") << "root is a leaf";
+                    (*lines)[root] = "999";
+                  }),
+      "root splits on feature 999");
+}
+
+// The states below are narrowed by one feature, consistently, so that
+// only a check against the extractor's width can refuse them.
+
+TEST_F(FaultInjectionTest, KnnMatrixOfAnotherWidthIsCorruption) {
+  // A KNN training matrix of one column fewer (41 on T-AB) used to load,
+  // and the first explanation then aborted on KNN's own width check.
+  ExpectCorruption(
+      LoadCrafted(PinnedModelBytes(suite_->split, "KNN"), "matcher",
+                  [](std::vector<std::string>* lines) {
+                    // Matrix lines: tag, rows, cols, value count, values.
+                    const size_t tag =
+                        LineOf(*lines, "6 knn/v1") + 3;
+                    ASSERT_EQ((*lines)[tag], "9 matrix/v1");
+                    const size_t rows = std::stoull((*lines)[tag + 1]);
+                    const size_t cols = std::stoull((*lines)[tag + 2]);
+                    ASSERT_EQ(std::stoull((*lines)[tag + 3]), rows * cols);
+                    (*lines)[tag + 2] = std::to_string(cols - 1);
+                    (*lines)[tag + 3] = std::to_string(rows * (cols - 1));
+                    // Drop each row's last value, last row first.
+                    for (size_t r = rows; r-- > 0;) {
+                      lines->erase(lines->begin() +
+                                   static_cast<std::ptrdiff_t>(
+                                       tag + 4 + r * cols + cols - 1));
+                    }
+                  }),
+      "KNN training matrix one column narrower");
+}
+
+TEST_F(FaultInjectionTest, MemberStateOfAnotherWidthIsCorruption) {
+  // LR, SVM and LDA store their weights first, NB its per-class mean
+  // and variance vectors around each class prior.
+  for (const std::string name : {"LR", "SVM", "LDA"}) {
+    const std::string tag = std::to_string(name.size() + 3) + " " +
+                            strings::ToLower(name) + "/v1";
+    ExpectCorruption(
+        LoadCrafted(PinnedModelBytes(suite_->split, name), "matcher",
+                    [&tag](std::vector<std::string>* lines) {
+                      DropLastValue(lines, LineOf(*lines, tag) + 1);
+                    }),
+        name + " weights one shorter");
+  }
+  ExpectCorruption(
+      LoadCrafted(PinnedModelBytes(suite_->split, "NB"), "matcher",
+                  [](std::vector<std::string>* lines) {
+                    size_t line = LineOf(*lines, "5 nb/v1") + 1;
+                    for (int c = 0; c < 2; ++c) {
+                      line = DropLastValue(lines, line);  // Mean.
+                      line = DropLastValue(lines, line);  // Variance.
+                      ++line;                             // Class prior.
+                    }
+                  }),
+      "NB moments one shorter");
+  // Scaler lines: tag, fitted, mean vector, scale vector.
+  ExpectCorruption(
+      LoadCrafted(suite_->clean_bytes, "matcher",
+                  [](std::vector<std::string>* lines) {
+                    const size_t line =
+                        DropLastValue(lines, LineOf(*lines, "9 scaler/v1") + 2);
+                    DropLastValue(lines, line);
+                  }),
+      "scaler one feature narrower");
 }
 
 // ---------------------------------------------------------------------

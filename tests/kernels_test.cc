@@ -376,6 +376,78 @@ TEST(KernelParityTest, DenseLayerRowIndependentOfBlockPosition) {
   }
 }
 
+TEST(KernelParityTest, WeightedRowSumBitIdenticalToAxpyChainAtEveryLevel) {
+  // Widths 1-150 cover every 16-element tile, 4-element tail and masked
+  // remainder; row counts straddle the 128-row gather batch. Weights are
+  // read with a stride (one column of a row-major delta matrix), and
+  // include +0.0 and -0.0 (skipped), NaN and Inf; rows hold signed zeros,
+  // NaN and Inf. The reference is the chain the MLP gradient loop ran:
+  // zero-fill, then out[i] += w * row[i] for each nonzero w in row order.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr size_t kMaxWidth = 150;
+  Rng rng(0x5EED5);
+  for (const size_t n_rows : {size_t{0}, size_t{1}, size_t{5}, size_t{128},
+                              size_t{129}, size_t{300}}) {
+    for (const size_t stride : {size_t{1}, size_t{3}}) {
+      std::vector<double> weights = RandomF64(&rng, n_rows * stride);
+      for (size_t k = 0; k < n_rows; ++k) {
+        double& w = weights[k * stride];
+        if (k % 3 == 0) w = 0.0;
+        if (k % 7 == 1) w = -0.0;
+        // A NaN or Inf weight spoils every element, so only the strided
+        // case has them; the other checks the zero-weight skip below.
+        if (stride == 3 && k == 4) w = nan;
+        if (stride == 3 && k == 130) w = -inf;
+      }
+      // Rows of kMaxWidth + 1 values, started one element in so that
+      // vector loads are unaligned.
+      std::vector<double> storage = RandomF64(&rng, n_rows * (kMaxWidth + 1));
+      std::vector<const double*> rows(n_rows);
+      for (size_t k = 0; k < n_rows; ++k) {
+        double* row = storage.data() + k * (kMaxWidth + 1) + 1;
+        rows[k] = row;
+        row[k % kMaxWidth] = (k % 2 == 0) ? -0.0 : 0.0;
+        if (k == 2) row[17] = inf;
+        if (k == 10) row[33] = nan;
+        // Rows under a +0.0 (k = 3) and a -0.0 (k = 1) weight: Inf there
+        // would make NaN unless the kernel skips them.
+        if (k == 3) row[5] = inf;
+        if (k == 1) row[9] = -inf;
+      }
+      for (size_t width = 1; width <= kMaxWidth; ++width) {
+        std::vector<double> reference(width, 0.0);
+        for (size_t k = 0; k < n_rows; ++k) {
+          const double w = weights[k * stride];
+          if (w == 0.0) continue;
+          for (size_t i = 0; i < width; ++i) reference[i] += w * rows[k][i];
+        }
+        for (SimdLevel level : AvailableLevels()) {
+          ScopedSimdLevel guard(level);
+          SCOPED_TRACE(testing::Message()
+                       << "rows=" << n_rows << " stride=" << stride
+                       << " width=" << width
+                       << " level=" << la::kernels::SimdLevelName(level));
+          // One spare slot past the row: the kernel must not touch it.
+          std::vector<double> out(width + 1, 42.0);
+          la::kernels::WeightedRowSum(weights.data(), stride, rows.data(),
+                                      n_rows, width, out.data());
+          EXPECT_EQ(out.back(), 42.0);
+          for (size_t i = 0; i < width; ++i) {
+            if (std::isnan(reference[i])) {
+              EXPECT_TRUE(std::isnan(out[i])) << "element " << i;
+            } else {
+              ASSERT_EQ(std::memcmp(&reference[i], &out[i], sizeof(double)), 0)
+                  << "element " << i << ": " << reference[i] << " vs "
+                  << out[i];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- End-to-end: the dispatch path must not change pipeline outputs ---
 
 core::TokenizedRecord EncodeFirstRecord(const data::Dataset& dataset) {

@@ -292,7 +292,7 @@ TEST(KnnTest, BitIdenticalToReference) {
       knn.SaveState(&s);
       KNearestNeighbors loaded;
       serde::Deserializer d(&stream);
-      ASSERT_TRUE(loaded.LoadState(&d));
+      ASSERT_TRUE(loaded.LoadState(&d, x.cols()));
 
       for (size_t q = 0; q < queries.size(); ++q) {
         const double expected = ReferenceKnnProba(x, y, options, queries[q]);

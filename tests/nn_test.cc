@@ -528,8 +528,9 @@ TEST(MlpFitTest, BitIdenticalToSequentialReference) {
   }
 
   const std::vector<std::vector<size_t>> hiddens = {{64, 32}, {}, {5}};
-  util::ThreadPool one(1);
-  util::ThreadPool eight(8);
+  // Eight threads is more than most test machines have CPUs, so the
+  // Team's CPU cap is exercised too.
+  util::ThreadPool one(1), two(2), three(3), eight(8);
   for (const std::vector<size_t>& hidden : hiddens) {
     for (size_t batch_size : {size_t{1}, size_t{7}, size_t{128}}) {
       MlpOptions options;
@@ -546,7 +547,7 @@ TEST(MlpFitTest, BitIdenticalToSequentialReference) {
       }
       for (SimdLevel level : AvailableLevels()) {
         la::kernels::SetSimdLevel(level);
-        for (util::ThreadPool* pool : {&one, &eight}) {
+        for (util::ThreadPool* pool : {&one, &two, &three, &eight}) {
           SCOPED_TRACE(testing::Message()
                        << "hidden=" << hidden.size()
                        << " batch=" << batch_size

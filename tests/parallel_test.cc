@@ -1,6 +1,8 @@
 // Tests of the deterministic parallel runtime: the ThreadPool work
 // queue, the fixed-chunk ParallelFor contract (coverage, exceptions,
-// nesting, thread-count-independent chunk structure), and the end-to-end
+// nesting, thread-count-independent chunk structure), the Team of
+// back-to-back phases (coverage, exceptions, inline fallbacks, the CPU
+// cap), and the end-to-end
 // determinism guarantee — batch predictions and explanations are
 // bit-identical on a 1-thread and an 8-thread pool.
 
@@ -9,12 +11,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/wym.h"
@@ -165,6 +169,121 @@ TEST(ParallelForTest, ChunkStructureIndependentOfThreadCount) {
   };
   util::ThreadPool one(1), eight(8);
   EXPECT_EQ(chunks_with(&one), chunks_with(&eight));
+}
+
+// --- Team: many back-to-back phases on one set of helpers ---
+
+// Runs `phases` phases of varying chunk counts (0, 1 and up to 40) and
+// checks that every chunk of every phase ran exactly once, inside its own
+// Run: a helper that ran a chunk of phase g + 1 with phase g's function,
+// or after Run returned, shows up as a count off by one or a stale phase.
+void ExpectEveryChunkOnce(util::Team* team, size_t phases) {
+  constexpr size_t kMaxChunksHere = 40;
+  std::vector<std::atomic<int>> hits(kMaxChunksHere);
+  std::atomic<size_t> current{0};
+  std::atomic<size_t> stale{0};
+  for (size_t phase = 1; phase <= phases; ++phase) {
+    const size_t chunks = (phase * 7) % (kMaxChunksHere + 1);
+    current.store(phase);
+    team->Run(chunks, [&, phase](size_t chunk) {
+      if (current.load() != phase) stale.fetch_add(1);
+      hits[chunk].fetch_add(1);
+    });
+    current.store(0);
+    for (size_t c = 0; c < kMaxChunksHere; ++c) {
+      ASSERT_EQ(hits[c].exchange(0), c < chunks ? 1 : 0)
+          << "phase " << phase << " chunk " << c;
+    }
+  }
+  EXPECT_EQ(stale.load(), 0u);
+}
+
+TEST(TeamTest, EveryChunkRunsExactlyOnceOverManyPhases) {
+  util::ThreadPool pool(4);
+  util::Team team(&pool);
+  EXPECT_EQ(team.helpers(), std::min<size_t>(4, util::AvailableCpus()) - 1);
+  ExpectEveryChunkOnce(&team, 10000);
+}
+
+TEST(TeamTest, RethrowsLowestChunkException) {
+  util::ThreadPool pool(4);
+  util::Team team(&pool);
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<int> ran{0};
+    try {
+      team.Run(64, [&](size_t chunk) {
+        ran.fetch_add(1);
+        if (chunk == 5 || chunk == 17 || chunk == 40) {
+          throw std::runtime_error("chunk " + std::to_string(chunk));
+        }
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 5");
+    }
+    // With helpers every chunk still runs; inline, the first throw ends
+    // the phase.
+    EXPECT_EQ(ran.load(), team.helpers() > 0 ? 64 : 6);
+  }
+  // A failed phase leaves the team usable.
+  ExpectEveryChunkOnce(&team, 100);
+}
+
+TEST(TeamTest, RunsInlineOnSizeOnePoolAndFromPoolWorker) {
+  const auto expect_inline = [](util::Team* team) {
+    EXPECT_EQ(team->helpers(), 0u);
+    std::vector<size_t> order;
+    const std::thread::id self = std::this_thread::get_id();
+    team->Run(9, [&](size_t chunk) {
+      EXPECT_EQ(std::this_thread::get_id(), self);
+      order.push_back(chunk);
+    });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  };
+  util::ThreadPool one(1);
+  util::Team on_one(&one);
+  expect_inline(&on_one);
+
+  util::ThreadPool pool(4);
+  std::promise<void> finished;
+  pool.Submit([&] {
+    util::Team nested(&pool);
+    expect_inline(&nested);
+    finished.set_value();
+  });
+  finished.get_future().wait();
+}
+
+TEST(TeamTest, CompletesWhenNoHelperJoins) {
+  // Both workers are parked on a task that waits for this test, so the
+  // team's helper tasks stay queued and the caller runs every chunk.
+  util::ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  for (size_t w = 0; w < pool.size(); ++w) {
+    pool.Submit([released] { released.wait(); });
+  }
+  {
+    util::Team team(&pool);
+    const std::thread::id self = std::this_thread::get_id();
+    std::atomic<size_t> elsewhere{0};
+    for (size_t phase = 0; phase < 200; ++phase) {
+      team.Run(16, [&](size_t) {
+        if (std::this_thread::get_id() != self) elsewhere.fetch_add(1);
+      });
+    }
+    EXPECT_EQ(elsewhere.load(), 0u);
+  }
+  // The queued helpers run after the team is gone and exit at once.
+  release.set_value();
+}
+
+TEST(TeamTest, PoolLargerThanCpuCountCapsHelpers) {
+  const size_t cpus = util::AvailableCpus();
+  util::ThreadPool pool(cpus + 4);
+  util::Team team(&pool);
+  EXPECT_EQ(team.helpers(), cpus - 1);
+  ExpectEveryChunkOnce(&team, 2000);
 }
 
 // --- Determinism of MLP training ---

@@ -141,7 +141,7 @@ TEST_P(ClassifierSerdeTest, RoundTripPredictsIdentically) {
 
   auto restored = ml::MakeClassifier(GetParam(), 99);  // Seed irrelevant.
   serde::Deserializer d(&stream);
-  ASSERT_TRUE(restored->LoadState(&d)) << GetParam();
+  ASSERT_TRUE(restored->LoadState(&d, x.cols())) << GetParam();
   for (size_t i = 0; i < 40; ++i) {
     EXPECT_DOUBLE_EQ(restored->PredictProba(x.RowVector(i)),
                      original->PredictProba(x.RowVector(i)))
@@ -158,7 +158,29 @@ TEST_P(ClassifierSerdeTest, RejectsWrongTag) {
   s.Tag("garbage/v1");
   auto classifier = ml::MakeClassifier(GetParam(), 1);
   serde::Deserializer d(&stream);
-  EXPECT_FALSE(classifier->LoadState(&d)) << GetParam();
+  EXPECT_FALSE(classifier->LoadState(&d, 3)) << GetParam();
+}
+
+TEST_P(ClassifierSerdeTest, RejectsStateOfAnotherWidth) {
+  // Fitted on 3-wide rows, every member's state names feature widths or
+  // split features that a 0-wide row does not have.
+  Rng rng(12);
+  la::Matrix x(60, 3);
+  std::vector<int> y(60);
+  for (size_t i = 0; i < 60; ++i) {
+    y[i] = static_cast<int>(i % 2);
+    for (size_t j = 0; j < 3; ++j) {
+      x.At(i, j) = rng.Normal(y[i] == 1 ? 1.0 : -1.0, 0.5);
+    }
+  }
+  auto original = ml::MakeClassifier(GetParam(), 5);
+  original->Fit(x, y);
+  std::stringstream stream;
+  serde::Serializer s(&stream);
+  original->SaveState(&s);
+  auto restored = ml::MakeClassifier(GetParam(), 5);
+  serde::Deserializer d(&stream);
+  EXPECT_FALSE(restored->LoadState(&d, 0)) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPoolMembers, ClassifierSerdeTest,
