@@ -13,7 +13,9 @@
 // produce bit-identical explanations (see DESIGN.md "Threading model").
 // The stage columns come from the 1-thread run's PredictionReport: the
 // record loop times its own stages, as shares of that run's wall time;
-// "unattr." is the remainder no stage covers.
+// "unattr." is the remainder no stage covers. The impact sums come out
+// of the classify pass, so "classify" includes them and "impacts" is
+// only the assembly of each Explanation.
 
 #include <cstdio>
 
@@ -105,6 +107,8 @@ int main(int argc, char** argv) {
       "(the paper reports ~40%% on their BERT-sized stack). The 1T vs pool\n"
       "columns compare the same batch API on a 1-thread pool and on the\n"
       "WYM_THREADS-sized global pool; outputs are bit-identical. Stage\n"
-      "shares are of the 1T wall time (stage clock needs WYM_METRICS on).\n");
+      "shares are of the 1T wall time (stage clock needs WYM_METRICS on).\n"
+      "Impact sums come out of the classify pass, so classify %% includes\n"
+      "them and impacts %% covers only assembling each Explanation.\n");
   return report.Write() ? 0 : 1;
 }

@@ -80,9 +80,9 @@ void AutoMlMatcher::Fit(const data::Dataset& train,
 
 double AutoMlMatcher::PredictProba(const data::EmRecord& record) const {
   WYM_CHECK(best_ != nullptr) << "AutoML used before Fit";
-  return ml::RecalibrateProba(
-      best_->PredictProba(scaler_.TransformRow(AutoMlFeatures(record))),
-      threshold_);
+  std::vector<double> row = AutoMlFeatures(record);
+  scaler_.TransformRow(row);
+  return ml::RecalibrateProba(best_->PredictProba(row), threshold_);
 }
 
 }  // namespace wym::baselines

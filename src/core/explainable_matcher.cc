@@ -1,6 +1,5 @@
 #include "core/explainable_matcher.h"
 
-#include <cmath>
 #include <string_view>
 #include <utility>
 
@@ -40,10 +39,17 @@ la::Matrix ExplainableMatcher::ToMatrix(
     const std::vector<ScoredUnitSet>& sets) const {
   la::Matrix x(sets.size(), extractor_.dim());
   for (size_t i = 0; i < sets.size(); ++i) {
-    const std::vector<double> row = extractor_.Extract(sets[i]);
-    for (size_t j = 0; j < row.size(); ++j) x.At(i, j) = row[j];
+    extractor_.Compute(sets[i], {x.Row(i), x.cols()});
   }
   return x;
+}
+
+std::vector<double> ExplainableMatcher::ScaledRow(
+    const ScoredUnitSet& set, std::vector<double>* impacts) const {
+  std::vector<double> row(extractor_.dim());
+  extractor_.Compute(set, row, raw_coefficients_, impacts);
+  scaler_.TransformRow(row);
+  return row;
 }
 
 void ExplainableMatcher::Fit(const std::vector<ScoredUnitSet>& train,
@@ -115,10 +121,10 @@ void ExplainableMatcher::Fit(const std::vector<ScoredUnitSet>& train,
       scaler_.RawCoefficients(best_->SignedImportance(x_train));
 }
 
-double ExplainableMatcher::PredictProba(const ScoredUnitSet& set) const {
+double ExplainableMatcher::PredictProba(const ScoredUnitSet& set,
+                                        std::vector<double>* impacts) const {
   WYM_CHECK(fitted()) << "ExplainableMatcher used before Fit";
-  const double raw =
-      best_->PredictProba(scaler_.TransformRow(extractor_.Extract(set)));
+  const double raw = best_->PredictProba(ScaledRow(set, impacts));
   return ml::RecalibrateProba(raw, best_threshold_);
 }
 
@@ -132,32 +138,14 @@ int ExplainableMatcher::PredictWith(const ml::Classifier& classifier,
       break;
     }
   }
-  return classifier.PredictProba(
-             scaler_.TransformRow(extractor_.Extract(set))) >= threshold
-             ? 1
-             : 0;
+  return classifier.PredictProba(ScaledRow(set, nullptr)) >= threshold;
 }
 
 std::vector<double> ExplainableMatcher::UnitImpacts(
     const ScoredUnitSet& set) const {
   WYM_CHECK(fitted()) << "ExplainableMatcher used before Fit";
-  const UnitAttribution attribution = extractor_.Attribution(set);
-  std::vector<double> impacts(set.size(), 0.0);
-  for (size_t u = 0; u < set.size(); ++u) {
-    // Paper §4.3: "the related coefficients are then multiplied by the
-    // relevance score, and the results averaged". Count-style features
-    // use the relevance magnitude (direction lives in the coefficient).
-    double sum = 0.0;
-    size_t touched = 0;
-    for (const FeatureContribution& c : attribution[u]) {
-      const double relevance =
-          c.magnitude ? std::abs(set.scores[u]) : set.scores[u];
-      sum += raw_coefficients_[c.feature] * c.weight * relevance;
-      ++touched;
-    }
-    if (touched == 0) continue;
-    impacts[u] = sum / static_cast<double>(touched);
-  }
+  std::vector<double> impacts;
+  ScaledRow(set, &impacts);
   return impacts;
 }
 
@@ -179,6 +167,9 @@ bool ExplainableMatcher::Load(serde::Deserializer* d) {
   if (!d->Tag("matcher/v2")) return false;
   const size_t num_attributes = d->U64();
   const bool simplified = d->Bool();
+  // The extractor lays out a handful of features per attribute, so a
+  // damaged count is refused before it is built (cap: the encoder's).
+  if (!d->ok() || num_attributes > 4096) return false;
   extractor_ = FeatureExtractor(num_attributes, simplified);
   const bool was_fitted = d->Bool();
   pool_.clear();

@@ -15,8 +15,9 @@
 /// The explainable matcher (paper §4.3): trains the pool of ten
 /// interpretable classifiers on the engineered features, keeps the one
 /// with the best validation F1, and computes per-unit impact scores by
-/// routing the learned coefficients back through the feature extractor's
-/// inverse transformation and multiplying by the relevance scores.
+/// routing the learned coefficients back through the feature statistics
+/// and multiplying by the relevance scores, in the same feature pass
+/// that classifies (FeatureExtractor::Compute).
 
 namespace wym::core {
 
@@ -45,7 +46,11 @@ class ExplainableMatcher {
            const std::vector<int>& validation_labels);
 
   /// Matching probability / hard prediction for one record's units.
-  double PredictProba(const ScoredUnitSet& set) const;
+  /// A non-null `impacts` also receives, from the same feature pass, each
+  /// unit's impact score (paper §4.3, FeatureExtractor::Compute).
+  /// Positive impact pushes toward match.
+  double PredictProba(const ScoredUnitSet& set,
+                      std::vector<double>* impacts = nullptr) const;
   int Predict(const ScoredUnitSet& set) const {
     return PredictProba(set) >= 0.5 ? 1 : 0;
   }
@@ -54,10 +59,7 @@ class ExplainableMatcher {
   int PredictWith(const ml::Classifier& classifier,
                   const ScoredUnitSet& set) const;
 
-  /// Impact score of each decision unit (paper §4.3): for unit u,
-  /// mean over features f touching u of (coef_f * attribution_{f,u}),
-  /// multiplied by u's relevance score. Positive impact pushes toward
-  /// match.
+  /// PredictProba's impacts alone: the same pass, not classified.
   std::vector<double> UnitImpacts(const ScoredUnitSet& set) const;
 
   const FeatureExtractor& extractor() const { return extractor_; }
@@ -81,6 +83,10 @@ class ExplainableMatcher {
 
  private:
   la::Matrix ToMatrix(const std::vector<ScoredUnitSet>& sets) const;
+  /// The standardized feature row of `set` (+ its unit impacts): the one
+  /// feature pass behind every prediction.
+  std::vector<double> ScaledRow(const ScoredUnitSet& set,
+                                std::vector<double>* impacts) const;
 
   FeatureExtractor extractor_;
   Options options_;

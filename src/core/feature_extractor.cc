@@ -1,6 +1,7 @@
 #include "core/feature_extractor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <initializer_list>
 #include <string>
 
@@ -69,45 +70,31 @@ const char* FeatureExtractor::StatName(Stat stat) {
   return "?";
 }
 
-void FeatureExtractor::EmitStat(Stat stat, const std::vector<size_t>& members,
-                                const std::vector<double>& scores,
-                                size_t feature_index,
-                                std::vector<double>* features,
-                                UnitAttribution* attribution) {
+template <typename Attribute>
+double FeatureExtractor::EmitStat(Stat stat, const std::vector<size_t>& members,
+                                  const std::vector<double>& scores,
+                                  const Attribute& attribute) {
   const size_t n = members.size();
-  const bool magnitude = (stat == Stat::kCount);
-  auto attribute = [&](size_t unit, double weight) {
-    if (attribution != nullptr && weight != 0.0) {
-      (*attribution)[unit].push_back({feature_index, weight, magnitude});
-    }
-  };
-
-  if (n == 0) {
-    features->push_back(0.0);
-    return;
-  }
+  if (n == 0) return 0.0;
 
   switch (stat) {
     case Stat::kCount: {
-      features->push_back(static_cast<double>(n));
       const double weight = 1.0 / static_cast<double>(n);
       for (size_t u : members) attribute(u, weight);
-      break;
+      return static_cast<double>(n);
     }
     case Stat::kSum: {
       double sum = 0.0;
       for (size_t u : members) sum += scores[u];
-      features->push_back(sum);
       for (size_t u : members) attribute(u, 1.0);
-      break;
+      return sum;
     }
     case Stat::kMean: {
       double sum = 0.0;
       for (size_t u : members) sum += scores[u];
-      features->push_back(sum / static_cast<double>(n));
       const double weight = 1.0 / static_cast<double>(n);
       for (size_t u : members) attribute(u, weight);
-      break;
+      return sum / static_cast<double>(n);
     }
     case Stat::kMedian: {
       std::vector<size_t> sorted = members;
@@ -117,34 +104,30 @@ void FeatureExtractor::EmitStat(Stat stat, const std::vector<size_t>& members,
                        });
       if (n % 2 == 1) {
         const size_t mid = sorted[n / 2];
-        features->push_back(scores[mid]);
         attribute(mid, 1.0);
-      } else {
-        const size_t lo = sorted[n / 2 - 1];
-        const size_t hi = sorted[n / 2];
-        features->push_back(0.5 * (scores[lo] + scores[hi]));
-        attribute(lo, 0.5);
-        attribute(hi, 0.5);
+        return scores[mid];
       }
-      break;
+      const size_t lo = sorted[n / 2 - 1];
+      const size_t hi = sorted[n / 2];
+      attribute(lo, 0.5);
+      attribute(hi, 0.5);
+      return 0.5 * (scores[lo] + scores[hi]);
     }
     case Stat::kMax: {
       size_t best = members[0];
       for (size_t u : members) {
         if (scores[u] > scores[best]) best = u;
       }
-      features->push_back(scores[best]);
       attribute(best, 1.0);
-      break;
+      return scores[best];
     }
     case Stat::kMin: {
       size_t best = members[0];
       for (size_t u : members) {
         if (scores[u] < scores[best]) best = u;
       }
-      features->push_back(scores[best]);
       attribute(best, 1.0);
-      break;
+      return scores[best];
     }
     case Stat::kRange: {
       size_t max_u = members[0], min_u = members[0];
@@ -152,12 +135,12 @@ void FeatureExtractor::EmitStat(Stat stat, const std::vector<size_t>& members,
         if (scores[u] > scores[max_u]) max_u = u;
         if (scores[u] < scores[min_u]) min_u = u;
       }
-      features->push_back(scores[max_u] - scores[min_u]);
       attribute(max_u, 1.0);
       attribute(min_u, -1.0);
-      break;
+      return scores[max_u] - scores[min_u];
     }
   }
+  return 0.0;
 }
 
 FeatureExtractor::FeatureExtractor(size_t num_attributes, bool simplified)
@@ -195,14 +178,11 @@ FeatureExtractor::FeatureExtractor(size_t num_attributes, bool simplified)
 }
 
 void FeatureExtractor::Compute(const ScoredUnitSet& set,
-                               std::vector<double>* features,
-                               UnitAttribution* attribution) const {
+                               std::span<double> row,
+                               std::span<const double> coefficients,
+                               std::vector<double>* impacts) const {
   WYM_CHECK_EQ(set.units.size(), set.scores.size());
-  features->clear();
-  features->reserve(dim());
-  if (attribution != nullptr) {
-    attribution->assign(set.size(), {});
-  }
+  WYM_CHECK_EQ(row.size(), dim());
 
   // Group memberships, numbered as in Group.
   std::vector<std::vector<size_t>> groups(kAttributeGroups +
@@ -228,23 +208,30 @@ void FeatureExtractor::Compute(const ScoredUnitSet& set,
     }
   }
 
-  for (size_t f = 0; f < layout_.size(); ++f) {
-    EmitStat(layout_[f].stat, groups[layout_[f].group], set.scores, f,
-             features, attribution);
+  // Each unit sums its contributions in layout order; the impact is
+  // their mean.
+  std::vector<size_t> touched;
+  if (impacts != nullptr) {
+    WYM_CHECK_EQ(coefficients.size(), dim());
+    impacts->assign(set.size(), 0.0);
+    touched.assign(set.size(), 0);
   }
-}
-
-std::vector<double> FeatureExtractor::Extract(const ScoredUnitSet& set) const {
-  std::vector<double> features;
-  Compute(set, &features, nullptr);
-  return features;
-}
-
-UnitAttribution FeatureExtractor::Attribution(const ScoredUnitSet& set) const {
-  std::vector<double> features;
-  UnitAttribution attribution;
-  Compute(set, &features, &attribution);
-  return attribution;
+  for (size_t f = 0; f < layout_.size(); ++f) {
+    const Stat stat = layout_[f].stat;
+    row[f] = EmitStat(stat, groups[layout_[f].group], set.scores,
+                      [&](size_t u, double weight) {
+                        if (impacts == nullptr) return;
+                        const double relevance = stat == Stat::kCount
+                                                     ? std::abs(set.scores[u])
+                                                     : set.scores[u];
+                        (*impacts)[u] += coefficients[f] * weight * relevance;
+                        ++touched[u];
+                      });
+  }
+  if (impacts == nullptr) return;
+  for (size_t u = 0; u < set.size(); ++u) {
+    if (touched[u] > 0) (*impacts)[u] /= static_cast<double>(touched[u]);
+  }
 }
 
 }  // namespace wym::core

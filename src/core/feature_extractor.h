@@ -2,8 +2,8 @@
 #define WYM_CORE_FEATURE_EXTRACTOR_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/decision_unit.h"
@@ -13,10 +13,10 @@
 /// (max, min, count, sum, mean, median, range) over the relevance scores,
 /// aggregated per attribute, per entity description and per record —
 /// injecting structural and pragmatic knowledge into the classifier. The
-/// extractor also provides the *inverse* transformation: for every
-/// feature, the attribution weight of each decision unit (e.g. 1/N for a
-/// mean over N units), which routes trained coefficients back to units to
-/// form impact scores.
+/// same walk also runs the *inverse* transformation: given one
+/// coefficient per feature, it routes each coefficient back to the units
+/// the feature was computed from (e.g. 1/N to each unit of a mean over N
+/// units) to form their impact scores.
 
 namespace wym::core {
 
@@ -27,21 +27,6 @@ struct ScoredUnitSet {
 
   size_t size() const { return units.size(); }
 };
-
-/// One feature's contribution channel to a unit.
-struct FeatureContribution {
-  size_t feature = 0;
-  double weight = 0.0;
-  /// Count-style features carry their direction in the coefficient, so
-  /// their impact uses |relevance| instead of the signed relevance
-  /// (otherwise an unpaired unit's negative relevance would flip the sign
-  /// of a negative "unpaired_count" coefficient into a spurious positive
-  /// impact).
-  bool magnitude = false;
-};
-
-/// Sparse per-unit attribution: attribution[u] lists the contributions.
-using UnitAttribution = std::vector<std::vector<FeatureContribution>>;
 
 /// Turns scored units into classifier features.
 class FeatureExtractor {
@@ -60,14 +45,19 @@ class FeatureExtractor {
   bool simplified() const { return simplified_; }
   size_t num_attributes() const { return num_attributes_; }
 
-  /// Extracts the feature row of one record.
-  std::vector<double> Extract(const ScoredUnitSet& set) const;
-
-  /// The inverse transformation: per-unit attribution weights over the
-  /// features (paper §4.3: a mean over N units contributes 1/N to each;
-  /// sums contribute 1; counts spread 1/N; min/max/median attach to the
-  /// achieving unit; range is +1 on the max and -1 on the min unit).
-  UnitAttribution Attribution(const ScoredUnitSet& set) const;
+  /// Writes the dim() features of `set` into `row`. When `impacts` is
+  /// non-null it also receives, in the same walk, each unit's impact
+  /// under `coefficients` (one per feature; paper §4.3): the mean, over
+  /// the features the unit contributes to, of coefficient x weight x
+  /// relevance. The weights are the inverse transformation: a mean or a
+  /// count over N units gives each 1/N, a sum 1, min/max/median attach
+  /// to the achieving unit (1/2 each to the middle two of an even
+  /// median), and a range is +1 on the max and -1 on the min unit.
+  /// Counts carry their direction in the coefficient, so they use the
+  /// relevance magnitude; every other statistic the signed relevance.
+  void Compute(const ScoredUnitSet& set, std::span<double> row,
+               std::span<const double> coefficients = {},
+               std::vector<double>* impacts = nullptr) const;
 
  private:
   /// The statistics a feature takes over its group of units.
@@ -82,16 +72,12 @@ class FeatureExtractor {
 
   static const char* StatName(Stat stat);
 
-  /// Emits `stat` over `members` (unit indices) as feature
-  /// `feature_index` and, when `attribution` is non-null, its per-unit
-  /// weights.
-  static void EmitStat(Stat stat, const std::vector<size_t>& members,
-                       const std::vector<double>& scores,
-                       size_t feature_index, std::vector<double>* features,
-                       UnitAttribution* attribution);
-
-  void Compute(const ScoredUnitSet& set, std::vector<double>* features,
-               UnitAttribution* attribution) const;
+  /// Returns `stat` over `members` (unit indices into `scores`) and
+  /// calls attribute(unit, weight) for each unit it is computed from.
+  template <typename Attribute>
+  static double EmitStat(Stat stat, const std::vector<size_t>& members,
+                         const std::vector<double>& scores,
+                         const Attribute& attribute);
 
   size_t num_attributes_;
   bool simplified_;

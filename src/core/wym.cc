@@ -234,8 +234,9 @@ std::vector<double> WymModel::ScoreUnits(
   return scorer_.Score(record, units);
 }
 
-double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set) const {
-  const double proba = matcher_.PredictProba(set);
+double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set,
+                                       std::vector<double>* impacts) const {
+  const double proba = matcher_.PredictProba(set, impacts);
   // Matcher stage boundary: probabilities must be finite (the classifier
   // pool squashes through a logistic, so NaN means poisoned features).
   WYM_DCHECK(std::isfinite(proba)) << "non-finite match probability";
@@ -311,6 +312,8 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
         // prepared entity is a pure function of its attribute values, so
         // a side whose values equal the previous record's keeps it.
         TokenizedRecord tokenized;
+        // An explained record's impacts come out of its classify pass.
+        std::vector<double> impacts;
         for (size_t i = begin; i < end; ++i) {
           obs::SpanScope span(record_span);
           const std::uint64_t t0 = metrics ? obs::NowNanos() : 0;
@@ -358,7 +361,8 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
           // and the ranked explanation, so a NaN here corrupts both.
           WYM_DCHECK_FINITE(set.scores.data(), set.scores.size())
               << "non-finite unit relevance score";
-          double probability = PredictProbaFromUnits(set);
+          double probability =
+              PredictProbaFromUnits(set, explain ? &impacts : nullptr);
           if (!std::isfinite(probability)) {
             reasons[i] = "non-finite match probability";
             probability = 0.0;
@@ -370,7 +374,6 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
             Explanation& out = explanations[i];
             out.probability = probability;
             out.prediction = probability >= 0.5 ? 1 : 0;
-            const std::vector<double> impacts = matcher_.UnitImpacts(set);
             out.units.reserve(set.size());
             for (size_t u = 0; u < set.size(); ++u) {
               out.units.push_back(
@@ -581,6 +584,12 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   WYM_RETURN_IF_ERROR(load_component(
       *payload.value(), kSectionMatcher,
       [&model](serde::Deserializer* d) { return model.matcher_.Load(d); }));
+  // Inference checks every record against the config's width and the
+  // matcher computes features at its own: they must agree.
+  if (num_attributes != model.matcher_.extractor().num_attributes()) {
+    return Status::Corruption("config and matcher attribute counts differ: " +
+                              path);
+  }
   model.fitted_ = true;
   return model;
 }

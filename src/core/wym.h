@@ -97,8 +97,8 @@ struct PredictionReport {
     std::uint64_t encode_ns = 0;    ///< Tokenize + encode both sides.
     std::uint64_t units_ns = 0;     ///< Decision-unit generation.
     std::uint64_t score_ns = 0;     ///< Relevance scoring.
-    std::uint64_t classify_ns = 0;  ///< Match probability.
-    std::uint64_t impacts_ns = 0;   ///< Impact scores (explain only).
+    std::uint64_t classify_ns = 0;  ///< Probability (+ impact sums).
+    std::uint64_t impacts_ns = 0;   ///< Explanation assembly (explain only).
     std::uint64_t tokens = 0;       ///< Tokens of both sides.
     std::uint64_t units = 0;
     std::uint64_t paired_units = 0;
@@ -186,8 +186,10 @@ class WymModel : public Matcher {
 
   /// Probability from an explicit (possibly perturbed) scored unit set —
   /// the entry point of the MoRF/LeRF/sufficiency experiments, which
-  /// remove units and re-predict.
-  double PredictProbaFromUnits(const ScoredUnitSet& set) const;
+  /// remove units and re-predict. A non-null `impacts` also receives the
+  /// unit impacts (ExplainableMatcher::PredictProba).
+  double PredictProbaFromUnits(const ScoredUnitSet& set,
+                               std::vector<double>* impacts = nullptr) const;
 
   /// Persists the trained pipeline (encoder state, scorer network,
   /// selected classifier, calibration) in model-file format v2: a framed

@@ -2,6 +2,7 @@
 #define WYM_ML_KNN_H_
 
 #include <cstddef>
+#include <new>  // wym-lint: allow(no-raw-new-delete): a header name
 #include <vector>
 
 #include "ml/classifier.h"
@@ -45,11 +46,26 @@ class KNearestNeighbors : public Classifier {
   /// Rebuilds packed_x_ from train_x_.
   void PackTrainingRows();
 
+  /// Allocates on 64-byte (cache-line) boundaries, so a buffer's place
+  /// in its line does not depend on the heap.
+  template <typename T>
+  struct CacheLineAllocator {
+    using value_type = T;
+    static constexpr std::align_val_t kLine{64};
+    T* allocate(size_t n) {
+      return static_cast<T*>(::operator new(n * sizeof(T), kLine));
+    }
+    void deallocate(T* p, size_t) { ::operator delete(p, kLine); }
+    bool operator==(const CacheLineAllocator&) const = default;
+  };
+
   Options options_;
   /// Training rows, row-major: the serialized form.
   la::Matrix train_x_;
-  /// train_x_ in the row-block layout of la::kernels::SquaredDistances.
-  std::vector<double> packed_x_;
+  /// train_x_ in the row-block layout of la::kernels::SquaredDistances,
+  /// on a cache line so the distance loop's speed does not move with the
+  /// heap.
+  std::vector<double, CacheLineAllocator<double>> packed_x_;
   std::vector<int> train_y_;
 };
 

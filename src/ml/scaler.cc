@@ -27,27 +27,17 @@ void StandardScaler::Fit(const la::Matrix& x) {
   fitted_ = true;
 }
 
-la::Matrix StandardScaler::Transform(const la::Matrix& x) const {
-  WYM_CHECK(fitted_);
-  WYM_CHECK_EQ(x.cols(), mean_.size());
-  la::Matrix out(x.rows(), x.cols());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    for (size_t j = 0; j < x.cols(); ++j) {
-      out.At(i, j) = (x.At(i, j) - mean_[j]) / scale_[j];
-    }
-  }
-  return out;
+la::Matrix StandardScaler::Transform(la::Matrix x) const {
+  for (size_t i = 0; i < x.rows(); ++i) TransformRow({x.Row(i), x.cols()});
+  return x;
 }
 
-std::vector<double> StandardScaler::TransformRow(
-    const std::vector<double>& row) const {
+void StandardScaler::TransformRow(std::span<double> row) const {
   WYM_CHECK(fitted_);
   WYM_CHECK_EQ(row.size(), mean_.size());
-  std::vector<double> out(row.size());
   for (size_t j = 0; j < row.size(); ++j) {
-    out[j] = (row[j] - mean_[j]) / scale_[j];
+    row[j] = (row[j] - mean_[j]) / scale_[j];
   }
-  return out;
 }
 
 std::vector<double> StandardScaler::RawCoefficients(

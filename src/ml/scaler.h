@@ -1,6 +1,7 @@
 #ifndef WYM_ML_SCALER_H_
 #define WYM_ML_SCALER_H_
 
+#include <span>
 #include <vector>
 
 #include "la/matrix.h"
@@ -20,11 +21,11 @@ class StandardScaler {
   /// scale 1 so they pass through unchanged).
   void Fit(const la::Matrix& x);
 
-  /// Returns the standardized copy of `x`.
-  la::Matrix Transform(const la::Matrix& x) const;
+  /// Returns `x` standardized, row by row.
+  la::Matrix Transform(la::Matrix x) const;
 
-  /// Standardizes a single row.
-  std::vector<double> TransformRow(const std::vector<double>& row) const;
+  /// Standardizes one row in place: x -> (x - mean) / scale.
+  void TransformRow(std::span<double> row) const;
 
   /// Converts a coefficient vector learned on *scaled* features into the
   /// equivalent raw-space coefficients: w_raw[j] = w_scaled[j] / sigma[j].

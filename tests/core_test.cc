@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -572,8 +573,9 @@ TEST(FeatureExtractorTest, DimsAndNames) {
 
 TEST(FeatureExtractorTest, SimplifiedFeatureValues) {
   const FeatureExtractor extractor(2, /*simplified=*/true);
-  const auto f = extractor.Extract(MakeScoredSet());
-  ASSERT_EQ(f.size(), 6u);
+  ASSERT_EQ(extractor.dim(), 6u);
+  std::vector<double> f(6);
+  extractor.Compute(MakeScoredSet(), f);
   EXPECT_DOUBLE_EQ(f[0], 5.0);                          // all count.
   EXPECT_NEAR(f[1], (0.8 + 0.4 - 0.9 + 0.1 - 0.5) / 5, 1e-12);  // mean.
   EXPECT_DOUBLE_EQ(f[2], 3.0);                          // pos count.
@@ -584,31 +586,44 @@ TEST(FeatureExtractorTest, SimplifiedFeatureValues) {
 
 TEST(FeatureExtractorTest, EmptySetIsAllZero) {
   const FeatureExtractor extractor(2, false);
-  const auto f = extractor.Extract({});
+  std::vector<double> f(extractor.dim(), 1.0);
+  extractor.Compute({}, f);
   for (double v : f) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+/// Unit impacts of `set` when feature `feature` alone has coefficient 1:
+/// unit u gets weight_{feature,u} x relevance_u / (the number of
+/// features u contributes to).
+std::vector<double> OneHotImpacts(const FeatureExtractor& extractor,
+                                  const ScoredUnitSet& set, size_t feature) {
+  std::vector<double> coefficients(extractor.dim(), 0.0);
+  coefficients[feature] = 1.0;
+  std::vector<double> row(extractor.dim()), impacts;
+  extractor.Compute(set, row, coefficients, &impacts);
+  return impacts;
+}
+
+size_t FeatureIndex(const FeatureExtractor& extractor,
+                    const std::string& name) {
+  const auto& names = extractor.feature_names();
+  const auto it = std::find(names.begin(), names.end(), name);
+  EXPECT_NE(it, names.end()) << name;
+  return static_cast<size_t>(it - names.begin());
 }
 
 TEST(FeatureExtractorTest, AttributionWeightsAreInverse) {
   const FeatureExtractor extractor(2, /*simplified=*/true);
   const ScoredUnitSet set = MakeScoredSet();
-  const UnitAttribution attribution = extractor.Attribution(set);
-  ASSERT_EQ(attribution.size(), set.size());
-
-  // Every unit participates in all_count (1/5) and all_mean (1/5).
+  // Every unit contributes to 4 features: all_count and all_mean (1/5
+  // each) and the count and mean of its sign group.
+  const std::vector<double> count = OneHotImpacts(extractor, set, 0);
+  const std::vector<double> mean = OneHotImpacts(extractor, set, 1);
+  ASSERT_EQ(count.size(), set.size());
+  ASSERT_EQ(mean.size(), set.size());
   for (size_t u = 0; u < set.size(); ++u) {
-    double count_weight = 0.0, mean_weight = 0.0;
-    for (const auto& c : attribution[u]) {
-      if (c.feature == 0) {
-        count_weight = c.weight;
-        EXPECT_TRUE(c.magnitude);  // Count features use |relevance|.
-      }
-      if (c.feature == 1) {
-        mean_weight = c.weight;
-        EXPECT_FALSE(c.magnitude);
-      }
-    }
-    EXPECT_NEAR(count_weight, 0.2, 1e-12);
-    EXPECT_NEAR(mean_weight, 0.2, 1e-12);
+    // Count features use |relevance|, means the signed relevance.
+    EXPECT_DOUBLE_EQ(count[u], 0.2 * std::abs(set.scores[u]) / 4);
+    EXPECT_DOUBLE_EQ(mean[u], 0.2 * set.scores[u] / 4);
   }
 }
 
@@ -621,22 +636,20 @@ TEST(FeatureExtractorTest, MinMaxAttachToAchievingUnit) {
     set.units.push_back(unit);
     set.scores.push_back(score);
   }
-  const auto& names = extractor.feature_names();
-  size_t max_feature = 0, min_feature = 0;
-  for (size_t f = 0; f < names.size(); ++f) {
-    if (names[f] == "all_max") max_feature = f;
-    if (names[f] == "all_min") min_feature = f;
-  }
-  const UnitAttribution attribution = extractor.Attribution(set);
-  auto weight_on = [&](size_t unit, size_t feature) {
-    for (const auto& c : attribution[unit]) {
-      if (c.feature == feature) return c.weight;
-    }
-    return 0.0;
-  };
-  EXPECT_DOUBLE_EQ(weight_on(0, max_feature), 1.0);  // 0.9 achieves max.
-  EXPECT_DOUBLE_EQ(weight_on(1, max_feature), 0.0);
-  EXPECT_DOUBLE_EQ(weight_on(1, min_feature), 1.0);  // -0.7 achieves min.
+  // all_sum gives every unit weight 1, so a one-hot impact over the
+  // all_sum one-hot impact is that feature's weight on the unit.
+  const std::vector<double> sum =
+      OneHotImpacts(extractor, set, FeatureIndex(extractor, "all_sum"));
+  const std::vector<double> max =
+      OneHotImpacts(extractor, set, FeatureIndex(extractor, "all_max"));
+  const std::vector<double> min =
+      OneHotImpacts(extractor, set, FeatureIndex(extractor, "all_min"));
+  EXPECT_DOUBLE_EQ(max[0] / sum[0], 1.0);  // 0.9 achieves max.
+  EXPECT_DOUBLE_EQ(max[1], 0.0);
+  EXPECT_DOUBLE_EQ(max[2], 0.0);
+  EXPECT_DOUBLE_EQ(min[1] / sum[1], 1.0);  // -0.7 achieves min.
+  EXPECT_DOUBLE_EQ(min[0], 0.0);
+  EXPECT_DOUBLE_EQ(min[2], 0.0);
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "baselines/similarity_features.h"
 #include "core/feature_extractor.h"
 #include "core/wym.h"
@@ -64,22 +66,28 @@ TEST(FeatureExtractorEdgeTest, EvenMedianSplitsAttribution) {
     set.units.push_back(unit);
     set.scores.push_back(score);
   }
-  size_t median_feature = 0;
+  size_t median_feature = 0, sum_feature = 0;
   const auto& names = extractor.feature_names();
   for (size_t f = 0; f < names.size(); ++f) {
     if (names[f] == "all_median") median_feature = f;
+    if (names[f] == "all_sum") sum_feature = f;
   }
-  // Value = mean of middle two; each contributes weight 0.5.
-  const auto features = extractor.Extract(set);
+  // Value = mean of middle two; each contributes weight 0.5, read off
+  // the one-hot impacts over those of all_sum (weight 1 on every unit).
+  const auto impacts_under = [&](size_t feature) {
+    std::vector<double> coefficients(extractor.dim(), 0.0);
+    coefficients[feature] = 1.0;
+    std::vector<double> row(extractor.dim()), impacts;
+    extractor.Compute(set, row, coefficients, &impacts);
+    return std::make_pair(row, impacts);
+  };
+  const auto [features, median] = impacts_under(median_feature);
   EXPECT_NEAR(features[median_feature], 0.25, 1e-12);
-  const auto attribution = extractor.Attribution(set);
-  double total_weight = 0.0;
-  for (size_t u = 0; u < set.size(); ++u) {
-    for (const auto& c : attribution[u]) {
-      if (c.feature == median_feature) total_weight += c.weight;
-    }
-  }
-  EXPECT_NEAR(total_weight, 1.0, 1e-12);
+  const std::vector<double> sum = impacts_under(sum_feature).second;
+  EXPECT_DOUBLE_EQ(median[0], 0.0);
+  EXPECT_DOUBLE_EQ(median[1] / sum[1], 0.5);
+  EXPECT_DOUBLE_EQ(median[2] / sum[2], 0.5);
+  EXPECT_DOUBLE_EQ(median[3], 0.0);
 }
 
 TEST(MetricsEdgeTest, ThresholdHelpersDegenerateInputs) {

@@ -480,6 +480,36 @@ TEST_F(FaultInjectionTest, MemberStateOfAnotherWidthIsCorruption) {
       "scaler one feature narrower");
 }
 
+TEST_F(FaultInjectionTest, MatcherAttributeCountAboveTheCapIsCorruption) {
+  // Matcher lines: tag, num_attributes, ... A count of 2^40 used to
+  // build a feature extractor of that width, and the load threw
+  // std::bad_alloc instead of returning a Status.
+  ExpectCorruption(LoadCrafted(suite_->clean_bytes, "matcher",
+                               [](std::vector<std::string>* lines) {
+                                 ASSERT_EQ((*lines)[0], "10 matcher/v2");
+                                 (*lines)[1] = std::to_string(1ULL << 40);
+                               }),
+                   "matcher attribute count 2^40");
+}
+
+TEST_F(FaultInjectionTest, ConfigAttributeCountMismatchIsCorruption) {
+  // Config line 11 is num_attributes. One more than the matcher's used to
+  // load, and the first prediction at the trained width then aborted on
+  // PrepareEntity's width check; 2^40 would size every served pair.
+  for (const std::string kind : {"one more", "2^40"}) {
+    ExpectCorruption(
+        LoadCrafted(suite_->clean_bytes, "config",
+                    [&kind](std::vector<std::string>* lines) {
+                      ASSERT_EQ((*lines)[0], "13 wym-config/v2");
+                      std::string& count = (*lines)[11];
+                      count = kind == "2^40"
+                                  ? std::to_string(1ULL << 40)
+                                  : std::to_string(std::stoull(count) + 1);
+                    }),
+        "config attribute count " + kind);
+  }
+}
+
 // ---------------------------------------------------------------------
 // CSV reader under injected faults
 // ---------------------------------------------------------------------

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/feature_extractor.h"
 #include "core/tokenized_record.h"
 #include "core/unit_generator.h"
 #include "data/benchmark_gen.h"
@@ -247,6 +253,197 @@ TEST(UnitGeneratorPropertyTest, ConstraintsHoldForRandomRecords) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Feature pass: features and unit impacts against paper §4.3.
+// ---------------------------------------------------------------------
+
+/// A feature's value and the units it is computed from, each with its
+/// §4.3 weight, in the order the impacts sum them.
+struct ReferenceFeature {
+  double value = 0.0;
+  std::vector<std::pair<size_t, double>> weights;
+};
+
+/// Whether `unit` belongs to the group named `group` ("all", "pos",
+/// "attr2_unpaired", ...). Anchors past the schema fold into its last
+/// attribute.
+bool InGroup(const std::string& group, const core::DecisionUnit& unit,
+             double score, size_t num_attributes) {
+  if (group == "all") return true;
+  if (group == "pos") return score > 0.0;
+  if (group == "neg") return !(score > 0.0);
+  if (group == "paired") return unit.paired;
+  if (group == "unpaired") return !unit.paired;
+  if (group == "left_unpaired") {
+    return !unit.paired && unit.unpaired_side == core::Side::kLeft;
+  }
+  if (group == "right_unpaired") {
+    return !unit.paired && unit.unpaired_side == core::Side::kRight;
+  }
+  EXPECT_EQ(group.rfind("attr", 0), 0u) << group;
+  const size_t attribute = std::stoul(group.substr(4));
+  const bool paired_group = !group.ends_with("_unpaired");
+  return unit.paired == paired_group &&
+         std::min(unit.AnchorAttribute(), num_attributes - 1) == attribute;
+}
+
+/// Evaluates the feature named `<group>_<stat>` from the paper's
+/// definition: a count or mean over N units weighs each 1/N, a sum 1,
+/// min/max/median go to the achieving unit (the first in unit order on
+/// a tie; the middle two of an even median get 1/2 each), and a range
+/// is +1 on its max and -1 on its min unit.
+ReferenceFeature EvaluateFeature(const std::string& name,
+                                 const core::ScoredUnitSet& set,
+                                 size_t num_attributes) {
+  const size_t cut = name.rfind('_');
+  const std::string group = name.substr(0, cut);
+  const std::string stat = name.substr(cut + 1);
+  std::vector<size_t> members;
+  for (size_t u = 0; u < set.size(); ++u) {
+    if (InGroup(group, set.units[u], set.scores[u], num_attributes)) {
+      members.push_back(u);
+    }
+  }
+  ReferenceFeature out;
+  const size_t n = members.size();
+  if (n == 0) return out;
+  const auto score = [&](size_t u) { return set.scores[u]; };
+  const auto by_score = [&](size_t a, size_t b) {
+    return score(a) < score(b);
+  };
+  double sum = 0.0;
+  for (size_t u : members) sum += score(u);
+  if (stat == "count" || stat == "mean" || stat == "sum") {
+    const double weight = stat == "sum" ? 1.0 : 1.0 / static_cast<double>(n);
+    for (size_t u : members) out.weights.push_back({u, weight});
+    out.value = stat == "count" ? static_cast<double>(n)
+                : stat == "sum" ? sum
+                                : sum / static_cast<double>(n);
+  } else if (stat == "median") {
+    std::vector<size_t> order = members;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return std::make_pair(score(a), a) < std::make_pair(score(b), b);
+    });
+    if (n % 2 == 1) {
+      out.value = score(order[n / 2]);
+      out.weights.push_back({order[n / 2], 1.0});
+    } else {
+      const size_t lo = order[n / 2 - 1], hi = order[n / 2];
+      out.value = 0.5 * (score(lo) + score(hi));
+      out.weights = {{lo, 0.5}, {hi, 0.5}};
+    }
+  } else {
+    const size_t max_u =
+        *std::max_element(members.begin(), members.end(), by_score);
+    const size_t min_u =
+        *std::min_element(members.begin(), members.end(), by_score);
+    if (stat == "max") {
+      out.value = score(max_u);
+      out.weights.push_back({max_u, 1.0});
+    } else if (stat == "min") {
+      out.value = score(min_u);
+      out.weights.push_back({min_u, 1.0});
+    } else {
+      EXPECT_EQ(stat, "range");
+      out.value = score(max_u) - score(min_u);
+      out.weights = {{max_u, 1.0}, {min_u, -1.0}};
+    }
+  }
+  return out;
+}
+
+core::ScoredUnitSet RandomScoredSet(Rng* rng, size_t num_attributes) {
+  // Score regimes: continuous, a few tied levels, all positive, all
+  // negative.
+  static constexpr double kLevels[] = {-0.5, -0.25, 0.0, 0.25, 0.5};
+  const size_t regime = rng->Index(4);
+  core::ScoredUnitSet set;
+  const size_t n = rng->Index(41);
+  for (size_t u = 0; u < n; ++u) {
+    core::DecisionUnit unit;
+    unit.paired = rng->Bernoulli(0.5);
+    unit.unpaired_side =
+        rng->Bernoulli(0.5) ? core::Side::kLeft : core::Side::kRight;
+    // Up to two attributes past the schema width.
+    unit.left.attribute = rng->Index(num_attributes + 3);
+    unit.right.attribute = rng->Index(num_attributes + 3);
+    set.units.push_back(unit);
+    switch (regime) {
+      case 0:
+        set.scores.push_back(rng->Uniform(-1.0, 1.0));
+        break;
+      case 1:
+        set.scores.push_back(kLevels[rng->Index(std::size(kLevels))]);
+        break;
+      case 2:
+        set.scores.push_back(rng->Uniform(0.01, 1.0));
+        break;
+      default:
+        set.scores.push_back(rng->Uniform(-1.0, -0.01));
+        break;
+    }
+  }
+  return set;
+}
+
+TEST(FeatureExtractorPropertyTest, ImpactsMatchPaperDefinition) {
+  Rng rng(10);
+  size_t range_on_one_unit = 0, tied_even_medians = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t num_attributes = rng.Index(5);
+    const bool simplified = rng.Bernoulli(0.5);
+    const core::FeatureExtractor extractor(num_attributes, simplified);
+    const core::ScoredUnitSet set = RandomScoredSet(&rng, num_attributes);
+    std::vector<double> coefficients(extractor.dim());
+    for (double& c : coefficients) c = rng.Uniform(-2.0, 2.0);
+
+    std::vector<double> row(extractor.dim()), impacts;
+    extractor.Compute(set, row, coefficients, &impacts);
+    // The impacts ride along: they change no feature.
+    std::vector<double> features_only(extractor.dim());
+    extractor.Compute(set, features_only);
+    EXPECT_EQ(features_only, row);
+
+    // Each unit sums coefficient x weight x relevance in layout order
+    // (counts use |relevance|), then takes the mean.
+    std::vector<double> sums(set.size(), 0.0);
+    std::vector<size_t> touched(set.size(), 0);
+    const auto& names = extractor.feature_names();
+    ASSERT_EQ(row.size(), names.size());
+    for (size_t f = 0; f < names.size(); ++f) {
+      const ReferenceFeature feature =
+          EvaluateFeature(names[f], set, num_attributes);
+      EXPECT_EQ(row[f], feature.value)
+          << names[f] << " trial " << trial << " units " << set.size();
+      const bool count = names[f].ends_with("_count");
+      for (const auto& [u, weight] : feature.weights) {
+        const double relevance =
+            count ? std::abs(set.scores[u]) : set.scores[u];
+        sums[u] += coefficients[f] * weight * relevance;
+        ++touched[u];
+      }
+      if (names[f].ends_with("_range") && feature.weights.size() == 2 &&
+          feature.weights[0].first == feature.weights[1].first) {
+        ++range_on_one_unit;
+      }
+      if (names[f].ends_with("_median") && feature.weights.size() == 2 &&
+          set.scores[feature.weights[0].first] ==
+              set.scores[feature.weights[1].first]) {
+        ++tied_even_medians;
+      }
+    }
+    ASSERT_EQ(impacts.size(), set.size());
+    for (size_t u = 0; u < set.size(); ++u) {
+      const double expected =
+          touched[u] == 0 ? 0.0 : sums[u] / static_cast<double>(touched[u]);
+      EXPECT_EQ(impacts[u], expected) << "unit " << u << " trial " << trial;
+    }
+  }
+  // The draws reach the tie cases the definition has to settle.
+  EXPECT_GT(range_on_one_unit, 0u);
+  EXPECT_GT(tied_even_medians, 0u);
 }
 
 // ---------------------------------------------------------------------
