@@ -6,7 +6,7 @@
 #   sh scripts/check.sh              # all configurations
 #   sh scripts/check.sh release      # just one
 #                                    # (release|ubsan|asan-ubsan|debug-checks|
-#                                    #  perf-report)
+#                                    #  tsan|perf-report)
 #   sh scripts/check.sh --fast       # release build + static analysis +
 #                                    # ctest only (the quick pre-push loop)
 #
@@ -89,6 +89,43 @@ run_config ubsan -DWYM_SANITIZE=undefined
 run_config asan-ubsan -DWYM_SANITIZE=address,undefined
 # Debug invariant tier: WYM_DCHECK bounds/dimension/NaN checks live.
 run_config debug-checks -DWYM_DEBUG_CHECKS=ON
+
+# TSan: the suites whose code shares state across threads — the thread
+# pool and team, the encoder's read-only base-embedding table, the batch
+# record loop and candidate streaming — run with WYM_THREADS=4. Only
+# these four test binaries are built, since a full TSan build is slow;
+# any race report makes a binary exit nonzero.
+run_tsan() {
+  name=tsan
+  if [ "$ONLY" != all ] && [ "$ONLY" != "$name" ]; then
+    return 0
+  fi
+  build="$CHECK_DIR/$name"
+  log="$CHECK_DIR/$name.log"
+  suites="parallel_test embedding_test core_test candidate_stream_test"
+  echo "==> [$name] configure + build + run $suites ($build)"
+  ok=1
+  if cmake -B "$build" -S "$ROOT" -DWYM_SANITIZE=thread > "$log" 2>&1 \
+     && cmake --build "$build" -j "$JOBS" --target $suites >> "$log" 2>&1
+  then
+    for suite in $suites; do
+      echo "--- $suite" >> "$log"
+      WYM_THREADS=4 "$build/tests/$suite" >> "$log" 2>&1 || ok=0
+    done
+  else
+    ok=0
+  fi
+  if [ "$ok" = 1 ]; then
+    SUMMARY="$SUMMARY
+  PASS  $name"
+  else
+    SUMMARY="$SUMMARY
+  FAIL  $name (see $log)"
+    FAILED=1
+    tail -n 30 "$log"
+  fi
+}
+run_tsan
 
 # Short live serving session with telemetry on: train a tiny model,
 # serve it, answer a few requests, drain, then require the exported

@@ -49,9 +49,10 @@ std::vector<double> DittoMatcher::Features(
   const auto right_tokens = AllTokens(record.right);
   const auto left_vecs = encoder_.EncodeTokens(left_tokens);
   const auto right_vecs = encoder_.EncodeTokens(right_tokens);
-  const la::Vec left_pool = embedding::SemanticEncoder::PoolTokens(left_vecs);
+  const la::Vec left_pool =
+      embedding::SemanticEncoder::PoolTokens(left_vecs, encoder_.dim());
   const la::Vec right_pool =
-      embedding::SemanticEncoder::PoolTokens(right_vecs);
+      embedding::SemanticEncoder::PoolTokens(right_vecs, encoder_.dim());
   features.push_back((left_pool.empty() || right_pool.empty())
                          ? 0.0
                          : la::Cosine(left_pool, right_pool));
@@ -59,8 +60,10 @@ std::vector<double> DittoMatcher::Features(
   for (size_t a = 0; a < num_attributes_; ++a) {
     const auto lv = encoder_.EncodeTokens(Tokens(record.left.values[a]));
     const auto rv = encoder_.EncodeTokens(Tokens(record.right.values[a]));
-    const la::Vec lp = embedding::SemanticEncoder::PoolTokens(lv);
-    const la::Vec rp = embedding::SemanticEncoder::PoolTokens(rv);
+    const la::Vec lp =
+        embedding::SemanticEncoder::PoolTokens(lv, encoder_.dim());
+    const la::Vec rp =
+        embedding::SemanticEncoder::PoolTokens(rv, encoder_.dim());
     features.push_back((lp.empty() || rp.empty()) ? 0.0 : la::Cosine(lp, rp));
   }
   return features;
@@ -87,8 +90,9 @@ void DittoMatcher::Fit(const data::Dataset& train,
       const auto lv = encoder_.EncodeTokens(AllTokens(record.left));
       const auto rv = encoder_.EncodeTokens(AllTokens(record.right));
       if (lv.empty() || rv.empty()) continue;
-      pairs.emplace_back(embedding::SemanticEncoder::PoolTokens(lv),
-                         embedding::SemanticEncoder::PoolTokens(rv));
+      pairs.emplace_back(
+          embedding::SemanticEncoder::PoolTokens(lv, encoder_.dim()),
+          embedding::SemanticEncoder::PoolTokens(rv, encoder_.dim()));
       labels.push_back(record.label);
     }
     encoder_.FitSiamese(pairs, labels);

@@ -259,7 +259,8 @@ void CandidateStream::ProbeRow(size_t left_row, ProbeScratch* s,
   // token; merged best-score-per-pair with the token candidates.
   if (lsh_ != nullptr && !s->doc_tokens.empty()) {
     const la::Vec pooled = embedding::SemanticEncoder::PoolTokens(
-        options_.encoder->EncodeTokens(s->doc_tokens));
+        options_.encoder->EncodeTokens(s->doc_tokens),
+        options_.encoder->dim());
     s->lsh_out.clear();
     lsh_->Probe(left_row, pooled, &s->lsh_out);
     for (const CandidatePair& cand : s->lsh_out) {

@@ -44,7 +44,8 @@ la::Vec EmbeddingLsh::PoolRow(const data::Entity& row,
     }
   }
   if (tokens.empty()) return la::Vec();
-  return embedding::SemanticEncoder::PoolTokens(encoder_->EncodeTokens(tokens));
+  return embedding::SemanticEncoder::PoolTokens(
+      encoder_->EncodeTokens(tokens), encoder_->dim());
 }
 
 uint32_t EmbeddingLsh::Signature(const la::Vec& pooled, size_t table) const {

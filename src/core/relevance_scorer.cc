@@ -25,11 +25,11 @@ std::string UnitKey(const DecisionUnit& unit) {
 
 /// Embedding dimension of an encoded record (either side may be empty).
 size_t EmbeddingDim(const TokenizedRecord& record) {
-  WYM_CHECK(!record.left.embeddings.empty() ||
-            !record.right.embeddings.empty())
+  const TokenizedEntity& encoded =
+      record.left.embeddings.empty() ? record.right : record.left;
+  WYM_CHECK(!encoded.embeddings.empty() && encoded.embedding_dim > 0)
       << "UnitFeatures needs at least one encoded entity";
-  return record.left.embeddings.empty() ? record.right.embeddings[0].size()
-                                        : record.left.embeddings[0].size();
+  return encoded.embedding_dim;
 }
 
 /// Embedding `index` of `entity`, or nullptr for an entity without
@@ -37,9 +37,9 @@ size_t EmbeddingDim(const TokenizedRecord& record) {
 const float* EmbeddingOrNull(const TokenizedEntity& entity, size_t index,
                              size_t dim) {
   if (entity.embeddings.empty()) return nullptr;
-  WYM_CHECK_LT(index, entity.embeddings.size());
-  WYM_CHECK_EQ(entity.embeddings[index].size(), dim);
-  return entity.embeddings[index].data();
+  WYM_CHECK_EQ(entity.embedding_dim, dim);
+  WYM_CHECK_LT(index, entity.embeddings.size() / dim);
+  return entity.Embedding(index);
 }
 
 /// The one unit-feature fill behind Fit, Score and UnitFeatures: writes

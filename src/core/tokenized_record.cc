@@ -1,9 +1,5 @@
 #include "core/tokenized_record.h"
 
-#include <cmath>
-#include <cstring>
-
-#include "la/kernels.h"
 #include "util/logging.h"
 
 namespace wym::core {
@@ -40,27 +36,15 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
   return out;
 }
 
-size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed) {
-  const size_t dim = embeddings.empty() ? 0 : embeddings.front().size();
-  packed->assign(embeddings.size() * dim, 0.0f);
-  for (size_t i = 0; i < embeddings.size(); ++i) {
-    const la::Vec& v = embeddings[i];
-    WYM_CHECK_EQ(v.size(), dim) << "ragged embedding dimensions on row " << i;
-    float* row = packed->data() + i * dim;
-    if (dim > 0) std::memcpy(row, v.data(), dim * sizeof(float));
-    const double norm = std::sqrt(la::kernels::SquaredNorm(row, dim));
-    if (norm > 0.0) la::kernels::Scale(1.0 / norm, row, dim);
-  }
-  return dim;
-}
-
 void TokenizedEntity::PackEmbeddings() {
-  embedding_dim = PackUnitRows(embeddings, &packed_embeddings);
+  la::PackUnitRows(embeddings.data(), size(), embedding_dim,
+                   &packed_embeddings);
 }
 
 void EncodeEntity(const embedding::SemanticEncoder& encoder,
                   TokenizedEntity* entity) {
   entity->embeddings = encoder.EncodeTokens(entity->tokens);
+  entity->embedding_dim = encoder.dim();
   entity->PackEmbeddings();
 }
 

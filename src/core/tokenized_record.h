@@ -23,29 +23,34 @@ struct TokenizedEntity {
   std::vector<std::string> tokens;
   /// Attribute index of each flat token.
   std::vector<size_t> attribute_of;
-  /// Contextual embedding of each flat token (empty until encoded).
-  std::vector<la::Vec> embeddings;
-  /// Unit-normalized copies of `embeddings`, packed row-major
-  /// (size() x embedding_dim) for the one-shot similarity-matrix kernel
-  /// of the decision-unit generator. Filled by PackEmbeddings /
-  /// EncodeEntity; all-zero embeddings stay all-zero rows.
+  /// Contextual embeddings as one row-major block: row i holds the
+  /// `embedding_dim` floats of token i (empty until encoded).
+  la::Vec embeddings;
+  /// Unit-normalized copy of `embeddings`, same shape, for the one-shot
+  /// similarity-matrix kernel of the decision-unit generator. Filled by
+  /// PackEmbeddings / EncodeEntity; all-zero rows stay all-zero.
   la::Vec packed_embeddings;
-  /// Row width of `packed_embeddings` (0 until packed).
+  /// Row width of both blocks (0 until encoded).
   size_t embedding_dim = 0;
 
   size_t size() const { return tokens.size(); }
+
+  /// Embedding row of token `i`.
+  const float* Embedding(size_t i) const {
+    return embeddings.data() + i * embedding_dim;
+  }
 
   /// Flat indices of the tokens belonging to attribute `attr`.
   std::vector<size_t> TokensOfAttribute(size_t attr) const;
 
   /// True when packed_embeddings is in sync with embeddings' shape.
   bool HasPackedEmbeddings() const {
-    return !embeddings.empty() && embedding_dim != 0 &&
-           packed_embeddings.size() == embeddings.size() * embedding_dim;
+    return !embeddings.empty() &&
+           packed_embeddings.size() == embeddings.size();
   }
 
-  /// (Re)builds packed_embeddings from `embeddings`
-  /// (one unit-normalization per token at encode time, so every cosine
+  /// (Re)builds packed_embeddings from `embeddings` (one
+  /// unit-normalization per token at encode time, so every cosine
   /// downstream collapses to a dot product).
   void PackEmbeddings();
 };
@@ -57,10 +62,6 @@ struct TokenizedRecord {
   int label = 0;
 };
 
-/// Packs `embeddings` into unit-normalized row-major float rows and
-/// returns the row width. All-zero vectors stay all-zero.
-size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed);
-
 /// Tokenizes one entity over `schema` (embeddings left empty).
 TokenizedEntity TokenizeEntity(const data::Entity& entity,
                                const data::Schema& schema,
@@ -71,7 +72,8 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
                                const data::Schema& schema,
                                const text::Tokenizer& tokenizer);
 
-/// Fills `entity->embeddings` with the encoder's contextual vectors.
+/// Fills `entity->embeddings` with the encoder's contextual block and
+/// packs its unit-normalized copy.
 void EncodeEntity(const embedding::SemanticEncoder& encoder,
                   TokenizedEntity* entity);
 

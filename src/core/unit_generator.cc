@@ -48,13 +48,10 @@ std::vector<SmPair> GetSmPairs(const la::Matrix& sim_full,
 
 /// Unit-normalized packed rows of an entity's embeddings: reuses the
 /// encode-time packing when present, otherwise packs into `storage`.
-const float* PackedRows(const TokenizedEntity& entity, la::Vec* storage,
-                        size_t* dim) {
-  if (entity.HasPackedEmbeddings()) {
-    *dim = entity.embedding_dim;
-    return entity.packed_embeddings.data();
-  }
-  *dim = PackUnitRows(entity.embeddings, storage);
+const float* PackedRows(const TokenizedEntity& entity, la::Vec* storage) {
+  if (entity.HasPackedEmbeddings()) return entity.packed_embeddings.data();
+  la::PackUnitRows(entity.embeddings.data(), entity.size(),
+                   entity.embedding_dim, storage);
   return storage->data();
 }
 
@@ -81,19 +78,22 @@ la::Matrix DecisionUnitGenerator::PairSimilarityMatrix(
       }
     }
   } else {
-    WYM_CHECK_EQ(left.embeddings.size(), left.tokens.size())
+    WYM_CHECK(left.embedding_dim > 0 &&
+              left.embeddings.size() == left.size() * left.embedding_dim)
         << "embeddings missing on the left entity";
-    WYM_CHECK_EQ(right.embeddings.size(), right.tokens.size())
+    WYM_CHECK(right.embedding_dim > 0 &&
+              right.embeddings.size() == right.size() * right.embedding_dim)
         << "embeddings missing on the right entity";
+    WYM_CHECK_EQ(left.embedding_dim, right.embedding_dim)
+        << "left/right embedding dims differ";
     la::Vec scratch_left, scratch_right;
-    size_t left_dim = 0, right_dim = 0;
-    const float* left_rows = PackedRows(left, &scratch_left, &left_dim);
-    const float* right_rows = PackedRows(right, &scratch_right, &right_dim);
-    WYM_CHECK_EQ(left_dim, right_dim) << "left/right embedding dims differ";
+    const float* left_rows = PackedRows(left, &scratch_left);
+    const float* right_rows = PackedRows(right, &scratch_right);
     // Rows are unit vectors, so one A * B^T kernel call yields the
     // full cosine matrix.
     la::kernels::SimilarityMatrix(left_rows, left.size(), right_rows,
-                                  right.size(), left_dim, sim.data().data());
+                                  right.size(), left.embedding_dim,
+                                  sim.data().data());
   }
 
   if (!options_.rules.empty()) {

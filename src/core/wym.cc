@@ -123,8 +123,10 @@ void WymModel::Fit(const data::Dataset& train,
         continue;
       }
       pairs.emplace_back(
-          embedding::SemanticEncoder::PoolTokens(record.left.embeddings),
-          embedding::SemanticEncoder::PoolTokens(record.right.embeddings));
+          embedding::SemanticEncoder::PoolTokens(record.left.embeddings,
+                                                 encoder_.dim()),
+          embedding::SemanticEncoder::PoolTokens(record.right.embeddings,
+                                                 encoder_.dim()));
       labels.push_back(record.label);
     }
     encoder_.FitSiamese(pairs, labels);

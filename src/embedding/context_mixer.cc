@@ -1,6 +1,8 @@
 #include "embedding/context_mixer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "la/kernels.h"
 
@@ -8,22 +10,18 @@ namespace wym::embedding {
 
 ContextMixer::ContextMixer(Options options) : options_(options) {}
 
-std::vector<la::Vec> ContextMixer::Mix(const std::vector<la::Vec>& base) const {
-  if (base.size() < 2 || options_.blend <= 0.0) return base;
+void ContextMixer::Mix(size_t dim, la::Vec* block) const {
+  const size_t n = dim == 0 ? 0 : block->size() / dim;
+  if (n < 2 || options_.blend <= 0.0) return;
 
-  // Precompute pairwise cosine similarities with one flat kernel pass.
-  // The inputs are unit vectors (BaseEmbed normalizes), but Mix is a
-  // public API, so rows are re-normalized while packing — cosine is
-  // scale-invariant, and all-zero rows stay zero.
-  const size_t n = base.size();
-  const size_t dim = base.front().size();
-  la::Vec packed_rows(n * dim, 0.0f);
-  for (size_t i = 0; i < n; ++i) {
-    float* row = packed_rows.data() + i * dim;
-    for (size_t j = 0; j < dim; ++j) row[j] = base[i][j];
-    const double norm = std::sqrt(la::kernels::SquaredNorm(row, dim));
-    if (norm > 0.0) la::kernels::Scale(1.0 / norm, row, dim);
-  }
+  // Pairwise cosine similarities from one flat kernel pass over a
+  // unit-normalized copy of the rows. The rows are unit vectors
+  // (BaseEmbed normalizes), but Mix is a public API — cosine is
+  // scale-invariant, and all-zero rows stay zero. The context itself
+  // sums the rows as given.
+  const float* base = block->data();
+  la::Vec packed_rows;
+  la::PackUnitRows(base, n, dim, &packed_rows);
   std::vector<double> sim(n * n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     const float* row_i = packed_rows.data() + i * dim;
@@ -34,7 +32,8 @@ std::vector<la::Vec> ContextMixer::Mix(const std::vector<la::Vec>& base) const {
     }
   }
 
-  std::vector<la::Vec> out(n);
+  la::Vec out(n * dim);
+  la::Vec context(dim);
   for (size_t i = 0; i < n; ++i) {
     // Softmax attention over the other tokens.
     const double* sim_row = sim.data() + i * n;
@@ -42,23 +41,23 @@ std::vector<la::Vec> ContextMixer::Mix(const std::vector<la::Vec>& base) const {
     for (size_t j = 0; j < n; ++j) {
       if (j != i) max_sim = std::max(max_sim, sim_row[j]);
     }
-    la::Vec context = la::Zeros(dim);
+    std::fill(context.begin(), context.end(), 0.0f);
     double z = 0.0;
     for (size_t j = 0; j < n; ++j) {
       if (j == i) continue;
       const double a = std::exp((sim_row[j] - max_sim) / options_.temperature);
-      la::Axpy(a, base[j], &context);
+      la::kernels::Axpy(a, base + j * dim, context.data(), dim);
       z += a;
     }
     if (z > 0.0) la::Scale(1.0 / z, &context);
 
-    la::Vec mixed = base[i];
-    la::Scale(1.0 - options_.blend, &mixed);
-    la::Axpy(options_.blend, context, &mixed);
-    la::Normalize(&mixed);
-    out[i] = std::move(mixed);
+    float* mixed = out.data() + i * dim;
+    std::copy(base + i * dim, base + (i + 1) * dim, mixed);
+    la::kernels::Scale(1.0 - options_.blend, mixed, dim);
+    la::kernels::Axpy(options_.blend, context.data(), mixed, dim);
+    la::Normalize(mixed, dim);
   }
-  return out;
+  block->swap(out);
 }
 
 }  // namespace wym::embedding

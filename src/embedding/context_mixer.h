@@ -1,7 +1,7 @@
 #ifndef WYM_EMBEDDING_CONTEXT_MIXER_H_
 #define WYM_EMBEDDING_CONTEXT_MIXER_H_
 
-#include <vector>
+#include <cstddef>
 
 #include "la/vector_ops.h"
 
@@ -22,16 +22,17 @@ struct ContextMixerOptions {
   double temperature = 0.25;
 };
 
-/// Stateless contextualization pass over one description's token vectors.
+/// Stateless contextualization pass over one description's token block.
 class ContextMixer {
  public:
   using Options = ContextMixerOptions;
 
   explicit ContextMixer(Options options = {});
 
-  /// Returns contextualized unit-norm vectors; `base` is unchanged.
-  /// A single-token description is returned as-is (no context exists).
-  std::vector<la::Vec> Mix(const std::vector<la::Vec>& base) const;
+  /// Contextualizes `block` in place: one row of `dim` floats per token,
+  /// row-major; each row becomes a unit-norm blend of itself and its
+  /// context. A single-token block is left as-is (no context exists).
+  void Mix(size_t dim, la::Vec* block) const;
 
  private:
   Options options_;

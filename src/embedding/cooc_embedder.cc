@@ -161,9 +161,24 @@ void CoocEmbedder::Fit(const std::vector<std::vector<std::string>>& sentences) {
 
 la::Vec CoocEmbedder::Embed(std::string_view token) const {
   WYM_CHECK(fitted_) << "CoocEmbedder used before Fit";
+  const int32_t kept = KeptId(token);
+  if (kept < 0) return la::Zeros(options_.dim);
+  return vectors_[kept];
+}
+
+int32_t CoocEmbedder::KeptId(std::string_view token) const {
   const int32_t vid = vocab_.IdOf(token);
-  if (vid < 0 || kept_id_[vid] < 0) return la::Zeros(options_.dim);
-  return vectors_[kept_id_[vid]];
+  return vid < 0 ? -1 : kept_id_[vid];
+}
+
+std::vector<std::string> CoocEmbedder::KeptTokens() const {
+  std::vector<std::string> out(vectors_.size());
+  for (size_t vid = 0; vid < kept_id_.size(); ++vid) {
+    if (kept_id_[vid] >= 0) {
+      out[kept_id_[vid]] = vocab_.TokenOf(static_cast<int32_t>(vid));
+    }
+  }
+  return out;
 }
 
 void CoocEmbedder::Save(serde::Serializer* s) const {
@@ -171,32 +186,22 @@ void CoocEmbedder::Save(serde::Serializer* s) const {
   s->Bool(fitted_);
   s->U64(options_.dim);
   s->U64(vectors_.size());
-  for (size_t kept = 0; kept < vectors_.size(); ++kept) {
-    // Recover the token string of this kept id.
-    // kept ids were assigned in TopK order; store token + vector.
-    s->VecF32(vectors_[kept]);
-  }
-  // Token strings, in kept-id order.
-  std::vector<int32_t> kept_to_vocab(vectors_.size(), -1);
-  for (size_t vid = 0; vid < kept_id_.size(); ++vid) {
-    if (kept_id_[vid] >= 0) kept_to_vocab[kept_id_[vid]] = static_cast<int32_t>(vid);
-  }
-  for (size_t kept = 0; kept < vectors_.size(); ++kept) {
-    s->Str(kept_to_vocab[kept] >= 0 ? vocab_.TokenOf(kept_to_vocab[kept])
-                                    : std::string());
-  }
+  for (const la::Vec& v : vectors_) s->VecF32(v);
+  for (const std::string& token : KeptTokens()) s->Str(token);
 }
 
-bool CoocEmbedder::Load(serde::Deserializer* d) {
+bool CoocEmbedder::Load(serde::Deserializer* d, uint64_t max_count) {
   if (!d->Tag("cooc/v1")) return false;
   fitted_ = d->Bool();
   options_.dim = d->U64();
   const uint64_t count = d->U64();
-  if (!d->ok() || count > (1u << 24)) return false;
-  vectors_.assign(count, la::Vec());
-  for (auto& v : vectors_) {
-    v = d->VecF32();
-    if (!d->ok() || v.size() != options_.dim) return false;
+  if (!d->ok() || count > max_count) return false;
+  // Vectors are appended as they are read, so memory grows with the
+  // bytes actually present, not with the declared count.
+  vectors_.clear();
+  for (uint64_t kept = 0; kept < count; ++kept) {
+    vectors_.push_back(d->VecF32());
+    if (!d->ok() || vectors_.back().size() != options_.dim) return false;
   }
   vocab_ = text::Vocabulary();
   kept_id_.assign(count, -1);

@@ -59,9 +59,18 @@ class CoocEmbedder {
   /// Number of in-vocabulary tokens after Fit.
   size_t vocabulary_size() const { return vectors_.size(); }
 
+  /// Kept id of `token` in [0, vocabulary_size()), or -1 when the token
+  /// is out of vocabulary.
+  int32_t KeptId(std::string_view token) const;
+
+  /// Token strings in kept-id order.
+  std::vector<std::string> KeptTokens() const;
+
   /// Serialization of the fitted embedding table (see util/serde.h).
+  /// Load refuses a table of more than `max_count` tokens before
+  /// allocating anything for it.
   void Save(serde::Serializer* s) const;
-  bool Load(serde::Deserializer* d);
+  bool Load(serde::Deserializer* d, uint64_t max_count);
 
  private:
   Options options_;

@@ -1,5 +1,6 @@
 #include "embedding/hash_embedder.h"
 
+#include <algorithm>
 #include <string>
 
 namespace wym::embedding {
@@ -28,8 +29,14 @@ HashEmbedder::HashEmbedder(size_t dim, uint64_t seed)
     : dim_(dim), seed_(seed) {}
 
 la::Vec HashEmbedder::Embed(std::string_view token) const {
-  la::Vec v = la::Zeros(dim_);
-  if (token.empty()) return v;
+  la::Vec v(dim_);
+  Embed(token, v.data());
+  return v;
+}
+
+void HashEmbedder::Embed(std::string_view token, float* v) const {
+  std::fill(v, v + dim_, 0.0f);
+  if (token.empty()) return;
 
   const std::string padded = "^" + std::string(token) + "$";
   auto add_gram = [&](std::string_view gram, double weight) {
@@ -57,8 +64,7 @@ la::Vec HashEmbedder::Embed(std::string_view token) const {
   // The whole token anchors exact equality.
   add_gram(padded, 1.5);
 
-  la::Normalize(&v);
-  return v;
+  la::Normalize(v, dim_);
 }
 
 }  // namespace wym::embedding

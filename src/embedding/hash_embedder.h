@@ -1,6 +1,7 @@
 #ifndef WYM_EMBEDDING_HASH_EMBEDDER_H_
 #define WYM_EMBEDDING_HASH_EMBEDDER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -26,6 +27,9 @@ class HashEmbedder {
 
   /// Unit-norm embedding of a token. Empty tokens map to the zero vector.
   la::Vec Embed(std::string_view token) const;
+
+  /// The same embedding, written to out[0, dim()).
+  void Embed(std::string_view token, float* out) const;
 
   size_t dim() const { return dim_; }
 

@@ -1,8 +1,10 @@
 #include "embedding/semantic_encoder.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
+#include "la/kernels.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -23,9 +25,10 @@ const char* EncoderModeName(EncoderMode mode) {
 namespace {
 
 CoocEmbedder::Options WithDim(CoocEmbedder::Options options, size_t dim,
-                              uint64_t seed) {
+                              uint64_t seed, size_t max_vocab) {
   options.dim = dim;
   options.seed = seed;
+  options.max_vocab = std::min(options.max_vocab, max_vocab);
   return options;
 }
 
@@ -34,7 +37,8 @@ CoocEmbedder::Options WithDim(CoocEmbedder::Options options, size_t dim,
 SemanticEncoder::SemanticEncoder(Options options)
     : options_(options),
       hash_(options.hash_dim, options.seed ^ 0x9a5f0000ull),
-      cooc_(WithDim(options.cooc, options.cooc_dim, options.seed ^ 0xC0C0ull)),
+      cooc_(WithDim(options.cooc, options.cooc_dim, options.seed ^ 0xC0C0ull,
+                    MaxTableRows(dim()))),
       mixer_(options.context),
       calibrator_(options.siamese) {}
 
@@ -43,16 +47,18 @@ void SemanticEncoder::Fit(
   if (options_.mode != EncoderMode::kPretrained) {
     cooc_.Fit(sentences);
   }
-  cache_.Clear();  // Fitting the cooc table changes BaseEmbed output.
+  BuildTable();
   fitted_ = true;
 }
 
-la::Vec SemanticEncoder::CachedBaseEmbed(const std::string& token) const {
-  la::Vec out;
-  if (cache_.Lookup(token, &out)) return out;
-  out = BaseEmbed(token);
-  cache_.Insert(token, out);
-  return out;
+void SemanticEncoder::BuildTable() {
+  const std::vector<std::string> kept = cooc_.KeptTokens();
+  const size_t d = dim();
+  WYM_CHECK_LE(kept.size(), MaxTableRows(d));
+  table_.assign(kept.size() * d, 0.0f);
+  for (size_t k = 0; k < kept.size(); ++k) {
+    BaseEmbed(kept[k], /*in_vocabulary=*/true, table_.data() + k * d);
+  }
 }
 
 void SemanticEncoder::FitSiamese(
@@ -63,8 +69,9 @@ void SemanticEncoder::FitSiamese(
   calibrator_.Fit(pairs, labels);
 }
 
-la::Vec SemanticEncoder::BaseEmbed(const std::string& token) const {
-  la::Vec out = la::Zeros(dim());
+void SemanticEncoder::BaseEmbed(const std::string& token, bool in_vocabulary,
+                                float* row) const {
+  std::fill(row, row + dim(), 0.0f);
 
   // Numeracy block: a radial basis over the log10 magnitude of numeric
   // tokens. Two numbers within a few percent of each other activate
@@ -89,62 +96,77 @@ la::Vec SemanticEncoder::BaseEmbed(const std::string& token) const {
             kMaxMagnitude * static_cast<double>(k) /
             static_cast<double>(n - 1);
         const double distance = (magnitude - center) / kWidth;
-        out[base + k] =
+        row[base + k] =
             static_cast<float>(1.2 * std::exp(-0.5 * distance * distance));
       }
     }
   }
 
-  const la::Vec h = hash_.Embed(token);
-  const float hash_weight = is_numeric ? 0.6f : 1.0f;
-  for (size_t i = 0; i < options_.hash_dim; ++i) {
-    out[i] = hash_weight * h[i];
+  hash_.Embed(token, row);
+  if (is_numeric) {
+    for (size_t i = 0; i < options_.hash_dim; ++i) row[i] *= 0.6f;
   }
-  if (!is_numeric && options_.mode != EncoderMode::kPretrained &&
-      cooc_.fitted()) {
+  if (!is_numeric && in_vocabulary &&
+      options_.mode != EncoderMode::kPretrained && cooc_.fitted()) {
     const la::Vec c = cooc_.Embed(token);
     // Distributional block slightly down-weighted: the syntactic block
     // must dominate for near-identical strings.
     for (size_t i = 0; i < options_.cooc_dim; ++i) {
-      out[options_.hash_dim + i] = 0.8f * c[i];
+      row[options_.hash_dim + i] = 0.8f * c[i];
     }
   }
-  la::Normalize(&out);
-  return out;
+  la::Normalize(row, dim());
+}
+
+void SemanticEncoder::LookupBaseEmbed(const std::string& token,
+                                      float* row) const {
+  const int32_t kept = cooc_.KeptId(token);
+  if (kept < 0) {
+    BaseEmbed(token, /*in_vocabulary=*/false, row);
+    return;
+  }
+  const float* cached = table_.data() + static_cast<size_t>(kept) * dim();
+  std::copy(cached, cached + dim(), row);
 }
 
 la::Vec SemanticEncoder::EncodeTokenIsolated(const std::string& token) const {
   WYM_CHECK(fitted_) << "SemanticEncoder used before Fit";
-  return CachedBaseEmbed(token);
+  la::Vec out(dim());
+  LookupBaseEmbed(token, out.data());
+  return out;
 }
 
-std::vector<la::Vec> SemanticEncoder::EncodeTokens(
+la::Vec SemanticEncoder::EncodeTokens(
     const std::vector<std::string>& tokens) const {
   WYM_CHECK(fitted_) << "SemanticEncoder used before Fit";
-  std::vector<la::Vec> base;
-  base.reserve(tokens.size());
-  for (const auto& token : tokens) base.push_back(CachedBaseEmbed(token));
-
-  std::vector<la::Vec> mixed = [&] {
+  const size_t d = dim();
+  la::Vec block(tokens.size() * d);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    LookupBaseEmbed(tokens[i], block.data() + i * d);
+  }
+  {
     obs::SpanScope span("encoder.context_mix");
-    return mixer_.Mix(base);
-  }();
+    mixer_.Mix(d, &block);
+  }
   if (options_.mode == EncoderMode::kSiamese && calibrator_.fitted()) {
-    for (auto& v : mixed) v = calibrator_.Apply(v);
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      calibrator_.Apply(block.data() + i * d);
+    }
   }
   // Encoder stage boundary: a NaN/Inf in an embedding would silently
   // poison every downstream similarity; abort here under debug checks.
-  for (const la::Vec& v : mixed) {
-    WYM_DCHECK_FINITE(v.data(), v.size()) << "non-finite token embedding";
-  }
-  return mixed;
+  WYM_DCHECK_FINITE(block.data(), block.size()) << "non-finite token embedding";
+  return block;
 }
 
-la::Vec SemanticEncoder::PoolTokens(const std::vector<la::Vec>& tokens) {
-  if (tokens.empty()) return {};
-  la::Vec pooled = la::Zeros(tokens[0].size());
-  for (const auto& v : tokens) la::Axpy(1.0, v, &pooled);
-  la::Scale(1.0 / static_cast<double>(tokens.size()), &pooled);
+la::Vec SemanticEncoder::PoolTokens(const la::Vec& block, size_t dim) {
+  if (block.empty()) return {};
+  const size_t n = block.size() / dim;
+  la::Vec pooled = la::Zeros(dim);
+  for (size_t i = 0; i < n; ++i) {
+    la::kernels::Axpy(1.0, block.data() + i * dim, pooled.data(), dim);
+  }
+  la::Scale(1.0 / static_cast<double>(n), &pooled);
   la::Normalize(&pooled);
   return pooled;
 }
@@ -184,12 +206,18 @@ bool SemanticEncoder::Load(serde::Deserializer* d) {
   options.mode = static_cast<EncoderMode>(mode);
   *this = SemanticEncoder(options);
   fitted_ = d->Bool();
-  if (!cooc_.Load(d)) return false;
+  // The derived table holds one dim()-float row per cooc token: a count
+  // above the cap is refused before anything is allocated for it.
+  if (!cooc_.Load(d, MaxTableRows(dim()))) return false;
   if (!calibrator_.Load(d)) return false;
   // BaseEmbed copies cooc_dim values of each cooc vector, and Apply
   // requires one calibration weight per output channel.
-  return d->ok() && cooc_.dim() == options.cooc_dim &&
-         (!calibrator_.fitted() || calibrator_.weights().size() == dim());
+  if (!d->ok() || cooc_.dim() != options.cooc_dim ||
+      (calibrator_.fitted() && calibrator_.weights().size() != dim())) {
+    return false;
+  }
+  BuildTable();
+  return true;
 }
 
 }  // namespace wym::embedding

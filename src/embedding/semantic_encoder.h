@@ -12,7 +12,6 @@
 #include "embedding/hash_embedder.h"
 #include "embedding/siamese_calibrator.h"
 #include "la/vector_ops.h"
-#include "util/bounded_cache.h"
 #include "util/serde.h"
 
 /// \file
@@ -59,12 +58,26 @@ struct SemanticEncoderOptions {
 
 /// Produces contextual token embeddings for entity descriptions.
 ///
-/// The output dimension is fixed (`hash_dim + cooc_dim`) across modes so
-/// downstream models are mode-agnostic: kPretrained simply leaves the
-/// distributional block zero.
+/// The output dimension is fixed (`hash_dim + cooc_dim + numeric_dims`)
+/// across modes so downstream models are mode-agnostic: kPretrained
+/// simply leaves the distributional block zero.
+///
+/// Every token first gets its context-free base embedding. Those of the
+/// cooc vocabulary's kept tokens are read from a table derived at Fit and
+/// Load; any other token is computed on the fly. The table is read-only
+/// once built, so concurrent EncodeTokens calls share it with no lock,
+/// and its size is fixed by the model, never by the tokens encoded.
 class SemanticEncoder {
  public:
   using Options = SemanticEncoderOptions;
+
+  /// Byte cap of the derived base-embedding table. Fit keeps at most
+  /// MaxTableRows(dim()) vocabulary tokens, and Load refuses a model
+  /// with more, before allocating anything for them.
+  static constexpr size_t kMaxTableBytes = size_t{1} << 28;
+  static size_t MaxTableRows(size_t dim) {
+    return kMaxTableBytes / (dim * sizeof(float));
+  }
 
   explicit SemanticEncoder(Options options = {});
 
@@ -77,76 +90,44 @@ class SemanticEncoder {
   void FitSiamese(const std::vector<std::pair<la::Vec, la::Vec>>& pairs,
                   const std::vector<int>& labels);
 
-  /// Contextual unit-norm embeddings for one entity description's tokens.
-  std::vector<la::Vec> EncodeTokens(
-      const std::vector<std::string>& tokens) const;
+  /// Contextual unit-norm embeddings of one entity description's tokens,
+  /// as one row-major block: row i (dim() floats) belongs to tokens[i].
+  la::Vec EncodeTokens(const std::vector<std::string>& tokens) const;
 
-  /// Context-free embedding of a single token (before mixing/calibration
-  /// pooling); exposed for tests and the micro benches.
+  /// Context-free embedding of a single token (before mixing and
+  /// calibration); exposed for tests and the micro benches.
   la::Vec EncodeTokenIsolated(const std::string& token) const;
 
-  /// Mean-pools token vectors into one description vector (normalized).
-  static la::Vec PoolTokens(const std::vector<la::Vec>& tokens);
+  /// Mean-pools the rows of a token block (`dim` floats each) into one
+  /// normalized description vector; empty for an empty block.
+  static la::Vec PoolTokens(const la::Vec& block, size_t dim);
 
   /// Serialization of the fitted encoder (see util/serde.h). Note the
   /// hash embedder is purely seed-defined, so only options + fitted
-  /// state of the corpus-dependent parts are stored.
+  /// state of the corpus-dependent parts are stored; the base-embedding
+  /// table is derived again on Load.
   void Save(serde::Serializer* s) const;
   bool Load(serde::Deserializer* d);
 
   size_t dim() const {
     return options_.hash_dim + options_.cooc_dim + options_.numeric_dims;
   }
-  /// Token-memo introspection (bounded-cache regression tests and the
-  /// serve stats endpoint): current entry count and lifetime evictions.
-  size_t token_cache_size() const { return cache_.size(); }
-  uint64_t token_cache_evictions() const { return cache_.evictions(); }
+  /// Rows of the base-embedding table: the cooc vocabulary size.
+  size_t table_rows() const { return table_.size() / dim(); }
   EncoderMode mode() const { return options_.mode; }
   bool fitted() const { return fitted_; }
 
  private:
-  /// Memo of context-free token embeddings: the same token string always
-  /// maps to the same BaseEmbed vector (hash-gram + cooc + numeracy are
-  /// all deterministic in the token), so repeated occurrences across a
-  /// corpus skip the recomputation. Backed by util::FifoCache —
-  /// thread-safe (the batch inference APIs encode records concurrently)
-  /// and size-capped with deterministic insertion-order eviction, so a
-  /// long-lived serving process that streams an unbounded token
-  /// vocabulary through the encoder holds at most kMaxEntries vectors
-  /// while new tokens keep getting cached. Never copied/moved with the
-  /// encoder (the entries are derivable state).
-  class TokenEmbeddingCache {
-   public:
-    TokenEmbeddingCache() = default;
-    TokenEmbeddingCache(const TokenEmbeddingCache&) {}
-    TokenEmbeddingCache(TokenEmbeddingCache&&) noexcept {}
-    TokenEmbeddingCache& operator=(const TokenEmbeddingCache&) {
-      Clear();
-      return *this;
-    }
-    TokenEmbeddingCache& operator=(TokenEmbeddingCache&&) noexcept {
-      Clear();
-      return *this;
-    }
-
-    bool Lookup(const std::string& token, la::Vec* out) const {
-      return cache_.Lookup(token, out);
-    }
-    void Insert(const std::string& token, const la::Vec& value) {
-      cache_.Insert(token, value);
-    }
-    void Clear() { cache_.Clear(); }
-    size_t size() const { return cache_.size(); }
-    uint64_t evictions() const { return cache_.evictions(); }
-
-   private:
-    static constexpr size_t kMaxEntries = 1u << 16;
-    util::FifoCache<std::string, la::Vec> cache_{kMaxEntries};
-  };
-
-  la::Vec BaseEmbed(const std::string& token) const;
-  /// BaseEmbed through the memo cache.
-  la::Vec CachedBaseEmbed(const std::string& token) const;
+  /// Writes the context-free embedding of `token` to row[0, dim()).
+  /// `in_vocabulary` says whether the cooc embedder keeps the token;
+  /// when it does not, the distributional block is zero.
+  void BaseEmbed(const std::string& token, bool in_vocabulary,
+                 float* row) const;
+  /// Writes BaseEmbed of `token` to `row`: a copy of its table row when
+  /// it has one, otherwise computed in place.
+  void LookupBaseEmbed(const std::string& token, float* row) const;
+  /// Derives table_ from the fitted (or loaded) cooc vocabulary.
+  void BuildTable();
 
   Options options_;
   bool fitted_ = false;
@@ -154,7 +135,8 @@ class SemanticEncoder {
   CoocEmbedder cooc_;
   ContextMixer mixer_;
   SiameseCalibrator calibrator_;
-  mutable TokenEmbeddingCache cache_;
+  /// Row k (dim() floats) is BaseEmbed of the cooc embedder's kept token k.
+  la::Vec table_;
 };
 
 }  // namespace wym::embedding

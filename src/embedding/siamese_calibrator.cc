@@ -62,13 +62,10 @@ void SiameseCalibrator::Fit(
   fitted_ = true;
 }
 
-la::Vec SiameseCalibrator::Apply(const la::Vec& v) const {
-  if (!fitted_) return v;
-  WYM_CHECK_EQ(v.size(), weights_.size());
-  la::Vec out(v.size());
-  for (size_t k = 0; k < v.size(); ++k) out[k] = v[k] * weights_[k];
-  la::Normalize(&out);
-  return out;
+void SiameseCalibrator::Apply(float* row) const {
+  if (!fitted_) return;
+  for (size_t k = 0; k < weights_.size(); ++k) row[k] *= weights_[k];
+  la::Normalize(row, weights_.size());
 }
 
 void SiameseCalibrator::Save(serde::Serializer* s) const {

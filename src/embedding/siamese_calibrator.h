@@ -44,8 +44,9 @@ class SiameseCalibrator {
   void Fit(const std::vector<std::pair<la::Vec, la::Vec>>& pairs,
            const std::vector<int>& labels);
 
-  /// Applies the learned weights (identity before Fit).
-  la::Vec Apply(const la::Vec& v) const;
+  /// Applies the learned weights to one row of weights().size() floats
+  /// in place and unit-normalizes it (identity before Fit).
+  void Apply(float* row) const;
 
   bool fitted() const { return fitted_; }
   const std::vector<float>& weights() const { return weights_; }

@@ -34,10 +34,21 @@ void Scale(double factor, Vec* a) {
   kernels::Scale(factor, a->data(), a->size());
 }
 
-void Normalize(Vec* a) {
-  const double norm = Norm(*a);
+void Normalize(Vec* a) { Normalize(a->data(), a->size()); }
+
+void Normalize(float* a, size_t n) {
+  const double norm = std::sqrt(kernels::SquaredNorm(a, n));
   if (norm == 0.0) return;
-  Scale(1.0 / norm, a);
+  kernels::Scale(1.0 / norm, a, n);
+}
+
+void PackUnitRows(const float* rows, size_t n_rows, size_t dim, Vec* packed) {
+  packed->assign(rows, rows + n_rows * dim);
+  for (size_t i = 0; i < n_rows; ++i) {
+    float* row = packed->data() + i * dim;
+    const double norm = std::sqrt(kernels::SquaredNorm(row, dim));
+    if (norm > 0.0) kernels::Scale(1.0 / norm, row, dim);
+  }
 }
 
 Vec Zeros(size_t dim) { return Vec(dim, 0.0f); }

@@ -38,6 +38,14 @@ void Scale(double factor, Vec* a);
 /// Normalizes to unit length in place; leaves an all-zero vector untouched.
 void Normalize(Vec* a);
 
+/// Normalize over the `n` floats at `a` (one row of a packed block).
+void Normalize(float* a, size_t n);
+
+/// Copies `n_rows` row-major rows of `dim` floats into `packed` and
+/// unit-normalizes each copied row; all-zero rows stay all-zero. With
+/// unit rows, every cosine downstream is a plain dot product.
+void PackUnitRows(const float* rows, size_t n_rows, size_t dim, Vec* packed);
+
 /// All-zero vector of the given dimension (the paper's [UNP] embedding).
 Vec Zeros(size_t dim);
 

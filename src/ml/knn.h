@@ -2,7 +2,7 @@
 #define WYM_ML_KNN_H_
 
 #include <cstddef>
-#include <new>  // wym-lint: allow(no-raw-new-delete): a header name
+#include <new>
 #include <vector>
 
 #include "ml/classifier.h"

@@ -10,8 +10,7 @@
 
 /// \file
 /// A mutex-guarded, size-capped memo cache with deterministic FIFO
-/// eviction — the one caching primitive every long-lived surface shares
-/// (the SemanticEncoder token memo, the serve-layer prediction cache).
+/// eviction, behind the serve layer's prediction cache.
 ///
 /// Design constraints:
 ///  - **Bounded.** A long-lived process must not grow with the number

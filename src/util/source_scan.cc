@@ -523,6 +523,8 @@ void CheckKernelBypassAccumulation(const FileCtx& ctx,
 void CheckRawNewDelete(const FileCtx& ctx, std::vector<Finding>* out) {
   for (size_t i = 0; i < ctx.lines.size(); ++i) {
     const std::string& code = ctx.lines[i].code;
+    // `#include <new>` names a header, not a new-expression.
+    if (ctx.lines[i].preprocessor && HasWord(code, "include")) continue;
     size_t p = FindWord(code, "new");
     while (p != std::string::npos) {
       size_t e = p + 3;

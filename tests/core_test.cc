@@ -251,10 +251,12 @@ TEST_F(QuantizedPipelineTest, QuantizedMatrixCloseToFpAndFallbackSelectable) {
   ASSERT_EQ(embedding_sim.cols(), n_right);
   for (size_t l = 0; l < n_left; ++l) {
     for (size_t r = 0; r < n_right; ++r) {
-      EXPECT_NEAR(embedding_sim.Row(l)[r],
-                  la::Cosine(record.left.embeddings[l],
-                             record.right.embeddings[r]),
-                  1e-6)
+      const size_t dim = record.left.embedding_dim;
+      const la::Vec left(record.left.Embedding(l),
+                         record.left.Embedding(l) + dim);
+      const la::Vec right(record.right.Embedding(r),
+                          record.right.Embedding(r) + dim);
+      EXPECT_NEAR(embedding_sim.Row(l)[r], la::Cosine(left, right), 1e-6)
           << "cell (" << l << ", " << r << ")";
     }
   }
@@ -405,7 +407,7 @@ TEST(RelevanceScorerTest, UnpairedUsesZeroEmbedding) {
   unpaired.left = {0, 0, "alpha"};
 
   const auto features = RelevanceScorer::UnitFeatures(record, unpaired);
-  const size_t dim = record.left.embeddings[0].size();
+  const size_t dim = record.left.embedding_dim;
   ASSERT_EQ(features.size(), 2 * dim);
   // mean = v/2 and |diff| = |v| must coincide up to factor 2 (R5).
   for (size_t i = 0; i < dim; ++i) {

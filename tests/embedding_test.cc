@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "embedding/context_mixer.h"
@@ -11,9 +14,29 @@
 #include "embedding/siamese_calibrator.h"
 #include "la/vector_ops.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace wym::embedding {
 namespace {
+
+/// Row `i` of a row-major block of `dim`-float rows.
+la::Vec Row(const la::Vec& block, size_t dim, size_t i) {
+  return la::Vec(block.begin() + i * dim, block.begin() + (i + 1) * dim);
+}
+
+/// Concatenates vectors into one row-major block.
+la::Vec Block(const std::vector<la::Vec>& rows) {
+  la::Vec out;
+  for (const la::Vec& row : rows) out.insert(out.end(), row.begin(), row.end());
+  return out;
+}
+
+/// True when `a` and `b` hold the same floats bit for bit.
+bool SameBits(const la::Vec& a, const la::Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
 
 TEST(HashEmbedderTest, UnitNormAndDeterministic) {
   const HashEmbedder embedder(40);
@@ -84,23 +107,27 @@ TEST(CoocEmbedderTest, MinCountFiltersRareTokens) {
 
 TEST(ContextMixerTest, SingleTokenUnchanged) {
   const ContextMixer mixer;
-  const std::vector<la::Vec> base = {{1.0f, 0.0f}};
-  EXPECT_EQ(mixer.Mix(base), base);
+  const la::Vec base = {1.0f, 0.0f};
+  la::Vec block = base;
+  mixer.Mix(2, &block);
+  EXPECT_EQ(block, base);
 }
 
 TEST(ContextMixerTest, OutputIsUnitNormAndContextDependent) {
   const ContextMixer mixer;
   const HashEmbedder embedder(24);
-  const std::vector<la::Vec> context_a = {embedder.Embed("camera"),
-                                          embedder.Embed("digital")};
-  const std::vector<la::Vec> context_b = {embedder.Embed("camera"),
-                                          embedder.Embed("lens")};
-  const auto mixed_a = mixer.Mix(context_a);
-  const auto mixed_b = mixer.Mix(context_b);
-  EXPECT_NEAR(la::Norm(mixed_a[0]), 1.0, 1e-5);
+  la::Vec mixed_a =
+      Block({embedder.Embed("camera"), embedder.Embed("digital")});
+  la::Vec mixed_b = Block({embedder.Embed("camera"), embedder.Embed("lens")});
+  mixer.Mix(24, &mixed_a);
+  mixer.Mix(24, &mixed_b);
+  ASSERT_EQ(mixed_a.size(), 48u);
+  const la::Vec camera_a = Row(mixed_a, 24, 0);
+  const la::Vec camera_b = Row(mixed_b, 24, 0);
+  EXPECT_NEAR(la::Norm(camera_a), 1.0, 1e-5);
   // Same token, different context -> different contextual vector (R4).
-  EXPECT_LT(la::Cosine(mixed_a[0], mixed_b[0]), 0.9999);
-  EXPECT_GT(la::Cosine(mixed_a[0], mixed_b[0]), 0.5);
+  EXPECT_LT(la::Cosine(camera_a, camera_b), 0.9999);
+  EXPECT_GT(la::Cosine(camera_a, camera_b), 0.5);
 }
 
 TEST(ContextMixerTest, ZeroBlendIsIdentity) {
@@ -108,15 +135,18 @@ TEST(ContextMixerTest, ZeroBlendIsIdentity) {
   options.blend = 0.0;
   const ContextMixer mixer(options);
   const HashEmbedder embedder(16);
-  const std::vector<la::Vec> base = {embedder.Embed("a"),
-                                     embedder.Embed("b")};
-  EXPECT_EQ(mixer.Mix(base), base);
+  const la::Vec base = Block({embedder.Embed("a"), embedder.Embed("b")});
+  la::Vec block = base;
+  mixer.Mix(16, &block);
+  EXPECT_EQ(block, base);
 }
 
 TEST(SiameseCalibratorTest, IdentityBeforeFit) {
   const SiameseCalibrator calibrator;
   const la::Vec v = {0.5f, 0.5f};
-  EXPECT_EQ(calibrator.Apply(v), v);
+  la::Vec row = v;
+  calibrator.Apply(row.data());
+  EXPECT_EQ(row, v);
 }
 
 TEST(SiameseCalibratorTest, ReducesTrainingObjective) {
@@ -143,14 +173,18 @@ TEST(SiameseCalibratorTest, ReducesTrainingObjective) {
   calibrator.Fit(pairs, labels);
   ASSERT_TRUE(calibrator.fitted());
 
+  const auto apply = [&](la::Vec v) {
+    calibrator.Apply(v.data());
+    return v;
+  };
   auto objective = [&](bool calibrated) {
     double loss = 0.0;
     for (size_t i = 0; i < pairs.size(); ++i) {
       const double target =
           labels[i] == 1 ? 1.0 : options.negative_target;
       const double cos =
-          calibrated ? la::Cosine(calibrator.Apply(pairs[i].first),
-                                  calibrator.Apply(pairs[i].second))
+          calibrated ? la::Cosine(apply(pairs[i].first),
+                                  apply(pairs[i].second))
                      : la::Cosine(pairs[i].first, pairs[i].second);
       loss += (cos - target) * (cos - target);
     }
@@ -168,9 +202,7 @@ TEST(SemanticEncoderTest, DimsConstantAcrossModes) {
     encoder.Fit({{"a", "b"}, {"a", "c"}});
     EXPECT_EQ(encoder.dim(),
               options.hash_dim + options.cooc_dim + options.numeric_dims);
-    const auto vectors = encoder.EncodeTokens({"a", "b"});
-    ASSERT_EQ(vectors.size(), 2u);
-    EXPECT_EQ(vectors[0].size(), encoder.dim());
+    EXPECT_EQ(encoder.EncodeTokens({"a", "b"}).size(), 2 * encoder.dim());
   }
 }
 
@@ -197,12 +229,10 @@ TEST(SemanticEncoderTest, ExactNumberBeatsCloseNumber) {
             la::Cosine(a, encoder.EncodeTokenIsolated("42199")));
 }
 
-/// True when every component of every vector is finite.
-bool AllFinite(const std::vector<la::Vec>& vectors) {
-  for (const la::Vec& v : vectors) {
-    for (const float x : v) {
-      if (!std::isfinite(x)) return false;
-    }
+/// True when every component is finite.
+bool AllFinite(const la::Vec& v) {
+  for (const float x : v) {
+    if (!std::isfinite(x)) return false;
   }
   return true;
 }
@@ -217,7 +247,7 @@ TEST(SemanticEncoderTest, NanTokensEmbedAsWords) {
   for (const std::string token : {"nan", "NaN", "nan(1)", "-nan"}) {
     SCOPED_TRACE(token);
     const la::Vec v = encoder.EncodeTokenIsolated(token);
-    ASSERT_TRUE(AllFinite({v}));
+    ASSERT_TRUE(AllFinite(v));
     EXPECT_NEAR(la::Norm(v), 1.0, 1e-5);
     for (size_t k = 0; k < options.numeric_dims; ++k) {
       EXPECT_EQ(v[numeric_base + k], 0.0f) << "numeric channel " << k;
@@ -225,16 +255,17 @@ TEST(SemanticEncoderTest, NanTokensEmbedAsWords) {
     EXPECT_TRUE(AllFinite(encoder.EncodeTokens({"sony", token, "camera"})));
   }
   // An overflowing code reads as +inf: still numeric, still finite.
-  EXPECT_TRUE(AllFinite({encoder.EncodeTokenIsolated("34e605211")}));
+  EXPECT_TRUE(AllFinite(encoder.EncodeTokenIsolated("34e605211")));
   EXPECT_TRUE(AllFinite(encoder.EncodeTokens({"sony", "34e605211"})));
 }
 
 TEST(SemanticEncoderTest, PoolTokensIsNormalizedMean) {
   const la::Vec pooled =
-      SemanticEncoder::PoolTokens({{1.0f, 0.0f}, {0.0f, 1.0f}});
+      SemanticEncoder::PoolTokens({1.0f, 0.0f, 0.0f, 1.0f}, 2);
+  ASSERT_EQ(pooled.size(), 2u);
   EXPECT_NEAR(la::Norm(pooled), 1.0, 1e-5);
   EXPECT_NEAR(pooled[0], pooled[1], 1e-5);
-  EXPECT_TRUE(SemanticEncoder::PoolTokens({}).empty());
+  EXPECT_TRUE(SemanticEncoder::PoolTokens({}, 2).empty());
 }
 
 TEST(SemanticEncoderTest, DeterministicAcrossInstances) {
@@ -248,16 +279,23 @@ TEST(SemanticEncoderTest, DeterministicAcrossInstances) {
             b.EncodeTokens({"digital", "camera"}));
 }
 
-TEST(SemanticEncoderTest, TokenCacheIsBoundedWithDeterministicEviction) {
-  // Long-lived-process regression: pushing far more distinct tokens
-  // than the memo capacity through the encoder must keep the cache at
-  // its cap (evicting, not refusing new entries) and must not change
-  // any encoding — cached vectors are derivable state.
+TEST(SemanticEncoderTest, TableIsFixedByTheModel) {
+  // A long-lived process encodes an unbounded stream of distinct tokens.
+  // The base-embedding table is derived from the model alone: encoding
+  // neither grows it nor changes any result.
+  const std::vector<std::vector<std::string>> corpus = {
+      {"digital", "camera"}, {"digital", "camera", "lens"}};
   SemanticEncoder::Options options;
   SemanticEncoder encoder(options);
-  encoder.Fit({{"digital", "camera"}});
+  encoder.Fit(corpus);
+  CoocEmbedder::Options cooc_options = options.cooc;
+  cooc_options.dim = options.cooc_dim;
+  CoocEmbedder cooc(cooc_options);
+  cooc.Fit(corpus);
+  ASSERT_GT(cooc.vocabulary_size(), 0u);
+  EXPECT_EQ(encoder.table_rows(), cooc.vocabulary_size());
 
-  const auto first_before = encoder.EncodeTokens({"tok0"});
+  const la::Vec first_before = encoder.EncodeTokens({"tok0"});
   const size_t kDistinct = (1u << 16) + 512;
   std::vector<std::string> batch;
   batch.reserve(64);
@@ -268,27 +306,80 @@ TEST(SemanticEncoderTest, TokenCacheIsBoundedWithDeterministicEviction) {
     }
     (void)encoder.EncodeTokens(batch);
   }
-  EXPECT_LE(encoder.token_cache_size(), size_t{1} << 16);
-  EXPECT_GT(encoder.token_cache_evictions(), 0u);
-  // "tok0" was evicted long ago; recomputing it after eviction gives
-  // the identical vector.
-  EXPECT_EQ(encoder.EncodeTokens({"tok0"}), first_before);
+  EXPECT_EQ(encoder.table_rows(), cooc.vocabulary_size());
+  EXPECT_TRUE(SameBits(encoder.EncodeTokens({"tok0"}), first_before));
+}
 
-  // The eviction order is FIFO, so two encoders fed the same sequence
-  // end with identical cache occupancy.
-  SemanticEncoder other(options);
-  other.Fit({{"digital", "camera"}});
-  (void)other.EncodeTokens({"tok0"});
-  for (size_t i = 0; i < kDistinct; i += 64) {
-    batch.clear();
-    for (size_t j = i; j < i + 64 && j < kDistinct; ++j) {
-      batch.push_back("tok" + std::to_string(j));
-    }
-    (void)other.EncodeTokens(batch);
+TEST(SemanticEncoderTest, EncodeIsIdenticalAcrossLoadCopyAndThreads) {
+  // Table rows, tokens computed on the fly, numbers, "nan" and empty
+  // tokens: the fitted encoder, its Save/Load round trip, a copy of it
+  // and four threads encoding at once give the same block bit for bit.
+  std::vector<std::vector<std::string>> corpus;
+  for (int i = 0; i < 4; ++i) {
+    corpus.push_back({"sony", "digital", "camera", "37.5"});
+    corpus.push_back({"sony", "digital", "lens", "37.5"});
+    corpus.push_back({"nikon", "camera", "lens", "kit"});
   }
-  (void)other.EncodeTokens({"tok0"});
-  EXPECT_EQ(other.token_cache_size(), encoder.token_cache_size());
-  EXPECT_EQ(other.token_cache_evictions(), encoder.token_cache_evictions());
+  SemanticEncoder fitted;
+  fitted.Fit(corpus);
+  ASSERT_GT(fitted.table_rows(), 0u);
+  const auto pool = [&](const std::vector<std::string>& tokens) {
+    return SemanticEncoder::PoolTokens(fitted.EncodeTokens(tokens),
+                                       fitted.dim());
+  };
+  fitted.FitSiamese({{pool(corpus[0]), pool(corpus[1])},
+                     {pool(corpus[0]), pool(corpus[2])}},
+                    {1, 0});
+
+  const std::vector<std::vector<std::string>> descriptions = {
+      {"sony", "digital", "camera"},
+      {"zeiss", "tessar", "sonnar"},
+      {"37.5", "1200", "sony"},
+      {"nan", "camera", "NaN"},
+      {"", "lens", ""},
+      {"camera"},
+      {},
+  };
+  std::vector<la::Vec> expected;
+  for (const auto& tokens : descriptions) {
+    expected.push_back(fitted.EncodeTokens(tokens));
+  }
+
+  std::stringstream stream;
+  serde::Serializer s(&stream);
+  fitted.Save(&s);
+  SemanticEncoder loaded;
+  serde::Deserializer d(&stream);
+  ASSERT_TRUE(loaded.Load(&d));
+  EXPECT_EQ(loaded.table_rows(), fitted.table_rows());
+  const SemanticEncoder copy = fitted;
+  for (size_t i = 0; i < descriptions.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(SameBits(loaded.EncodeTokens(descriptions[i]), expected[i]));
+    EXPECT_TRUE(SameBits(copy.EncodeTokens(descriptions[i]), expected[i]));
+  }
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 50;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < descriptions.size(); ++i) {
+          // Each thread walks the descriptions from its own offset.
+          const size_t k = (i + t) % descriptions.size();
+          if (!SameBits(loaded.EncodeTokens(descriptions[k]), expected[k])) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "data/benchmark_gen.h"
 #include "data/csv.h"
 #include "data/split.h"
+#include "embedding/semantic_encoder.h"
 #include "obs/metrics.h"
 #include "util/framed_file.h"
 #include "util/io.h"
@@ -303,6 +304,52 @@ TEST_F(FaultInjectionTest, ZeroEncoderDimensionIsCorruption) {
                                  (*lines)[2] = "4097";
                                }),
                    "hash_dim above the cap");
+}
+
+TEST_F(FaultInjectionTest, OversizedBaseEmbeddingTableIsCorruption) {
+  // The encoder derives one dim()-float row per cooc token at Load. Encoder
+  // lines 2 and 4 are hash_dim and numeric_dims; from line 12 the cooc
+  // section holds its token count, that many vectors (a size line plus
+  // cooc_dim floats each), then that many token strings; the siamese
+  // section follows. With both dimensions at their 4096 cap and the
+  // vocabulary repeated to one row past MaxTableRows, the table would
+  // exceed kMaxTableBytes: the file must be refused before any of it is
+  // allocated, not loaded. The siamese weights are marked unfitted so
+  // that their count does not tie the dimension.
+  const Status status = LoadCrafted(
+      suite_->clean_bytes, "encoder", [](std::vector<std::string>* lines) {
+        const std::vector<std::string>& in = *lines;
+        ASSERT_EQ(in[9], "7 cooc/v1");
+        const size_t cooc_dim = std::stoul(in[3]);
+        const size_t count = std::stoul(in[12]);
+        ASSERT_GT(count, 0u);
+        const size_t rows =
+            embedding::SemanticEncoder::MaxTableRows(4096 + cooc_dim + 4096) +
+            1;
+        const size_t vector_lines = 1 + cooc_dim;
+        const size_t vectors_at = 13;
+        const size_t tokens_at = vectors_at + count * vector_lines;
+        const size_t siamese_at = tokens_at + count;
+        ASSERT_NE(in[siamese_at].find("siamese/v1"), std::string::npos);
+
+        std::vector<std::string> out(in.begin(), in.begin() + vectors_at);
+        out[2] = "4096";
+        out[4] = "4096";
+        out[12] = std::to_string(rows);
+        for (size_t r = 0; r < rows; ++r) {
+          const auto v = in.begin() + vectors_at + (r % count) * vector_lines;
+          out.insert(out.end(), v, v + vector_lines);
+        }
+        for (size_t r = 0; r < rows; ++r) {
+          out.push_back(in[tokens_at + r % count]);
+        }
+        out.insert(out.end(), in.begin() + siamese_at, in.end());
+        out[out.size() - (in.size() - siamese_at) + 1] = "0";
+        *lines = std::move(out);
+      });
+  ExpectCorruption(status, "base-embedding table above the byte cap");
+  EXPECT_NE(status.message().find("section 'encoder'"), std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(FaultInjectionTest, OutOfRangeEnumIsCorruption) {
@@ -604,9 +651,8 @@ TEST_F(FaultInjectionTest, NanTokenDoesNotPoisonItsEntity) {
 
   const core::TokenizedRecord prepared = suite_->model.Prepare(record);
   ASSERT_EQ(prepared.left.size(), 3u);
-  for (const la::Vec& embedding : prepared.left.embeddings) {
-    for (const float v : embedding) ASSERT_TRUE(std::isfinite(v));
-  }
+  ASSERT_FALSE(prepared.left.embeddings.empty());
+  for (const float v : prepared.left.embeddings) ASSERT_TRUE(std::isfinite(v));
 
   core::PredictionReport report;
   const std::vector<core::Explanation> explained =

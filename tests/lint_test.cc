@@ -314,6 +314,16 @@ TEST(RawNewDeleteCheckTest, FiresOnNewAndDelete) {
                        "no-raw-new-delete"));
 }
 
+TEST(RawNewDeleteCheckTest, IgnoresIncludeOfNewHeader) {
+  EXPECT_FALSE(HasCheck(Scan("src/a.cc", "#include <new>\n"),
+                        "no-raw-new-delete"));
+  EXPECT_FALSE(HasCheck(Scan("src/a.cc", "  #  include <new>  // hw sizes\n"),
+                        "no-raw-new-delete"));
+  // Other directives are still read: a macro body can hold a raw new.
+  EXPECT_TRUE(HasCheck(Scan("src/a.cc", "#define MAKE new int\n"),
+                       "no-raw-new-delete"));
+}
+
 TEST(RawNewDeleteCheckTest, AllowsDeletedFunctionsAndPlacementNew) {
   EXPECT_FALSE(HasCheck(Scan("src/a.h",
                              "#ifndef WYM_A_H_\n#define WYM_A_H_\n"
