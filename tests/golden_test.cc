@@ -26,6 +26,11 @@
 // split's left and right entities, taken as two raw tables: the LSH-on
 // CandidateStream count and first candidates, every MatchTables match
 // and its stats.
+// explain.txt holds the explanation-quality machinery of paper §5.2 on
+// the S-WA model: the %.17g LIME and Landmark token weights of the first
+// test records and of one record whose right entity is blanked, each
+// record's unit counterfactual, and the post-hoc accuracy, unit-removal
+// F1 and Landmark-correlation figures over fixed slices of the test split.
 
 #include <gtest/gtest.h>
 
@@ -48,6 +53,10 @@
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/split.h"
+#include "explain/counterfactual.h"
+#include "explain/evaluation.h"
+#include "explain/landmark.h"
+#include "explain/lime.h"
 #include "explain/report.h"
 #include "ml/metrics.h"
 #include "obs/event_log.h"
@@ -69,6 +78,14 @@ constexpr double kScale = 0.25;
 constexpr size_t kProbabilities = 64;
 constexpr size_t kExplained = 8;
 constexpr size_t kCandidates = 64;
+/// Test records whose token explanations and counterfactuals are pinned.
+constexpr size_t kTokenExplained = 3;
+/// Perturbations per LIME/Landmark explanation: enough to exercise every
+/// path of the perturbation model, few enough to keep the render fast.
+constexpr size_t kPerturbations = 12;
+/// Test records the token-level post-hoc accuracy and the Landmark
+/// correlations run over.
+constexpr size_t kTokenSample = 12;
 
 const char* const kDatasets[] = {"S-WA", "T-AB"};
 
@@ -247,6 +264,104 @@ Record RenderBlocking() {
   }
   add("stats.candidates_scored", std::to_string(stats.candidates_scored));
   add("stats.records_quarantined", std::to_string(stats.records_quarantined));
+  return out;
+}
+
+/// "L|R attribute index token weight" of every token weight.
+void AddTokenWeights(const std::string& prefix,
+                     const explain::TokenLevelExplanation& explanation,
+                     Record* out) {
+  out->emplace_back(prefix + ".base_probability",
+                    Exact(explanation.base_probability));
+  out->emplace_back(prefix + ".tokens",
+                    std::to_string(explanation.weights.size()));
+  for (size_t t = 0; t < explanation.weights.size(); ++t) {
+    const explain::TokenWeight& tw = explanation.weights[t];
+    out->emplace_back(
+        prefix + "." + std::to_string(t),
+        std::string(tw.key.side == core::Side::kLeft ? "L " : "R ") +
+            std::to_string(tw.key.attribute) + " " +
+            std::to_string(tw.key.index) + " " + tw.key.token + " " +
+            Exact(tw.weight));
+  }
+}
+
+/// LIME, Landmark and the unit-level evaluation measures on the S-WA
+/// model.
+Record RenderExplain() {
+  const Trained& trained = Train("S-WA");
+  const core::WymModel& model = trained.model;
+  const data::Dataset& test = trained.split.test;
+
+  Record out;
+  auto add = [&](std::string key, std::string value) {
+    out.emplace_back(std::move(key), std::move(value));
+  };
+
+  explain::LimeOptions lime_options;
+  lime_options.num_samples = kPerturbations;
+  const explain::LimeExplainer lime(lime_options);
+  explain::LandmarkOptions landmark_options;
+  landmark_options.num_samples = kPerturbations;
+  const explain::LandmarkExplainer landmark(landmark_options);
+
+  std::vector<std::pair<std::string, data::EmRecord>> pinned;
+  for (size_t i = 0; i < std::min(kTokenExplained, test.size()); ++i) {
+    pinned.emplace_back(std::to_string(i), test.records[i]);
+  }
+  data::EmRecord blanked = test.records[0];
+  for (std::string& value : blanked.right.values) value.clear();
+  pinned.emplace_back("blanked", blanked);
+
+  for (const auto& [id, record] : pinned) {
+    const std::string prefix = "record." + id;
+    AddTokenWeights(prefix + ".lime", lime.Explain(model, record), &out);
+    AddTokenWeights(prefix + ".landmark", landmark.Explain(model, record),
+                    &out);
+    const core::Explanation explanation = model.Explain(record);
+    const explain::Counterfactual cf =
+        explain::FindCounterfactual(model, explanation);
+    std::string removed;
+    for (size_t u : cf.removed_units) {
+      removed += (removed.empty() ? "" : ",") + std::to_string(u);
+    }
+    add(prefix + ".counterfactual",
+        "found=" + std::to_string(cf.found ? 1 : 0) + " removed=" +
+            (removed.empty() ? "-" : removed) + " prediction=" +
+            std::to_string(cf.flipped_prediction) + " probability=" +
+            Exact(cf.flipped_probability));
+  }
+
+  add("test_records", std::to_string(test.size()));
+  for (size_t v : {1, 3}) {
+    add("post_hoc_wym.top" + std::to_string(v),
+        Exact(explain::PostHocAccuracyWym(model, test, v)));
+  }
+  std::vector<size_t> head(std::min(kTokenSample, test.size()));
+  for (size_t i = 0; i < head.size(); ++i) head[i] = i;
+  const data::Dataset sample = data::Subset(test, head, "head");
+  const explain::TokenExplainFn explain_lime =
+      [&](const data::EmRecord& record) { return lime.Explain(model, record); };
+  for (size_t v : {1, 3}) {
+    add("post_hoc_tokens_lime.top" + std::to_string(v),
+        Exact(explain::PostHocAccuracyTokens(model, sample, explain_lime, v)));
+  }
+  for (explain::RemovalStrategy strategy :
+       {explain::RemovalStrategy::kMoRF, explain::RemovalStrategy::kLeRF,
+        explain::RemovalStrategy::kRandom}) {
+    for (size_t k : {1, 3}) {
+      add(std::string("f1_after_removal.") +
+              explain::RemovalStrategyName(strategy) + ".k" +
+              std::to_string(k),
+          Exact(explain::F1AfterUnitRemoval(model, test, strategy, k, kSeed)));
+    }
+  }
+  const std::vector<double> correlations =
+      explain::UnitLandmarkCorrelations(model, landmark, sample);
+  add("landmark_correlations", std::to_string(correlations.size()));
+  for (size_t i = 0; i < correlations.size(); ++i) {
+    add("landmark_correlation." + std::to_string(i), Exact(correlations[i]));
+  }
   return out;
 }
 
@@ -559,6 +674,15 @@ TEST(GoldenBlockingTest, MatchesCommittedOutput) {
          << "): left entities vs right entities, default options, LSH on "
             "with the model's encoder.";
   CheckGolden("blocking", header.str(), RenderBlocking());
+}
+
+TEST(GoldenExplainTest, MatchesCommittedOutput) {
+  std::ostringstream header;
+  header << "LIME, Landmark, counterfactuals and the explanation-quality "
+            "measures on the S-WA model (seed "
+         << kSeed << ", scale " << kScale << "), " << kPerturbations
+         << " perturbations per explanation.";
+  CheckGolden("explain", header.str(), RenderExplain());
 }
 
 TEST(GoldenKnnTest, MatchesCommittedOutput) {
