@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
+#include "explain/evaluation.h"
 
 namespace wym::explain {
 
@@ -14,29 +14,19 @@ Counterfactual FindCounterfactual(const core::WymModel& model,
   const int original = explanation.prediction;
 
   // Units ranked by how strongly they support the current prediction.
-  std::vector<size_t> order(explanation.units.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double ia = explanation.units[a].impact;
-    const double ib = explanation.units[b].impact;
-    return original == 1 ? ia > ib : ia < ib;
-  });
-
-  std::vector<bool> removed(explanation.units.size(), false);
+  const std::vector<size_t> order = internal::RankTowardClass(
+      explanation.units, &core::ExplainedUnit::impact, original);
   for (size_t step = 0;
        step < std::min(options.max_removals, order.size()); ++step) {
-    removed[order[step]] = true;
     out.removed_units.push_back(order[step]);
-
-    core::ScoredUnitSet remaining;
-    for (size_t u = 0; u < explanation.units.size(); ++u) {
-      if (removed[u]) continue;
-      remaining.units.push_back(explanation.units[u].unit);
-      remaining.scores.push_back(explanation.units[u].relevance);
-    }
-    const double proba = remaining.units.empty()
+    // The units not removed yet, in explanation order.
+    std::vector<size_t> remaining(order.begin() + step + 1, order.end());
+    std::sort(remaining.begin(), remaining.end());
+    const double proba = remaining.empty()
                              ? 0.0
-                             : model.PredictProbaFromUnits(remaining);
+                             : model.PredictProbaFromUnits(
+                                   internal::SubsetUnits(explanation,
+                                                         remaining));
     const int prediction = proba >= 0.5 ? 1 : 0;
     if (prediction != original) {
       out.found = true;

@@ -12,21 +12,7 @@
 
 namespace wym::explain {
 
-namespace {
-
-/// Unit indices ranked by signed impact toward class `label`:
-/// descending impact for label 1, ascending for label 0.
-std::vector<size_t> RankTowardClass(const core::Explanation& explanation,
-                                    int label) {
-  std::vector<size_t> order(explanation.units.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double ia = explanation.units[a].impact;
-    const double ib = explanation.units[b].impact;
-    return label == 1 ? ia > ib : ia < ib;
-  });
-  return order;
-}
+namespace internal {
 
 core::ScoredUnitSet SubsetUnits(const core::Explanation& explanation,
                                 const std::vector<size_t>& keep) {
@@ -40,7 +26,7 @@ core::ScoredUnitSet SubsetUnits(const core::Explanation& explanation,
   return set;
 }
 
-}  // namespace
+}  // namespace internal
 
 double CumulativeImpactShare(const core::Explanation& explanation,
                              double fraction) {
@@ -85,16 +71,15 @@ double PostHocAccuracyWym(const core::WymModel& model,
   size_t agree = 0;
   for (const auto& record : test.records) {
     const core::Explanation explanation = model.Explain(record);
-    const std::vector<size_t> order =
-        RankTowardClass(explanation, explanation.prediction);
-    std::vector<size_t> keep(
-        order.begin(),
-        order.begin() +
-            std::min(top_v, order.size()));
-    const double proba =
-        explanation.units.empty()
-            ? explanation.probability
-            : model.PredictProbaFromUnits(SubsetUnits(explanation, keep));
+    const std::vector<size_t> order = internal::RankTowardClass(
+        explanation.units, &core::ExplainedUnit::impact,
+        explanation.prediction);
+    const std::vector<size_t> keep(
+        order.begin(), order.begin() + std::min(top_v, order.size()));
+    const double proba = explanation.units.empty()
+                             ? explanation.probability
+                             : model.PredictProbaFromUnits(
+                                   internal::SubsetUnits(explanation, keep));
     const int subset_prediction = proba >= 0.5 ? 1 : 0;
     if (subset_prediction == explanation.prediction) ++agree;
   }
@@ -110,14 +95,8 @@ double PostHocAccuracyTokens(const core::Matcher& matcher,
     const int full_prediction = matcher.Predict(record);
     const TokenLevelExplanation explanation = explain(record);
 
-    // Rank tokens toward the prediction.
-    std::vector<size_t> order(explanation.weights.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const double wa = explanation.weights[a].weight;
-      const double wb = explanation.weights[b].weight;
-      return full_prediction == 1 ? wa > wb : wa < wb;
-    });
+    const std::vector<size_t> order = internal::RankTowardClass(
+        explanation.weights, &TokenWeight::weight, full_prediction);
 
     std::vector<TokenKey> tokens;
     tokens.reserve(explanation.weights.size());
@@ -157,13 +136,13 @@ double F1AfterUnitRemoval(const core::WymModel& model,
     std::vector<size_t> order;
     switch (strategy) {
       case RemovalStrategy::kMoRF:
-        order = RankTowardClass(explanation, record.label);
+      case RemovalStrategy::kLeRF:
+        order = internal::RankTowardClass(
+            explanation.units, &core::ExplainedUnit::impact, record.label);
+        if (strategy == RemovalStrategy::kLeRF) {
+          std::reverse(order.begin(), order.end());
+        }
         break;
-      case RemovalStrategy::kLeRF: {
-        order = RankTowardClass(explanation, record.label);
-        std::reverse(order.begin(), order.end());
-        break;
-      }
       case RemovalStrategy::kRandom: {
         order.resize(explanation.units.size());
         for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -177,7 +156,8 @@ double F1AfterUnitRemoval(const core::WymModel& model,
     const double proba =
         keep.empty()
             ? 0.0  // Nothing left to support a match.
-            : model.PredictProbaFromUnits(SubsetUnits(explanation, keep));
+            : model.PredictProbaFromUnits(
+                  internal::SubsetUnits(explanation, keep));
     truth.push_back(record.label);
     predicted.push_back(proba >= 0.5 ? 1 : 0);
   }

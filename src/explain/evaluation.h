@@ -1,8 +1,10 @@
 #ifndef WYM_EXPLAIN_EVALUATION_H_
 #define WYM_EXPLAIN_EVALUATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "core/wym.h"
@@ -17,6 +19,32 @@
 ///  - Pearson correlation with Landmark explanations (Figure 9).
 
 namespace wym::explain {
+
+namespace internal {
+
+/// Indices of `items` ranked toward class `label` by their `score`
+/// member: descending for label 1, ascending for label 0, ties in index
+/// order. The one ranking behind post-hoc accuracy, MoRF/LeRF removal and
+/// the counterfactual search, over unit impacts and token weights alike.
+template <typename Item>
+std::vector<size_t> RankTowardClass(const std::vector<Item>& items,
+                                    double Item::*score, int label) {
+  std::vector<size_t> order(items.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const double sa = items[a].*score;
+    const double sb = items[b].*score;
+    return label == 1 ? sa > sb : sa < sb;
+  });
+  return order;
+}
+
+/// The scored set of the units of `explanation` at indices `keep`, in
+/// `keep`'s order (the feature means sum in it).
+core::ScoredUnitSet SubsetUnits(const core::Explanation& explanation,
+                                const std::vector<size_t>& keep);
+
+}  // namespace internal
 
 /// Fraction of the total |impact| carried by the top `fraction` of a
 /// record's decision units (units sorted by |impact| descending).

@@ -1,9 +1,6 @@
 #include "explain/landmark.h"
 
-#include <cmath>
-
-#include "la/matrix.h"
-#include "util/random.h"
+#include "explain/lime.h"
 
 namespace wym::explain {
 
@@ -15,77 +12,23 @@ void LandmarkExplainer::ExplainSide(const core::Matcher& matcher,
                                     TokenLevelExplanation* out) const {
   const std::vector<TokenKey> all_tokens =
       EnumerateTokens(record, tokenizer_);
-  // Indices of the tokens on the perturbed side.
+  // Indices of the tokens on the perturbed side; the other side is the
+  // landmark and stays intact.
   std::vector<size_t> side_tokens;
   for (size_t t = 0; t < all_tokens.size(); ++t) {
     if (all_tokens[t].side == perturbed_side) side_tokens.push_back(t);
   }
-  if (side_tokens.empty()) return;
 
-  Rng rng(options_.seed ^
-          (perturbed_side == core::Side::kLeft ? 0x11ull : 0x22ull));
-  std::vector<std::vector<int>> masks;
-  std::vector<double> responses;
-  std::vector<double> weights;
-
-  masks.emplace_back(side_tokens.size(), 1);
-  responses.push_back(out->base_probability);
-  weights.push_back(1.0);
-
-  for (size_t s = 0; s < options_.num_samples; ++s) {
-    std::vector<int> mask(side_tokens.size(), 1);
-    std::vector<bool> keep(all_tokens.size(), true);  // Landmark intact.
-    size_t dropped = 0;
-    for (size_t i = 0; i < side_tokens.size(); ++i) {
-      if (rng.Bernoulli(options_.dropout)) {
-        mask[i] = 0;
-        keep[side_tokens[i]] = false;
-        ++dropped;
-      }
-    }
-    const data::EmRecord perturbed = MaskRecord(record, all_tokens, keep);
-    responses.push_back(matcher.PredictProba(perturbed));
-    const double distance = static_cast<double>(dropped) /
-                            static_cast<double>(side_tokens.size());
-    weights.push_back(std::exp(-(distance * distance) /
-                               (options_.kernel_width *
-                                options_.kernel_width)));
-    masks.push_back(std::move(mask));
-  }
-
-  // Weighted ridge via the normal equations (duplicated from lime.cc to
-  // keep the explainers independent; both are tiny).
-  const size_t n = masks.size();
-  const size_t d = side_tokens.size();
-  double w_total = 0.0, y_mean = 0.0;
-  std::vector<double> x_mean(d, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    w_total += weights[i];
-    y_mean += weights[i] * responses[i];
-    for (size_t j = 0; j < d; ++j) x_mean[j] += weights[i] * masks[i][j];
-  }
-  y_mean /= w_total;
-  for (double& m : x_mean) m /= w_total;
-  la::Matrix xtx(d, d);
-  std::vector<double> xty(d, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const double w = weights[i];
-    const double dy = responses[i] - y_mean;
-    for (size_t a = 0; a < d; ++a) {
-      const double da = masks[i][a] - x_mean[a];
-      if (da == 0.0) continue;
-      xty[a] += w * da * dy;
-      for (size_t b = a; b < d; ++b) {
-        xtx.At(a, b) += w * da * (masks[i][b] - x_mean[b]);
-      }
-    }
-  }
-  for (size_t a = 0; a < d; ++a) {
-    for (size_t b = 0; b < a; ++b) xtx.At(a, b) = xtx.At(b, a);
-  }
-  const std::vector<double> beta =
-      la::SolveLinearSystem(std::move(xtx), std::move(xty), options_.ridge);
-
+  const LimeOptions perturbation = {
+      .num_samples = options_.num_samples,
+      .dropout = options_.dropout,
+      .kernel_width = options_.kernel_width,
+      .ridge = options_.ridge,
+      .seed = options_.seed ^
+              (perturbed_side == core::Side::kLeft ? 0x11ull : 0x22ull)};
+  const std::vector<double> beta = internal::FitPerturbationModel(
+      matcher, record, all_tokens, side_tokens, out->base_probability,
+      perturbation);
   for (size_t i = 0; i < side_tokens.size(); ++i) {
     out->weights.push_back({all_tokens[side_tokens[i]], beta[i]});
   }

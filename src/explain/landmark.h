@@ -12,6 +12,8 @@
 /// Unlike plain LIME, Landmark perturbs *one* entity description at a
 /// time while the other acts as a fixed landmark, producing per-entity
 /// token attributions that respect the pairwise structure of EM records.
+/// Each pass is LIME's perturbation model (internal::FitPerturbationModel)
+/// restricted to the tokens of one side.
 
 namespace wym::explain {
 

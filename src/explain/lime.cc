@@ -1,6 +1,7 @@
 #include "explain/lime.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "la/matrix.h"
 #include "util/random.h"
@@ -53,6 +54,50 @@ std::vector<double> WeightedRidge(const std::vector<std::vector<int>>& masks,
 
 }  // namespace
 
+namespace internal {
+
+std::vector<double> FitPerturbationModel(const core::Matcher& matcher,
+                                         const data::EmRecord& record,
+                                         const std::vector<TokenKey>& tokens,
+                                         const std::vector<size_t>& droppable,
+                                         double base_probability,
+                                         const LimeOptions& options) {
+  if (droppable.empty()) return {};
+  Rng rng(options.seed);
+  std::vector<std::vector<int>> masks;
+  std::vector<double> responses;
+  std::vector<double> weights;
+  masks.reserve(options.num_samples + 1);
+
+  // The unperturbed sample anchors the regression.
+  masks.emplace_back(droppable.size(), 1);
+  responses.push_back(base_probability);
+  weights.push_back(1.0);
+
+  for (size_t s = 0; s < options.num_samples; ++s) {
+    std::vector<int> mask(droppable.size(), 1);
+    std::vector<bool> keep(tokens.size(), true);
+    size_t dropped = 0;
+    for (size_t i = 0; i < droppable.size(); ++i) {
+      if (rng.Bernoulli(options.dropout)) {
+        mask[i] = 0;
+        keep[droppable[i]] = false;
+        ++dropped;
+      }
+    }
+    const data::EmRecord perturbed = MaskRecord(record, tokens, keep);
+    responses.push_back(matcher.PredictProba(perturbed));
+    const double distance =
+        static_cast<double>(dropped) / static_cast<double>(droppable.size());
+    weights.push_back(std::exp(-(distance * distance) /
+                               (options.kernel_width * options.kernel_width)));
+    masks.push_back(std::move(mask));
+  }
+  return WeightedRidge(masks, responses, weights, options.ridge);
+}
+
+}  // namespace internal
+
 LimeExplainer::LimeExplainer(Options options) : options_(options) {}
 
 TokenLevelExplanation LimeExplainer::Explain(
@@ -61,42 +106,10 @@ TokenLevelExplanation LimeExplainer::Explain(
   out.base_probability = matcher.PredictProba(record);
 
   const std::vector<TokenKey> tokens = EnumerateTokens(record, tokenizer_);
-  if (tokens.empty()) return out;
-
-  Rng rng(options_.seed);
-  std::vector<std::vector<int>> masks;
-  std::vector<double> responses;
-  std::vector<double> weights;
-  masks.reserve(options_.num_samples + 1);
-
-  // The unperturbed sample anchors the regression.
-  masks.emplace_back(tokens.size(), 1);
-  responses.push_back(out.base_probability);
-  weights.push_back(1.0);
-
-  for (size_t s = 0; s < options_.num_samples; ++s) {
-    std::vector<int> mask(tokens.size(), 1);
-    std::vector<bool> keep(tokens.size(), true);
-    size_t dropped = 0;
-    for (size_t t = 0; t < tokens.size(); ++t) {
-      if (rng.Bernoulli(options_.dropout)) {
-        mask[t] = 0;
-        keep[t] = false;
-        ++dropped;
-      }
-    }
-    const data::EmRecord perturbed = MaskRecord(record, tokens, keep);
-    responses.push_back(matcher.PredictProba(perturbed));
-    const double distance =
-        static_cast<double>(dropped) / static_cast<double>(tokens.size());
-    weights.push_back(std::exp(-(distance * distance) /
-                               (options_.kernel_width *
-                                options_.kernel_width)));
-    masks.push_back(std::move(mask));
-  }
-
-  const std::vector<double> beta =
-      WeightedRidge(masks, responses, weights, options_.ridge);
+  std::vector<size_t> every(tokens.size());
+  std::iota(every.begin(), every.end(), size_t{0});
+  const std::vector<double> beta = internal::FitPerturbationModel(
+      matcher, record, tokens, every, out.base_probability, options_);
   out.weights.reserve(tokens.size());
   for (size_t t = 0; t < tokens.size(); ++t) {
     out.weights.push_back({tokens[t], beta[t]});

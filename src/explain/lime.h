@@ -2,6 +2,7 @@
 #define WYM_EXPLAIN_LIME_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/matcher.h"
 #include "explain/token_explanation.h"
@@ -29,6 +30,25 @@ struct LimeOptions {
   double ridge = 1e-3;
   uint64_t seed = 0x11ED;
 };
+
+namespace internal {
+
+/// The perturbation model LIME and Landmark share: draws
+/// `options.num_samples` dropout masks over the tokens at `droppable`
+/// (indices into `tokens`, the EnumerateTokens list of `record`; every
+/// other token stays), queries `matcher` on each masked record, weights a
+/// sample by the exponential kernel over its dropped fraction and fits a
+/// weighted ridge, anchored by the unperturbed record at
+/// `base_probability`. Returns one coefficient per entry of `droppable`,
+/// none when it is empty.
+std::vector<double> FitPerturbationModel(const core::Matcher& matcher,
+                                         const data::EmRecord& record,
+                                         const std::vector<TokenKey>& tokens,
+                                         const std::vector<size_t>& droppable,
+                                         double base_probability,
+                                         const LimeOptions& options);
+
+}  // namespace internal
 
 /// Post-hoc token-level explainer for any Matcher.
 class LimeExplainer {
