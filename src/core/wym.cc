@@ -581,6 +581,15 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   WYM_RETURN_IF_ERROR(load_component(
       *payload.value(), kSectionScorer,
       [&model](serde::Deserializer* d) { return model.scorer_.Load(d); }));
+  // The scorer's network reads 2 * dim() features per unit: an encoder of
+  // another width would abort the first prediction.
+  const nn::Mlp& mlp = model.scorer_.mlp();
+  if (mlp.fitted() && mlp.input_dim() != 2 * model.encoder_.dim()) {
+    return Status::Corruption(
+        "section 'scorer' expects " + std::to_string(mlp.input_dim()) +
+        " unit features but section 'encoder' has dimension " +
+        std::to_string(model.encoder_.dim()) + ": " + path);
+  }
   payload = section(kSectionMatcher);
   if (!payload.ok()) return payload.status();
   WYM_RETURN_IF_ERROR(load_component(

@@ -352,6 +352,29 @@ TEST_F(FaultInjectionTest, OversizedBaseEmbeddingTableIsCorruption) {
       << status.ToString();
 }
 
+TEST_F(FaultInjectionTest, EncoderWidthOtherThanScorersIsCorruption) {
+  // Encoder line 2 is hash_dim: one more makes the encoder one dimension
+  // wider than the scorer's network was trained on, which used to load
+  // and then abort the first prediction. The siamese weights are marked
+  // unfitted so that their count does not tie the dimension.
+  const Status status = LoadCrafted(
+      suite_->clean_bytes, "encoder", [](std::vector<std::string>* lines) {
+        std::vector<std::string>& in = *lines;
+        in[2] = std::to_string(std::stoul(in[2]) + 1);
+        const auto siamese =
+            std::find_if(in.begin(), in.end(), [](const std::string& line) {
+              return line.find("siamese/v1") != std::string::npos;
+            });
+        ASSERT_NE(siamese, in.end());
+        *(siamese + 1) = "0";
+      });
+  ExpectCorruption(status, "encoder wider than the scorer's input");
+  EXPECT_NE(status.message().find("section 'encoder'"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("section 'scorer'"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(FaultInjectionTest, OutOfRangeEnumIsCorruption) {
   // Encoder mode (line 1), scorer kind (line 1) and the config's pairing
   // similarity (line 7) are each one past their last enumerator.
