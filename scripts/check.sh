@@ -178,8 +178,9 @@ serve_telemetry_check() {
 # schema-valid wym-bench-report/v1 files (the BENCH_*.json trajectory).
 # Reuses the release tree; a short benchmark subset and a small blocking
 # table keep the step fast. The fresh micro report is then gated against
-# the seeded repo-root BENCH_micro.json via compare-reports: only the
-# benchmark-name intersection is compared, and the 60% tolerance (vs the
+# the seeded repo-root BENCH_micro.json via compare-reports: every
+# benchmark the filter selects must have a baseline entry (a MISSING one
+# fails the gate), and the 60% tolerance (vs the
 # tool's 10% default) absorbs the noise of short runs on loaded
 # single-CPU CI boxes while still catching order-of-magnitude cliffs.
 # Reseed the baseline after intentional perf changes (see DESIGN.md).

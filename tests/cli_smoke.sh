@@ -101,6 +101,24 @@ expect_exit 1 "$CLI" explain --data "$WORK/data.csv" --record 2x \
 grep -q -- "--record" "$WORK/stderr.txt"
 expect_exit 1 "$CLI" compare-reports a.json b.json --tolerance 1x
 
+# Exit 4: compare-reports fails the gate on a benchmark with no baseline
+# entry (a renamed benchmark), labelled MISSING; a current report that
+# runs a subset of the baseline passes.
+bench_report() {
+  printf '{"schema":"wym-bench-report/v1","bench":"micro","benchmarks":[%s],' "$1"
+  printf '"metrics":{"counters":{},"gauges":{},"histograms":{}}}\n'
+}
+bench_report '{"name":"BM_A","time_ns":100},{"name":"BM_B","time_ns":100}' \
+  > "$WORK/baseline.json"
+bench_report '{"name":"BM_A","time_ns":100}' > "$WORK/subset.json"
+bench_report '{"name":"BM_A","time_ns":100},{"name":"BM_C","time_ns":100}' \
+  > "$WORK/renamed.json"
+"$CLI" compare-reports "$WORK/baseline.json" "$WORK/subset.json" > /dev/null
+expect_exit 4 "$CLI" compare-reports "$WORK/baseline.json" \
+  "$WORK/renamed.json"
+"$CLI" compare-reports "$WORK/baseline.json" "$WORK/renamed.json" \
+  2> /dev/null | grep -q "MISSING   BM_C"
+
 # A truncated save must never leave a damaged file behind: verify still
 # passes on the original after the failed overwrite attempt above.
 "$CLI" verify --model "$WORK/model.wym" > /dev/null

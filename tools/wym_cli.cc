@@ -343,11 +343,12 @@ int LoadBenchTimes(const std::string& path,
 }
 
 /// `compare-reports`: benchmark-by-benchmark perf gate between two
-/// wym-bench-report/v1 files. Only the intersection of benchmark names
-/// is compared — the current report is typically a filtered subset of
-/// the seeded baseline — and any benchmark whose current time exceeds
-/// baseline * (1 + tolerance) is a regression (exit 4). Improvements
-/// and new/missing benchmarks are reported but never fail the gate.
+/// wym-bench-report/v1 files. The current report is typically a filtered
+/// subset of the seeded baseline, so baseline benchmarks it does not run
+/// are skipped. Any benchmark whose current time exceeds
+/// baseline * (1 + tolerance) is a regression, and any current benchmark
+/// with no baseline entry is MISSING (a renamed benchmark must not leave
+/// the gate silently); either fails the gate with exit 4.
 int CmdCompareReports(int argc, char** argv) {
   std::vector<std::string> files;
   double tolerance = 0.10;
@@ -380,11 +381,13 @@ int CmdCompareReports(int argc, char** argv) {
   if (const int code = LoadBenchTimes(files[0], &baseline)) return code;
   if (const int code = LoadBenchTimes(files[1], &current)) return code;
 
-  size_t compared = 0, regressions = 0;
+  size_t compared = 0, regressions = 0, missing = 0;
   for (const auto& [name, current_ns] : current) {
     const auto it = baseline.find(name);
     if (it == baseline.end()) {
-      std::printf("  new       %-40s %12.1f ns\n", name.c_str(), current_ns);
+      ++missing;
+      std::printf("  MISSING   %-40s %12.1f ns  (no baseline entry)\n",
+                  name.c_str(), current_ns);
       continue;
     }
     ++compared;
@@ -398,15 +401,20 @@ int CmdCompareReports(int argc, char** argv) {
                 regressed ? "REGRESSED" : "ok", name.c_str(), baseline_ns,
                 current_ns, (ratio - 1.0) * 100.0);
   }
-  if (compared == 0) {
+  if (compared == 0 && missing == 0) {
     std::fprintf(stderr,
                  "no common benchmarks between %s and %s — nothing gated\n",
                  files[0].c_str(), files[1].c_str());
     return kExitUsage;
   }
-  std::printf("compared %zu benchmark(s), tolerance %.0f%%: %zu regression(s)\n",
-              compared, tolerance * 100.0, regressions);
-  return regressions == 0 ? kExitOk : kExitRegression;
+  std::printf("compared %zu benchmark(s), tolerance %.0f%%: %zu regression(s), "
+              "%zu missing from the baseline\n",
+              compared, tolerance * 100.0, regressions, missing);
+  if (missing > 0) {
+    std::fprintf(stderr, "%zu benchmark(s) of %s have no entry in %s\n",
+                 missing, files[1].c_str(), files[0].c_str());
+  }
+  return regressions == 0 && missing == 0 ? kExitOk : kExitRegression;
 }
 
 /// Splits a '|'-separated attribute list ("iphone 4s|black") into
