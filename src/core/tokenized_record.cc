@@ -36,16 +36,10 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
   return out;
 }
 
-void TokenizedEntity::PackEmbeddings() {
-  la::PackUnitRows(embeddings.data(), size(), embedding_dim,
-                   &packed_embeddings);
-}
-
 void EncodeEntity(const embedding::SemanticEncoder& encoder,
                   TokenizedEntity* entity) {
   entity->embeddings = encoder.EncodeTokens(entity->tokens);
   entity->embedding_dim = encoder.dim();
-  entity->PackEmbeddings();
 }
 
 }  // namespace wym::core

@@ -24,13 +24,11 @@ struct TokenizedEntity {
   /// Attribute index of each flat token.
   std::vector<size_t> attribute_of;
   /// Contextual embeddings as one row-major block: row i holds the
-  /// `embedding_dim` floats of token i (empty until encoded).
+  /// `embedding_dim` floats of token i (empty until encoded). The
+  /// encoder's rows are unit-norm or all-zero, so the cosine of two rows
+  /// is their dot product.
   la::Vec embeddings;
-  /// Unit-normalized copy of `embeddings`, same shape, for the one-shot
-  /// similarity-matrix kernel of the decision-unit generator. Filled by
-  /// PackEmbeddings / EncodeEntity; all-zero rows stay all-zero.
-  la::Vec packed_embeddings;
-  /// Row width of both blocks (0 until encoded).
+  /// Row width of `embeddings` (0 until encoded).
   size_t embedding_dim = 0;
 
   size_t size() const { return tokens.size(); }
@@ -42,17 +40,6 @@ struct TokenizedEntity {
 
   /// Flat indices of the tokens belonging to attribute `attr`.
   std::vector<size_t> TokensOfAttribute(size_t attr) const;
-
-  /// True when packed_embeddings is in sync with embeddings' shape.
-  bool HasPackedEmbeddings() const {
-    return !embeddings.empty() &&
-           packed_embeddings.size() == embeddings.size();
-  }
-
-  /// (Re)builds packed_embeddings from `embeddings` (one
-  /// unit-normalization per token at encode time, so every cosine
-  /// downstream collapses to a dot product).
-  void PackEmbeddings();
 };
 
 /// A tokenized record: both descriptions plus the label.
@@ -72,8 +59,7 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
                                const data::Schema& schema,
                                const text::Tokenizer& tokenizer);
 
-/// Fills `entity->embeddings` with the encoder's contextual block and
-/// packs its unit-normalized copy.
+/// Fills `entity->embeddings` with the encoder's contextual block.
 void EncodeEntity(const embedding::SemanticEncoder& encoder,
                   TokenizedEntity* entity);
 

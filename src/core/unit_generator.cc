@@ -1,6 +1,7 @@
 #include "core/unit_generator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "la/kernels.h"
@@ -46,13 +47,15 @@ std::vector<SmPair> GetSmPairs(const la::Matrix& sim_full,
   return out;
 }
 
-/// Unit-normalized packed rows of an entity's embeddings: reuses the
-/// encode-time packing when present, otherwise packs into `storage`.
-const float* PackedRows(const TokenizedEntity& entity, la::Vec* storage) {
-  if (entity.HasPackedEmbeddings()) return entity.packed_embeddings.data();
-  la::PackUnitRows(entity.embeddings.data(), entity.size(),
-                   entity.embedding_dim, storage);
-  return storage->data();
+/// The encoder's row contract: every row of the entity's embedding block
+/// is unit-norm or all-zero.
+bool RowsAreUnitOrZero(const TokenizedEntity& entity) {
+  for (size_t i = 0; i < entity.size(); ++i) {
+    const double squared =
+        la::kernels::SquaredNorm(entity.Embedding(i), entity.embedding_dim);
+    if (squared != 0.0 && !(std::abs(squared - 1.0) <= 1e-5)) return false;
+  }
+  return true;
 }
 
 TokenRef MakeRef(const TokenizedEntity& entity, size_t flat_index) {
@@ -86,14 +89,13 @@ la::Matrix DecisionUnitGenerator::PairSimilarityMatrix(
         << "embeddings missing on the right entity";
     WYM_CHECK_EQ(left.embedding_dim, right.embedding_dim)
         << "left/right embedding dims differ";
-    la::Vec scratch_left, scratch_right;
-    const float* left_rows = PackedRows(left, &scratch_left);
-    const float* right_rows = PackedRows(right, &scratch_right);
-    // Rows are unit vectors, so one A * B^T kernel call yields the
-    // full cosine matrix.
-    la::kernels::SimilarityMatrix(left_rows, left.size(), right_rows,
-                                  right.size(), left.embedding_dim,
-                                  sim.data().data());
+    WYM_DCHECK(RowsAreUnitOrZero(left) && RowsAreUnitOrZero(right))
+        << "embedding rows are neither unit-norm nor all-zero";
+    // Rows are unit-norm or all-zero, so one A * B^T kernel call over
+    // the encoder's blocks yields the full cosine matrix.
+    la::kernels::SimilarityMatrix(left.embeddings.data(), left.size(),
+                                  right.embeddings.data(), right.size(),
+                                  left.embedding_dim, sim.data().data());
   }
 
   if (!options_.rules.empty()) {

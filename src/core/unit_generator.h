@@ -57,9 +57,10 @@ class DecisionUnitGenerator {
   /// width. Paired units come first (discovery order), then unpaired.
   ///
   /// The full L x R token similarity matrix is computed once up front —
-  /// a single SIMD kernel call over the packed unit embeddings in the
-  /// kEmbedding case (see la/kernels.h) — and all four stable-marriage
-  /// phases index into it instead of re-evaluating per-cell similarity.
+  /// a single SIMD kernel call over the encoder's unit-norm embedding
+  /// rows in the kEmbedding case (see la/kernels.h) — and all four
+  /// stable-marriage phases index into it instead of re-evaluating
+  /// per-cell similarity.
   std::vector<DecisionUnit> Generate(const TokenizedEntity& left,
                                      const TokenizedEntity& right,
                                      size_t num_attributes) const;

@@ -238,6 +238,12 @@ std::vector<double> WymModel::ScoreUnits(
 
 double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set,
                                        std::vector<double>* impacts) const {
+  // No unit is left to support a match: the record loop's answer for a
+  // pair with no tokens, and the end of every unit-removal curve.
+  if (set.units.empty()) {
+    if (impacts != nullptr) impacts->clear();
+    return 0.0;
+  }
   const double proba = matcher_.PredictProba(set, impacts);
   // Matcher stage boundary: probabilities must be finite (the classifier
   // pool squashes through a logistic, so NaN means poisoned features).

@@ -187,7 +187,8 @@ class WymModel : public Matcher {
   /// Probability from an explicit (possibly perturbed) scored unit set —
   /// the entry point of the MoRF/LeRF/sufficiency experiments, which
   /// remove units and re-predict. A non-null `impacts` also receives the
-  /// unit impacts (ExplainableMatcher::PredictProba).
+  /// unit impacts (ExplainableMatcher::PredictProba). A set with no units
+  /// answers 0 (non-match) with no impacts.
   double PredictProbaFromUnits(const ScoredUnitSet& set,
                                std::vector<double>* impacts = nullptr) const;
 

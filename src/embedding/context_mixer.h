@@ -16,7 +16,8 @@ namespace wym::embedding {
 
 /// Options for ContextMixer.
 struct ContextMixerOptions {
-  /// Fraction of the context vector blended into each token (0 = off).
+  /// Fraction in [0, 1] of the context vector blended into each token
+  /// (0 = off); SemanticEncoder::Load refuses any other value.
   double blend = 0.3;
   /// Softmax temperature over cosine similarities; lower = peakier.
   double temperature = 0.25;

@@ -196,11 +196,18 @@ bool SemanticEncoder::Load(serde::Deserializer* d) {
   options.context.temperature = d->F64();
   options.seed = d->U64();
   // A zero hash_dim divides by zero in HashEmbedder::Embed, and the
-  // numeric channel's centres divide by numeric_dims - 1.
+  // numeric channel's centres divide by numeric_dims - 1. The context
+  // mixer divides by its temperature and scales by its blend, a
+  // fraction: a zero or non-finite temperature or a blend far outside
+  // [0, 1] turns the mixed rows into NaN, and a negative temperature
+  // inverts the attention.
   if (!d->ok() || mode > static_cast<uint64_t>(EncoderMode::kSiamese) ||
       options.hash_dim == 0 || options.hash_dim > 4096 ||
       options.cooc_dim == 0 || options.cooc_dim > 4096 ||
-      options.numeric_dims == 1 || options.numeric_dims > 4096) {
+      options.numeric_dims == 1 || options.numeric_dims > 4096 ||
+      !(options.context.blend >= 0.0 && options.context.blend <= 1.0) ||
+      !std::isfinite(options.context.temperature) ||
+      !(options.context.temperature > 0.0)) {
     return false;
   }
   options.mode = static_cast<EncoderMode>(mode);

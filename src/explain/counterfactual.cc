@@ -22,11 +22,8 @@ Counterfactual FindCounterfactual(const core::WymModel& model,
     // The units not removed yet, in explanation order.
     std::vector<size_t> remaining(order.begin() + step + 1, order.end());
     std::sort(remaining.begin(), remaining.end());
-    const double proba = remaining.empty()
-                             ? 0.0
-                             : model.PredictProbaFromUnits(
-                                   internal::SubsetUnits(explanation,
-                                                         remaining));
+    const double proba = model.PredictProbaFromUnits(
+        internal::SubsetUnits(explanation, remaining));
     const int prediction = proba >= 0.5 ? 1 : 0;
     if (prediction != original) {
       out.found = true;

@@ -76,10 +76,8 @@ double PostHocAccuracyWym(const core::WymModel& model,
         explanation.prediction);
     const std::vector<size_t> keep(
         order.begin(), order.begin() + std::min(top_v, order.size()));
-    const double proba = explanation.units.empty()
-                             ? explanation.probability
-                             : model.PredictProbaFromUnits(
-                                   internal::SubsetUnits(explanation, keep));
+    const double proba =
+        model.PredictProbaFromUnits(internal::SubsetUnits(explanation, keep));
     const int subset_prediction = proba >= 0.5 ? 1 : 0;
     if (subset_prediction == explanation.prediction) ++agree;
   }
@@ -154,10 +152,7 @@ double F1AfterUnitRemoval(const core::WymModel& model,
     std::vector<size_t> keep(
         order.begin() + std::min(k, order.size()), order.end());
     const double proba =
-        keep.empty()
-            ? 0.0  // Nothing left to support a match.
-            : model.PredictProbaFromUnits(
-                  internal::SubsetUnits(explanation, keep));
+        model.PredictProbaFromUnits(internal::SubsetUnits(explanation, keep));
     truth.push_back(record.label);
     predicted.push_back(proba >= 0.5 ? 1 : 0);
   }

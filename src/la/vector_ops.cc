@@ -23,8 +23,6 @@ double Cosine(const Vec& a, const Vec& b) {
   return Dot(a, b) / (na * nb);
 }
 
-double CosineUnit(const Vec& a, const Vec& b) { return Dot(a, b); }
-
 void Axpy(double scale, const Vec& b, Vec* a) {
   WYM_CHECK_EQ(a->size(), b.size());
   kernels::Axpy(scale, b.data(), a->data(), b.size());

@@ -20,14 +20,9 @@ double Dot(const Vec& a, const Vec& b);
 double Norm(const Vec& a);
 
 /// Cosine similarity in [-1, 1]; 0 when either vector is all-zero.
-/// Recomputes both norms on every call — prefer CosineUnit when the
-/// inputs are already unit-normalized (all SemanticEncoder outputs are).
+/// Recomputes both norms on every call; for rows already unit-norm or
+/// all-zero (all SemanticEncoder outputs are), Dot is the cosine.
 double Cosine(const Vec& a, const Vec& b);
-
-/// Cosine of two unit-normalized vectors: a plain dot product, skipping
-/// the two norm recomputations of Cosine. Also correct for all-zero
-/// vectors (returns 0 like Cosine).
-double CosineUnit(const Vec& a, const Vec& b);
 
 /// a += scale * b (in place).
 void Axpy(double scale, const Vec& b, Vec* a);

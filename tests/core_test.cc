@@ -226,9 +226,8 @@ TEST_F(UnitGeneratorTest, RuleVetoesPairs) {
   EXPECT_EQ(count_code_pairs(ruled), 0u);    // Vetoed.
 }
 
-// The fp similarity matrix against per-cell references. The suite keeps
-// the name it had while an int8 tier sat beside the fp path.
-class QuantizedPipelineTest : public UnitGeneratorTest {
+// The similarity matrix of both pairing modes against per-cell references.
+class PairSimilarityMatrixTest : public UnitGeneratorTest {
  protected:
   TokenizedRecord CameraRecord() const {
     return MakeRecord(schema_, {"sony digital camera dslra200w", "sony"},
@@ -236,14 +235,14 @@ class QuantizedPipelineTest : public UnitGeneratorTest {
   }
 };
 
-TEST_F(QuantizedPipelineTest, QuantizedMatrixCloseToFpAndFallbackSelectable) {
+TEST_F(PairSimilarityMatrixTest, MatchesCellReferencesAndRuleVetoes) {
   const TokenizedRecord record = CameraRecord();
   const size_t n_left = record.left.size();
   const size_t n_right = record.right.size();
   ASSERT_GT(n_left * n_right, 0u);
 
-  // kEmbedding: one kernel call over the packed unit rows equals the
-  // cosine of the raw embeddings, cell by cell.
+  // kEmbedding: one kernel call over the encoder's unit rows equals the
+  // cosine of the embeddings, cell by cell.
   const DecisionUnitGenerator embedding_generator;
   const la::Matrix embedding_sim =
       embedding_generator.PairSimilarityMatrix(record.left, record.right);
@@ -298,29 +297,6 @@ TEST_F(QuantizedPipelineTest, QuantizedMatrixCloseToFpAndFallbackSelectable) {
     }
     EXPECT_EQ(vetoed, 1u);  // dslra200w vs dslra300w.
   }
-}
-
-TEST_F(QuantizedPipelineTest, ScratchQuantizationMatchesEncodeTimeCache) {
-  // An entity without the encode-time packing is packed on the fly,
-  // bit for bit the same as the cached rows.
-  const TokenizedRecord record = CameraRecord();
-  ASSERT_TRUE(record.left.HasPackedEmbeddings());
-  TokenizedRecord unpacked = record;
-  unpacked.left.packed_embeddings.clear();
-  unpacked.right.packed_embeddings.clear();
-  ASSERT_FALSE(unpacked.left.HasPackedEmbeddings());
-
-  const DecisionUnitGenerator generator;
-  const la::Matrix cached =
-      generator.PairSimilarityMatrix(record.left, record.right);
-  const la::Matrix scratch =
-      generator.PairSimilarityMatrix(unpacked.left, unpacked.right);
-  ASSERT_EQ(scratch.rows(), cached.rows());
-  ASSERT_EQ(scratch.cols(), cached.cols());
-  ASSERT_GT(cached.rows() * cached.cols(), 0u);
-  EXPECT_EQ(std::memcmp(scratch.data().data(), cached.data().data(),
-                        cached.rows() * cached.cols() * sizeof(double)),
-            0);
 }
 
 TEST_F(UnitGeneratorTest, ConstraintsHoldOnGeneratedBenchmark) {

@@ -7,12 +7,14 @@
 #include <thread>
 #include <vector>
 
+#include "data/benchmark_gen.h"
 #include "embedding/context_mixer.h"
 #include "embedding/cooc_embedder.h"
 #include "embedding/hash_embedder.h"
 #include "embedding/semantic_encoder.h"
 #include "embedding/siamese_calibrator.h"
 #include "la/vector_ops.h"
+#include "text/tokenizer.h"
 #include "util/random.h"
 #include "util/serde.h"
 
@@ -308,6 +310,81 @@ TEST(SemanticEncoderTest, TableIsFixedByTheModel) {
   }
   EXPECT_EQ(encoder.table_rows(), cooc.vocabulary_size());
   EXPECT_TRUE(SameBits(encoder.EncodeTokens({"tok0"}), first_before));
+}
+
+TEST(SemanticEncoderTest, RowsAreUnitNormOrZeroOnGeneratedRecords) {
+  // The decision-unit generator takes the dot product of two encoded rows
+  // as their cosine, so every row EncodeTokens returns must be unit-norm
+  // or all-zero: in each mode, kSiamese after calibration.
+  const text::Tokenizer tokenizer;
+  for (const char* id : {"S-FZ", "S-WA", "T-AB"}) {
+    for (const uint64_t seed : {uint64_t{3}, uint64_t{11}}) {
+      const data::Dataset dataset = data::GenerateById(id, seed, 0.1);
+      std::vector<std::vector<std::string>> descriptions;
+      for (const data::EmRecord& record : dataset.records) {
+        for (const data::Entity* entity : {&record.left, &record.right}) {
+          std::vector<std::string> tokens;
+          for (const std::string& value : entity->values) {
+            for (std::string& token : tokenizer.Tokenize(value)) {
+              tokens.push_back(std::move(token));
+            }
+          }
+          descriptions.push_back(std::move(tokens));
+        }
+      }
+      for (const EncoderMode mode :
+           {EncoderMode::kPretrained, EncoderMode::kFineTuned,
+            EncoderMode::kSiamese}) {
+        SCOPED_TRACE(std::string(id) + " seed " + std::to_string(seed) +
+                     " mode " + std::to_string(static_cast<int>(mode)));
+        SemanticEncoder::Options options;
+        options.mode = mode;
+        SemanticEncoder encoder(options);
+        encoder.Fit(descriptions);
+        if (mode == EncoderMode::kSiamese) {
+          const la::Vec before = encoder.EncodeTokens(descriptions[0]);
+          std::vector<std::pair<la::Vec, la::Vec>> pairs;
+          std::vector<int> labels;
+          for (size_t r = 0; r < dataset.records.size(); ++r) {
+            pairs.emplace_back(
+                SemanticEncoder::PoolTokens(
+                    encoder.EncodeTokens(descriptions[2 * r]), encoder.dim()),
+                SemanticEncoder::PoolTokens(
+                    encoder.EncodeTokens(descriptions[2 * r + 1]),
+                    encoder.dim()));
+            labels.push_back(dataset.records[r].label);
+          }
+          encoder.FitSiamese(pairs, labels);
+          ASSERT_FALSE(SameBits(encoder.EncodeTokens(descriptions[0]), before))
+              << "calibration left the rows unchanged";
+        }
+        size_t unit_rows = 0;
+        size_t other_rows = 0;
+        std::string first_other;
+        for (const std::vector<std::string>& tokens : descriptions) {
+          const la::Vec block = encoder.EncodeTokens(tokens);
+          ASSERT_EQ(block.size(), tokens.size() * encoder.dim());
+          for (size_t i = 0; i < tokens.size(); ++i) {
+            double squared = 0.0;
+            for (size_t k = 0; k < encoder.dim(); ++k) {
+              const double v = block[i * encoder.dim() + k];
+              squared += v * v;
+            }
+            if (std::abs(squared - 1.0) <= 1e-5) {
+              ++unit_rows;
+            } else if (squared != 0.0) {
+              if (other_rows++ == 0) {
+                first_other = "'" + tokens[i] + "' has squared norm " +
+                              std::to_string(squared);
+              }
+            }
+          }
+        }
+        EXPECT_GT(unit_rows, 0u);
+        EXPECT_EQ(other_rows, 0u) << "first: " << first_other;
+      }
+    }
+  }
 }
 
 TEST(SemanticEncoderTest, EncodeIsIdenticalAcrossLoadCopyAndThreads) {

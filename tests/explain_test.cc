@@ -200,6 +200,24 @@ TEST_F(EvaluationTest, PostHocAccuracyImprovesWithMoreUnits) {
   EXPECT_GT(acc5, 0.5);
 }
 
+TEST_F(EvaluationTest, EmptyUnitSetIsANonMatch) {
+  // A set with no units answers 0 with no impacts, as the record loop does
+  // for a pair with no tokens; so keeping none of a record's units agrees
+  // with exactly the records predicted non-match.
+  EXPECT_EQ(model_->PredictProbaFromUnits({}), 0.0);
+  std::vector<double> impacts = {0.5, -0.5};
+  EXPECT_EQ(model_->PredictProbaFromUnits({}, &impacts), 0.0);
+  EXPECT_TRUE(impacts.empty());
+
+  size_t non_matches = 0;
+  for (const auto& record : split_->test.records) {
+    non_matches += model_->Explain(record).prediction == 0;
+  }
+  EXPECT_EQ(PostHocAccuracyWym(*model_, split_->test, 0),
+            static_cast<double>(non_matches) /
+                static_cast<double>(split_->test.size()));
+}
+
 TEST_F(EvaluationTest, PostHocAccuracyTokensRuns) {
   LimeOptions options;
   options.num_samples = 25;

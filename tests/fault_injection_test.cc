@@ -395,6 +395,33 @@ TEST_F(FaultInjectionTest, OutOfRangeEnumIsCorruption) {
                    "pairing similarity");
 }
 
+TEST_F(FaultInjectionTest, BrokenContextMixerIsCorruption) {
+  // Encoder lines 5 and 6 are the context mixer's blend and temperature
+  // (hexfloats). A temperature that is not finite and positive, or a
+  // blend outside [0, 1], used to load; a zero or NaN temperature and a
+  // NaN, infinite or 2^200 blend turn the mixed rows into NaN, and the
+  // model then answered every pair as a match.
+  const auto set_line = [](size_t line, const std::string& value) {
+    return [line, value](std::vector<std::string>* lines) {
+      ASSERT_EQ((*lines)[6], "0x1p-2");  // The default temperature, 0.25.
+      (*lines)[line] = value;
+    };
+  };
+  EXPECT_TRUE(LoadCrafted(suite_->clean_bytes, "encoder",
+                          set_line(6, "0x1p-1"))
+                  .ok());
+  for (const char* value : {"0x0p+0", "-0x1p-2", "nan", "inf"}) {
+    ExpectCorruption(
+        LoadCrafted(suite_->clean_bytes, "encoder", set_line(6, value)),
+        std::string("context temperature ") + value);
+  }
+  for (const char* value : {"nan", "inf", "0x1p+200", "-0x1p-2"}) {
+    ExpectCorruption(
+        LoadCrafted(suite_->clean_bytes, "encoder", set_line(5, value)),
+        std::string("context blend ") + value);
+  }
+}
+
 TEST_F(FaultInjectionTest, MatcherV1SectionIsCorruption) {
   // matcher/v1 sections also stored an importance vector in every
   // classifier and tree; they are refused, not misparsed.
