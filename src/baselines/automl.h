@@ -37,6 +37,8 @@ class AutoMlMatcher : public core::Matcher {
 
   /// Name of the selected model (for diagnostics).
   const std::string& selected() const { return selected_; }
+  /// Best-F1 decision threshold calibrated by Fit.
+  double threshold() const { return threshold_; }
 
  private:
   Options options_;

@@ -33,6 +33,8 @@ class CordelMatcher : public core::Matcher {
   void Fit(const data::Dataset& train,
            const data::Dataset& validation) override;
   double PredictProba(const data::EmRecord& record) const override;
+  /// Best-F1 decision threshold calibrated by Fit.
+  double threshold() const { return threshold_; }
 
   /// Contrastive features of one record (exposed for tests): per
   /// attribute — shared-token count/ratio, unique-left, unique-right,

@@ -37,6 +37,8 @@ class DmPlusMatcher : public core::Matcher {
   void Fit(const data::Dataset& train,
            const data::Dataset& validation) override;
   double PredictProba(const data::EmRecord& record) const override;
+  /// Best-F1 decision threshold calibrated by Fit.
+  double threshold() const { return threshold_; }
 
  private:
   Options options_;

@@ -31,6 +31,10 @@
 // test records and of one record whose right entity is blanked, each
 // record's unit counterfactual, and the post-hoc accuracy, unit-removal
 // F1 and Landmark-correlation figures over fixed slices of the test split.
+// training.txt pins the training paths no other file reaches, on S-FZ: each
+// baseline's calibrated threshold (and AutoML's selected member) with the
+// %.17g probabilities of the first test records, and a WYM model fitted
+// with an empty validation set (its pool calibrates on the training rows).
 
 #include <gtest/gtest.h>
 
@@ -49,6 +53,10 @@
 #include <unistd.h>
 
 #include "analysis/findings.h"
+#include "baselines/automl.h"
+#include "baselines/cordel.h"
+#include "baselines/ditto.h"
+#include "baselines/dm_plus.h"
 #include "blocking/candidate_stream.h"
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
@@ -86,6 +94,10 @@ constexpr size_t kPerturbations = 12;
 /// Test records the token-level post-hoc accuracy and the Landmark
 /// correlations run over.
 constexpr size_t kTokenSample = 12;
+/// S-FZ scale of training.txt and the test probabilities it pins per
+/// baseline.
+constexpr double kTrainingScale = 0.3;
+constexpr size_t kTrainingProbabilities = 16;
 
 const char* const kDatasets[] = {"S-WA", "T-AB"};
 
@@ -264,6 +276,50 @@ Record RenderBlocking() {
   }
   add("stats.candidates_scored", std::to_string(stats.candidates_scored));
   add("stats.records_quarantined", std::to_string(stats.records_quarantined));
+  return out;
+}
+
+/// Baselines and a WYM model without validation rows on S-FZ.
+Record RenderTraining() {
+  const data::Dataset dataset =
+      data::GenerateById("S-FZ", kSeed, kTrainingScale);
+  const data::Split split = data::DefaultSplit(dataset, kSeed);
+  const size_t n_prob = std::min(kTrainingProbabilities, split.test.size());
+
+  Record out;
+  auto add = [&](std::string key, std::string value) {
+    out.emplace_back(std::move(key), std::move(value));
+  };
+  add("records", std::to_string(split.train.size()) + " " +
+                     std::to_string(split.validation.size()) + " " +
+                     std::to_string(split.test.size()));
+  // Each baseline exposes its calibrated threshold as threshold().
+  auto add_baseline = [&](const std::string& key, auto& matcher) {
+    matcher.Fit(split.train, split.validation);
+    add(key + ".threshold", Exact(matcher.threshold()));
+    for (size_t i = 0; i < n_prob; ++i) {
+      add(key + ".record." + std::to_string(i) + ".probability",
+          Exact(matcher.PredictProba(split.test.records[i])));
+    }
+  };
+  baselines::AutoMlMatcher automl;
+  add_baseline("automl", automl);
+  add("automl.selected", automl.selected());
+  baselines::DittoMatcher ditto;
+  add_baseline("ditto", ditto);
+  baselines::CordelMatcher cordel;
+  add_baseline("cordel", cordel);
+  baselines::DmPlusMatcher dm_plus;
+  add_baseline("dm_plus", dm_plus);
+
+  core::WymModel model;
+  model.Fit(split.train, data::Dataset{});
+  add("wym_no_validation.selected", model.matcher().best_name());
+  add("wym_no_validation.threshold", Exact(model.matcher().best_threshold()));
+  add("wym_no_validation.f1", Exact(model.matcher().best_validation_f1()));
+  for (const auto& [section, crc] : SectionCrcs(model)) {
+    add("wym_no_validation.model." + section + ".crc32c", crc);
+  }
   return out;
 }
 
@@ -683,6 +739,14 @@ TEST(GoldenExplainTest, MatchesCommittedOutput) {
          << kSeed << ", scale " << kScale << "), " << kPerturbations
          << " perturbations per explanation.";
   CheckGolden("explain", header.str(), RenderExplain());
+}
+
+TEST(GoldenTrainingTest, MatchesCommittedOutput) {
+  std::ostringstream header;
+  header << "Baseline thresholds and probabilities, and a WYM model fitted "
+            "with no validation rows, on S-FZ (seed "
+         << kSeed << ", scale " << kTrainingScale << ", DefaultSplit).";
+  CheckGolden("training", header.str(), RenderTraining());
 }
 
 TEST(GoldenKnnTest, MatchesCommittedOutput) {
