@@ -81,11 +81,7 @@ embedding::SemanticEncoder FittedSiameseEncoder() {
     corpus.push_back({"sony", "optical", "lens", "kit", "digital"});
   }
   encoder.Fit(corpus);
-  const la::Vec a = embedding::SemanticEncoder::PoolTokens(
-      encoder.EncodeTokens(corpus[0]), encoder.dim());
-  const la::Vec b = embedding::SemanticEncoder::PoolTokens(
-      encoder.EncodeTokens(corpus[1]), encoder.dim());
-  encoder.FitSiamese({{a, a}, {a, b}}, {1, 0});
+  encoder.FitSiamese({corpus[0], corpus[0], corpus[0], corpus[1]}, {1, 0});
   return encoder;
 }
 

@@ -44,7 +44,8 @@ UnitStats CollectUnitStats(const data::Dataset& dataset) {
   const core::DecisionUnitGenerator generator;
   UnitStats stats;
   size_t matches = 0, non_matches = 0;
-  for (auto& record : records) {
+  for (size_t r = 0; r < records.size(); ++r) {
+    core::TokenizedRecord& record = records[r];
     core::EncodeEntity(encoder, &record.left);
     core::EncodeEntity(encoder, &record.right);
     size_t paired = 0, unpaired = 0;
@@ -52,7 +53,7 @@ UnitStats CollectUnitStats(const data::Dataset& dataset) {
                                                dataset.schema.size())) {
       (unit.paired ? paired : unpaired) += 1;
     }
-    if (record.label == 1) {
+    if (dataset.records[r].label == 1) {
       ++matches;
       stats.paired_match += static_cast<double>(paired);
       stats.unpaired_match += static_cast<double>(unpaired);

@@ -102,7 +102,7 @@ run_tsan() {
   fi
   build="$CHECK_DIR/$name"
   log="$CHECK_DIR/$name.log"
-  suites="parallel_test embedding_test core_test candidate_stream_test"
+  suites="parallel_test embedding_test core_test candidate_stream_test baselines_test"
   echo "==> [$name] configure + build + run $suites ($build)"
   ok=1
   if cmake -B "$build" -S "$ROOT" -DWYM_SANITIZE=thread > "$log" 2>&1 \

@@ -38,43 +38,15 @@ void AutoMlMatcher::Fit(const data::Dataset& train,
   const la::Matrix raw = Featurize(train);
   scaler_.Fit(raw);
   const la::Matrix x_train = scaler_.Transform(raw);
-  const std::vector<int> y_train = train.Labels();
 
-  la::Matrix x_val;
-  std::vector<int> y_val;
-  if (validation.size() > 0) {
-    x_val = scaler_.Transform(Featurize(validation));
-    y_val = validation.Labels();
-  }
+  const la::Matrix x_val = scaler_.Transform(Featurize(validation));
 
-  const la::Matrix& x_calibration =
-      validation.size() > 0 ? x_val : x_train;
-  const std::vector<int>& y_calibration =
-      validation.size() > 0 ? y_val : y_train;
-
+  // AutoML systems tune the operating point along with the model.
   pool_ = ml::MakePool(options_.seed);
-  best_ = nullptr;
-  double best_f1 = -1.0;
-  for (auto& classifier : pool_) {
-    classifier->Fit(x_train, y_train);
-    // AutoML systems tune the operating point along with the model.
-    std::vector<double> probas(x_calibration.rows());
-    for (size_t i = 0; i < probas.size(); ++i) {
-      probas[i] = classifier->PredictProba(x_calibration.RowVector(i));
-    }
-    const double threshold = ml::BestF1Threshold(probas, y_calibration);
-    std::vector<int> predicted(probas.size());
-    for (size_t i = 0; i < probas.size(); ++i) {
-      predicted[i] = probas[i] >= threshold ? 1 : 0;
-    }
-    const double f1 = ml::F1Score(y_calibration, predicted);
-    if (f1 > best_f1) {
-      best_f1 = f1;
-      best_ = classifier.get();
-      threshold_ = threshold;
-    }
-  }
-  WYM_CHECK(best_ != nullptr);
+  const ml::PoolFit fit = ml::FitPool(pool_, x_train, train.Labels(), x_val,
+                                      validation.Labels());
+  best_ = pool_[fit.best].get();
+  threshold_ = fit.thresholds[fit.best];
   selected_ = best_->name();
 }
 

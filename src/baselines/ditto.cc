@@ -83,20 +83,7 @@ void DittoMatcher::Fit(const data::Dataset& train,
     corpus.push_back(AllTokens(record.right));
   }
   encoder_.Fit(corpus);
-  if (options_.encoder.mode == embedding::EncoderMode::kSiamese) {
-    std::vector<std::pair<la::Vec, la::Vec>> pairs;
-    std::vector<int> labels;
-    for (const auto& record : train.records) {
-      const auto lv = encoder_.EncodeTokens(AllTokens(record.left));
-      const auto rv = encoder_.EncodeTokens(AllTokens(record.right));
-      if (lv.empty() || rv.empty()) continue;
-      pairs.emplace_back(
-          embedding::SemanticEncoder::PoolTokens(lv, encoder_.dim()),
-          embedding::SemanticEncoder::PoolTokens(rv, encoder_.dim()));
-      labels.push_back(record.label);
-    }
-    encoder_.FitSiamese(pairs, labels);
-  }
+  encoder_.FitSiamese(corpus, train.Labels());
 
   const size_t dim = Features(train.records[0]).size();
   la::Matrix x(train.size(), dim);

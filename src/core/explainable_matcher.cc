@@ -1,35 +1,12 @@
 #include "core/explainable_matcher.h"
 
-#include <string_view>
 #include <utility>
 
 #include "ml/classifier_pool.h"
 #include "ml/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace wym::core {
-
-namespace {
-
-/// Span of one pool member's fit and threshold calibration, by member
-/// name (span names must be string literals).
-const char* MemberSpanName(std::string_view member) {
-  static constexpr std::pair<std::string_view, const char*> kSpans[] = {
-      {"LR", "fit.classifier.LR"},   {"LDA", "fit.classifier.LDA"},
-      {"KNN", "fit.classifier.KNN"}, {"DT", "fit.classifier.DT"},
-      {"NB", "fit.classifier.NB"},   {"SVM", "fit.classifier.SVM"},
-      {"AB", "fit.classifier.AB"},   {"GBM", "fit.classifier.GBM"},
-      {"RF", "fit.classifier.RF"},   {"ET", "fit.classifier.ET"},
-  };
-  for (const auto& [name, span] : kSpans) {
-    if (name == member) return span;
-  }
-  return "fit.classifier.other";
-}
-
-}  // namespace
 
 ExplainableMatcher::ExplainableMatcher(size_t num_attributes, bool simplified,
                                        Options options)
@@ -63,57 +40,24 @@ void ExplainableMatcher::Fit(const std::vector<ScoredUnitSet>& train,
   const la::Matrix raw_train = ToMatrix(train);
   scaler_.Fit(raw_train);
   const la::Matrix x_train = scaler_.Transform(raw_train);
-  const la::Matrix x_val =
-      validation.empty() ? la::Matrix() : scaler_.Transform(ToMatrix(validation));
+  const la::Matrix x_val = scaler_.Transform(ToMatrix(validation));
 
   pool_.clear();
   if (options_.classifier.empty()) {
     pool_ = ml::MakePool(options_.seed);
   } else {
-    auto single = ml::MakeClassifier(options_.classifier, options_.seed);
-    WYM_CHECK(single != nullptr)
+    pool_.push_back(ml::MakeClassifier(options_.classifier, options_.seed));
+    WYM_CHECK(pool_[0] != nullptr)
         << "unknown classifier " << options_.classifier;
-    pool_.push_back(std::move(single));
   }
 
-  // Calibration rows: the validation split when present, else training.
-  const la::Matrix& x_calibration = validation.empty() ? x_train : x_val;
-  const std::vector<int>& y_calibration =
-      validation.empty() ? train_labels : validation_labels;
-
-  // Members share no state, so they fit and calibrate concurrently, each
-  // into its own slot; selection then walks the pool in order, so the
-  // first member with the best F1 wins exactly as in a sequential loop.
-  thresholds_.assign(pool_.size(), 0.5);
-  std::vector<double> f1s(pool_.size());
-  util::ParallelFor(pool_.size(), 1, [&](size_t c, size_t, size_t) {
-    ml::Classifier& classifier = *pool_[c];
-    const obs::SpanScope span(MemberSpanName(classifier.name()));
-    classifier.Fit(x_train, train_labels);
-    // Decision-threshold calibration: the benchmark label priors are
-    // heavily skewed (~10% matches), so each model's best-F1 operating
-    // point is found on the calibration split.
-    std::vector<double> probas(x_calibration.rows());
-    for (size_t i = 0; i < probas.size(); ++i) {
-      probas[i] = classifier.PredictProba(x_calibration.RowVector(i));
-    }
-    thresholds_[c] = ml::BestF1Threshold(probas, y_calibration);
-    std::vector<int> predicted(probas.size());
-    for (size_t i = 0; i < probas.size(); ++i) {
-      predicted[i] = probas[i] >= thresholds_[c] ? 1 : 0;
-    }
-    f1s[c] = ml::F1Score(y_calibration, predicted);
-  });
-  best_ = nullptr;
-  best_validation_f1_ = -1.0;
-  for (size_t c = 0; c < pool_.size(); ++c) {
-    if (f1s[c] > best_validation_f1_) {
-      best_validation_f1_ = f1s[c];
-      best_ = pool_[c].get();
-      best_threshold_ = thresholds_[c];
-    }
-  }
-  WYM_CHECK(best_ != nullptr);
+  // The first member with the best calibrated F1 is kept.
+  const ml::PoolFit fit =
+      ml::FitPool(pool_, x_train, train_labels, x_val, validation_labels);
+  thresholds_ = fit.thresholds;
+  best_ = pool_[fit.best].get();
+  best_validation_f1_ = fit.f1s[fit.best];
+  best_threshold_ = fit.thresholds[fit.best];
   best_name_ = best_->name();
   // The one attribution of the fit: the selected member's, on the rows
   // it was trained on.

@@ -92,8 +92,10 @@ double RelevanceScorer::RawTarget(const DecisionUnit& unit, int label) const {
 
 void RelevanceScorer::Fit(
     const std::vector<TokenizedRecord>& records,
-    const std::vector<std::vector<DecisionUnit>>& units_per_record) {
+    const std::vector<std::vector<DecisionUnit>>& units_per_record,
+    const std::vector<int>& labels) {
   WYM_CHECK_EQ(records.size(), units_per_record.size());
+  WYM_CHECK_EQ(records.size(), labels.size());
   if (options_.kind != ScorerKind::kNeural) {
     fitted_ = true;
     return;
@@ -110,7 +112,7 @@ void RelevanceScorer::Fit(
   for (size_t r = 0; r < records.size(); ++r) {
     for (const auto& unit : units_per_record[r]) {
       Aggregate& agg = targets[UnitKey(unit)];
-      agg.sum += RawTarget(unit, records[r].label);
+      agg.sum += RawTarget(unit, labels[r]);
       ++agg.count;
       ++total_units;
     }

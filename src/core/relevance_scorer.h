@@ -58,10 +58,11 @@ class RelevanceScorer {
   explicit RelevanceScorer(Options options = {});
 
   /// Builds the Eq. 2/3 training set from the units of the training
-  /// records (labels taken from the records) and fits the regressor.
-  /// A no-op for the binary/cosine variants.
+  /// records and their 0/1 labels, and fits the regressor. A no-op for
+  /// the binary/cosine variants.
   void Fit(const std::vector<TokenizedRecord>& records,
-           const std::vector<std::vector<DecisionUnit>>& units_per_record);
+           const std::vector<std::vector<DecisionUnit>>& units_per_record,
+           const std::vector<int>& labels);
 
   /// Relevance scores for the units of one record, in unit order. The
   /// neural scorer fills the feature rows of nn::Mlp::kBlockRows units

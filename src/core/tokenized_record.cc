@@ -32,7 +32,6 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
   TokenizedRecord out;
   out.left = TokenizeEntity(record.left, schema, tokenizer);
   out.right = TokenizeEntity(record.right, schema, tokenizer);
-  out.label = record.label;
   return out;
 }
 

@@ -42,11 +42,10 @@ struct TokenizedEntity {
   std::vector<size_t> TokensOfAttribute(size_t attr) const;
 };
 
-/// A tokenized record: both descriptions plus the label.
+/// A tokenized record: both descriptions.
 struct TokenizedRecord {
   TokenizedEntity left;
   TokenizedEntity right;
-  int label = 0;
 };
 
 /// Tokenizes one entity over `schema` (embeddings left empty).

@@ -94,43 +94,27 @@ void WymModel::Fit(const data::Dataset& train,
           }
         });
   }
+  const std::vector<int> train_labels = train.Labels();
   {
     obs::SpanScope span("fit.encoder_fit");
     encoder_.Fit(corpus);
   }
-
-  // 2. Encode; then (kSiamese) calibrate on pooled pair embeddings and
-  // re-encode with the calibrated metric.
-  auto encode_all = [this](std::vector<TokenizedRecord>* records) {
-    util::ParallelFor(
-        records->size(), /*grain=*/8, [&](size_t begin, size_t end, size_t) {
-          for (size_t i = begin; i < end; ++i) {
-            EncodeEntity(encoder_, &(*records)[i].left);
-            EncodeEntity(encoder_, &(*records)[i].right);
-          }
-        });
-  };
+  // 2. Calibrate the metric on the labelled description pairs (kSiamese;
+  // a no-op in the other modes), then encode with the final encoder.
+  {
+    obs::SpanScope span("fit.siamese_calibrate");
+    encoder_.FitSiamese(corpus, train_labels);
+  }
   {
     obs::SpanScope span("fit.encode");
-    encode_all(&train_tokens);
-  }
-  if (config_.encoder.mode == embedding::EncoderMode::kSiamese) {
-    obs::SpanScope span("fit.siamese_calibrate");
-    std::vector<std::pair<la::Vec, la::Vec>> pairs;
-    std::vector<int> labels;
-    for (const auto& record : train_tokens) {
-      if (record.left.embeddings.empty() || record.right.embeddings.empty()) {
-        continue;
-      }
-      pairs.emplace_back(
-          embedding::SemanticEncoder::PoolTokens(record.left.embeddings,
-                                                 encoder_.dim()),
-          embedding::SemanticEncoder::PoolTokens(record.right.embeddings,
-                                                 encoder_.dim()));
-      labels.push_back(record.label);
-    }
-    encoder_.FitSiamese(pairs, labels);
-    encode_all(&train_tokens);  // Calibration changes the vectors.
+    util::ParallelFor(
+        train_tokens.size(), /*grain=*/8,
+        [&](size_t begin, size_t end, size_t) {
+          for (size_t i = begin; i < end; ++i) {
+            EncodeEntity(encoder_, &train_tokens[i].left);
+            EncodeEntity(encoder_, &train_tokens[i].right);
+          }
+        });
   }
 
   // 3. Discover decision units (Algorithm 1) on every training record.
@@ -150,53 +134,44 @@ void WymModel::Fit(const data::Dataset& train,
   // 4. Fit the relevance scorer (Eq. 2/3 targets).
   {
     obs::SpanScope span("fit.scorer_fit");
-    scorer_.Fit(train_tokens, train_units);
+    scorer_.Fit(train_tokens, train_units, train_labels);
   }
 
-  // 5. Score units and extract features for train + validation.
-  auto scored_sets = [&](const std::vector<TokenizedRecord>& records,
-                         const std::vector<std::vector<DecisionUnit>>& units) {
-    std::vector<ScoredUnitSet> sets(records.size());
-    util::ParallelFor(
-        records.size(), /*grain=*/8, [&](size_t begin, size_t end, size_t) {
-          for (size_t i = begin; i < end; ++i) {
-            sets[i].units = units[i];
-            sets[i].scores = scorer_.Score(records[i], units[i]);
-          }
-        });
-    return sets;
-  };
-  std::vector<ScoredUnitSet> train_sets;
+  // 5. Score the units of every training record, which move into its
+  // scored set, and prepare, generate and score each validation record.
+  std::vector<ScoredUnitSet> train_sets(train_tokens.size());
   {
     obs::SpanScope span("fit.score_units");
-    train_sets = scored_sets(train_tokens, train_units);
+    util::ParallelFor(
+        train_tokens.size(), /*grain=*/8,
+        [&](size_t begin, size_t end, size_t) {
+          for (size_t i = begin; i < end; ++i) {
+            train_sets[i].scores =
+                scorer_.Score(train_tokens[i], train_units[i]);
+            train_sets[i].units = std::move(train_units[i]);
+          }
+        });
   }
-
-  std::vector<TokenizedRecord> val_tokens(validation.size());
-  std::vector<std::vector<DecisionUnit>> val_units(validation.size());
-  std::vector<ScoredUnitSet> val_sets;
+  std::vector<ScoredUnitSet> val_sets(validation.size());
   {
     obs::SpanScope span("fit.validation_prepare");
     util::ParallelFor(
         validation.size(), /*grain=*/8, [&](size_t begin, size_t end, size_t) {
           for (size_t i = begin; i < end; ++i) {
-            TokenizedRecord tokenized =
-                TokenizeRecord(validation.records[i], validation.schema,
-                               tokenizer_);
-            EncodeEntity(encoder_, &tokenized.left);
-            EncodeEntity(encoder_, &tokenized.right);
-            val_units[i] = generator_.Generate(tokenized.left, tokenized.right,
-                                               num_attributes_);
-            val_tokens[i] = std::move(tokenized);
+            const data::EmRecord& record = validation.records[i];
+            const TokenizedRecord tokenized{
+                PrepareEntity(record.left, validation.schema),
+                PrepareEntity(record.right, validation.schema)};
+            val_sets[i].units = GenerateUnits(tokenized);
+            val_sets[i].scores = ScoreUnits(tokenized, val_sets[i].units);
           }
         });
-    val_sets = scored_sets(val_tokens, val_units);
   }
 
   // 6. Train the classifier pool and select by validation F1.
   {
     obs::SpanScope span("fit.classifier_fit");
-    matcher_.Fit(train_sets, train.Labels(), val_sets, validation.Labels());
+    matcher_.Fit(train_sets, train_labels, val_sets, validation.Labels());
   }
   fitted_ = true;
 }
@@ -221,7 +196,6 @@ TokenizedRecord WymModel::Prepare(const data::EmRecord& record) const {
   TokenizedRecord tokenized;
   tokenized.left = PrepareEntity(record.left, schema);
   tokenized.right = PrepareEntity(record.right, schema);
-  tokenized.label = record.label;
   return tokenized;
 }
 
@@ -344,7 +318,6 @@ void WymModel::RunRecords(std::span<const data::EmRecord> records,
           } else {
             ++stages.entity_reuses;
           }
-          tokenized.label = record.label;
           lap(&Stages::encode_ns);
           stages.tokens += tokenized.left.size() + tokenized.right.size();
           // Degenerate rule: with no tokens there are no units, and the

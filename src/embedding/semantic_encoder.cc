@@ -7,6 +7,7 @@
 #include "la/kernels.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace wym::embedding {
 
@@ -62,11 +63,33 @@ void SemanticEncoder::BuildTable() {
 }
 
 void SemanticEncoder::FitSiamese(
-    const std::vector<std::pair<la::Vec, la::Vec>>& pairs,
+    const std::vector<std::vector<std::string>>& descriptions,
     const std::vector<int>& labels) {
   WYM_CHECK(fitted_) << "FitSiamese before Fit";
+  WYM_CHECK_EQ(descriptions.size(), 2 * labels.size());
   if (options_.mode != EncoderMode::kSiamese) return;
-  calibrator_.Fit(pairs, labels);
+  // Pairs encode concurrently, each into its own slot; compacting the
+  // slots in index order gives the calibrator the pairs of a sequential
+  // loop.
+  std::vector<std::pair<la::Vec, la::Vec>> slots(labels.size());
+  util::ParallelFor(
+      labels.size(), /*grain=*/8, [&](size_t begin, size_t end, size_t) {
+        for (size_t i = begin; i < end; ++i) {
+          const std::vector<std::string>& left = descriptions[2 * i];
+          const std::vector<std::string>& right = descriptions[2 * i + 1];
+          if (left.empty() || right.empty()) continue;
+          slots[i] = {PoolTokens(EncodeTokens(left), dim()),
+                      PoolTokens(EncodeTokens(right), dim())};
+        }
+      });
+  std::vector<std::pair<la::Vec, la::Vec>> pairs;
+  std::vector<int> pair_labels;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].first.empty()) continue;
+    pairs.push_back(std::move(slots[i]));
+    pair_labels.push_back(labels[i]);
+  }
+  calibrator_.Fit(pairs, pair_labels);
 }
 
 void SemanticEncoder::BaseEmbed(const std::string& token, bool in_vocabulary,

@@ -85,9 +85,13 @@ class SemanticEncoder {
   /// Each sentence is the full token list of one entity description.
   void Fit(const std::vector<std::vector<std::string>>& sentences);
 
-  /// Second training stage for kSiamese: pooled embeddings of labelled
-  /// record pairs (compute them with PoolTokens over EncodeTokens output).
-  void FitSiamese(const std::vector<std::pair<la::Vec, la::Vec>>& pairs,
+  /// Second training stage for kSiamese (a no-op in any other mode).
+  /// `descriptions` holds the token lists of labelled record pairs, left
+  /// and right interleaved as in the Fit corpus, and `labels` one 0/1
+  /// label per pair. Each pair with two non-empty sides is encoded and
+  /// mean-pooled (PoolTokens), and the calibrator learns from the pooled
+  /// pairs in pair order.
+  void FitSiamese(const std::vector<std::vector<std::string>>& descriptions,
                   const std::vector<int>& labels);
 
   /// Contextual unit-norm embeddings of one entity description's tokens,

@@ -89,6 +89,11 @@ expect_exit 2 "$CLI" tail --file "$WORK/no-such-journal.jsonl"
 # Exit 1: usage errors.
 expect_exit 1 "$CLI" verify
 expect_exit 1 "$CLI" generate --dataset NOPE --out "$WORK/x.csv"
+# An unknown pool member is refused by name before any fitting, as an
+# unknown encoder is.
+expect_exit 1 "$CLI" train-eval --data "$WORK/data.csv" --classifier NOPE
+grep -q -- "--classifier NOPE" "$WORK/stderr.txt"
+expect_exit 1 "$CLI" train-eval --data "$WORK/data.csv" --encoder NOPE
 
 # Exit 1: a malformed numeric flag is rejected by name before any work,
 # not read as 0 (or, for "-1", wrapped around to 2^64-1).

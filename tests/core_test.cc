@@ -42,16 +42,13 @@ embedding::SemanticEncoder MakeEncoder(
 TokenizedRecord MakeRecord(const data::Schema& schema,
                            std::vector<std::string> left_values,
                            std::vector<std::string> right_values,
-                           int label,
                            const embedding::SemanticEncoder& encoder) {
   data::EmRecord record;
   record.left.values = std::move(left_values);
   record.right.values = std::move(right_values);
-  record.label = label;
   TokenizedRecord tokenized = TokenizeRecord(record, schema, TestTokenizer());
   EncodeEntity(encoder, &tokenized.left);
   EncodeEntity(encoder, &tokenized.right);
-  tokenized.label = label;
   return tokenized;
 }
 
@@ -114,7 +111,7 @@ class UnitGeneratorTest : public ::testing::Test {
 
 TEST_F(UnitGeneratorTest, IdenticalDescriptionsFullyPair) {
   const TokenizedRecord record = MakeRecord(
-      schema_, {"digital camera", "sony"}, {"digital camera", "sony"}, 1,
+      schema_, {"digital camera", "sony"}, {"digital camera", "sony"},
       encoder_);
   const DecisionUnitGenerator generator;
   const auto units =
@@ -128,7 +125,7 @@ TEST_F(UnitGeneratorTest, IdenticalDescriptionsFullyPair) {
 
 TEST_F(UnitGeneratorTest, DisjointDescriptionsAllUnpaired) {
   const TokenizedRecord record = MakeRecord(
-      schema_, {"digital camera", "sony"}, {"wooden table", "ikea"}, 0,
+      schema_, {"digital camera", "sony"}, {"wooden table", "ikea"},
       encoder_);
   UnitGeneratorOptions options;
   options.theta = 0.9;  // Nothing clears a 0.9 bar here.
@@ -146,7 +143,7 @@ TEST_F(UnitGeneratorTest, InterAttributePhaseRescuesMisplacedValues) {
   // "sony" sits in the name on the left and in brand on the right:
   // phase 1 cannot pair it, phase 2 must.
   const TokenizedRecord record = MakeRecord(
-      schema_, {"camera sony", ""}, {"camera", "sony"}, 1, encoder_);
+      schema_, {"camera sony", ""}, {"camera", "sony"}, encoder_);
   const DecisionUnitGenerator generator;
   const auto units =
       generator.Generate(record.left, record.right, schema_.size());
@@ -166,7 +163,7 @@ TEST_F(UnitGeneratorTest, OneToManyPhaseHandlesRepetitions) {
   // Left repeats "camera"; the right has one. The second left "camera"
   // can only pair through phase 3 against the already-paired right token.
   const TokenizedRecord record = MakeRecord(
-      schema_, {"camera camera", "sony"}, {"camera", "sony"}, 1, encoder_);
+      schema_, {"camera camera", "sony"}, {"camera", "sony"}, encoder_);
   const DecisionUnitGenerator generator;
   const auto units =
       generator.Generate(record.left, record.right, schema_.size());
@@ -203,7 +200,7 @@ TEST_F(UnitGeneratorTest, JaroWinklerModeNeedsNoEmbeddings) {
 TEST_F(UnitGeneratorTest, RuleVetoesPairs) {
   const TokenizedRecord record = MakeRecord(
       schema_, {"camera dslra200w", "sony"}, {"camera dslra300w", "sony"},
-      0, encoder_);
+      encoder_);
   // Sibling codes sit around cosine ~0.4 in the hash space; drop the
   // thresholds so the spurious pair forms without the rule.
   UnitGeneratorOptions options;
@@ -231,7 +228,7 @@ class PairSimilarityMatrixTest : public UnitGeneratorTest {
  protected:
   TokenizedRecord CameraRecord() const {
     return MakeRecord(schema_, {"sony digital camera dslra200w", "sony"},
-                      {"camera dslra300w digital", "sony"}, 0, encoder_);
+                      {"camera dslra300w digital", "sony"}, encoder_);
   }
 };
 
@@ -348,7 +345,7 @@ TEST(RelevanceScorerTest, FeaturesAreSymmetric) {
   const data::Schema schema{{"name"}};
   const auto encoder = MakeEncoder({{"alpha", "beta"}});
   const TokenizedRecord record =
-      MakeRecord(schema, {"alpha"}, {"beta"}, 1, encoder);
+      MakeRecord(schema, {"alpha"}, {"beta"}, encoder);
 
   DecisionUnit forward;
   forward.paired = true;
@@ -376,7 +373,7 @@ TEST(RelevanceScorerTest, UnpairedUsesZeroEmbedding) {
   const data::Schema schema{{"name"}};
   const auto encoder = MakeEncoder({{"alpha"}});
   const TokenizedRecord record =
-      MakeRecord(schema, {"alpha"}, {"alpha"}, 1, encoder);
+      MakeRecord(schema, {"alpha"}, {"alpha"}, encoder);
   DecisionUnit unpaired;
   unpaired.paired = false;
   unpaired.unpaired_side = Side::kLeft;
@@ -404,14 +401,16 @@ TEST(RelevanceScorerTest, NeuralScorerLearnsPairedVsUnpaired) {
   const auto encoder = MakeEncoder(corpus);
 
   std::vector<TokenizedRecord> records;
+  std::vector<int> labels;
   std::vector<std::vector<DecisionUnit>> units;
   const DecisionUnitGenerator generator;
   for (int i = 0; i < 30; ++i) {
     records.push_back(MakeRecord(schema, {"digital camera", "sony"},
-                                 {"digital camera", "sony"}, 1, encoder));
+                                 {"digital camera", "sony"}, encoder));
+    labels.push_back(1);
     records.push_back(MakeRecord(schema, {"digital camera", "sony"},
-                                 {"wireless router", "netgear"}, 0,
-                                 encoder));
+                                 {"wireless router", "netgear"}, encoder));
+    labels.push_back(0);
   }
   for (const auto& record : records) {
     units.push_back(
@@ -420,7 +419,7 @@ TEST(RelevanceScorerTest, NeuralScorerLearnsPairedVsUnpaired) {
   RelevanceScorerOptions options;
   options.mlp.epochs = 30;
   RelevanceScorer scorer(options);
-  scorer.Fit(records, units);
+  scorer.Fit(records, units, labels);
 
   const auto scores = scorer.Score(records[0], units[0]);
   const auto non_match_scores = scorer.Score(records[1], units[1]);
@@ -453,7 +452,6 @@ TEST(RelevanceScorerTest, BatchedScoreBitIdenticalToPerUnitPredict) {
     for (const auto& raw : dataset.records) {
       TokenizedRecord record =
           TokenizeRecord(raw, dataset.schema, TestTokenizer());
-      record.label = raw.label;
       corpus.push_back(record.left.tokens);
       corpus.push_back(record.right.tokens);
       records.push_back(std::move(record));
@@ -469,7 +467,7 @@ TEST(RelevanceScorerTest, BatchedScoreBitIdenticalToPerUnitPredict) {
     RelevanceScorerOptions options;
     options.mlp.epochs = 2;
     RelevanceScorer scorer(options);
-    scorer.Fit(records, units);
+    scorer.Fit(records, units, dataset.Labels());
     ASSERT_TRUE(scorer.mlp().fitted());
 
     size_t scored = 0;
@@ -496,7 +494,7 @@ TEST(RelevanceScorerTest, BatchedScoreBitIdenticalToPerUnitPredict) {
 TEST(RelevanceScorerTest, BinaryAndCosineVariants) {
   const data::Schema schema{{"name"}};
   const auto encoder = MakeEncoder({{"a"}});
-  const TokenizedRecord record = MakeRecord(schema, {"a"}, {"a"}, 1, encoder);
+  const TokenizedRecord record = MakeRecord(schema, {"a"}, {"a"}, encoder);
   std::vector<DecisionUnit> units(2);
   units[0].paired = true;
   units[0].similarity = 0.8;
@@ -505,14 +503,14 @@ TEST(RelevanceScorerTest, BinaryAndCosineVariants) {
   RelevanceScorerOptions binary;
   binary.kind = ScorerKind::kBinary;
   RelevanceScorer binary_scorer(binary);
-  binary_scorer.Fit({}, {});
+  binary_scorer.Fit({}, {}, {});
   EXPECT_EQ(binary_scorer.Score(record, units),
             (std::vector<double>{1.0, -1.0}));
 
   RelevanceScorerOptions cosine;
   cosine.kind = ScorerKind::kCosine;
   RelevanceScorer cosine_scorer(cosine);
-  cosine_scorer.Fit({}, {});
+  cosine_scorer.Fit({}, {}, {});
   const auto scores = cosine_scorer.Score(record, units);
   EXPECT_DOUBLE_EQ(scores[0], 0.8);
   EXPECT_LT(scores[1], 0.0);

@@ -343,18 +343,7 @@ TEST(SemanticEncoderTest, RowsAreUnitNormOrZeroOnGeneratedRecords) {
         encoder.Fit(descriptions);
         if (mode == EncoderMode::kSiamese) {
           const la::Vec before = encoder.EncodeTokens(descriptions[0]);
-          std::vector<std::pair<la::Vec, la::Vec>> pairs;
-          std::vector<int> labels;
-          for (size_t r = 0; r < dataset.records.size(); ++r) {
-            pairs.emplace_back(
-                SemanticEncoder::PoolTokens(
-                    encoder.EncodeTokens(descriptions[2 * r]), encoder.dim()),
-                SemanticEncoder::PoolTokens(
-                    encoder.EncodeTokens(descriptions[2 * r + 1]),
-                    encoder.dim()));
-            labels.push_back(dataset.records[r].label);
-          }
-          encoder.FitSiamese(pairs, labels);
+          encoder.FitSiamese(descriptions, dataset.Labels());
           ASSERT_FALSE(SameBits(encoder.EncodeTokens(descriptions[0]), before))
               << "calibration left the rows unchanged";
         }
@@ -387,6 +376,74 @@ TEST(SemanticEncoderTest, RowsAreUnitNormOrZeroOnGeneratedRecords) {
   }
 }
 
+/// The Save bytes of `encoder`.
+std::string SavedBytes(const SemanticEncoder& encoder) {
+  std::ostringstream out;
+  serde::Serializer s(&out);
+  encoder.Save(&s);
+  return out.str();
+}
+
+TEST(SemanticEncoderTest, FitSiameseCalibratesOnPooledPairsWithTwoSides) {
+  // FitSiamese encodes and pools each pair itself, skipping a pair with an
+  // empty side: its calibrator must equal one fitted by hand on those
+  // pooled pairs, and in any other mode it must leave the encoder as is.
+  const data::Dataset dataset = data::GenerateById("S-FZ", 5, 0.2);
+  const text::Tokenizer tokenizer;
+  std::vector<std::vector<std::string>> descriptions;
+  const std::vector<int> labels = dataset.Labels();
+  for (const data::EmRecord& record : dataset.records) {
+    for (const data::Entity* entity : {&record.left, &record.right}) {
+      std::vector<std::string> tokens;
+      for (const std::string& value : entity->values) {
+        for (std::string& token : tokenizer.Tokenize(value)) {
+          tokens.push_back(std::move(token));
+        }
+      }
+      descriptions.push_back(std::move(tokens));
+    }
+  }
+  descriptions[2].clear();  // Pair 1 has an empty left side,
+  descriptions[7].clear();  // pair 3 an empty right side.
+
+  SemanticEncoder encoder;  // kSiamese by default.
+  encoder.Fit(descriptions);
+  std::vector<std::pair<la::Vec, la::Vec>> pairs;
+  std::vector<int> kept_labels;
+  for (size_t r = 0; r < labels.size(); ++r) {
+    if (descriptions[2 * r].empty() || descriptions[2 * r + 1].empty()) {
+      continue;
+    }
+    pairs.emplace_back(
+        SemanticEncoder::PoolTokens(encoder.EncodeTokens(descriptions[2 * r]),
+                                    encoder.dim()),
+        SemanticEncoder::PoolTokens(
+            encoder.EncodeTokens(descriptions[2 * r + 1]), encoder.dim()));
+    kept_labels.push_back(labels[r]);
+  }
+  ASSERT_EQ(pairs.size(), labels.size() - 2);
+  SiameseCalibrator reference{SemanticEncoderOptions{}.siamese};
+  reference.Fit(pairs, kept_labels);
+  std::ostringstream reference_bytes;
+  serde::Serializer s(&reference_bytes);
+  reference.Save(&s);
+
+  encoder.FitSiamese(descriptions, labels);
+  const std::string saved = SavedBytes(encoder);
+  ASSERT_GT(saved.size(), reference_bytes.str().size());
+  // The calibrator is the last part of the encoder's state.
+  EXPECT_EQ(saved.substr(saved.size() - reference_bytes.str().size()),
+            reference_bytes.str());
+
+  SemanticEncoderOptions fine_tuned;
+  fine_tuned.mode = EncoderMode::kFineTuned;
+  SemanticEncoder uncalibrated(fine_tuned);
+  uncalibrated.Fit(descriptions);
+  const std::string before = SavedBytes(uncalibrated);
+  uncalibrated.FitSiamese(descriptions, labels);
+  EXPECT_EQ(SavedBytes(uncalibrated), before);
+}
+
 TEST(SemanticEncoderTest, EncodeIsIdenticalAcrossLoadCopyAndThreads) {
   // Table rows, tokens computed on the fly, numbers, "nan" and empty
   // tokens: the fitted encoder, its Save/Load round trip, a copy of it
@@ -400,13 +457,7 @@ TEST(SemanticEncoderTest, EncodeIsIdenticalAcrossLoadCopyAndThreads) {
   SemanticEncoder fitted;
   fitted.Fit(corpus);
   ASSERT_GT(fitted.table_rows(), 0u);
-  const auto pool = [&](const std::vector<std::string>& tokens) {
-    return SemanticEncoder::PoolTokens(fitted.EncodeTokens(tokens),
-                                       fitted.dim());
-  };
-  fitted.FitSiamese({{pool(corpus[0]), pool(corpus[1])},
-                     {pool(corpus[0]), pool(corpus[2])}},
-                    {1, 0});
+  fitted.FitSiamese({corpus[0], corpus[1], corpus[0], corpus[2]}, {1, 0});
 
   const std::vector<std::vector<std::string>> descriptions = {
       {"sony", "digital", "camera"},

@@ -171,6 +171,43 @@ TEST(PoolFactoryTest, HasTenMembers) {
   EXPECT_EQ(MakeClassifier("nonsense", 1), nullptr);
 }
 
+TEST(PoolFactoryTest, FitPoolMatchesSequentialReference) {
+  // FitPool fits the members concurrently: each threshold and F1 must
+  // equal a sequential fit-and-calibrate loop's, on the validation rows
+  // and, without them, on the training rows; the first strictly best F1
+  // is selected.
+  const Problem train = MakeProblem(300, 4);
+  const Problem val = MakeProblem(120, 5);
+  for (const bool with_validation : {true, false}) {
+    SCOPED_TRACE(with_validation ? "validation rows" : "training rows");
+    const Problem& calibration = with_validation ? val : train;
+    const auto pool = MakePool(7);
+    const PoolFit fit =
+        with_validation ? FitPool(pool, train.x, train.y, val.x, val.y)
+                        : FitPool(pool, train.x, train.y, la::Matrix(), {});
+    ASSERT_EQ(fit.thresholds.size(), pool.size());
+    ASSERT_EQ(fit.f1s.size(), pool.size());
+    size_t best = 0;
+    for (size_t c = 0; c < pool.size(); ++c) {
+      auto reference = MakePool(7);
+      Classifier& member = *reference[c];
+      member.Fit(train.x, train.y);
+      std::vector<double> probas;
+      for (size_t i = 0; i < calibration.x.rows(); ++i) {
+        probas.push_back(member.PredictProba(calibration.x.RowVector(i)));
+      }
+      const double threshold = BestF1Threshold(probas, calibration.y);
+      std::vector<int> predicted;
+      for (double p : probas) predicted.push_back(p >= threshold ? 1 : 0);
+      EXPECT_EQ(fit.thresholds[c], threshold) << member.name();
+      EXPECT_EQ(fit.f1s[c], F1Score(calibration.y, predicted))
+          << member.name();
+      if (fit.f1s[c] > fit.f1s[best]) best = c;
+    }
+    EXPECT_EQ(fit.best, best);
+  }
+}
+
 TEST(LogisticRegressionTest, CoefficientsRecoverSigns) {
   LogisticRegression lr;
   const Problem p = MakeProblem(600, 2);

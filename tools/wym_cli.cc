@@ -54,6 +54,7 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -69,6 +70,7 @@
 #include "data/split.h"
 #include "explain/global.h"
 #include "explain/report.h"
+#include "ml/classifier_pool.h"
 #include "ml/metrics.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
@@ -125,6 +127,16 @@ core::WymConfig ConfigFromArgs(const Flags& args) {
   }
   config.simplified_features = args.Has("simplified");
   config.classifier = args.Get("classifier", "");
+  const std::vector<std::string> members = ml::PoolMemberNames();
+  if (!config.classifier.empty() &&
+      std::find(members.begin(), members.end(), config.classifier) ==
+          members.end()) {
+    std::string known;
+    for (const std::string& member : members) known += " " + member;
+    std::fprintf(stderr, "unknown --classifier %s (pool members:%s)\n",
+                 config.classifier.c_str(), known.c_str());
+    std::exit(kExitUsage);
+  }
   config.generator.theta = args.GetDouble("theta", config.generator.theta);
   config.generator.eta = args.GetDouble("eta", config.generator.eta);
   config.generator.epsilon =
