@@ -91,10 +91,12 @@ run_config asan-ubsan -DWYM_SANITIZE=address,undefined
 run_config debug-checks -DWYM_DEBUG_CHECKS=ON
 
 # TSan: the suites whose code shares state across threads — the thread
-# pool and team, the encoder's read-only base-embedding table, the batch
-# record loop and candidate streaming — run with WYM_THREADS=4. Only
-# these four test binaries are built, since a full TSan build is slow;
-# any race report makes a binary exit nonzero.
+# pool and team, the scorer fit's minibatch rows (filled by phase A's
+# helpers, read by phase B's), the encoder's read-only base-embedding
+# table, the batch record loop, candidate streaming and the concurrent
+# pool fits — run with WYM_THREADS=4. Only these test binaries are
+# built, since a full TSan build is slow; any race report makes a binary
+# exit nonzero.
 run_tsan() {
   name=tsan
   if [ "$ONLY" != all ] && [ "$ONLY" != "$name" ]; then
@@ -102,7 +104,7 @@ run_tsan() {
   fi
   build="$CHECK_DIR/$name"
   log="$CHECK_DIR/$name.log"
-  suites="parallel_test embedding_test core_test candidate_stream_test baselines_test"
+  suites="parallel_test nn_test embedding_test core_test candidate_stream_test baselines_test"
   echo "==> [$name] configure + build + run $suites ($build)"
   ok=1
   if cmake -B "$build" -S "$ROOT" -DWYM_SANITIZE=thread > "$log" 2>&1 \

@@ -130,8 +130,8 @@ void RelevanceScorer::Fit(
   }
   Rng rng(options_.seed);
 
-  // Pick the training occurrences first so the feature rows can be
-  // written straight into the training matrix.
+  // Pick the training occurrences; the network fills their feature rows
+  // one minibatch at a time, so no training matrix is ever built.
   std::vector<std::pair<size_t, size_t>> picked;  // (record, unit)
   std::vector<double> y;
   picked.reserve(std::min(total_units, options_.max_training_units) + 64);
@@ -151,14 +151,17 @@ void RelevanceScorer::Fit(
   }
 
   const size_t width = 2 * EmbeddingDim(records[picked[0].first]);
-  la::Matrix x(picked.size(), width);
-  for (size_t i = 0; i < picked.size(); ++i) {
-    const auto [r, u] = picked[i];
+  for (const auto& [r, u] : picked) {
     WYM_CHECK_EQ(2 * EmbeddingDim(records[r]), width);
-    FillUnitFeatures(records[r], units_per_record[r][u], x.Row(i));
   }
   mlp_ = nn::Mlp(options_.mlp);
-  mlp_.Fit(x, y);
+  mlp_.Fit(
+      picked.size(), width,
+      [&](size_t i, double* row) {
+        const auto [r, u] = picked[i];
+        FillUnitFeatures(records[r], units_per_record[r][u], row);
+      },
+      y);
   fitted_ = true;
 }
 

@@ -59,7 +59,9 @@ class RelevanceScorer {
 
   /// Builds the Eq. 2/3 training set from the units of the training
   /// records and their 0/1 labels, and fits the regressor. A no-op for
-  /// the binary/cosine variants.
+  /// the binary/cosine variants. The training feature rows are filled
+  /// on demand, one minibatch at a time (nn::Mlp::Fit's row-fill form),
+  /// so fit memory does not grow with the number of training units.
   void Fit(const std::vector<TokenizedRecord>& records,
            const std::vector<std::vector<DecisionUnit>>& units_per_record,
            const std::vector<int>& labels);

@@ -29,9 +29,8 @@ constexpr char kSectionEncoder[] = "encoder";
 constexpr char kSectionScorer[] = "scorer";
 constexpr char kSectionMatcher[] = "matcher";
 
-const std::string* FindFrame(const std::vector<io::FileFrame>& frames,
-                             const char* name) {
-  for (const io::FileFrame& frame : frames) {
+std::string* FindFrame(std::vector<io::FileFrame>& frames, const char* name) {
+  for (io::FileFrame& frame : frames) {
     if (frame.name == name) return &frame.payload;
   }
   return nullptr;
@@ -475,7 +474,7 @@ Status WymModel::SaveToFile(const std::string& path) const {
     std::ostringstream payload;
     serde::Serializer s(&payload);
     write(&s);
-    frames.push_back(io::FileFrame{name, payload.str()});
+    frames.push_back(io::FileFrame{name, std::move(payload).str()});
   };
   add_frame(kSectionConfig, [this](serde::Serializer* s) {
     s->Tag("wym-config/v2");
@@ -508,10 +507,14 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   const Status decoded = io::DecodeFramedFile(
       bytes, kModelMagic, kModelFormatVersion, nullptr, &frames);
   if (!decoded.ok()) return decoded.Annotate("loading model " + path);
+  // The frames hold their own payloads: drop the file image before any
+  // state is built. Each payload then moves into the stream that reads
+  // it, so it is freed once its section has loaded.
+  std::string().swap(bytes);
 
   const auto section = [&frames,
-                        &path](const char* name) -> Result<const std::string*> {
-    const std::string* payload = FindFrame(frames, name);
+                        &path](const char* name) -> Result<std::string*> {
+    std::string* payload = FindFrame(frames, name);
     if (payload == nullptr) {
       return Status::Corruption("model file missing section '" +
                                 std::string(name) + "': " + path);
@@ -521,7 +524,7 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
 
   auto config_bytes = section(kSectionConfig);
   if (!config_bytes.ok()) return config_bytes.status();
-  std::istringstream config_in(*config_bytes.value());
+  std::istringstream config_in(std::move(*config_bytes.value()));
   serde::Deserializer config_reader(&config_in);
   WymConfig config;
   uint64_t rule_count = 0;
@@ -539,10 +542,10 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
 
   WymModel model(config);
   model.num_attributes_ = num_attributes;
-  const auto load_component = [&path](const std::string& payload,
+  const auto load_component = [&path](std::string* payload,
                                       const char* name,
                                       auto&& load) -> Status {
-    std::istringstream in(payload);
+    std::istringstream in(std::move(*payload));
     serde::Deserializer d(&in);
     if (!load(&d) || !d.ok()) {
       return Status::Corruption("bad " + std::string(name) +
@@ -553,12 +556,12 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   auto payload = section(kSectionEncoder);
   if (!payload.ok()) return payload.status();
   WYM_RETURN_IF_ERROR(load_component(
-      *payload.value(), kSectionEncoder,
+      payload.value(), kSectionEncoder,
       [&model](serde::Deserializer* d) { return model.encoder_.Load(d); }));
   payload = section(kSectionScorer);
   if (!payload.ok()) return payload.status();
   WYM_RETURN_IF_ERROR(load_component(
-      *payload.value(), kSectionScorer,
+      payload.value(), kSectionScorer,
       [&model](serde::Deserializer* d) { return model.scorer_.Load(d); }));
   // The scorer's network reads 2 * dim() features per unit: an encoder of
   // another width would abort the first prediction.
@@ -572,7 +575,7 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   payload = section(kSectionMatcher);
   if (!payload.ok()) return payload.status();
   WYM_RETURN_IF_ERROR(load_component(
-      *payload.value(), kSectionMatcher,
+      payload.value(), kSectionMatcher,
       [&model](serde::Deserializer* d) { return model.matcher_.Load(d); }));
   // Inference checks every record against the config's width and the
   // matcher computes features at its own: they must agree.

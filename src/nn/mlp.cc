@@ -42,10 +42,20 @@ Mlp::Mlp(MlpOptions options) : options_(std::move(options)) {}
 
 void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
               util::ThreadPool* pool) {
-  WYM_CHECK_EQ(x.rows(), y.size());
-  WYM_CHECK_GT(x.rows(), 0u);
+  Fit(
+      x.rows(), x.cols(),
+      [&x](size_t row, double* out) {
+        std::copy_n(x.Row(row), x.cols(), out);
+      },
+      y, pool);
+}
+
+void Mlp::Fit(size_t rows, size_t width, const RowFill& fill,
+              const std::vector<double>& y, util::ThreadPool* pool) {
+  WYM_CHECK_EQ(rows, y.size());
+  WYM_CHECK_GT(rows, 0u);
   WYM_CHECK_GT(options_.batch_size, 0u);
-  input_dim_ = x.cols();
+  input_dim_ = width;
 
   // He-initialized layers: hidden... -> 1 linear output.
   Rng rng(options_.seed);
@@ -68,17 +78,18 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
   }
   const size_t n_layers = layers_.size();
 
-  std::vector<size_t> order(x.rows());
+  std::vector<size_t> order(rows);
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  // Minibatch scratch and Adam state, sized once. Row k of hidden[l] /
-  // deltas[l] is the k-th sample of the batch: layer l's post-ReLU
-  // output and the loss gradient at its pre-activation. inputs[l][k]
-  // points at layer l's input row of sample k (the feature row for layer
-  // 0, set per minibatch; a row of hidden[l - 1] otherwise), and
+  // Minibatch scratch and Adam state, sized once. Row k of batch_x /
+  // hidden[l] / deltas[l] is the k-th sample of the batch: its feature
+  // row, layer l's post-ReLU output and the loss gradient at its
+  // pre-activation. inputs[l][k] points at layer l's input row of sample
+  // k (a row of batch_x for layer 0, of hidden[l - 1] otherwise), and
   // weight_rows[l][o] at row o of layer l's weights. Adam moments are
   // flat per layer, weights in la::Matrix row-major order.
-  const size_t batch = std::min(options_.batch_size, x.rows());
+  const size_t batch = std::min(options_.batch_size, rows);
+  std::vector<double> batch_x(batch * input_dim_);
   std::vector<std::vector<double>> hidden(n_layers - 1);
   std::vector<std::vector<double>> deltas(n_layers);
   std::vector<std::vector<const double*>> inputs(n_layers);
@@ -95,8 +106,9 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
     if (l + 1 < n_layers) hidden[l].resize(batch * w.rows());
     deltas[l].resize(batch * w.rows());
     inputs[l].resize(batch);
-    for (size_t k = 0; l > 0 && k < batch; ++k) {
-      inputs[l][k] = hidden[l - 1].data() + k * w.cols();
+    for (size_t k = 0; k < batch; ++k) {
+      inputs[l][k] = (l == 0 ? batch_x.data() : hidden[l - 1].data()) +
+                     k * w.cols();
     }
     for (size_t o = 0; o < w.rows(); ++o) weight_rows[l].push_back(w.Row(o));
     m_w[l].assign(w.data().size(), 0.0);
@@ -136,18 +148,21 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
     for (size_t start = 0; start < order.size();
          start += options_.batch_size) {
       const size_t* batch_rows = order.data() + start;
-      const size_t rows = std::min(order.size() - start, options_.batch_size);
-      const double inv_batch = 1.0 / static_cast<double>(rows);
+      const size_t samples =
+          std::min(order.size() - start, options_.batch_size);
+      const double inv_batch = 1.0 / static_cast<double>(samples);
 
-      // (A) Forward pass and deltas, one block of samples per chunk.
-      team.Run((rows + kBlockRows - 1) / kBlockRows, [&](size_t b) {
+      // (A) Row fills, forward pass and deltas, one block of samples per
+      // chunk. Each block fills its own rows of batch_x, which phase B
+      // reads through inputs[0].
+      team.Run((samples + kBlockRows - 1) / kBlockRows, [&](size_t b) {
         double* current = block_scratch.data() + b * block_scratch_size;
         double* next = current + a_width * kBlockRows;
         const size_t first = b * kBlockRows;
-        const size_t lanes = std::min(kBlockRows, rows - first);
+        const size_t lanes = std::min(kBlockRows, samples - first);
         for (size_t r = 0; r < lanes; ++r) {
-          const double* row = x.Row(batch_rows[first + r]);
-          inputs[0][first + r] = row;
+          double* row = batch_x.data() + (first + r) * input_dim_;
+          fill(batch_rows[first + r], row);
           for (size_t i = 0; i < input_dim_; ++i) {
             current[i * lanes + r] = row[i];
           }
@@ -186,10 +201,10 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
           const auto [l, o] = cells[c];
           la::Matrix& w = layers_[l].weights;
           const double* delta = deltas[l].data() + o;  // Stride w.rows().
-          la::kernels::WeightedRowSum(delta, w.rows(), inputs[l].data(), rows,
-                                      w.cols(), gw);
+          la::kernels::WeightedRowSum(delta, w.rows(), inputs[l].data(),
+                                      samples, w.cols(), gw);
           double gb = 0.0;
-          for (size_t k = 0; k < rows; ++k) {
+          for (size_t k = 0; k < samples; ++k) {
             const double d = delta[k * w.rows()];
             if (d != 0.0) gb += d;
           }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -39,19 +40,32 @@ class Mlp {
  public:
   explicit Mlp(MlpOptions options = {});
 
-  /// Trains on rows of `x` against scalar targets `y` with MSE loss.
-  /// Requires x.rows() == y.size(), x.rows() > 0 and batch_size > 0.
+  /// Writes training row `row` (width values) to `out`. Fit calls it
+  /// from several threads at once, for distinct rows and outputs.
+  using RowFill = std::function<void(size_t row, double* out)>;
+
+  /// Trains on `rows` input rows of `width` features, produced on demand
+  /// by `fill`, against scalar targets `y` with MSE loss. Requires
+  /// rows == y.size(), rows > 0 and batch_size > 0. No training matrix
+  /// exists: each sample's row is filled into a batch_size x width
+  /// minibatch scratch when its minibatch runs, so `fill` runs exactly
+  /// once per row per epoch and the fit's memory does not grow with
+  /// `rows` beyond the shuffle order.
   ///
   /// Each minibatch runs in two phases on one util::Team over `pool`
-  /// (the global pool when nullptr), kept for the whole fit: forward
-  /// passes and back-propagated deltas in parallel over blocks of
-  /// kBlockRows samples (the weights are fixed within a minibatch, so
+  /// (the global pool when nullptr), kept for the whole fit: row fills,
+  /// forward passes and back-propagated deltas in parallel over blocks
+  /// of kBlockRows samples (the weights are fixed within a minibatch, so
   /// samples are independent), then gradients in parallel over (layer,
   /// output-row) cells, each adding its samples in batch order
   /// (la::kernels::WeightedRowSum) and applying the Adam step to its own
   /// weight row and bias element. Every floating-point chain is the one
   /// of a plain per-sample loop, so the trained weights are
   /// bit-identical at every thread count and every SIMD level.
+  void Fit(size_t rows, size_t width, const RowFill& fill,
+           const std::vector<double>& y, util::ThreadPool* pool = nullptr);
+
+  /// Fit over the rows of `x`: each fill copies one row.
   void Fit(const la::Matrix& x, const std::vector<double>& y,
            util::ThreadPool* pool = nullptr);
 

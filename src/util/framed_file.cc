@@ -62,16 +62,27 @@ Status Malformed(const std::string& what, size_t offset) {
 
 std::string EncodeFramedFile(const std::string& magic, uint32_t version,
                              const std::vector<FileFrame>& frames) {
-  std::ostringstream out;
-  out << magic << ' ' << version << '\n';
+  // One output string, reserved up front: the payloads are copied once,
+  // and the trailer CRC runs over the bytes already written.
+  constexpr size_t kLineSlack = 32;  // Keyword, decimal length, CRC hex.
+  size_t size = magic.size() + 2 * kLineSlack;
   for (const FileFrame& frame : frames) {
-    out << "FRAME " << frame.name << ' ' << frame.payload.size() << '\n'
-        << frame.payload << '\n'
-        << "CRC " << crc32c::ToHex(crc32c::Crc32c(frame.payload)) << '\n';
+    size += frame.name.size() + frame.payload.size() + 2 * kLineSlack;
   }
-  const std::string body = out.str();
-  return body + "END " + std::to_string(frames.size()) + ' ' +
-         crc32c::ToHex(crc32c::Crc32c(body)) + '\n';
+  std::string out;
+  out.reserve(size);
+  out.append(magic).append(" ").append(std::to_string(version)).append("\n");
+  for (const FileFrame& frame : frames) {
+    out.append("FRAME ").append(frame.name).append(" ");
+    out.append(std::to_string(frame.payload.size())).append("\n");
+    out.append(frame.payload).append("\n");
+    out.append("CRC ").append(crc32c::ToHex(crc32c::Crc32c(frame.payload)));
+    out.append("\n");
+  }
+  const uint32_t body_crc = crc32c::Crc32c(out.data(), out.size());
+  out.append("END ").append(std::to_string(frames.size())).append(" ");
+  out.append(crc32c::ToHex(body_crc)).append("\n");
+  return out;
 }
 
 bool LooksFramed(const std::string& bytes, const std::string& magic) {

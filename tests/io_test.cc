@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -94,20 +95,49 @@ std::vector<io::FileFrame> TestFrames() {
           {"empty", ""}};
 }
 
-TEST(FramedFileTest, EncodeDecodeRoundTrip) {
-  const std::string bytes = io::EncodeFramedFile("WYMT", 3, TestFrames());
-  EXPECT_TRUE(io::LooksFramed(bytes, "WYMT"));
-  EXPECT_FALSE(io::LooksFramed(bytes, "WYMX"));
+/// The format spelled out with a stream, line by line as in
+/// util/framed_file.h: the reference the encoder must match byte for byte.
+std::string StreamEncodedReference(const std::string& magic,
+                                   uint32_t version,
+                                   const std::vector<io::FileFrame>& frames) {
+  std::ostringstream out;
+  out << magic << ' ' << version << '\n';
+  for (const io::FileFrame& frame : frames) {
+    out << "FRAME " << frame.name << ' ' << frame.payload.size() << '\n'
+        << frame.payload << '\n'
+        << "CRC " << crc32c::ToHex(crc32c::Crc32c(frame.payload)) << '\n';
+  }
+  const std::string body = out.str();
+  return body + "END " + std::to_string(frames.size()) + ' ' +
+         crc32c::ToHex(crc32c::Crc32c(body)) + '\n';
+}
 
-  uint32_t version = 0;
-  std::vector<io::FileFrame> frames;
-  ASSERT_TRUE(io::DecodeFramedFile(bytes, "WYMT", 3, &version, &frames).ok());
-  EXPECT_EQ(version, 3u);
-  ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].name, "config");
-  EXPECT_EQ(frames[0].payload, "17 some-config/v2 1 2 3");
-  EXPECT_EQ(frames[1].payload, TestFrames()[1].payload);
-  EXPECT_EQ(frames[2].payload, "");
+TEST(FramedFileTest, EncodeDecodeRoundTrip) {
+  const std::vector<std::vector<io::FileFrame>> cases = {
+      TestFrames(),  // Binary bytes, a newline and an empty payload.
+      {},
+      {{"empty", ""}},
+      {{"lookalike", "x\nFRAME config 3\nabc\nCRC 00000000\nEND 1 0\n"},
+       {"tail", "CRC\n\n"}},
+  };
+  for (const std::vector<io::FileFrame>& input : cases) {
+    SCOPED_TRACE(testing::Message() << input.size() << " frame(s)");
+    const std::string bytes = io::EncodeFramedFile("WYMT", 3, input);
+    EXPECT_EQ(bytes, StreamEncodedReference("WYMT", 3, input));
+    EXPECT_TRUE(io::LooksFramed(bytes, "WYMT"));
+    EXPECT_FALSE(io::LooksFramed(bytes, "WYMX"));
+
+    uint32_t version = 0;
+    std::vector<io::FileFrame> frames;
+    ASSERT_TRUE(
+        io::DecodeFramedFile(bytes, "WYMT", 3, &version, &frames).ok());
+    EXPECT_EQ(version, 3u);
+    ASSERT_EQ(frames.size(), input.size());
+    for (size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(frames[i].name, input[i].name);
+      EXPECT_EQ(frames[i].payload, input[i].payload);
+    }
+  }
 }
 
 TEST(FramedFileTest, RejectsWrongMagicAndFutureVersion) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -506,6 +507,40 @@ std::vector<DenseLayerSpec> ReferenceFit(const MlpOptions& options,
   return layers;
 }
 
+/// Fits `options` on the rows of `x` through the row-fill form of
+/// Mlp::Fit and checks that fill ran once per row per epoch.
+Mlp FitByFill(const MlpOptions& options, const la::Matrix& x,
+              const std::vector<double>& y, util::ThreadPool* pool) {
+  const size_t n = x.rows();
+  // Slot i of `calls` records the row of the i-th fill. Every fill of an
+  // epoch runs before any fill of the next (each minibatch ends in phase
+  // B's barrier), so epoch e's fills are the slots [e * n, (e + 1) * n).
+  std::vector<size_t> calls(options.epochs * n);
+  std::atomic<size_t> fills{0};
+  Mlp mlp(options);
+  mlp.Fit(
+      n, x.cols(),
+      [&](size_t row, double* out) {
+        const size_t slot = fills.fetch_add(1);
+        if (slot < calls.size()) calls[slot] = row;
+        std::copy_n(x.Row(row), x.cols(), out);
+      },
+      y, pool);
+  EXPECT_EQ(fills.load(), calls.size());
+  for (size_t e = 0; e < options.epochs; ++e) {
+    std::vector<size_t> epoch(calls.begin() + e * n,
+                              calls.begin() + (e + 1) * n);
+    std::sort(epoch.begin(), epoch.end());
+    for (size_t r = 0; r < n; ++r) {
+      if (epoch[r] != r) {
+        ADD_FAILURE() << "epoch " << e << " did not fill each row once";
+        break;
+      }
+    }
+  }
+  return mlp;
+}
+
 TEST(MlpFitTest, BitIdenticalToSequentialReference) {
   ScopedSimdLevel guard;
   // 203 rows: not a multiple of any batch size below nor of the 8-row
@@ -532,7 +567,10 @@ TEST(MlpFitTest, BitIdenticalToSequentialReference) {
   // Team's CPU cap is exercised too.
   util::ThreadPool one(1), two(2), three(3), eight(8);
   for (const std::vector<size_t>& hidden : hiddens) {
-    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{128}}) {
+    // 7 and 128 leave a ragged last minibatch; 256 exceeds the row count,
+    // so each epoch is one short minibatch.
+    for (size_t batch_size :
+         {size_t{1}, size_t{7}, size_t{128}, size_t{256}}) {
       MlpOptions options;
       options.hidden = hidden;
       options.epochs = 2;
@@ -548,30 +586,37 @@ TEST(MlpFitTest, BitIdenticalToSequentialReference) {
       for (SimdLevel level : AvailableLevels()) {
         la::kernels::SetSimdLevel(level);
         for (util::ThreadPool* pool : {&one, &two, &three, &eight}) {
-          SCOPED_TRACE(testing::Message()
-                       << "hidden=" << hidden.size()
-                       << " batch=" << batch_size
-                       << " level=" << la::kernels::SimdLevelName(level)
-                       << " threads=" << pool->size());
-          Mlp mlp(options);
-          mlp.Fit(x, y, pool);
-          bool clamp = false;
-          const std::vector<DenseLayerSpec> trained = LayersOf(mlp, &clamp);
-          ASSERT_EQ(trained.size(), reference.size());
-          for (size_t l = 0; l < trained.size(); ++l) {
-            const std::vector<double>& w = trained[l].weights.data();
-            const std::vector<double>& w_ref = reference[l].weights.data();
-            ASSERT_EQ(w.size(), w_ref.size());
-            EXPECT_EQ(std::memcmp(w.data(), w_ref.data(),
-                                  w.size() * sizeof(double)),
-                      0)
-                << "layer " << l << " weights";
-            ASSERT_EQ(trained[l].bias.size(), reference[l].bias.size());
-            EXPECT_EQ(std::memcmp(trained[l].bias.data(),
-                                  reference[l].bias.data(),
-                                  trained[l].bias.size() * sizeof(double)),
-                      0)
-                << "layer " << l << " bias";
+          for (const bool fill_form : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "hidden=" << hidden.size()
+                         << " batch=" << batch_size
+                         << " level=" << la::kernels::SimdLevelName(level)
+                         << " threads=" << pool->size()
+                         << " form=" << (fill_form ? "fill" : "matrix"));
+            Mlp mlp(options);
+            if (fill_form) {
+              mlp = FitByFill(options, x, y, pool);
+            } else {
+              mlp.Fit(x, y, pool);
+            }
+            bool clamp = false;
+            const std::vector<DenseLayerSpec> trained = LayersOf(mlp, &clamp);
+            ASSERT_EQ(trained.size(), reference.size());
+            for (size_t l = 0; l < trained.size(); ++l) {
+              const std::vector<double>& w = trained[l].weights.data();
+              const std::vector<double>& w_ref = reference[l].weights.data();
+              ASSERT_EQ(w.size(), w_ref.size());
+              EXPECT_EQ(std::memcmp(w.data(), w_ref.data(),
+                                    w.size() * sizeof(double)),
+                        0)
+                  << "layer " << l << " weights";
+              ASSERT_EQ(trained[l].bias.size(), reference[l].bias.size());
+              EXPECT_EQ(std::memcmp(trained[l].bias.data(),
+                                    reference[l].bias.data(),
+                                    trained[l].bias.size() * sizeof(double)),
+                        0)
+                  << "layer " << l << " bias";
+            }
           }
         }
       }
